@@ -12,10 +12,18 @@ bits-long collision window; combining those with the collision-time CDF of
     PER = 1 - sum_l success(l) * (F(l*bit_time) - F((l-1)*bit_time))
 
 Three evaluation routes for success(l):
-  * quadrature - adaptive integration over the fading density, the oracle;
+  * quadrature - the fading average on fixed nodes: a trapezoid rule in
+    t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
+    (877 nodes).  For the PER the slot sum is taken first, so the integrand
+    is one polynomial in the per-bit success, evaluated by Horner's rule for
+    the whole INR sweep at once.  The tests check it against adaptive
+    quadrature to 1e-12; `success_prob_quadrature` keeps the adaptive
+    integral for single windows, the oracle of the other routes;
   * closed form ("qn") - an 8-term exponential-polynomial fit of the
     Gaussian Q-function turns the average into a finite sum of modified
-    Bessel K terms, practical for small l (accuracy validated for snr in
+    Bessel K terms: binomial order r of (1 - coeff*Q)^l needs the 7r+1
+    coefficients of the fit polynomial's r-th power, and the per-order sums
+    serve every l.  Capped at QN_MAX_BITS (accuracy validated for snr in
     [0, 30] dB and mean_inr in [-10, 20] dB);
   * gumbel - the window success (1 - ber(x))^l, as a function of the linear
     SIR x = snr/g, is approximated by a Gumbel CDF in x whose location and
@@ -37,8 +45,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy import integrate, special
@@ -61,8 +67,11 @@ QN_COEFFS = (
     -0.0001550149131660018,
 )
 
-# The closed-form term count grows like C(bits + 8, 8); past this the route
-# is slower than quadrature and round-off starts to accumulate.
+# The closed form is validated (criterion 4, the tests) and used by the
+# hybrid only up to this window.  Its cost is no limit (7r+1 terms per order),
+# but past ~26 bits at 30 dB snr the order-r terms, which carry base^(7r/2),
+# overflow to inf - inf, and its fit bias grows with the window (4.8e-6 at
+# 12 bits, 9.5e-6 at 24, against quadrature).
 QN_MAX_BITS = 12
 
 # Gumbel mean offset used by the moment match (Euler-Mascheroni, 4 places).
@@ -153,29 +162,55 @@ def success_prob_quadrature(modulation: Modulation, snr: float, mean_inr: float,
     return min(max(val, 0.0), 1.0)
 
 
-@lru_cache(maxsize=64)
-def _qn_partitions(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-order expansion table for the closed form.
+def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
+                       top: int) -> np.ndarray:
+    """Closed-form success(bits) for bits 0..top at every mean INR.
 
-    Expanding (sum_j b_j x^j)^r over multisets of r coefficient picks gives,
-    for each multiset, the total polynomial degree f and the multinomial
-    weight times the coefficient product.  Returns (f values, weights).
+    (1 - coeff*Q)^bits expands binomially into powers Q^r.  With the fit
+    Q(x) ~ exp(-x^2/2) * sum_j b_j x^j, Q^r is exp(-r x^2/2) times the
+    polynomial power of the b_j (7r+1 coefficients), and each of its terms
+    averages over the fading to one power-weighted Bessel K.  The per-order
+    sums are formed once and shared by every bit count.  Returns shape
+    (mean_inr.size, top + 1); values are clamped to [0, 1].
     """
-    degs = []
-    weights = []
-    for combo in combinations_with_replacement(range(len(QN_COEFFS)), r):
-        counts = [0] * len(QN_COEFFS)
-        for j in combo:
-            counts[j] += 1
-        mult = math.factorial(r)
-        coeff = 1.0
-        for j, kj in enumerate(counts):
-            if kj:
-                mult //= math.factorial(kj)
-                coeff *= QN_COEFFS[j] ** kj
-        degs.append(sum(j * kj for j, kj in enumerate(counts)))
-        weights.append(mult * coeff)
-    return np.asarray(degs, dtype=float), np.asarray(weights, dtype=float)
+    coeff, gain = modulation.coeff, modulation.gain
+    if snr == 0.0:
+        # Q(0) = 1/2 regardless of fading.
+        exact = [(1.0 - 0.5 * coeff) ** bits for bits in range(top + 1)]
+        return np.tile(exact, (mean_inr.size, 1))
+    base = gain * snr
+    inr = mean_inr[:, None]
+    orders = [[1.0] * mean_inr.size]
+    for r in range(1, top + 1):
+        fit_power = np.polynomial.polynomial.polypow(QN_COEFFS, r)
+        delta = (2.0 - np.arange(fit_power.size)) / 4.0
+        arg = np.sqrt(2.0 * r * base / inr)
+        terms = (
+            fit_power
+            * 2.0 ** (1.0 - delta)
+            * (r * base * inr) ** delta
+            * base ** (1.0 - 2.0 * delta)
+            * special.kv(2.0 * delta, arg)
+            / inr
+        )
+        orders.append([math.fsum(row) for row in terms.tolist()])
+    table = np.empty((mean_inr.size, top + 1))
+    for bits in range(top + 1):
+        scale = [math.comb(bits, r) * (-coeff) ** r for r in range(bits + 1)]
+        table[:, bits] = [
+            math.fsum(c * s for c, s in zip(scale, column))
+            for column in zip(*orders[: bits + 1])
+        ]
+    # The fit bias allows overshoot of order 1e-5 near saturation; anything
+    # beyond that means the expansion itself misbehaved.
+    wild = (table < -1e-4) | (table > 1.0 + 1e-4)
+    if np.any(wild):
+        warnings.warn(
+            f"closed-form success probabilities {table[wild]!r} clamped to [0, 1]",
+            NumericsWarning,
+            stacklevel=3,
+        )
+    return np.clip(table, 0.0, 1.0)
 
 
 def success_prob_closed_form(modulation: Modulation, snr: float, mean_inr: float,
@@ -191,44 +226,15 @@ def success_prob_closed_form(modulation: Modulation, snr: float, mean_inr: float
         return 1.0
     if bits > QN_MAX_BITS:
         raise ValueError(f"closed form supports at most {QN_MAX_BITS} bits, got {bits}")
-    if snr == 0.0:
-        # Q(0) = 1/2 regardless of fading.
-        return (1.0 - 0.5 * modulation.coeff) ** bits
-    coeff, gain = modulation.coeff, modulation.gain
-    base = gain * snr
-    pieces = [np.asarray([1.0])]
-    for r in range(1, bits + 1):
-        degs, weights = _qn_partitions(r)
-        delta = (2.0 - degs) / 4.0
-        order = 2.0 * delta
-        arg = math.sqrt(2.0 * r * base / mean_inr)
-        bessel = special.kv(order, arg)
-        terms = (
-            math.comb(bits, r)
-            * (-coeff) ** r
-            * weights
-            * 2.0 ** (1.0 - delta)
-            * (r * base * mean_inr) ** delta
-            * base ** (1.0 - 2.0 * delta)
-            * bessel
-            / mean_inr
-        )
-        pieces.append(terms)
-    total = math.fsum(np.concatenate(pieces).tolist())
-    # The fit bias allows overshoot of order 1e-5 near saturation; anything
-    # beyond that means the expansion itself misbehaved.
-    if total < -1e-4 or total > 1.0 + 1e-4:
-        warnings.warn(
-            f"closed-form success probability {total!r} clamped to [0, 1]",
-            NumericsWarning,
-            stacklevel=2,
-        )
-    return min(max(total, 0.0), 1.0)
+    return float(_closed_form_table(modulation, snr, np.array([mean_inr]), bits)[0, bits])
 
 
-def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: float,
+def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: np.ndarray,
                         bits: np.ndarray) -> np.ndarray:
-    """Vectorized Gumbel-Gamma success probabilities; callers check the domain."""
+    """Gumbel-Gamma success probabilities, shape (mean_inr.size, bits.size).
+
+    Callers check the domain.
+    """
     coeff, gain = modulation.coeff, modulation.gain
     bits = np.asarray(bits, dtype=float)
     loc = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff)) ** 2
@@ -237,8 +243,8 @@ def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: float,
     theta = (loc + scale * E0) / shape
     if snr == 0.0:
         # z -> 0 limit of the matched-Gamma average.
-        return np.zeros_like(bits)
-    z = snr / (mean_inr * theta)
+        return np.zeros((mean_inr.size, bits.size))
+    z = snr / (mean_inr[:, None] * theta)
     root = 2.0 * np.sqrt(z)
     log_fail = (
         _LOG2
@@ -252,7 +258,7 @@ def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: float,
     # concentrates at its mean and the average is 1 - E[exp(-z/T)] ~ z/shape.
     bad = ~np.isfinite(out)
     if np.any(bad):
-        out[bad] = np.clip(z / np.maximum(shape[bad] - 1.0, 1.0), 0.0, 1.0)
+        out[bad] = np.clip((z / np.maximum(shape - 1.0, 1.0))[bad], 0.0, 1.0)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -268,7 +274,8 @@ def success_prob_gumbel_gamma(modulation: Modulation, snr: float, mean_inr: floa
             f"gumbel route needs bits * coeff > 2, got {bits} * {modulation.coeff}; "
             "use the qn or quadrature route for short windows"
         )
-    return float(_gumbel_gamma_array(modulation, snr, mean_inr, np.asarray([bits]))[0])
+    table = _gumbel_gamma_array(modulation, snr, np.array([mean_inr]), np.array([bits]))
+    return float(table[0, 0])
 
 
 def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
@@ -358,78 +365,86 @@ def _slot_weights(spec: PerSpec, ell_max: int) -> np.ndarray | None:
     return clear**exponents
 
 
-def _success_table(spec: PerSpec, method: PerMethod, ell_max: int) -> np.ndarray:
-    values = np.ones(ell_max + 1)
-    mod, snr, inr = spec.modulation, spec.snr, spec.mean_inr
-    if method is PerMethod.CLOSED_FORM or method is PerMethod.HYBRID:
-        top = ell_max if method is PerMethod.CLOSED_FORM else min(spec.ell_switch, ell_max)
-        for ell in range(1, top + 1):
-            values[ell] = success_prob_closed_form(mod, snr, inr, ell)
-        if method is PerMethod.CLOSED_FORM or top == ell_max:
-            return values
-        tail_bits = np.arange(top + 1, ell_max + 1)
-    else:
-        tail_bits = np.arange(1, ell_max + 1)
-    if tail_bits[0] * mod.coeff <= 2.0:
+def _success_table(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
+                   ell_max: int) -> np.ndarray:
+    """success(l) for slots 0..ell_max at every mean INR, shape (INR, slots)."""
+    mod, snr = spec.modulation, spec.snr
+    top = 0
+    if method is PerMethod.CLOSED_FORM:
+        top = ell_max
+    elif method is PerMethod.HYBRID:
+        top = min(spec.ell_switch, ell_max)
+    head = _closed_form_table(mod, snr, mean_inr, top)
+    if top == ell_max:
+        return head
+    if (top + 1) * mod.coeff <= 2.0:
         raise GumbelDomainError(
-            f"gumbel route invalid for slot {int(tail_bits[0])} "
+            f"gumbel route invalid for slot {top + 1} "
             f"(needs bits * coeff > 2, coeff={mod.coeff}); "
             "raise ell_switch or pick another method"
         )
-    values[tail_bits[0]:] = _gumbel_gamma_array(mod, snr, inr, tail_bits)
-    return values
+    tail = _gumbel_gamma_array(mod, snr, mean_inr, np.arange(top + 1, ell_max + 1))
+    return np.hstack([head, tail])
 
 
-def _per_quadrature(spec: PerSpec, increments: np.ndarray) -> float:
-    """One fading integral for the whole packet.
+# Fading average on fixed nodes in t = log(g / mean_inr), where the
+# exponential fading density is exp(t - e^t) dt for every mean INR.  The
+# integrand is smooth and decays double-exponentially, so the trapezoid rule
+# converges geometrically in 1/step; [-40, log 45] leaves out < 1e-17 of mass.
+_FADE_STEP = 0.05
+_FADE_T = -40.0 + _FADE_STEP * np.arange(int((40.0 + math.log(45.0)) / _FADE_STEP) + 1)
+_FADE_WEIGHTS = _FADE_STEP * np.exp(_FADE_T - np.exp(_FADE_T))
+_FADE_WEIGHTS[[0, -1]] *= 0.5
+_FADE_ROOT = np.exp(-0.5 * _FADE_T)
 
-    Success summed over slots first: sum_l w_l * increments_l * q(g)^l is a
-    polynomial in the per-bit success q(g), so a single adaptive quadrature
-    over the fading density replaces one integral per slot.
+
+def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Packet success sum_l poly_l * E[q(g)^l] at every mean INR.
+
+    Summing over slots first makes the integrand a polynomial in the per-bit
+    success q(g) = 1 - coeff * Q(sqrt(gain * snr / g)); one Horner pass over
+    the (INR x node) array evaluates it for the whole sweep.
     """
-    weights = _slot_weights(spec, increments.size - 1)
-    poly = increments if weights is None else increments * weights
     coeff, gain = spec.modulation.coeff, spec.modulation.gain
-    base = gain * spec.snr
-    mean_inr = spec.mean_inr
-    polyval = np.polynomial.polynomial.polyval
+    x = np.sqrt(gain * spec.snr / mean_inr)[:, None] * _FADE_ROOT
+    q = 1.0 - coeff * gaussian_q(x)
+    acc = np.full(q.shape, poly[-1])
+    for c in poly[-2::-1]:
+        acc *= q
+        acc += c
+    return np.array([math.fsum(row) for row in (acc * _FADE_WEIGHTS).tolist()])
 
-    def integrand(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        g = u / (1.0 - u)
-        if g == 0.0:
-            qfun = 0.0 if spec.snr > 0.0 else 0.5
-        else:
-            qfun = 0.5 * math.erfc(math.sqrt(base / g) / math.sqrt(2.0))
-        expo = -g / mean_inr
-        fade = math.exp(expo) if expo > -745.0 else 0.0
-        return float(polyval(1.0 - coeff * qfun, poly)) * fade / mean_inr / (1.0 - u) ** 2
 
-    success, _ = integrate.quad(integrand, 0.0, 1.0, limit=400, epsabs=1e-12, epsrel=1e-10)
-    return success
+def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
+                increments: np.ndarray) -> np.ndarray:
+    """PER at every mean INR, sharing the collision weights of ``spec``."""
+    ell_max = increments.size - 1
+    if method is PerMethod.CLOSED_FORM and ell_max > QN_MAX_BITS:
+        raise ValueError(
+            f"qn route cannot cover {ell_max} slots "
+            f"(limit {QN_MAX_BITS}); use hybrid or quadrature"
+        )
+    weights = _slot_weights(spec, ell_max)
+    if method is PerMethod.QUADRATURE:
+        poly = increments if weights is None else increments * weights
+        success = _per_quadrature(spec, mean_inr, poly)
+    else:
+        table = _success_table(spec, method, mean_inr, ell_max)
+        if weights is not None:
+            table = table * weights
+        success = np.array([math.fsum(row) for row in (table * increments).tolist()])
+    per = 1.0 - success
+    wild = (per < -1e-4) | (per > 1.0 + 1e-4)
+    if np.any(wild):
+        warnings.warn(f"PER {per[wild]!r} clamped to [0, 1]", NumericsWarning, stacklevel=3)
+    return np.clip(per, 0.0, 1.0)
 
 
 def packet_error_rate(spec: PerSpec, method: PerMethod = PerMethod.HYBRID) -> PerResult:
     """PER by the chosen route; the ignored CDF tail counts as errors."""
-    if method is PerMethod.CLOSED_FORM and resolve_ell_max(spec) > QN_MAX_BITS:
-        raise ValueError(
-            f"qn route cannot cover {resolve_ell_max(spec)} slots "
-            f"(limit {QN_MAX_BITS}); use hybrid or quadrature"
-        )
     increments, tail_mass, ell_max = _collision_weights(spec)
-    if method is PerMethod.QUADRATURE:
-        success = _per_quadrature(spec, increments)
-    else:
-        table = _success_table(spec, method, ell_max)
-        weights = _slot_weights(spec, ell_max)
-        if weights is not None:
-            table = table * weights
-        success = math.fsum((table * increments).tolist())
-    per = 1.0 - success
-    if per < -1e-4 or per > 1.0 + 1e-4:
-        warnings.warn(f"PER {per!r} clamped to [0, 1]", NumericsWarning, stacklevel=2)
-    return PerResult(min(max(per, 0.0), 1.0), tail_mass, ell_max)
+    per = _per_values(spec, method, np.array([spec.mean_inr]), increments)
+    return PerResult(float(per[0]), tail_mass, ell_max)
 
 
 @dataclass(frozen=True)
@@ -449,20 +464,18 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
               mean_inr_values, methods=(PerMethod.HYBRID,), *, ell_switch: int = 8,
               ell_max: int | None = None, epsilon: float = 1e-9,
               tail_cut: float = 1e-6, noise_bits: int | None = None) -> PerCurve:
+    """PER over a mean INR sweep; every point equals ``packet_error_rate``'s.
+
+    The collision weights do not depend on the INR and are computed once.
+    """
     grid = np.asarray(mean_inr_values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("mean_inr_values must be a nonempty 1-d array")
-    values: dict[str, np.ndarray] = {}
-    tail = 0.0
-    top = 1
-    for method in methods:
-        row = np.empty(grid.size)
-        for i, inr in enumerate(grid):
-            spec = PerSpec(scenario, modulation, snr, float(inr),
-                           ell_switch=ell_switch, ell_max=ell_max,
-                           epsilon=epsilon, tail_cut=tail_cut, noise_bits=noise_bits)
-            result = packet_error_rate(spec, method)
-            row[i] = result.per
-            tail, top = result.tail_mass, result.ell_max
-        values[method.value] = row
-    return PerCurve(scenario, modulation, snr, grid, values, tail, top)
+    if not np.all(np.isfinite(grid) & (grid > 0.0)):
+        raise ValueError("mean_inr_values must all be finite and positive")
+    spec = PerSpec(scenario, modulation, snr, float(grid[0]),
+                   ell_switch=ell_switch, ell_max=ell_max,
+                   epsilon=epsilon, tail_cut=tail_cut, noise_bits=noise_bits)
+    increments, tail_mass, slots = _collision_weights(spec)
+    values = {method.value: _per_values(spec, method, grid, increments) for method in methods}
+    return PerCurve(scenario, modulation, snr, grid, values, tail_mass, slots)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import renewal, simcore
 from .ctd import ctd_mixture, ctd_off_start, ctd_on_start
@@ -98,7 +98,7 @@ def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int,
     return {
         "statistic": stat,
         "dof": float(dof),
-        "pvalue": float(stats.chi2.sf(stat, dof)),
+        "pvalue": float(special.chdtrc(dof, stat)),
         "bins": float(obs_arr.size),
     }
 

@@ -1,10 +1,14 @@
 import math
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from coexlink.ctd import ctd_mixture
 from coexlink.per import (
+    QN_COEFFS,
     QN_MAX_BITS,
     GumbelDomainError,
     Modulation,
@@ -20,9 +24,104 @@ from coexlink.per import (
     success_prob_gumbel_gamma,
     success_prob_quadrature,
 )
-from coexlink.presets import preset_scenario
+from coexlink.per import _collision_weights, _slot_weights
+from coexlink.presets import preset_names, preset_scenario
 
 BPSK = Modulation()
+
+# Criterion 4's grid (tests/test_acceptance.py).
+CRITERION_4_SNR = [10.0 ** (db / 10.0) for db in np.arange(0.0, 30.1, 5.0)]
+CRITERION_4_INR = [10.0 ** (db / 10.0) for db in np.arange(-10.0, 20.1, 5.0)]
+
+
+# -- test-only oracles: the scalar routes the batched evaluation replaced ----
+
+@lru_cache(maxsize=None)
+def _qn_partitions(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-order expansion table for the closed form.
+
+    Expanding (sum_j b_j x^j)^r over multisets of r coefficient picks gives,
+    for each multiset, the total polynomial degree f and the multinomial
+    weight times the coefficient product.  Returns (f values, weights).
+    """
+    degs = []
+    weights = []
+    for combo in combinations_with_replacement(range(len(QN_COEFFS)), r):
+        counts = [0] * len(QN_COEFFS)
+        for j in combo:
+            counts[j] += 1
+        mult = math.factorial(r)
+        coeff = 1.0
+        for j, kj in enumerate(counts):
+            if kj:
+                mult //= math.factorial(kj)
+                coeff *= QN_COEFFS[j] ** kj
+        degs.append(sum(j * kj for j, kj in enumerate(counts)))
+        weights.append(mult * coeff)
+    return np.asarray(degs), np.asarray(weights, dtype=float)
+
+
+def closed_form_multiset(modulation: Modulation, snr: float, mean_inr: float,
+                         bits: int) -> float:
+    """The closed form expanded term by term over coefficient multisets.
+
+    Every multiset of every binomial order is its own Bessel term and all of
+    them go into one exact sum, clamped to [0, 1] as the route is.  The
+    Bessel value depends only on the order and the degree, so it is looked
+    up per degree.
+    """
+    if snr == 0.0:
+        return (1.0 - 0.5 * modulation.coeff) ** bits
+    coeff, gain = modulation.coeff, modulation.gain
+    base = gain * snr
+    pieces = [np.asarray([1.0])]
+    for r in range(1, bits + 1):
+        degs, weights = _qn_partitions(r)
+        delta = (2.0 - degs) / 4.0
+        arg = math.sqrt(2.0 * r * base / mean_inr)
+        bessel = special.kv((2.0 - np.arange(7 * r + 1)) / 2.0, arg)[degs]
+        terms = (
+            math.comb(bits, r)
+            * (-coeff) ** r
+            * weights
+            * 2.0 ** (1.0 - delta)
+            * (r * base * mean_inr) ** delta
+            * base ** (1.0 - 2.0 * delta)
+            * bessel
+            / mean_inr
+        )
+        pieces.append(terms)
+    return min(max(math.fsum(np.concatenate(pieces).tolist()), 0.0), 1.0)
+
+
+def per_quadrature_adaptive(spec: PerSpec, increments: np.ndarray) -> float:
+    """PER as one adaptive quadrature over the fading, g = u / (1 - u).
+
+    The slot polynomial is summed as sum_l poly_l * q^l by powers rather
+    than by Horner's rule, which keeps this scalar integrand fast.
+    """
+    weights = _slot_weights(spec, increments.size - 1)
+    poly = increments if weights is None else increments * weights
+    powers = np.arange(poly.size, dtype=float)
+    coeff, gain = spec.modulation.coeff, spec.modulation.gain
+    base = gain * spec.snr
+    mean_inr = spec.mean_inr
+
+    def integrand(u: float) -> float:
+        if u >= 1.0:
+            return 0.0
+        g = u / (1.0 - u)
+        if g == 0.0:
+            qfun = 0.0 if spec.snr > 0.0 else 0.5
+        else:
+            qfun = 0.5 * math.erfc(math.sqrt(base / g) / math.sqrt(2.0))
+        expo = -g / mean_inr
+        fade = math.exp(expo) if expo > -745.0 else 0.0
+        poly_q = float(poly @ (1.0 - coeff * qfun) ** powers)
+        return poly_q * fade / mean_inr / (1.0 - u) ** 2
+
+    success, _ = integrate.quad(integrand, 0.0, 1.0, limit=400, epsabs=1e-12, epsrel=1e-10)
+    return 1.0 - success
 
 
 class TestModulation:
@@ -82,6 +181,16 @@ class TestSuccessProbRoutes:
             q = success_prob_quadrature(BPSK, snr, mean_inr, bits)
             c = success_prob_closed_form(BPSK, snr, mean_inr, bits)
             assert c == pytest.approx(q, abs=2e-5)
+
+    def test_closed_form_matches_multiset_oracle(self):
+        # polynomial powers of the fit against the multiset expansion
+        worst = 0.0
+        for snr in CRITERION_4_SNR:
+            for inr in CRITERION_4_INR:
+                for bits in range(1, QN_MAX_BITS + 1):
+                    fast = success_prob_closed_form(BPSK, snr, inr, bits)
+                    worst = max(worst, abs(fast - closed_form_multiset(BPSK, snr, inr, bits)))
+        assert worst <= 1e-12
 
     def test_closed_form_refuses_long_windows(self):
         with pytest.raises(ValueError):
@@ -263,3 +372,51 @@ class TestPerCurve:
         scenario, mod = per_setup
         with pytest.raises(ValueError):
             per_curve(scenario, mod, 10.0, [])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_any_invalid_inr(self, per_setup, bad):
+        scenario, mod = per_setup
+        with pytest.raises(ValueError, match="finite and positive"):
+            per_curve(scenario, mod, 10.0, [1.0, bad, 10.0])
+
+    @pytest.mark.parametrize("ell_max,noise_bits", [(None, None), (12, 496)])
+    def test_rows_equal_point_evaluations(self, per_setup, ell_max, noise_bits):
+        scenario, mod = per_setup
+        inr = 10 ** (np.arange(-10.0, 30.1, 2.5) / 10.0)
+        methods = [PerMethod.QUADRATURE, PerMethod.HYBRID]
+        if ell_max is not None:
+            methods.append(PerMethod.CLOSED_FORM)
+        curve = per_curve(scenario, mod, 10.0, inr, methods,
+                          ell_max=ell_max, noise_bits=noise_bits)
+        for method in methods:
+            points = [
+                packet_error_rate(
+                    PerSpec(scenario, mod, 10.0, float(i), ell_max=ell_max,
+                            noise_bits=noise_bits),
+                    method,
+                ).per
+                for i in inr
+            ]
+            assert curve.values[method.value].tolist() == points
+        # the first slot is never inside the gumbel domain (needs coeff > 2)
+        with pytest.raises(GumbelDomainError):
+            per_curve(scenario, mod, 10.0, inr, [PerMethod.GUMBEL_GAMMA], ell_max=ell_max)
+        with pytest.raises(GumbelDomainError):
+            packet_error_rate(PerSpec(scenario, mod, 10.0, 1.0, ell_max=ell_max),
+                              PerMethod.GUMBEL_GAMMA)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_batched_quadrature_matches_adaptive_oracle(name):
+    scenario = preset_scenario(name)
+    inr = 10 ** (np.arange(-30.0, 40.1, 2.5) / 10.0)
+    increments, _, _ = _collision_weights(PerSpec(scenario, BPSK, 1.0, 1.0))
+    worst = 0.0
+    for snr in (1.0, 10.0, 1000.0):
+        for noise_bits in (None, 496):
+            curve = per_curve(scenario, BPSK, snr, inr, [PerMethod.QUADRATURE],
+                              noise_bits=noise_bits)
+            for i, value in zip(inr, curve.values["quadrature"]):
+                spec = PerSpec(scenario, BPSK, snr, float(i), noise_bits=noise_bits)
+                worst = max(worst, abs(value - per_quadrature_adaptive(spec, increments)))
+    assert worst <= 1e-12

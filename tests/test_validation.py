@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import coexlink
 from coexlink.ctd import ctd_mixture
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 from coexlink.validation import Tolerances, chi_square_counts, validate_scenario
@@ -24,6 +30,11 @@ class TestChiSquareCounts:
         observed = np.bincount(draws)
         cell = chi_square_counts(observed, lambda n: 0.5 * 0.5**n, 50_000)
         assert cell["pvalue"] < 1e-6
+
+    def test_pvalue_is_the_chi2_survival_function(self, rng):
+        draws = rng.geometric(0.4, 5_000) - 1
+        cell = chi_square_counts(np.bincount(draws), lambda n: 0.4 * 0.6**n, 5_000)
+        assert cell["pvalue"] == float(stats.chi2.sf(cell["statistic"], cell["dof"]))
 
     def test_sparse_bins_are_pooled(self):
         observed = np.array([900, 90, 9, 1, 0, 0])
@@ -95,3 +106,11 @@ def test_renewal_chi2_catches_wrong_convention(scenario_exp_0p1575, rng):
     )
     cell = chi_square_counts(observed, lambda n: pmf(wrong, n), 200_000)
     assert cell["pvalue"] < 1e-6
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(coexlink.__file__).resolve().parents[1]))
+    probe = "import sys, coexlink.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
