@@ -93,7 +93,8 @@ def main() -> None:
               help="CSV output path.")
 @click.option("--grid", "grid_points", type=int, default=None,
               help="Number of grid points (default from the job section).")
-@click.option("--epsilon", type=float, default=None, help="Series truncation tolerance.")
+@click.option("--epsilon", type=float, default=None,
+              help="Accepted for compatibility; no longer changes the output.")
 @_guarded
 def cmd_ctd(scenario_file, preset, output, grid_points, epsilon) -> None:
     """Write the collision-time CDF curves as CSV."""
@@ -157,7 +158,8 @@ def cmd_validate(scenario_file, preset, trials, seed, report_path) -> None:
 @click.option("--method", type=click.Choice([m.value for m in PerMethod]),
               default=None, help="Evaluation route (default from the job section).")
 @click.option("--snr-db", type=float, default=None, help="Mean SNR of the observed link, dB.")
-@click.option("--epsilon", type=float, default=None, help="Series truncation tolerance.")
+@click.option("--epsilon", type=float, default=None,
+              help="Accepted for compatibility; no longer changes the output.")
 @click.option("--ell-max", type=int, default=None,
               help="Cap on resolved bit slots (mainly for the qn route).")
 @_guarded

@@ -4,17 +4,29 @@ A packet of exponential duration T lands on the channel while the interferer
 alternates between busy and idle periods.  The collision time is the total
 overlap with busy periods during the packet.  Conditioning on the number of
 idle gaps that fit into the non-colliding part of the window turns the CDF
-into a geometric series over the on-time convolution CDFs:
+into a geometric mixture of the on-time convolution CDFs:
 
-    off start: F0(x) = 1 - e^(-s*x) * gR * (1 - (1-g) * sum_n g^(n-1) * Hn(x))
-    on  start: F1(x) = (1 - e^(-s*x))
-                       + e^(-s*x) * (1-g) * sum_n g^(n-1) * HnR(x)
+    off start: F0(x) = 1 - e^(-s*x) * gR * (1 - S(x))
+    on  start: F1(x) = (1 - e^(-s*x)) + e^(-s*x) * SR(x)
+
+    S(x)  = sum_n (1-g) * g^(n-1) * Hn(x)
+    SR(x) = sum_n (1-g) * g^(n-1) * HnR(x)
 
 with s the packet rate, g / gR the idle-gap and residual-idle Laplace
 transforms at s, Hn the CDF of n full on-times and HnR the CDF of a residual
 on-time plus n-1 full ones.  The 1 - e^(-s*x) terms carry the probability
-that the packet itself ends within the collision budget x.  Both series
-truncate after n_max terms with error below g^n_max.
+that the packet itself ends within the collision budget x.
+
+Both supported busy laws sum the mixture exactly, so nothing is truncated:
+
+    constant d:  S(x)  = 1 - g^k,  k = #{n >= 1 : x >= n*d}
+                 SR(x) = 1 - g^k + (1-g) * g^k * clip(x/d - k, 0, 1)
+    Exp(r):      S(x)  = SR(x) = 1 - e^(-r*(1-g)*x)
+
+(a geometric number of Exp(r) periods is Exp(r*(1-g)), and the residual of
+an exponential period is the period itself).  The ``epsilon`` arguments, once
+the series truncation tolerance, are kept and range-checked as before so
+existing calls and job files stay valid, but no longer change the output.
 
 The stationary curve mixes the two with the activity factor:
 F(x) = alpha*F1(x) + (1-alpha)*F0(x); F(x) = 0 for x < 0 and F has an atom at
@@ -29,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import CoexistenceScenario, activity_factor
-from .renewal import CountKind, RenewalPmfSpec, pmf_tail_index
+from .dist import CoexistenceScenario, ExponentialOnTime, activity_factor
 
 logger = logging.getLogger(__name__)
 
@@ -39,27 +50,27 @@ logger = logging.getLogger(__name__)
 _CLAMP_SLACK = 1e-9
 
 
-def _series_terms(scenario: CoexistenceScenario, epsilon: float) -> tuple[float, float, int]:
-    s = scenario.packet_rate
-    g = scenario.idle.laplace(s)
-    g_res = scenario.idle.residual_laplace(s)
-    # g^(n+1) <= epsilon at the returned index, so n+1 series terms bound the
-    # truncation error of either curve by epsilon.
-    spec = RenewalPmfSpec(scenario.idle, s, 0.0, CountKind.ORDINARY)
-    n_terms = pmf_tail_index(spec, epsilon) + 1
-    return g, g_res, n_terms
+def _busy_mixture_cdf(busy, x: np.ndarray, g: float, residual: bool) -> np.ndarray:
+    """S(x), or SR(x) when ``residual``, in closed form for x >= 0."""
+    if isinstance(busy, ExponentialOnTime):
+        return -np.expm1(-busy.rate * (1.0 - g) * x)
+    d = busy.duration
+    # floor(x/d) can be one off the float comparison x >= n*d, which would put
+    # a jump on the wrong side of a grid point sitting on a multiple of d.
+    k = np.floor(x / d)
+    k = np.where(x < k * d, k - 1.0, k)
+    k = np.where(x >= (k + 1.0) * d, k + 1.0, k)
+    tail = g**k
+    if not residual:
+        return 1.0 - tail
+    return 1.0 - tail + (1.0 - g) * tail * np.clip(x / d - k, 0.0, 1.0)
 
 
-def _weighted_cdf_sum(scenario, x, n_terms: int, g: float, residual: bool) -> np.ndarray:
-    """sum_{n=1..n_terms} (1-g) g^(n-1) * CDF_n(x), CDF picked by ``residual``."""
-    acc = np.zeros_like(x)
-    weight = 1.0 - g
-    busy = scenario.busy
-    for n in range(1, n_terms + 1):
-        cdf = busy.residual_sum_cdf(n, x) if residual else busy.sum_cdf(n, x)
-        acc += weight * cdf
-        weight *= g
-    return acc
+def _check_epsilon(epsilon: float) -> None:
+    # epsilon no longer changes the output, but callers keep getting the
+    # ValueError they got for an out-of-range value.
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
 
 
 def _clamp(values: np.ndarray, label: str) -> np.ndarray:
@@ -70,25 +81,36 @@ def _clamp(values: np.ndarray, label: str) -> np.ndarray:
 
 
 def ctd_off_start(scenario: CoexistenceScenario, x, epsilon: float = 1e-9):
-    """CDF of the collision time given the packet starts in an idle period."""
-    g, g_res, n_terms = _series_terms(scenario, epsilon)
+    """CDF of the collision time given the packet starts in an idle period.
+
+    ``epsilon`` is accepted for compatibility and does not change the result.
+    """
+    _check_epsilon(epsilon)
+    s = scenario.packet_rate
+    g = scenario.idle.laplace(s)
+    g_res = scenario.idle.residual_laplace(s)
     xa = np.asarray(x, dtype=float)
     xc = np.maximum(xa, 0.0)
-    damp = np.exp(-scenario.packet_rate * xc)
-    inner = 1.0 - _weighted_cdf_sum(scenario, xc, n_terms, g, residual=False)
+    damp = np.exp(-s * xc)
+    inner = 1.0 - _busy_mixture_cdf(scenario.busy, xc, g, residual=False)
     vals = 1.0 - damp * g_res * inner
     vals = np.where(xa < 0.0, 0.0, vals)
     return _clamp(vals, "off-start CDF")
 
 
 def ctd_on_start(scenario: CoexistenceScenario, x, epsilon: float = 1e-9):
-    """CDF of the collision time given the packet starts in a busy period."""
-    g, _, n_terms = _series_terms(scenario, epsilon)
+    """CDF of the collision time given the packet starts in a busy period.
+
+    ``epsilon`` is accepted for compatibility and does not change the result.
+    """
+    _check_epsilon(epsilon)
+    s = scenario.packet_rate
+    g = scenario.idle.laplace(s)
     xa = np.asarray(x, dtype=float)
     xc = np.maximum(xa, 0.0)
-    damp = np.exp(-scenario.packet_rate * xc)
-    series = _weighted_cdf_sum(scenario, xc, n_terms, g, residual=True)
-    vals = (1.0 - damp) + damp * series
+    damp = np.exp(-s * xc)
+    mixed = _busy_mixture_cdf(scenario.busy, xc, g, residual=True)
+    vals = (1.0 - damp) + damp * mixed
     vals = np.where(xa < 0.0, 0.0, vals)
     return _clamp(vals, "on-start CDF")
 
@@ -107,6 +129,7 @@ class CtdCurve:
 
     ``omega0``/``omega1`` hold the idle-start and busy-start conditionals and
     ``omega`` their stationary mixture.  The curve is 0 left of the grid.
+    ``epsilon`` records the requested value, which no longer changes the curve.
     """
 
     scenario: CoexistenceScenario

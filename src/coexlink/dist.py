@@ -1,9 +1,10 @@
 """Busy/idle duration models of the interfering traffic, plus the scenario bundle.
 
 The interferer alternates between busy (transmitting) and idle periods drawn
-independently from the models below.  Each on-time model exposes the CDF of a
-sum of n full periods and of a residual period followed by n-1 full ones; the
-idle models expose Laplace transforms, which is all the analytic machinery
+independently from the models below.  The on-time models carry only their
+parameter and mean: ``coexlink.ctd`` sums their geometric mixtures of
+n-fold convolutions in closed form, so no per-n CDF is exposed.  The idle
+models expose Laplace transforms, which is all the analytic machinery
 downstream needs.  Every model also knows how to sample itself and its
 stationary residual so the Monte Carlo engine stays in lockstep with the math.
 
@@ -16,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .specfun import gamma_lower_reg
 
 _WEIGHT_TOL = 1e-12
 
@@ -40,25 +39,6 @@ class ConstantOnTime:
     def mean(self) -> float:
         return self.duration
 
-    def sum_cdf(self, n: int, x):
-        """CDF of the sum of ``n`` full busy periods, a unit step at n*duration."""
-        x = np.asarray(x, dtype=float)
-        if n == 0:
-            return (x >= 0.0).astype(float)
-        return (x >= n * self.duration).astype(float)
-
-    def residual_sum_cdf(self, n: int, x):
-        """CDF of one stationary residual period plus ``n - 1`` full ones.
-
-        The residual of a constant duration is Uniform(0, duration), so the
-        CDF ramps linearly across [(n-1)*duration, n*duration].
-        """
-        x = np.asarray(x, dtype=float)
-        if n == 0:
-            return (x >= 0.0).astype(float)
-        lo = (n - 1) * self.duration
-        return np.clip((x - lo) / self.duration, 0.0, 1.0)
-
     def sample(self, rng: np.random.Generator, size=None):
         if size is None:
             return self.duration
@@ -80,18 +60,6 @@ class ExponentialOnTime:
     @property
     def mean(self) -> float:
         return 1.0 / self.rate
-
-    def sum_cdf(self, n: int, x):
-        """Erlang-n CDF, i.e. the regularized lower incomplete gamma P(n, rate*x)."""
-        x = np.asarray(x, dtype=float)
-        if n == 0:
-            return (x >= 0.0).astype(float)
-        # np.maximum also maps x <= 0 to P(n, 0) = 0, the correct CDF value.
-        return gamma_lower_reg(float(n), np.maximum(self.rate * x, 0.0))
-
-    def residual_sum_cdf(self, n: int, x):
-        # Memoryless: the stationary residual has the original distribution.
-        return self.sum_cdf(n, x)
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(self.mean, size)

@@ -300,6 +300,8 @@ class PerSpec:
     of bit slots the collision CDF is resolved into; when None it is sized so
     the ignored CDF tail is below ``tail_cut``.  ``noise_bits``, when set to
     the packet bit count, adds AWGN-only errors on the non-colliding bits.
+    ``epsilon`` is accepted for compatibility and no longer changes the PER:
+    the collision-time CDF is evaluated in closed form.
     """
 
     scenario: CoexistenceScenario
@@ -467,6 +469,7 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
     """PER over a mean INR sweep; every point equals ``packet_error_rate``'s.
 
     The collision weights do not depend on the INR and are computed once.
+    ``epsilon`` is accepted for compatibility and no longer changes the PER.
     """
     grid = np.asarray(mean_inr_values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -22,7 +22,7 @@ Schema (YAML):
       trials: 1000000
       seed: 20260815
       grid_points: 512
-      epsilon: 1.0e-9
+      epsilon: 1.0e-9      # accepted and range-checked; no longer changes output
       method: hybrid
       snr_db: 10.0
       inr_start_db: -10.0

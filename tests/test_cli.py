@@ -137,6 +137,26 @@ class TestCtdCommand:
         assert result.exit_code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("busy", ['{kind: constant, duration: "374 us"}',
+                                      '{kind: exponential, mean: "374 us"}'],
+                             ids=["constant", "exponential"])
+    def test_idle_gaps_far_shorter_than_packet(self, runner, tmp_path, busy):
+        # idle-gap transform g = 1 - 5.04e-8 at the packet rate
+        path = tmp_path / "scenario.yaml"
+        path.write_text(
+            f'interferer:\n  busy: {busy}\n  idle: {{kind: exponential, mean: "0.1 ns"}}\n'
+            'link:\n  packet_mean: "1.984 ms"\n  bit_time: "4 us"\n'
+        )
+        out = tmp_path / "ctd.csv"
+        result = runner.invoke(cli.main, ["ctd", str(path), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        _, _, rows = read_csv(out)
+        assert len(rows) == 512
+        for column in (1, 2, 3):
+            values = [r[column] for r in rows]
+            assert all(0.0 <= v <= 1.0 for v in values)
+            assert all(a <= b for a, b in zip(values, values[1:]))
+
 
 class TestValidateCommand:
     def test_passing_run_with_report(self, runner, scenario_file, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,76 @@ from coexlink.dist import (
     ExponentialOnTime,
     activity_factor,
 )
-from coexlink.renewal import pmf_equilibrium
+from coexlink.presets import preset_scenario
+from coexlink.renewal import CountKind, RenewalPmfSpec, pmf_equilibrium, pmf_tail_index
+from coexlink.specfun import gamma_lower_reg
+
+from conftest import ALL_PRESET_NAMES
+
+PACKET_RATE = 1.0 / 1.984e-3
+
+
+# -- series oracle ------------------------------------------------------------
+# The CDFs as the geometric series over n-fold on-time convolutions that the
+# closed forms in coexlink.ctd sum exactly, truncated after the n whose
+# renewal tail drops below epsilon.
+
+
+def on_time_sum_cdf(busy, n: int, x, residual: bool = False):
+    """CDF of n full on-times, or of one stationary residual plus n-1 full ones."""
+    x = np.asarray(x, dtype=float)
+    if n == 0:
+        return (x >= 0.0).astype(float)
+    if isinstance(busy, ExponentialOnTime):
+        # Erlang-n; memoryless, so the residual variant is the same law.
+        # np.maximum also maps x <= 0 to P(n, 0) = 0, the correct CDF value.
+        return gamma_lower_reg(float(n), np.maximum(busy.rate * x, 0.0))
+    if residual:
+        # Uniform(0, d) residual: the CDF ramps across [(n-1)*d, n*d].
+        lo = (n - 1) * busy.duration
+        return np.clip((x - lo) / busy.duration, 0.0, 1.0)
+    return (x >= n * busy.duration).astype(float)
+
+
+def _series_sum(scenario, x, epsilon: float, residual: bool) -> np.ndarray:
+    """sum_{n=1..N} (1-g) g^(n-1) * CDF_n(x), with g^N <= epsilon."""
+    s = scenario.packet_rate
+    g = scenario.idle.laplace(s)
+    spec = RenewalPmfSpec(scenario.idle, s, 0.0, CountKind.ORDINARY)
+    acc = np.zeros_like(x)
+    weight = 1.0 - g
+    for n in range(1, pmf_tail_index(spec, epsilon) + 2):
+        acc += weight * on_time_sum_cdf(scenario.busy, n, x, residual)
+        weight *= g
+    return acc
+
+
+def series_off_start(scenario, x, epsilon: float = 1e-15):
+    xa = np.asarray(x, dtype=float)
+    xc = np.maximum(xa, 0.0)
+    g_res = scenario.idle.residual_laplace(scenario.packet_rate)
+    damp = np.exp(-scenario.packet_rate * xc)
+    vals = 1.0 - damp * g_res * (1.0 - _series_sum(scenario, xc, epsilon, residual=False))
+    return np.clip(np.where(xa < 0.0, 0.0, vals), 0.0, 1.0)
+
+
+def series_on_start(scenario, x, epsilon: float = 1e-15):
+    xa = np.asarray(x, dtype=float)
+    xc = np.maximum(xa, 0.0)
+    damp = np.exp(-scenario.packet_rate * xc)
+    vals = (1.0 - damp) + damp * _series_sum(scenario, xc, epsilon, residual=True)
+    return np.clip(np.where(xa < 0.0, 0.0, vals), 0.0, 1.0)
+
+
+def _oracle_scenario(name: str) -> CoexistenceScenario:
+    if name == "saturated":
+        # 374 us frames, 42 us idle gaps: g ~ 0.98, ~1700 series terms
+        return CoexistenceScenario(ConstantOnTime(374e-6), ExponentialIdle(1.0 / 42e-6),
+                                   PACKET_RATE)
+    if name == "exp_busy":
+        return CoexistenceScenario(ExponentialOnTime(1.0 / 374e-6),
+                                   ExponentialIdle(1.0 / 2e-3), PACKET_RATE)
+    return preset_scenario(name)
 
 
 def _mean_above(curve_fn, scenario, epsilon=1e-12):
@@ -84,11 +155,24 @@ class TestShape:
         assert np.all(low <= high + 1e-9)
 
     def test_truncation_error_bounded_by_epsilon(self, any_scenario):
+        # the closed forms truncate nothing: epsilon is accepted but inert
         grid = default_grid(any_scenario, points=200)
         for fn in (ctd_off_start, ctd_on_start):
             coarse = fn(any_scenario, grid, epsilon=1e-6)
             fine = fn(any_scenario, grid, epsilon=1e-12)
-            assert np.max(np.abs(coarse - fine)) <= 1e-6 + 1e-12
+            np.testing.assert_array_equal(coarse, fine)
+        np.testing.assert_array_equal(
+            ctd_curve(any_scenario, points=200, epsilon=1e-6).omega,
+            ctd_curve(any_scenario, points=200, epsilon=1e-12).omega,
+        )
+
+    def test_epsilon_still_range_checked(self, scenario_exp_0p1575):
+        for bad in (0.0, 1.0, float("nan")):
+            for fn in (ctd_off_start, ctd_on_start, ctd_mixture):
+                with pytest.raises(ValueError):
+                    fn(scenario_exp_0p1575, 0.0, epsilon=bad)
+            with pytest.raises(ValueError):
+                coverage_point(scenario_exp_0p1575, 1e-4, epsilon=bad)
 
 
 class TestMeanOracles:
@@ -178,6 +262,79 @@ class TestCurve:
             ctd_curve(scenario_exp_0p1575, grid=np.array([0.0, np.inf]))
         with pytest.raises(ValueError):
             ctd_curve(scenario_exp_0p1575, grid=np.zeros((2, 2)))
+
+
+class TestSeriesOracle:
+    """Closed forms against the truncated series at epsilon = 1e-15."""
+
+    @pytest.mark.parametrize("name", ALL_PRESET_NAMES + ["saturated", "exp_busy"])
+    @pytest.mark.parametrize("fn, oracle", [(ctd_off_start, series_off_start),
+                                            (ctd_on_start, series_on_start)],
+                             ids=["off_start", "on_start"])
+    def test_closed_form_matches_series(self, name, fn, oracle):
+        sc = _oracle_scenario(name)
+        # the slot grid of the PER weights puts points exactly on multiples
+        # of the busy duration (slots 1309, 1683, 2618 on alpha_ge_0.5),
+        # where the jump must fall on the same side as in the series
+        grids = (np.linspace(0.0, 8.0 * sc.packet_mean, 4001),
+                 np.arange(3000) * sc.bit_time)
+        for x in grids:
+            np.testing.assert_allclose(fn(sc, x), oracle(sc, x), rtol=0.0, atol=1e-14)
+
+    def test_sum_cdf_is_step(self):
+        d = ConstantOnTime(2.0)
+        x = np.array([-1.0, 0.0, 3.9, 4.0, 4.1])
+        np.testing.assert_array_equal(on_time_sum_cdf(d, 2, x), [0.0, 0.0, 0.0, 1.0, 1.0])
+        # zero periods: degenerate at 0
+        np.testing.assert_array_equal(on_time_sum_cdf(d, 0, x), [0.0, 1.0, 1.0, 1.0, 1.0])
+
+    def test_residual_sum_cdf_ramps(self):
+        d = ConstantOnTime(2.0)
+        x = np.array([-1.0, 2.0, 2.5, 3.0, 4.0, 5.0])
+        np.testing.assert_allclose(
+            on_time_sum_cdf(d, 2, x, residual=True), [0.0, 0.0, 0.25, 0.5, 1.0, 1.0]
+        )
+
+    def test_single_period_cdf(self):
+        d = ExponentialOnTime(rate=500.0)
+        x = np.array([-1e-3, 0.0, 1e-3, 5e-3])
+        np.testing.assert_allclose(
+            on_time_sum_cdf(d, 1, x), np.maximum(1.0 - np.exp(-500.0 * x), 0.0), rtol=1e-12
+        )
+
+    def test_erlang_cdf_against_series(self):
+        # P(Erlang(n, r) <= x) = 1 - e^{-rx} sum_{k<n} (rx)^k / k!
+        d = ExponentialOnTime(rate=2.0)
+        n, x = 4, 1.7
+        rx = d.rate * x
+        tail = math.exp(-rx) * math.fsum(rx**k / math.factorial(k) for k in range(n))
+        assert float(on_time_sum_cdf(d, n, x)) == pytest.approx(1.0 - tail, rel=1e-12)
+
+    def test_memoryless_residual(self):
+        d = ExponentialOnTime(rate=123.0)
+        x = np.linspace(0, 0.05, 40)
+        np.testing.assert_array_equal(
+            on_time_sum_cdf(d, 3, x, residual=True), on_time_sum_cdf(d, 3, x)
+        )
+
+
+class TestIdleGapsFarShorterThanPacket:
+    """g -> 1: 374 us busy periods, 0.1 ns idle gaps, g = 1 - 5.04e-8.
+
+    The truncated series would need ~7e8 terms here.
+    """
+
+    @pytest.mark.parametrize("busy", [ConstantOnTime(374e-6), ExponentialOnTime(1.0 / 374e-6)],
+                             ids=["constant", "exponential"])
+    def test_curve_is_a_cdf_with_the_stationary_mean(self, busy):
+        sc = CoexistenceScenario(busy, ExponentialIdle(1e10), PACKET_RATE)
+        assert 1.0 - sc.idle.laplace(sc.packet_rate) == pytest.approx(5.04e-8, rel=1e-3)
+        curve = ctd_curve(sc, points=512)
+        for vals in (curve.omega0, curve.omega1, curve.omega):
+            assert np.all((vals >= 0.0) & (vals <= 1.0))
+            assert np.all(np.diff(vals) >= 0.0)
+        expected = activity_factor(sc) / sc.packet_rate
+        assert _mean_above(ctd_mixture, sc) == pytest.approx(expected, rel=1e-6)
 
 
 @settings(max_examples=40, deadline=None)

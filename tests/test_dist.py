@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,20 +16,6 @@ class TestConstantOnTime:
     def test_mean(self):
         assert ConstantOnTime(3.5e-4).mean == 3.5e-4
 
-    def test_sum_cdf_is_step(self):
-        d = ConstantOnTime(2.0)
-        x = np.array([-1.0, 0.0, 3.9, 4.0, 4.1])
-        np.testing.assert_array_equal(d.sum_cdf(2, x), [0.0, 0.0, 0.0, 1.0, 1.0])
-        # zero periods: degenerate at 0
-        np.testing.assert_array_equal(d.sum_cdf(0, x), [0.0, 1.0, 1.0, 1.0, 1.0])
-
-    def test_residual_sum_cdf_ramps(self):
-        d = ConstantOnTime(2.0)
-        x = np.array([-1.0, 2.0, 2.5, 3.0, 4.0, 5.0])
-        np.testing.assert_allclose(
-            d.residual_sum_cdf(2, x), [0.0, 0.0, 0.25, 0.5, 1.0, 1.0]
-        )
-
     def test_residual_is_uniform(self, rng):
         d = ConstantOnTime(2.0)
         samples = d.residual_sample(rng, 200_000)
@@ -45,26 +29,6 @@ class TestConstantOnTime:
 
 
 class TestExponentialOnTime:
-    def test_single_period_cdf(self):
-        d = ExponentialOnTime(rate=500.0)
-        x = np.array([-1e-3, 0.0, 1e-3, 5e-3])
-        np.testing.assert_allclose(
-            d.sum_cdf(1, x), np.maximum(1.0 - np.exp(-500.0 * x), 0.0), rtol=1e-12
-        )
-
-    def test_erlang_cdf_against_series(self):
-        # P(Erlang(n, r) <= x) = 1 - e^{-rx} sum_{k<n} (rx)^k / k!
-        d = ExponentialOnTime(rate=2.0)
-        n, x = 4, 1.7
-        rx = d.rate * x
-        tail = math.exp(-rx) * math.fsum(rx**k / math.factorial(k) for k in range(n))
-        assert float(d.sum_cdf(n, x)) == pytest.approx(1.0 - tail, rel=1e-12)
-
-    def test_memoryless_residual(self):
-        d = ExponentialOnTime(rate=123.0)
-        x = np.linspace(0, 0.05, 40)
-        np.testing.assert_array_equal(d.residual_sum_cdf(3, x), d.sum_cdf(3, x))
-
     def test_sample_mean(self, rng):
         d = ExponentialOnTime(rate=500.0)
         samples = d.sample(rng, 200_000)
