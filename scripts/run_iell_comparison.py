@@ -1,12 +1,16 @@
 """Compare the single-slot success probability routes against quadrature.
 
-Sweeps mean SNR, mean INR and slot bit count, treating the adaptive
-quadrature route as the reference.  The closed-form route is exercised up to
-its bit cap, the Gumbel-gamma route everywhere its domain allows.
+Sweeps mean SNR, mean INR and slot bit count, treating adaptive quadrature
+(the test suite's oracle in tests/oracles.py) as the reference.  The
+closed-form route is exercised up to its bit cap, the Gumbel-gamma route
+everywhere its domain allows.
+
+Run from the repository root: PYTHONPATH=src python scripts/run_iell_comparison.py
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -16,8 +20,10 @@ from coexlink.per import (
     Modulation,
     success_prob_closed_form,
     success_prob_gumbel_gamma,
-    success_prob_quadrature,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import success_prob_adaptive  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -39,7 +45,7 @@ def main(argv=None) -> int:
             for inr_db in args.inr_db:
                 snr = 10.0 ** (snr_db / 10.0)
                 inr = 10.0 ** (inr_db / 10.0)
-                ref = success_prob_quadrature(modulation, snr, inr, bits)
+                ref = success_prob_adaptive(modulation, snr, inr, bits)
                 row = {"bits": bits, "snr_db": snr_db, "inr_db": inr_db,
                        "quadrature": ref, "qn": np.nan, "gumbel": np.nan}
                 if bits <= QN_MAX_BITS:

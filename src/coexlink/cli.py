@@ -17,7 +17,7 @@ import numpy as np
 
 from .ctd import ctd_curve
 from .dist import activity_factor
-from .per import GumbelDomainError, PerMethod, per_curve
+from .per import PER_METHODS, GumbelDomainError, PerMethod, per_curve
 from .presets import describe_presets, preset_scenario
 from .scenario import (
     JobParams,
@@ -155,7 +155,7 @@ def cmd_validate(scenario_file, preset, trials, seed, report_path) -> None:
 @click.option("--preset", default=None, help="Built-in scenario name (see `presets`).")
 @click.option("--output", "-o", required=True, type=click.Path(dir_okay=False),
               help="CSV output path.")
-@click.option("--method", type=click.Choice([m.value for m in PerMethod]),
+@click.option("--method", type=click.Choice([m.value for m in PER_METHODS]),
               default=None, help="Evaluation route (default from the job section).")
 @click.option("--snr-db", type=float, default=None, help="Mean SNR of the observed link, dB.")
 @click.option("--epsilon", type=float, default=None,

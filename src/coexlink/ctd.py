@@ -50,10 +50,18 @@ logger = logging.getLogger(__name__)
 _CLAMP_SLACK = 1e-9
 
 
-def _busy_mixture_cdf(busy, x: np.ndarray, g: float, residual: bool) -> np.ndarray:
-    """S(x), or SR(x) when ``residual``, in closed form for x >= 0."""
+def _busy_mixture_cdf(scenario: CoexistenceScenario, x: np.ndarray,
+                      residual: bool) -> np.ndarray:
+    """S(x), or SR(x) when ``residual``, in closed form for x >= 0.
+
+    1 - g comes from the idle law directly: as g -> 1 the subtraction would
+    leave it only ~1e-16/(1 - g) relative precision.
+    """
+    s, busy = scenario.packet_rate, scenario.busy
+    g = scenario.idle.laplace(s)
+    g_comp = scenario.idle.one_minus_laplace(s)
     if isinstance(busy, ExponentialOnTime):
-        return -np.expm1(-busy.rate * (1.0 - g) * x)
+        return -np.expm1(-busy.rate * g_comp * x)
     d = busy.duration
     # floor(x/d) can be one off the float comparison x >= n*d, which would put
     # a jump on the wrong side of a grid point sitting on a multiple of d.
@@ -63,7 +71,7 @@ def _busy_mixture_cdf(busy, x: np.ndarray, g: float, residual: bool) -> np.ndarr
     tail = g**k
     if not residual:
         return 1.0 - tail
-    return 1.0 - tail + (1.0 - g) * tail * np.clip(x / d - k, 0.0, 1.0)
+    return 1.0 - tail + g_comp * tail * np.clip(x / d - k, 0.0, 1.0)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -87,12 +95,11 @@ def ctd_off_start(scenario: CoexistenceScenario, x, epsilon: float = 1e-9):
     """
     _check_epsilon(epsilon)
     s = scenario.packet_rate
-    g = scenario.idle.laplace(s)
     g_res = scenario.idle.residual_laplace(s)
     xa = np.asarray(x, dtype=float)
     xc = np.maximum(xa, 0.0)
     damp = np.exp(-s * xc)
-    inner = 1.0 - _busy_mixture_cdf(scenario.busy, xc, g, residual=False)
+    inner = 1.0 - _busy_mixture_cdf(scenario, xc, residual=False)
     vals = 1.0 - damp * g_res * inner
     vals = np.where(xa < 0.0, 0.0, vals)
     return _clamp(vals, "off-start CDF")
@@ -104,12 +111,10 @@ def ctd_on_start(scenario: CoexistenceScenario, x, epsilon: float = 1e-9):
     ``epsilon`` is accepted for compatibility and does not change the result.
     """
     _check_epsilon(epsilon)
-    s = scenario.packet_rate
-    g = scenario.idle.laplace(s)
     xa = np.asarray(x, dtype=float)
     xc = np.maximum(xa, 0.0)
-    damp = np.exp(-s * xc)
-    mixed = _busy_mixture_cdf(scenario.busy, xc, g, residual=True)
+    damp = np.exp(-scenario.packet_rate * xc)
+    mixed = _busy_mixture_cdf(scenario, xc, residual=True)
     vals = (1.0 - damp) + damp * mixed
     vals = np.where(xa < 0.0, 0.0, vals)
     return _clamp(vals, "on-start CDF")

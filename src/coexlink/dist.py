@@ -87,6 +87,13 @@ class ExponentialIdle:
             raise ValueError("laplace transform argument must be nonnegative")
         return self.rate / (s + self.rate)
 
+    def one_minus_laplace(self, s: float) -> float:
+        """1 - laplace(s) = s*m / (1 + s*m), without the cancellation of a
+        subtraction when laplace(s) is close to 1."""
+        if s < 0.0:
+            raise ValueError("laplace transform argument must be nonnegative")
+        return s / (s + self.rate)
+
     def residual_laplace(self, s: float) -> float:
         """Laplace transform of the stationary residual life.
 
@@ -134,6 +141,14 @@ class HyperexponentialIdle:
             raise ValueError("laplace transform argument must be nonnegative")
         return math.fsum(
             w / (1.0 + s * m) for w, m in zip(self.weights, self.means)
+        )
+
+    def one_minus_laplace(self, s: float) -> float:
+        """1 - laplace(s) = sum_i w_i * s*m_i / (1 + s*m_i), without subtraction."""
+        if s < 0.0:
+            raise ValueError("laplace transform argument must be nonnegative")
+        return math.fsum(
+            w * s * m / (1.0 + s * m) for w, m in zip(self.weights, self.means)
         )
 
     def residual_laplace(self, s: float) -> float:

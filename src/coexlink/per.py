@@ -14,11 +14,12 @@ bits-long collision window; combining those with the collision-time CDF of
 Three evaluation routes for success(l):
   * quadrature - the fading average on fixed nodes: a trapezoid rule in
     t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
-    (877 nodes).  For the PER the slot sum is taken first, so the integrand
-    is one polynomial in the per-bit success, evaluated by Horner's rule for
-    the whole INR sweep at once.  The tests check it against adaptive
-    quadrature to 1e-12; `success_prob_quadrature` keeps the adaptive
-    integral for single windows, the oracle of the other routes;
+    (877 nodes).  A single window (`success_prob_quadrature`) sums
+    q(g)^bits over the nodes; for the PER the slot sum is taken first, so
+    the integrand is one polynomial in the per-bit success q(g), evaluated
+    by Horner's rule for the whole INR sweep at once.  The tests check both
+    against adaptive quadrature to 1e-12, and that adaptive integral is the
+    oracle of the other routes;
   * closed form ("qn") - an 8-term exponential-polynomial fit of the
     Gaussian Q-function turns the average into a finite sum of modified
     Bessel K terms: binomial order r of (1 - coeff*Q)^l needs the 7r+1
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .ctd import coverage_point, ctd_mixture
 from .dist import CoexistenceScenario
@@ -85,6 +86,11 @@ class PerMethod(Enum):
     CLOSED_FORM = "qn"
     GUMBEL_GAMMA = "gumbel"
     HYBRID = "hybrid"
+
+
+# The routes that can yield a whole PER.  The gumbel route cannot: slot 1
+# needs 1 * coeff > 2 and Modulation caps coeff at 2.
+PER_METHODS = (PerMethod.QUADRATURE, PerMethod.CLOSED_FORM, PerMethod.HYBRID)
 
 
 class GumbelDomainError(ValueError):
@@ -134,32 +140,13 @@ def _validate_bits(bits: int) -> None:
 
 def success_prob_quadrature(modulation: Modulation, snr: float, mean_inr: float,
                             bits: int) -> float:
-    """Fading average of (1 - ber)^bits by adaptive quadrature (the oracle).
-
-    The fading power is mapped to u = g/(1+g) so the integral runs over a
-    finite interval.
-    """
+    """Fading average of (1 - ber)^bits on the fixed nodes of the PER quadrature."""
     _validate_link(snr, mean_inr)
     _validate_bits(bits)
     if bits == 0:
         return 1.0
-    coeff, gain = modulation.coeff, modulation.gain
-    base = gain * snr
-
-    def integrand(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        g = u / (1.0 - u)
-        if g == 0.0:
-            q = 0.0 if snr > 0.0 else 0.5
-        else:
-            q = 0.5 * math.erfc(math.sqrt(base / g) / math.sqrt(2.0))
-        expo = -g / mean_inr
-        weight = math.exp(expo) if expo > -745.0 else 0.0
-        return (1.0 - coeff * q) ** bits * weight / mean_inr / (1.0 - u) ** 2
-
-    val, _ = integrate.quad(integrand, 0.0, 1.0, limit=400, epsabs=1e-14, epsrel=1e-12)
-    return min(max(val, 0.0), 1.0)
+    q = _bit_success(modulation, snr, np.array([mean_inr]))[0]
+    return min(max(math.fsum((q**bits * _FADE_WEIGHTS).tolist()), 0.0), 1.0)
 
 
 def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
@@ -400,16 +387,21 @@ _FADE_WEIGHTS[[0, -1]] *= 0.5
 _FADE_ROOT = np.exp(-0.5 * _FADE_T)
 
 
+def _bit_success(modulation: Modulation, snr: float, mean_inr: np.ndarray) -> np.ndarray:
+    """Per-bit success q(g) = 1 - coeff * Q(sqrt(gain * snr / g)) on the fading
+    nodes, shape (mean_inr.size, nodes)."""
+    x = np.sqrt(modulation.gain * snr / mean_inr)[:, None] * _FADE_ROOT
+    return 1.0 - modulation.coeff * gaussian_q(x)
+
+
 def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Packet success sum_l poly_l * E[q(g)^l] at every mean INR.
 
     Summing over slots first makes the integrand a polynomial in the per-bit
-    success q(g) = 1 - coeff * Q(sqrt(gain * snr / g)); one Horner pass over
-    the (INR x node) array evaluates it for the whole sweep.
+    success q(g); one Horner pass over the (INR x node) array evaluates it
+    for the whole sweep.
     """
-    coeff, gain = spec.modulation.coeff, spec.modulation.gain
-    x = np.sqrt(gain * spec.snr / mean_inr)[:, None] * _FADE_ROOT
-    q = 1.0 - coeff * gaussian_q(x)
+    q = _bit_success(spec.modulation, spec.snr, mean_inr)
     acc = np.full(q.shape, poly[-1])
     for c in poly[-2::-1]:
         acc *= q

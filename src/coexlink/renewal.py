@@ -58,11 +58,13 @@ class RenewalPmfSpec:
             raise TypeError("kind must be a CountKind")
 
 
-def _factors(spec: RenewalPmfSpec) -> tuple[float, float, float]:
+def _factors(spec: RenewalPmfSpec) -> tuple[float, float, float, float]:
+    """(g, 1 - g, gR, damping); 1 - g comes from the idle law, not a subtraction."""
     g = spec.idle.laplace(spec.packet_rate)
+    g_comp = spec.idle.one_minus_laplace(spec.packet_rate)
     g_res = spec.idle.residual_laplace(spec.packet_rate)
     damp = math.exp(-spec.packet_rate * spec.offset)
-    return g, g_res, damp
+    return g, g_comp, g_res, damp
 
 
 def _clean(p: float) -> float:
@@ -75,35 +77,27 @@ def pmf(spec: RenewalPmfSpec, n: int) -> float:
     """Probability of exactly ``n`` completed idle gaps in the window."""
     if n < 0 or n != int(n):
         raise ValueError(f"count must be a nonnegative integer, got {n!r}")
-    g, g_res, damp = _factors(spec)
+    g, g_comp, g_res, damp = _factors(spec)
     if spec.kind is CountKind.EQUILIBRIUM:
         if n == 0:
             return 1.0 - g_res * damp
-        return _clean(damp * g_res * (1.0 - g) * g ** (n - 1))
+        return _clean(damp * g_res * g_comp * g ** (n - 1))
     if n == 0:
         return 1.0 - g * damp
-    return _clean(damp * (1.0 - g) * g**n)
-
-
-def pmf_equilibrium(idle: IdleTimeModel, packet_rate: float, offset: float, n: int) -> float:
-    return pmf(RenewalPmfSpec(idle, packet_rate, offset, CountKind.EQUILIBRIUM), n)
-
-
-def pmf_ordinary(idle: IdleTimeModel, packet_rate: float, offset: float, n: int) -> float:
-    return pmf(RenewalPmfSpec(idle, packet_rate, offset, CountKind.ORDINARY), n)
+    return _clean(damp * g_comp * g**n)
 
 
 def pmf_values(spec: RenewalPmfSpec, n_max: int) -> list[float]:
     """PMF at 0..n_max with the geometric powers built incrementally."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    g, g_res, damp = _factors(spec)
+    g, g_comp, g_res, damp = _factors(spec)
     if spec.kind is CountKind.EQUILIBRIUM:
         out = [1.0 - g_res * damp]
-        term = damp * g_res * (1.0 - g)
+        term = damp * g_res * g_comp
     else:
         out = [1.0 - g * damp]
-        term = damp * (1.0 - g) * g
+        term = damp * g_comp * g
     for _ in range(n_max):
         out.append(_clean(term))
         term *= g
@@ -119,7 +113,7 @@ def pmf_tail_index(spec: RenewalPmfSpec, epsilon: float, hard_cap: int = 10_000_
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    g, g_res, damp = _factors(spec)
+    g, _, g_res, damp = _factors(spec)
     head = g_res * damp if spec.kind is CountKind.EQUILIBRIUM else g * damp
     # Tail beyond n terms: head * g^n for n >= 1; the n = 0 term alone leaves
     # mass head.

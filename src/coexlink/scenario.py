@@ -46,7 +46,7 @@ from .dist import (
     ExponentialOnTime,
     HyperexponentialIdle,
 )
-from .per import Modulation, PerMethod
+from .per import PER_METHODS, Modulation
 from .presets import IDLE_MIXTURES
 
 _DURATION_RE = re.compile(r"^\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*(ns|us|ms|s)\s*$")
@@ -95,9 +95,9 @@ class JobParams:
             raise ScenarioFormatError("job.grid_points must be >= 2")
         if not (0.0 < self.epsilon <= 1e-6):
             raise ScenarioFormatError("job.epsilon must lie in (0, 1e-6]")
-        if self.method not in {m.value for m in PerMethod}:
+        if self.method not in {m.value for m in PER_METHODS}:
             raise ScenarioFormatError(
-                f"job.method must be one of {sorted(m.value for m in PerMethod)}"
+                f"job.method must be one of {sorted(m.value for m in PER_METHODS)}"
             )
         if self.inr_step_db <= 0.0:
             raise ScenarioFormatError("job.inr_step_db must be positive")

@@ -166,15 +166,20 @@ def _walk_chunk(scenario: CoexistenceScenario, rng: np.random.Generator,
     return TrialBatch(start_on, packet, np.minimum(collision, packet), renewals)
 
 
-def run_trials(scenario: CoexistenceScenario, config: McConfig) -> TrialBatch:
-    """All trials, chunked; deterministic for a given (trials, seed)."""
-    seq = np.random.SeedSequence(config.seed)
+def _chunks(config: McConfig):
+    """(rng, size) of each chunk: CHUNK trials apiece, the remainder last,
+    each chunk on its own SeedSequence child of the seed."""
     sizes = [CHUNK] * (config.trials // CHUNK)
     if config.trials % CHUNK:
         sizes.append(config.trials % CHUNK)
-    batches = []
-    for child, size in zip(seq.spawn(len(sizes)), sizes):
-        batches.append(_walk_chunk(scenario, np.random.default_rng(child), size))
+    children = np.random.SeedSequence(config.seed).spawn(len(sizes))
+    for child, size in zip(children, sizes):
+        yield np.random.default_rng(child), size
+
+
+def run_trials(scenario: CoexistenceScenario, config: McConfig) -> TrialBatch:
+    """All trials, chunked; deterministic for a given (trials, seed)."""
+    batches = [_walk_chunk(scenario, rng, size) for rng, size in _chunks(config)]
     return TrialBatch(
         np.concatenate([b.initial_on for b in batches]),
         np.concatenate([b.packet_time for b in batches]),
@@ -219,27 +224,6 @@ def empirical_renewal_counts(scenario: CoexistenceScenario, config: McConfig,
     """
     if offset < 0.0:
         raise ValueError("offset must be nonnegative")
-    seq = np.random.SeedSequence(config.seed)
-    sizes = [CHUNK] * (config.trials // CHUNK)
-    if config.trials % CHUNK:
-        sizes.append(config.trials % CHUNK)
-    parts = []
-    for child, size in zip(seq.spawn(len(sizes)), sizes):
-        rng = np.random.default_rng(child)
-        parts.append(_count_chunk(scenario, rng, size, offset, equilibrium))
+    parts = [_count_chunk(scenario, rng, size, offset, equilibrium)
+             for rng, size in _chunks(config)]
     return np.bincount(np.concatenate(parts))
-
-
-def empirical_renewal_pmf(scenario: CoexistenceScenario, config: McConfig,
-                          offset: float = 0.0, equilibrium: bool = True) -> np.ndarray:
-    counts = empirical_renewal_counts(scenario, config, offset, equilibrium)
-    return counts / config.trials
-
-
-def long_run_busy_fraction(scenario: CoexistenceScenario, cycles: int,
-                           rng: np.random.Generator) -> float:
-    """Busy fraction over many full cycles; converges to the activity factor."""
-    busy = np.asarray(scenario.busy.sample(rng, cycles), dtype=float)
-    idle = np.asarray(scenario.idle.sample(rng, cycles), dtype=float)
-    total_busy = float(np.sum(busy))
-    return total_busy / (total_busy + float(np.sum(idle)))

@@ -1,9 +1,8 @@
 """Special functions shared by the collision-time and error-rate models.
 
-Domain-checked fronts over scipy.special, plus independent routes
-(integral representations, bisection) that the test suite uses to
-cross-check each primary route. Keeping both sides here makes the
-dual-method agreements first-class contracts instead of test trivia.
+Domain-checked fronts over scipy.special: the Gaussian tail Q(x) and the
+inverse error function.  `per` calls scipy.special's Bessel K directly; the
+independent routes that cross-check these functions live in the tests.
 """
 
 from __future__ import annotations
@@ -11,24 +10,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-__all__ = [
-    "gaussian_q",
-    "erf_inv",
-    "gamma_lower_reg",
-    "bessel_k",
-    "bessel_k_scaled",
-    "bessel_k_integral",
-    "gamma_lower_reg_quad",
-    "erf_inv_bisect",
-]
+__all__ = ["gaussian_q", "erf_inv"]
 
 _SQRT2 = math.sqrt(2.0)
-
-# exp argument beyond which exp(-v) underflows to exactly 0.0 in binary64;
-# used to truncate integral representations safely.
-_EXP_UNDERFLOW = 745.0
 
 
 def gaussian_q(x):
@@ -49,135 +35,3 @@ def erf_inv(y):
     if np.any(np.abs(arr) >= 1.0):
         raise ValueError("erf_inv requires |y| < 1")
     return special.erfinv(arr)
-
-
-def gamma_lower_reg(a, x):
-    """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
-
-    Args:
-        a: shape, strictly positive.
-        x: evaluation point, nonnegative.
-
-    Raises:
-        ValueError: on a <= 0 or x < 0 (never returns silent NaN).
-    """
-    a_arr = np.asarray(a, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(a_arr <= 0.0):
-        raise ValueError("gamma_lower_reg requires a > 0")
-    if np.any(x_arr < 0.0):
-        raise ValueError("gamma_lower_reg requires x >= 0")
-    return special.gammainc(a_arr, x_arr)
-
-
-def bessel_k(nu, x):
-    """Modified Bessel function of the second kind K_nu(x), real order.
-
-    K_{-nu} = K_nu, so the order may be any real. Underflows to 0.0 for
-    large x (the true value is below the smallest normal double there);
-    overflows to inf when x is tiny and |nu| large, which is outside the
-    representable range rather than an algorithm failure.
-
-    Raises:
-        ValueError: if any x <= 0.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("bessel_k requires x > 0")
-    return special.kv(nu, x_arr)
-
-
-def bessel_k_scaled(nu, x):
-    """Exponentially scaled Bessel K: exp(x) * K_nu(x), for log-domain work."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("bessel_k_scaled requires x > 0")
-    return special.kve(nu, x_arr)
-
-
-def bessel_k_integral(nu: float, x: float) -> float:
-    """K_nu(x) by adaptive quadrature of its integral representation.
-
-    K_nu(x) = integral_0^inf exp(-x cosh t) cosh(nu t) dt. Independent of
-    the primary route; used to cross-check bessel_k. The integrand is
-    evaluated as a sum of two exponentials so large nu*t cannot overflow
-    cosh before the damping term is applied.
-
-    Accurate for moderate ranges (|nu| <= ~50, x in [1e-3, 600]); outside
-    that the representation itself leaves binary64 range.
-    """
-    if x <= 0.0:
-        raise ValueError("bessel_k_integral requires x > 0")
-    a = abs(nu)
-
-    def integrand(t: float) -> float:
-        base = -x * math.cosh(t)
-        up = base + a * t
-        down = base - a * t
-        term = math.exp(up) if up > -_EXP_UNDERFLOW else 0.0
-        if down > -_EXP_UNDERFLOW:
-            term += math.exp(down)
-        return 0.5 * term
-
-    # Truncate where the integrand has underflowed for good: x cosh t grows
-    # like x e^t / 2 while the order term grows only linearly.
-    t_hi = 1.0
-    while x * math.cosh(t_hi) - a * t_hi < _EXP_UNDERFLOW + 50.0:
-        t_hi += 0.5
-        if t_hi > 800.0:
-            break
-    val, _ = integrate.quad(integrand, 0.0, t_hi, limit=400, epsabs=0.0, epsrel=1e-13)
-    return val
-
-
-def gamma_lower_reg_quad(a: float, x: float) -> float:
-    """P(a, x) by direct adaptive quadrature of t^(a-1) e^(-t) / Gamma(a).
-
-    Independent cross-check for gamma_lower_reg. For a < 1 the substitution
-    t = u^(1/a) removes the integrable endpoint singularity.
-    """
-    if a <= 0.0:
-        raise ValueError("gamma_lower_reg_quad requires a > 0")
-    if x < 0.0:
-        raise ValueError("gamma_lower_reg_quad requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    log_gamma = special.gammaln(a)
-    if a >= 1.0:
-        val, _ = integrate.quad(
-            lambda t: math.exp((a - 1.0) * math.log(t) - t - log_gamma) if t > 0 else 0.0,
-            0.0,
-            x,
-            limit=400,
-            epsabs=0.0,
-            epsrel=1e-13,
-        )
-        return val
-    # integral t^(a-1) e^-t dt = (1/a) integral e^(-u^(1/a)) du with u = t^a
-    val, _ = integrate.quad(
-        lambda u: math.exp(-u ** (1.0 / a) - log_gamma) / a,
-        0.0,
-        x**a,
-        limit=400,
-        epsabs=0.0,
-        epsrel=1e-13,
-    )
-    return val
-
-
-def erf_inv_bisect(y: float, iterations: int = 200) -> float:
-    """erf_inv by bisection on math.erf; scipy-free cross-check route."""
-    if not -1.0 < y < 1.0:
-        raise ValueError("erf_inv_bisect requires |y| < 1")
-    if y == 0.0:
-        return 0.0
-    sign = 1.0 if y > 0 else -1.0
-    target = abs(y)
-    lo, hi = 0.0, 7.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if math.erf(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return sign * 0.5 * (lo + hi)

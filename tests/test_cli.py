@@ -231,9 +231,12 @@ class TestPerCommand:
         assert result.exit_code == 0, result.output
 
     def test_gumbel_first_slot_guard(self, runner, scenario_file, tmp_path):
+        # the gumbel route cannot cover slot 1 (needs bits * coeff > 2 with
+        # coeff <= 2), so it is not a PER method: rejected as configuration
         out = tmp_path / "per.csv"
         result = runner.invoke(
             cli.main, ["per", scenario_file, "-o", str(out), "--method", "gumbel"]
         )
-        assert result.exit_code == cli.EXIT_NUMERIC
-        assert "numerical failure" in result.output
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert "'gumbel' is not one of" in result.output
+        assert not out.exists()

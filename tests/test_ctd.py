@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from coexlink.ctd import (
     coverage_point,
@@ -20,10 +21,10 @@ from coexlink.dist import (
     activity_factor,
 )
 from coexlink.presets import preset_scenario
-from coexlink.renewal import CountKind, RenewalPmfSpec, pmf_equilibrium, pmf_tail_index
-from coexlink.specfun import gamma_lower_reg
+from coexlink.renewal import CountKind, RenewalPmfSpec, pmf, pmf_tail_index
 
 from conftest import ALL_PRESET_NAMES
+from oracles import gamma_lower_reg
 
 PACKET_RATE = 1.0 / 1.984e-3
 
@@ -214,7 +215,7 @@ def test_constant_busy_jumps_match_renewal_pmf(any_scenario):
     for n in (1, 2, 3):
         left = float(ctd_off_start(any_scenario, n * t_w - delta, 1e-15))
         right = float(ctd_off_start(any_scenario, n * t_w + delta, 1e-15))
-        expected = pmf_equilibrium(any_scenario.idle, s, n * t_w, n)
+        expected = pmf(RenewalPmfSpec(any_scenario.idle, s, n * t_w, CountKind.EQUILIBRIUM), n)
         assert right - left == pytest.approx(expected, rel=1e-6)
 
 
@@ -335,6 +336,19 @@ class TestIdleGapsFarShorterThanPacket:
             assert np.all(np.diff(vals) >= 0.0)
         expected = activity_factor(sc) / sc.packet_rate
         assert _mean_above(ctd_mixture, sc) == pytest.approx(expected, rel=1e-6)
+
+    def test_exponential_busy_mean_at_full_precision(self):
+        # 0.1 ps busy and idle periods, 1 - g = 5.04e-11: the collision time
+        # decays at rate + r*(1 - g) with r*(1 - g) ~ rate, so 1 - g formed by
+        # subtraction (relative error ~1e-16/(1 - g)) would move the mean by
+        # ~1e-6 relative.  1 - CDF is a sum of two exponentials, which quad
+        # integrates to ~1e-15.
+        sc = CoexistenceScenario(ExponentialOnTime(1e13), ExponentialIdle(1e13), PACKET_RATE)
+        assert sc.idle.one_minus_laplace(sc.packet_rate) == pytest.approx(5.04e-11, rel=1e-3)
+        measured, _ = integrate.quad(lambda x: 1.0 - float(ctd_mixture(sc, x)), 0.0, np.inf,
+                                     epsabs=0.0, epsrel=1e-13, limit=200)
+        expected = activity_factor(sc) / sc.packet_rate
+        assert measured == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None)

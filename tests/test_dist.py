@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +91,30 @@ def test_residual_laplace_identity(s, w0, m0, m1):
     d = HyperexponentialIdle(weights=(w0, 1.0 - w0), means=(m0, m1))
     via_identity = (1.0 - d.laplace(s)) / (s * d.mean)
     assert d.residual_laplace(s) == pytest.approx(via_identity, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "idle",
+    [ExponentialIdle(rate=1e13), ExponentialIdle(rate=500.0),
+     HyperexponentialIdle(weights=(0.3, 0.7), means=(2e-13, 5e-14)),
+     HyperexponentialIdle(weights=(0.3, 0.7), means=(2e-3, 2e-4))],
+    ids=["exp_0.1ps", "exp_2ms", "mix_ps", "mix_ms"],
+)
+def test_one_minus_laplace_full_precision(idle):
+    # exact rational 1 - L(s) of the float parameters; the ps laws have
+    # 1 - L(s) ~ 5e-11 at the packet rate, where 1 - laplace(s) would keep
+    # only ~6 significant digits
+    s = 504.0
+    if isinstance(idle, ExponentialIdle):
+        phases = [(Fraction(1), Fraction(1) / Fraction(idle.rate))]
+    else:
+        phases = [(Fraction(w), Fraction(m)) for w, m in zip(idle.weights, idle.means)]
+    exact = sum(w * Fraction(s) * m / (1 + Fraction(s) * m) for w, m in phases)
+    assert idle.one_minus_laplace(s) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+    assert idle.one_minus_laplace(s) == pytest.approx(1.0 - idle.laplace(s), abs=1e-15)
+    assert idle.one_minus_laplace(0.0) == 0.0
+    with pytest.raises(ValueError):
+        idle.one_minus_laplace(-1.0)
 
 
 @given(st.floats(min_value=0.0, max_value=1e6))

@@ -26,6 +26,7 @@ from coexlink.per import (
 )
 from coexlink.per import _collision_weights, _slot_weights
 from coexlink.presets import preset_names, preset_scenario
+from oracles import success_prob_adaptive
 
 BPSK = Modulation()
 
@@ -178,7 +179,7 @@ class TestSuccessProbRoutes:
     def test_closed_form_tracks_quadrature(self, snr, mean_inr):
         # fit-limited agreement; the underlying fit is good to ~1e-5
         for bits in range(1, QN_MAX_BITS + 1):
-            q = success_prob_quadrature(BPSK, snr, mean_inr, bits)
+            q = success_prob_adaptive(BPSK, snr, mean_inr, bits)
             c = success_prob_closed_form(BPSK, snr, mean_inr, bits)
             assert c == pytest.approx(q, abs=2e-5)
 
@@ -192,6 +193,21 @@ class TestSuccessProbRoutes:
                     worst = max(worst, abs(fast - closed_form_multiset(BPSK, snr, inr, bits)))
         assert worst <= 1e-12
 
+    def test_quadrature_matches_adaptive_oracle(self):
+        # fixed nodes against adaptive quadrature: criterion 4's grid plus the
+        # other cases of this class, SNR 0, and windows up to the largest
+        # preset ell_max (2687 on alpha_ge_0.5)
+        cases = [(snr, inr) for snr in CRITERION_4_SNR for inr in CRITERION_4_INR]
+        cases += [(snr, inr) for snr in (0.0, 0.5, 31.6, 100.0) for inr in (0.1, 1.0, 10.0)]
+        worst = 0.0
+        for modulation in (BPSK, Modulation(coeff=2.0, gain=1.0)):
+            for snr, inr in cases:
+                for bits in (1, 2, 3, 4, 8, 12, 16, 32, 64, 128, 256, 561, 1403, 2687):
+                    fixed = success_prob_quadrature(modulation, snr, inr, bits)
+                    oracle = success_prob_adaptive(modulation, snr, inr, bits)
+                    worst = max(worst, abs(fixed - oracle))
+        assert worst <= 1e-12
+
     def test_closed_form_refuses_long_windows(self):
         with pytest.raises(ValueError):
             success_prob_closed_form(BPSK, 10.0, 1.0, QN_MAX_BITS + 1)
@@ -199,7 +215,7 @@ class TestSuccessProbRoutes:
     @pytest.mark.parametrize("bits", [16, 64, 256])
     @pytest.mark.parametrize("snr,mean_inr", [(10.0, 1.0), (10.0, 10.0)])
     def test_gumbel_tracks_quadrature(self, bits, snr, mean_inr):
-        q = success_prob_quadrature(BPSK, snr, mean_inr, bits)
+        q = success_prob_adaptive(BPSK, snr, mean_inr, bits)
         g = success_prob_gumbel_gamma(BPSK, snr, mean_inr, bits)
         assert g == pytest.approx(q, rel=0.05)
 

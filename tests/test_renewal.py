@@ -8,13 +8,19 @@ from coexlink.renewal import (
     CountKind,
     RenewalPmfSpec,
     pmf,
-    pmf_equilibrium,
-    pmf_ordinary,
     pmf_tail_index,
     pmf_values,
 )
 
 MIXTURE = HyperexponentialIdle(weights=(0.3, 0.7), means=(2e-3, 2e-4))
+
+
+def pmf_equilibrium(idle, packet_rate: float, offset: float, n: int) -> float:
+    return pmf(RenewalPmfSpec(idle, packet_rate, offset, CountKind.EQUILIBRIUM), n)
+
+
+def pmf_ordinary(idle, packet_rate: float, offset: float, n: int) -> float:
+    return pmf(RenewalPmfSpec(idle, packet_rate, offset, CountKind.ORDINARY), n)
 
 
 def spec_for(kind, idle=MIXTURE, rate=504.0, offset=374e-6):
@@ -50,6 +56,18 @@ def test_conventions_coincide_for_exponential_idle():
         assert pmf_equilibrium(idle, 504.0, 374e-6, n) == pytest.approx(
             pmf_ordinary(idle, 504.0, 374e-6, n), rel=1e-14
         )
+
+
+def test_positive_counts_keep_precision_as_g_tends_to_one():
+    # 0.1 ps idle gaps: g = 1 - 5.04e-11, and p(1) = (1 - g) * g carries the
+    # relative precision of 1 - g
+    idle = ExponentialIdle(rate=1e13)
+    s = 504.0
+    one_minus_g = s / (s + 1e13)
+    for kind in CountKind:
+        spec = RenewalPmfSpec(idle, s, 0.0, kind)
+        assert pmf(spec, 1) == pytest.approx(one_minus_g * idle.laplace(s), rel=1e-14, abs=0.0)
+        assert pmf_values(spec, 1)[1] == pytest.approx(pmf(spec, 1), rel=1e-15, abs=0.0)
 
 
 def test_offset_damps_positive_counts():

@@ -193,6 +193,7 @@ class TestJobParams:
             {"inr_stop_db": -20.0},
             {"inr_step_db": 0.0},
             {"method": "fastest"},
+            {"method": "gumbel"},
         ],
     )
     def test_validation(self, kwargs):

@@ -1,18 +1,42 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from coexlink.dist import activity_factor
+from coexlink.presets import preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf_values
 from coexlink.simcore import (
+    CHUNK,
     EmpiricalCdf,
     McConfig,
-    empirical_renewal_pmf,
-    long_run_busy_fraction,
+    empirical_renewal_counts,
     run_trial,
     run_trials,
     split_by_start,
 )
 from conftest import SUITE_SEED
+
+
+def empirical_renewal_pmf(scenario, config: McConfig, offset: float = 0.0,
+                          equilibrium: bool = True) -> np.ndarray:
+    counts = empirical_renewal_counts(scenario, config, offset, equilibrium)
+    return counts / config.trials
+
+
+def long_run_busy_fraction(scenario, cycles: int, rng: np.random.Generator) -> float:
+    """Busy fraction over many full cycles; converges to the activity factor."""
+    busy = np.asarray(scenario.busy.sample(rng, cycles), dtype=float)
+    idle = np.asarray(scenario.idle.sample(rng, cycles), dtype=float)
+    total_busy = float(np.sum(busy))
+    return total_busy / (total_busy + float(np.sum(idle)))
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 class TestEmpiricalCdf:
@@ -106,6 +130,29 @@ class TestEngine:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)
+
+    # sha256 of the outputs on alpha_ge_0.5, recorded when run_trials and
+    # empirical_renewal_counts each had their own chunk loop: the shared one
+    # must keep every SeedSequence stream and chunk size, the last chunk of a
+    # count that is not a multiple of CHUNK included.
+    @pytest.mark.parametrize("trials,seed,walk,counts", [
+        (1000, 7,
+         "b10802578f4a6e4cfcbced1735cfd1361062ad3144746c69478eae41bcdc6ad4",
+         "eb79812b0531d35e7fc8c0a680b89aea50b4ecb930ee54f2b824f59ffe477edc"),
+        (CHUNK, 3,
+         "f775bbedab403a416d450b4c03739e983ba7ad70fff15ce5f725aa3af1fe70e0",
+         "88fc2ac76e669abb8f48630cd56c0166abc6b871e73fb8d6260c7b3fb9ed99e9"),
+        (2 * CHUNK + 777, SUITE_SEED,
+         "2c9b9df030820b17e92e74f41dd010fc3ae9b9abe2e1aff991b153465cd0fd7a",
+         "92b455b48c446cc567ca9b780fcf7c9fc9f4631024a893455e4243467d1ecf64"),
+    ], ids=["below_chunk", "one_chunk", "two_chunks_plus_777"])
+    def test_streams_frozen(self, trials, seed, walk, counts):
+        scenario = preset_scenario("alpha_ge_0.5")
+        config = McConfig(trials=trials, seed=seed)
+        batch = run_trials(scenario, config)
+        assert _digest(batch.initial_on, batch.packet_time, batch.collision_time,
+                       batch.renewal_count) == walk
+        assert _digest(empirical_renewal_counts(scenario, config, 374e-6)) == counts
 
 
 class TestRenewalCounting:

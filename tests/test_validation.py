@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -108,9 +109,35 @@ def test_renewal_chi2_catches_wrong_convention(scenario_exp_0p1575, rng):
     assert cell["pvalue"] < 1e-6
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _loaded_after_cli_import(modules: list[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``import coexlink.cli``."""
     env = dict(os.environ, PYTHONPATH=str(Path(coexlink.__file__).resolve().parents[1]))
-    probe = "import sys, coexlink.cli; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, coexlink.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    assert _loaded_after_cli_import(["scipy.stats"]) == []
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate would also load scipy.optimize and scipy.sparse
+    assert _loaded_after_cli_import(["scipy.integrate", "scipy.optimize", "scipy.sparse"]) == []
+
+
+def test_no_module_imports_scipy_integrate():
+    # the adaptive quadratures are test oracles (tests/oracles.py), never runtime code
+    offenders = []
+    for path in sorted(Path(coexlink.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names
+                          if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
+    assert offenders == []
