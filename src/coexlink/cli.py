@@ -17,7 +17,7 @@ import numpy as np
 
 from .ctd import ctd_curve
 from .dist import activity_factor
-from .per import PER_METHODS, GumbelDomainError, PerMethod, per_curve
+from .per import PerMethod, per_curve
 from .presets import describe_presets, preset_scenario
 from .scenario import (
     JobParams,
@@ -43,10 +43,6 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ScenarioFormatError as exc:
-            _fail(EXIT_CONFIG, f"config error: {exc}")
-        except GumbelDomainError as exc:
-            _fail(EXIT_NUMERIC, f"numerical failure: {exc}")
         except KeyError as exc:
             _fail(EXIT_CONFIG, f"config error: {exc.args[0] if exc.args else exc}")
         except (ValueError, TypeError) as exc:
@@ -93,22 +89,18 @@ def main() -> None:
               help="CSV output path.")
 @click.option("--grid", "grid_points", type=int, default=None,
               help="Number of grid points (default from the job section).")
-@click.option("--epsilon", type=float, default=None,
-              help="Accepted for compatibility; no longer changes the output.")
 @_guarded
-def cmd_ctd(scenario_file, preset, output, grid_points, epsilon) -> None:
+def cmd_ctd(scenario_file, preset, output, grid_points) -> None:
     """Write the collision-time CDF curves as CSV."""
     doc, scenario, _, job = _load(scenario_file, preset)
     points = grid_points if grid_points is not None else job.grid_points
-    eps = epsilon if epsilon is not None else job.epsilon
-    curve = ctd_curve(scenario, points=points, epsilon=eps)
-    overrides = {"command": "ctd", "preset": preset, "grid_points": points, "epsilon": eps}
+    curve = ctd_curve(scenario, points=points)
+    overrides = {"command": "ctd", "preset": preset, "grid_points": points}
     digest = config_hash(doc, overrides)
     meta = {
         "generator": "coexlink ctd",
         "config_sha256": digest,
         "alpha": format(curve.alpha, ".12g"),
-        "epsilon": format(eps, ".12g"),
         "points": points,
     }
     _write_csv(output, meta, ["x_seconds", "omega0", "omega1", "omega"],
@@ -155,20 +147,17 @@ def cmd_validate(scenario_file, preset, trials, seed, report_path) -> None:
 @click.option("--preset", default=None, help="Built-in scenario name (see `presets`).")
 @click.option("--output", "-o", required=True, type=click.Path(dir_okay=False),
               help="CSV output path.")
-@click.option("--method", type=click.Choice([m.value for m in PER_METHODS]),
+@click.option("--method", type=click.Choice([m.value for m in PerMethod]),
               default=None, help="Evaluation route (default from the job section).")
 @click.option("--snr-db", type=float, default=None, help="Mean SNR of the observed link, dB.")
-@click.option("--epsilon", type=float, default=None,
-              help="Accepted for compatibility; no longer changes the output.")
 @click.option("--ell-max", type=int, default=None,
               help="Cap on resolved bit slots (mainly for the qn route).")
 @_guarded
-def cmd_per(scenario_file, preset, output, method, snr_db, epsilon, ell_max) -> None:
+def cmd_per(scenario_file, preset, output, method, snr_db, ell_max) -> None:
     """Sweep PER over the mean INR range of the job section."""
     doc, scenario, modulation, job = _load(scenario_file, preset)
     method_name = method if method is not None else job.method
     chosen = PerMethod(method_name)
-    eps = epsilon if epsilon is not None else job.epsilon
     snr_db_val = snr_db if snr_db is not None else job.snr_db
     snr = 10.0 ** (snr_db_val / 10.0)
 
@@ -180,11 +169,10 @@ def cmd_per(scenario_file, preset, output, method, snr_db, epsilon, ell_max) -> 
     methods = [PerMethod.QUADRATURE]
     if chosen is not PerMethod.QUADRATURE:
         methods.append(chosen)
-    curve = per_curve(scenario, modulation, snr, inr, methods,
-                      epsilon=eps, ell_max=ell_max)
+    curve = per_curve(scenario, modulation, snr, inr, methods, ell_max=ell_max)
 
     overrides = {"command": "per", "preset": preset, "method": method_name,
-                 "snr_db": snr_db_val, "epsilon": eps, "ell_max": ell_max}
+                 "snr_db": snr_db_val, "ell_max": ell_max}
     digest = config_hash(doc, overrides)
     columns = ["gamma_i_bar_db"] + [f"per_{m.value}" for m in methods] + ["tail_mass"]
     arrays = [inr_db] + [curve.values[m.value] for m in methods]

@@ -24,9 +24,7 @@ Both supported busy laws sum the mixture exactly, so nothing is truncated:
     Exp(r):      S(x)  = SR(x) = 1 - e^(-r*(1-g)*x)
 
 (a geometric number of Exp(r) periods is Exp(r*(1-g)), and the residual of
-an exponential period is the period itself).  The ``epsilon`` arguments, once
-the series truncation tolerance, are kept and range-checked as before so
-existing calls and job files stay valid, but no longer change the output.
+an exponential period is the period itself).
 
 The stationary curve mixes the two with the activity factor:
 F(x) = alpha*F1(x) + (1-alpha)*F0(x); F(x) = 0 for x < 0 and F has an atom at
@@ -74,13 +72,6 @@ def _busy_mixture_cdf(scenario: CoexistenceScenario, x: np.ndarray,
     return 1.0 - tail + g_comp * tail * np.clip(x / d - k, 0.0, 1.0)
 
 
-def _check_epsilon(epsilon: float) -> None:
-    # epsilon no longer changes the output, but callers keep getting the
-    # ValueError they got for an out-of-range value.
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-
-
 def _clamp(values: np.ndarray, label: str) -> np.ndarray:
     worst = max(float(np.max(values - 1.0, initial=0.0)), float(np.max(-values, initial=0.0)))
     if worst > _CLAMP_SLACK:
@@ -88,12 +79,8 @@ def _clamp(values: np.ndarray, label: str) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def ctd_off_start(scenario: CoexistenceScenario, x, epsilon: float = 1e-9):
-    """CDF of the collision time given the packet starts in an idle period.
-
-    ``epsilon`` is accepted for compatibility and does not change the result.
-    """
-    _check_epsilon(epsilon)
+def ctd_off_start(scenario: CoexistenceScenario, x):
+    """CDF of the collision time given the packet starts in an idle period."""
     s = scenario.packet_rate
     g_res = scenario.idle.residual_laplace(s)
     xa = np.asarray(x, dtype=float)
@@ -105,12 +92,8 @@ def ctd_off_start(scenario: CoexistenceScenario, x, epsilon: float = 1e-9):
     return _clamp(vals, "off-start CDF")
 
 
-def ctd_on_start(scenario: CoexistenceScenario, x, epsilon: float = 1e-9):
-    """CDF of the collision time given the packet starts in a busy period.
-
-    ``epsilon`` is accepted for compatibility and does not change the result.
-    """
-    _check_epsilon(epsilon)
+def ctd_on_start(scenario: CoexistenceScenario, x):
+    """CDF of the collision time given the packet starts in a busy period."""
     xa = np.asarray(x, dtype=float)
     xc = np.maximum(xa, 0.0)
     damp = np.exp(-scenario.packet_rate * xc)
@@ -120,12 +103,10 @@ def ctd_on_start(scenario: CoexistenceScenario, x, epsilon: float = 1e-9):
     return _clamp(vals, "on-start CDF")
 
 
-def ctd_mixture(scenario: CoexistenceScenario, x, epsilon: float = 1e-9):
+def ctd_mixture(scenario: CoexistenceScenario, x):
     """Stationary collision-time CDF, the activity-factor mixture of the two starts."""
     alpha = activity_factor(scenario)
-    return alpha * ctd_on_start(scenario, x, epsilon) + (1.0 - alpha) * ctd_off_start(
-        scenario, x, epsilon
-    )
+    return alpha * ctd_on_start(scenario, x) + (1.0 - alpha) * ctd_off_start(scenario, x)
 
 
 @dataclass(frozen=True)
@@ -134,7 +115,6 @@ class CtdCurve:
 
     ``omega0``/``omega1`` hold the idle-start and busy-start conditionals and
     ``omega`` their stationary mixture.  The curve is 0 left of the grid.
-    ``epsilon`` records the requested value, which no longer changes the curve.
     """
 
     scenario: CoexistenceScenario
@@ -142,15 +122,13 @@ class CtdCurve:
     omega0: np.ndarray
     omega1: np.ndarray
     omega: np.ndarray
-    epsilon: float
 
     @property
     def alpha(self) -> float:
         return activity_factor(self.scenario)
 
 
-def coverage_point(scenario: CoexistenceScenario, coverage: float = 1e-4,
-                   epsilon: float = 1e-9) -> float:
+def coverage_point(scenario: CoexistenceScenario, coverage: float = 1e-4) -> float:
     """Smallest x with mixture CDF >= 1 - coverage, found by bisection.
 
     The collision time never exceeds the packet length, so the CDF dominates
@@ -161,11 +139,11 @@ def coverage_point(scenario: CoexistenceScenario, coverage: float = 1e-4,
     target = 1.0 - coverage
     hi = -math.log(coverage) / scenario.packet_rate
     lo = 0.0
-    if float(ctd_mixture(scenario, 0.0, epsilon)) >= target:
+    if float(ctd_mixture(scenario, 0.0)) >= target:
         return 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if float(ctd_mixture(scenario, mid, epsilon)) >= target:
+        if float(ctd_mixture(scenario, mid)) >= target:
             hi = mid
         else:
             lo = mid
@@ -173,23 +151,20 @@ def coverage_point(scenario: CoexistenceScenario, coverage: float = 1e-4,
 
 
 def default_grid(scenario: CoexistenceScenario, points: int = 512,
-                 coverage: float = 1e-4, epsilon: float = 1e-9) -> np.ndarray:
+                 coverage: float = 1e-4) -> np.ndarray:
     """Uniform grid on [0, min(8 packet means, the coverage point)]."""
     if points < 2:
         raise ValueError("grid needs at least 2 points")
-    x_hi = min(8.0 * scenario.packet_mean, coverage_point(scenario, coverage, epsilon))
+    x_hi = min(8.0 * scenario.packet_mean, coverage_point(scenario, coverage))
     if x_hi <= 0.0:
         x_hi = scenario.packet_mean
     return np.linspace(0.0, x_hi, points)
 
 
-def ctd_curve(scenario: CoexistenceScenario, grid=None, points: int = 512,
-              epsilon: float = 1e-9) -> CtdCurve:
+def ctd_curve(scenario: CoexistenceScenario, grid=None, points: int = 512) -> CtdCurve:
     """Evaluate all three CDFs on ``grid`` (or the default one)."""
-    if not (0.0 < epsilon <= 1e-6):
-        raise ValueError("epsilon must lie in (0, 1e-6]")
     if grid is None:
-        grid = default_grid(scenario, points=points, epsilon=epsilon)
+        grid = default_grid(scenario, points=points)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-d array")
@@ -197,8 +172,8 @@ def ctd_curve(scenario: CoexistenceScenario, grid=None, points: int = 512,
         raise ValueError("grid must be finite")
     if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0:
         raise ValueError("grid must be nondecreasing and nonnegative")
-    omega0 = ctd_off_start(scenario, grid, epsilon)
-    omega1 = ctd_on_start(scenario, grid, epsilon)
+    omega0 = ctd_off_start(scenario, grid)
+    omega1 = ctd_on_start(scenario, grid)
     alpha = activity_factor(scenario)
     omega = alpha * omega1 + (1.0 - alpha) * omega0
-    return CtdCurve(scenario, grid, omega0, omega1, omega, epsilon)
+    return CtdCurve(scenario, grid, omega0, omega1, omega)

@@ -97,8 +97,9 @@ class ExponentialIdle:
     def residual_laplace(self, s: float) -> float:
         """Laplace transform of the stationary residual life.
 
-        Equals (1 - laplace(s)) / (s * mean); for an exponential this reduces
-        to the original transform, and the closed form below makes s = 0 safe.
+        Equals (1 - laplace(s)) / (s * mean); the exponential law is
+        memoryless, so this is ``laplace(s)`` itself, which is also safe at
+        s = 0 where the quotient is 0/0.
         """
         return self.laplace(s)
 

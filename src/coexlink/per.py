@@ -26,18 +26,21 @@ Three evaluation routes for success(l):
     coefficients of the fit polynomial's r-th power, and the per-order sums
     serve every l.  Capped at QN_MAX_BITS (accuracy validated for snr in
     [0, 30] dB and mean_inr in [-10, 20] dB);
-  * gumbel - the window success (1 - ber(x))^l, as a function of the linear
-    SIR x = snr/g, is approximated by a Gumbel CDF in x whose location and
-    scale come from erf_inv; that Gumbel is moment-matched to a Gamma law,
-    whose fading average is a single Bessel K term; usable for large l
-    (l*coeff > 2).  Against quadrature for BPSK over snr 0-30 dB and
-    mean_inr -10-20 dB (5 dB steps) its worst relative error is 0.0999,
-    0.0619, 0.0356 and 0.0223 at l = 16, 32, 64 and 128; errors above 0.05
-    occur only at snr/mean_inr <= 0 dB, where the success probability is
-    <= 0.24 and the absolute error <= 0.016.
+  * gumbel (`success_prob_gumbel_gamma`) - the window success
+    (1 - ber(x))^l, as a function of the linear SIR x = snr/g, is
+    approximated by a Gumbel CDF in x whose location and scale come from
+    erf_inv; that Gumbel is moment-matched to a Gamma law, whose fading
+    average is a single Bessel K term; usable for large l (l*coeff > 2).
+    Against quadrature for BPSK over snr 0-30 dB and mean_inr -10-20 dB
+    (5 dB steps) its worst relative error is 0.0999, 0.0619, 0.0356 and
+    0.0223 at l = 16, 32, 64 and 128; errors above 0.05 occur only at
+    snr/mean_inr <= 0 dB, where the success probability is <= 0.24 and the
+    absolute error <= 0.016.
 
-The hybrid route uses the closed form up to ``ell_switch`` bits and the
-Gumbel path beyond, which is the intended production setting.
+The PER methods (`PerMethod`) are quadrature, qn and hybrid.  Gumbel alone
+is no PER method, since slot 1 would need coeff > 2; the hybrid route uses
+the closed form up to ``ell_switch`` bits and the Gumbel path beyond, which
+is the intended production setting.
 """
 
 from __future__ import annotations
@@ -84,13 +87,7 @@ _LOG2 = math.log(2.0)
 class PerMethod(Enum):
     QUADRATURE = "quadrature"
     CLOSED_FORM = "qn"
-    GUMBEL_GAMMA = "gumbel"
     HYBRID = "hybrid"
-
-
-# The routes that can yield a whole PER.  The gumbel route cannot: slot 1
-# needs 1 * coeff > 2 and Modulation caps coeff at 2.
-PER_METHODS = (PerMethod.QUADRATURE, PerMethod.CLOSED_FORM, PerMethod.HYBRID)
 
 
 class GumbelDomainError(ValueError):
@@ -272,8 +269,6 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
         return success_prob_quadrature(modulation, snr, mean_inr, bits)
     if method is PerMethod.CLOSED_FORM:
         return success_prob_closed_form(modulation, snr, mean_inr, bits)
-    if method is PerMethod.GUMBEL_GAMMA:
-        return success_prob_gumbel_gamma(modulation, snr, mean_inr, bits)
     if bits <= ell_switch:
         return success_prob_closed_form(modulation, snr, mean_inr, bits)
     return success_prob_gumbel_gamma(modulation, snr, mean_inr, bits)
@@ -287,8 +282,6 @@ class PerSpec:
     of bit slots the collision CDF is resolved into; when None it is sized so
     the ignored CDF tail is below ``tail_cut``.  ``noise_bits``, when set to
     the packet bit count, adds AWGN-only errors on the non-colliding bits.
-    ``epsilon`` is accepted for compatibility and no longer changes the PER:
-    the collision-time CDF is evaluated in closed form.
     """
 
     scenario: CoexistenceScenario
@@ -297,7 +290,6 @@ class PerSpec:
     mean_inr: float
     ell_switch: int = 8
     ell_max: int | None = None
-    epsilon: float = 1e-9
     tail_cut: float = 1e-6
     noise_bits: int | None = None
 
@@ -323,7 +315,7 @@ class PerResult:
 def resolve_ell_max(spec: PerSpec) -> int:
     if spec.ell_max is not None:
         return spec.ell_max
-    x_tail = coverage_point(spec.scenario, spec.tail_cut, spec.epsilon)
+    x_tail = coverage_point(spec.scenario, spec.tail_cut)
     ell = max(1, math.ceil(x_tail / spec.scenario.bit_time))
     # ceil in floats can still land the top slot an ulp short of x_tail,
     # which matters when the coverage point sits on a CDF jump.
@@ -340,7 +332,7 @@ def _collision_weights(spec: PerSpec) -> tuple[np.ndarray, float, int]:
     """
     ell_max = resolve_ell_max(spec)
     grid = np.arange(ell_max + 1) * spec.scenario.bit_time
-    cdf = ctd_mixture(spec.scenario, grid, spec.epsilon)
+    cdf = ctd_mixture(spec.scenario, grid)
     increments = np.diff(cdf, prepend=0.0)
     return increments, float(1.0 - cdf[-1]), ell_max
 
@@ -356,21 +348,18 @@ def _slot_weights(spec: PerSpec, ell_max: int) -> np.ndarray | None:
 
 def _success_table(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
                    ell_max: int) -> np.ndarray:
-    """success(l) for slots 0..ell_max at every mean INR, shape (INR, slots)."""
+    """success(l) by the qn or hybrid route for slots 0..ell_max at every
+    mean INR, shape (INR, slots)."""
     mod, snr = spec.modulation, spec.snr
-    top = 0
-    if method is PerMethod.CLOSED_FORM:
-        top = ell_max
-    elif method is PerMethod.HYBRID:
-        top = min(spec.ell_switch, ell_max)
+    top = ell_max if method is PerMethod.CLOSED_FORM else min(spec.ell_switch, ell_max)
     head = _closed_form_table(mod, snr, mean_inr, top)
     if top == ell_max:
         return head
     if (top + 1) * mod.coeff <= 2.0:
         raise GumbelDomainError(
-            f"gumbel route invalid for slot {top + 1} "
-            f"(needs bits * coeff > 2, coeff={mod.coeff}); "
-            "raise ell_switch or pick another method"
+            f"hybrid route cannot cover slot {top + 1}: its gumbel part needs "
+            f"bits * coeff > 2, got coeff={mod.coeff}; use the quadrature "
+            "method, which covers every slot"
         )
     tail = _gumbel_gamma_array(mod, snr, mean_inr, np.arange(top + 1, ell_max + 1))
     return np.hstack([head, tail])
@@ -456,12 +445,11 @@ class PerCurve:
 
 def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
               mean_inr_values, methods=(PerMethod.HYBRID,), *, ell_switch: int = 8,
-              ell_max: int | None = None, epsilon: float = 1e-9,
-              tail_cut: float = 1e-6, noise_bits: int | None = None) -> PerCurve:
+              ell_max: int | None = None, tail_cut: float = 1e-6,
+              noise_bits: int | None = None) -> PerCurve:
     """PER over a mean INR sweep; every point equals ``packet_error_rate``'s.
 
     The collision weights do not depend on the INR and are computed once.
-    ``epsilon`` is accepted for compatibility and no longer changes the PER.
     """
     grid = np.asarray(mean_inr_values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -470,7 +458,7 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
         raise ValueError("mean_inr_values must all be finite and positive")
     spec = PerSpec(scenario, modulation, snr, float(grid[0]),
                    ell_switch=ell_switch, ell_max=ell_max,
-                   epsilon=epsilon, tail_cut=tail_cut, noise_bits=noise_bits)
+                   tail_cut=tail_cut, noise_bits=noise_bits)
     increments, tail_mass, slots = _collision_weights(spec)
     values = {method.value: _per_values(spec, method, grid, increments) for method in methods}
     return PerCurve(scenario, modulation, snr, grid, values, tail_mass, slots)

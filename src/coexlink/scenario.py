@@ -22,8 +22,7 @@ Schema (YAML):
       trials: 1000000
       seed: 20260815
       grid_points: 512
-      epsilon: 1.0e-9      # accepted and range-checked; no longer changes output
-      method: hybrid
+      method: hybrid       # or quadrature, qn
       snr_db: 10.0
       inr_start_db: -10.0
       inr_stop_db: 30.0
@@ -34,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -46,7 +46,7 @@ from .dist import (
     ExponentialOnTime,
     HyperexponentialIdle,
 )
-from .per import PER_METHODS, Modulation
+from .per import Modulation, PerMethod
 from .presets import IDLE_MIXTURES
 
 _DURATION_RE = re.compile(r"^\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*(ns|us|ms|s)\s*$")
@@ -81,7 +81,6 @@ class JobParams:
     trials: int = 200_000
     seed: int = 20260815
     grid_points: int = 512
-    epsilon: float = 1e-9
     method: str = "hybrid"
     snr_db: float = 10.0
     inr_start_db: float = -10.0
@@ -93,11 +92,9 @@ class JobParams:
             raise ScenarioFormatError("job.trials must be >= 1")
         if self.grid_points < 2:
             raise ScenarioFormatError("job.grid_points must be >= 2")
-        if not (0.0 < self.epsilon <= 1e-6):
-            raise ScenarioFormatError("job.epsilon must lie in (0, 1e-6]")
-        if self.method not in {m.value for m in PER_METHODS}:
+        if self.method not in {m.value for m in PerMethod}:
             raise ScenarioFormatError(
-                f"job.method must be one of {sorted(m.value for m in PER_METHODS)}"
+                f"job.method must be one of {sorted(m.value for m in PerMethod)}"
             )
         if self.inr_step_db <= 0.0:
             raise ScenarioFormatError("job.inr_step_db must be positive")
@@ -130,6 +127,8 @@ def _number(node: dict, key: str, where: str, default=None):
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{where}.{key}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioFormatError(f"{where}.{key}: expected a finite number")
     return value
 
 
@@ -187,7 +186,7 @@ def _parse_job(node, where: str) -> JobParams:
             if value != int(value):
                 raise ScenarioFormatError(f"{where}.{name}: expected an integer")
             kwargs[name] = int(value)
-    for name in ("epsilon", "snr_db", "inr_start_db", "inr_stop_db", "inr_step_db"):
+    for name in ("snr_db", "inr_start_db", "inr_stop_db", "inr_step_db"):
         value = _number(node, name, where)
         if value is not None:
             kwargs[name] = float(value)

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 import coexlink.cli as cli
+from coexlink.per import PerMethod
+from coexlink.scenario import JobParams
 from coexlink.validation import ValidationReport
 
 SCENARIO_TEXT = textwrap.dedent(
@@ -87,6 +89,7 @@ class TestCtdCommand:
         assert len(rows) == 32
         assert header["generator"] == "coexlink ctd"
         assert len(header["config_sha256"]) == 16
+        assert list(header) == ["generator", "config_sha256", "alpha", "points"]
         # monotone CDF column
         omega = [r[3] for r in rows]
         assert all(a <= b + 1e-12 for a, b in zip(omega, omega[1:]))
@@ -206,6 +209,8 @@ class TestPerCommand:
         assert all(0.0 <= v <= 1.0 for v in per_q)
         assert all(a < b for a, b in zip(per_q, per_q[1:]))  # rises with INR
         assert header["method"] == "hybrid"
+        assert list(header) == ["generator", "config_sha256", "alpha", "snr_db",
+                                "method", "ell_max"]
 
     def test_quadrature_only_columns(self, runner, scenario_file, tmp_path):
         out = tmp_path / "per.csv"
@@ -240,3 +245,55 @@ class TestPerCommand:
         assert result.exit_code == cli.EXIT_CONFIG
         assert "'gumbel' is not one of" in result.output
         assert not out.exists()
+
+    def test_hybrid_gumbel_domain_is_a_config_error(self, runner, tmp_path):
+        # the hybrid's first gumbel slot, 9, needs 9 * coeff > 2
+        path = tmp_path / "weak.yaml"
+        path.write_text(SCENARIO_TEXT + "modulation: {coeff: 0.2}\n")
+        out = tmp_path / "per.csv"
+        result = runner.invoke(cli.main, ["per", str(path), "-o", str(out)])
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert "config error" in result.output
+        assert "quadrature" in result.output
+        assert not out.exists()
+        result = runner.invoke(
+            cli.main, ["per", str(path), "-o", str(out), "--method", "quadrature"]
+        )
+        assert result.exit_code == 0, result.output
+
+    def test_rejects_epsilon(self, runner, scenario_file, tmp_path):
+        out = tmp_path / "per.csv"
+        result = runner.invoke(
+            cli.main, ["per", scenario_file, "-o", str(out), "--epsilon", "1e-9"]
+        )
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_method_choices_are_the_per_methods(self):
+        # job.method rejects every other value (tests/test_scenario.py)
+        (option,) = [p for p in cli.cmd_per.params if p.name == "method"]
+        values = [m.value for m in PerMethod]
+        assert list(option.type.choices) == values
+        for value in values:
+            assert JobParams(method=value).method == value
+
+
+_NUMERIC_KEYS = [("job", key) for key in ("trials", "seed", "grid_points", "snr_db",
+                                          "inr_start_db", "inr_stop_db", "inr_step_db")]
+_NUMERIC_KEYS += [("modulation", key) for key in ("coeff", "gain")]
+
+
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+@pytest.mark.parametrize("section,key", _NUMERIC_KEYS, ids=[k for _, k in _NUMERIC_KEYS])
+def test_rejects_non_finite_numbers(runner, tmp_path, section, key, value):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(
+        'interferer:\n  busy: {kind: constant, duration: "374 us"}\n'
+        '  idle: {kind: exponential, mean: "2 ms"}\n'
+        f'link:\n  packet_mean: "1.984 ms"\n{section}:\n  {key}: {value}\n'
+    )
+    out = tmp_path / "per.csv"
+    result = runner.invoke(cli.main, ["per", str(path), "-o", str(out)])
+    assert result.exit_code == cli.EXIT_CONFIG
+    assert f"{section}.{key}: expected a finite number" in result.output
+    assert not out.exists()

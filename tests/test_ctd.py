@@ -92,11 +92,11 @@ def _oracle_scenario(name: str) -> CoexistenceScenario:
     return preset_scenario(name)
 
 
-def _mean_above(curve_fn, scenario, epsilon=1e-12):
+def _mean_above(curve_fn, scenario):
     """integral of (1 - CDF) via a fine trapezoid; jump error ~ grid step."""
     x_hi = 35.0 / scenario.packet_rate
     x = np.linspace(0.0, x_hi, 200_001)
-    y = 1.0 - curve_fn(scenario, x, epsilon)
+    y = 1.0 - curve_fn(scenario, x)
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
 
 
@@ -156,24 +156,14 @@ class TestShape:
         assert np.all(low <= high + 1e-9)
 
     def test_truncation_error_bounded_by_epsilon(self, any_scenario):
-        # the closed forms truncate nothing: epsilon is accepted but inert
+        # the closed forms sum the whole series; cutting it where the renewal
+        # tail drops below epsilon moves the CDF by at most epsilon
         grid = default_grid(any_scenario, points=200)
-        for fn in (ctd_off_start, ctd_on_start):
-            coarse = fn(any_scenario, grid, epsilon=1e-6)
-            fine = fn(any_scenario, grid, epsilon=1e-12)
-            np.testing.assert_array_equal(coarse, fine)
-        np.testing.assert_array_equal(
-            ctd_curve(any_scenario, points=200, epsilon=1e-6).omega,
-            ctd_curve(any_scenario, points=200, epsilon=1e-12).omega,
-        )
-
-    def test_epsilon_still_range_checked(self, scenario_exp_0p1575):
-        for bad in (0.0, 1.0, float("nan")):
-            for fn in (ctd_off_start, ctd_on_start, ctd_mixture):
-                with pytest.raises(ValueError):
-                    fn(scenario_exp_0p1575, 0.0, epsilon=bad)
-            with pytest.raises(ValueError):
-                coverage_point(scenario_exp_0p1575, 1e-4, epsilon=bad)
+        for epsilon in (1e-6, 1e-12):
+            for fn, oracle in ((ctd_off_start, series_off_start),
+                               (ctd_on_start, series_on_start)):
+                gap = np.max(np.abs(fn(any_scenario, grid) - oracle(any_scenario, grid, epsilon)))
+                assert gap <= epsilon
 
 
 class TestMeanOracles:
@@ -213,8 +203,8 @@ def test_constant_busy_jumps_match_renewal_pmf(any_scenario):
     s = any_scenario.packet_rate
     delta = 1e-12
     for n in (1, 2, 3):
-        left = float(ctd_off_start(any_scenario, n * t_w - delta, 1e-15))
-        right = float(ctd_off_start(any_scenario, n * t_w + delta, 1e-15))
+        left = float(ctd_off_start(any_scenario, n * t_w - delta))
+        right = float(ctd_off_start(any_scenario, n * t_w + delta))
         expected = pmf(RenewalPmfSpec(any_scenario.idle, s, n * t_w, CountKind.EQUILIBRIUM), n)
         assert right - left == pytest.approx(expected, rel=1e-6)
 
@@ -253,8 +243,6 @@ class TestCurve:
         )
 
     def test_curve_input_validation(self, scenario_exp_0p1575):
-        with pytest.raises(ValueError):
-            ctd_curve(scenario_exp_0p1575, epsilon=1e-3)
         with pytest.raises(ValueError):
             ctd_curve(scenario_exp_0p1575, grid=np.array([0.0, -1.0]))
         with pytest.raises(ValueError):

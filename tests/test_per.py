@@ -155,6 +155,7 @@ class TestSuccessProbRoutes:
     def test_zero_bits_always_succeed(self):
         for method in PerMethod:
             assert success_prob(BPSK, 10.0, 1.0, 0, method) == 1.0
+        assert success_prob_gumbel_gamma(BPSK, 10.0, 1.0, 0) == 1.0
 
     def test_quadrature_frozen_points(self):
         # frozen from this quadrature at tight tolerances; guards regressions
@@ -277,7 +278,7 @@ class TestPacketErrorRate:
         spec = PerSpec(scenario, mod, 10.0, 3.16, ell_max=6)
         combined = packet_error_rate(spec, PerMethod.QUADRATURE).per
         grid = np.arange(7) * scenario.bit_time
-        increments = np.diff(ctd_mixture(scenario, grid, spec.epsilon), prepend=0.0)
+        increments = np.diff(ctd_mixture(scenario, grid), prepend=0.0)
         direct = math.fsum(
             increments[ell] * success_prob_quadrature(mod, 10.0, 3.16, ell)
             for ell in range(7)
@@ -311,10 +312,12 @@ class TestPacketErrorRate:
         assert 0.0 <= packet_error_rate(short, PerMethod.CLOSED_FORM).per <= 1.0
 
     def test_gumbel_route_needs_viable_first_slot(self, per_setup):
-        scenario, mod = per_setup
-        spec = PerSpec(scenario, mod, 10.0, 3.16, ell_max=16)
-        with pytest.raises(GumbelDomainError):
-            packet_error_rate(spec, PerMethod.GUMBEL_GAMMA)
+        # the hybrid's first gumbel slot, ell_switch + 1 = 9, needs 9 * coeff > 2
+        scenario, _ = per_setup
+        spec = PerSpec(scenario, Modulation(coeff=0.2), 10.0, 3.16, ell_max=16)
+        with pytest.raises(GumbelDomainError, match="quadrature"):
+            packet_error_rate(spec, PerMethod.HYBRID)
+        assert 0.0 <= packet_error_rate(spec, PerMethod.QUADRATURE).per <= 1.0
 
     def test_noise_bits_zero_is_interference_limited(self, per_setup):
         scenario, mod = per_setup
@@ -332,7 +335,7 @@ class TestPacketErrorRate:
         spec = PerSpec(scenario, mod, 10.0, 3.16, ell_max=1, noise_bits=n_bits)
         result = packet_error_rate(spec, PerMethod.HYBRID)
         clear = 1.0 - float(ber_awgn(mod, 10.0))
-        cdf = ctd_mixture(scenario, np.arange(2) * scenario.bit_time, spec.epsilon)
+        cdf = ctd_mixture(scenario, np.arange(2) * scenario.bit_time)
         expected = 1.0 - (
             cdf[0] * clear**n_bits
             + (cdf[1] - cdf[0])
@@ -414,12 +417,13 @@ class TestPerCurve:
                 for i in inr
             ]
             assert curve.values[method.value].tolist() == points
-        # the first slot is never inside the gumbel domain (needs coeff > 2)
+        # slot ell_switch + 1 = 9 is outside the gumbel domain when 9 * coeff <= 2
+        weak = Modulation(coeff=0.2)
         with pytest.raises(GumbelDomainError):
-            per_curve(scenario, mod, 10.0, inr, [PerMethod.GUMBEL_GAMMA], ell_max=ell_max)
+            per_curve(scenario, weak, 10.0, inr, [PerMethod.HYBRID], ell_max=ell_max)
         with pytest.raises(GumbelDomainError):
-            packet_error_rate(PerSpec(scenario, mod, 10.0, 1.0, ell_max=ell_max),
-                              PerMethod.GUMBEL_GAMMA)
+            packet_error_rate(PerSpec(scenario, weak, 10.0, 1.0, ell_max=ell_max),
+                              PerMethod.HYBRID)
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -144,6 +144,7 @@ class TestParseScenario:
             (lambda t: t.replace('duration: "374 us"', 'duration: "374 cycles"'), "duration"),
             (lambda t: t.replace("coeff: 1.0", "coeff: 3.0"), "modulation"),
             (lambda t: t.replace("inr_step_db: 5.0", "inr_step_db: -1.0"), "inr_step_db"),
+            (lambda t: t.replace("seed: 7", "seed: 7\n  epsilon: 1.0e-9"), "epsilon"),
         ],
     )
     def test_schema_violations(self, mangle, fragment):
@@ -188,8 +189,6 @@ class TestJobParams:
         "kwargs",
         [
             {"grid_points": 1},
-            {"epsilon": 0.0},
-            {"epsilon": 1e-3},
             {"inr_stop_db": -20.0},
             {"inr_step_db": 0.0},
             {"method": "fastest"},
