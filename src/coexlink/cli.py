@@ -70,8 +70,9 @@ def _load(scenario_file, preset) -> tuple[ScenarioDoc | None, object, object, Jo
 def _write_csv(path: str, meta: dict, columns: list[str], arrays: list[np.ndarray]) -> None:
     lines = [f"# {key} = {value}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    for row in zip(*arrays):
-        lines.append(",".join(format(float(v), ".12g") for v in row))
+    row_format = ",".join(["%.12g"] * len(arrays))
+    columns_as_floats = [np.asarray(a, dtype=float).tolist() for a in arrays]
+    lines.extend(row_format % row for row in zip(*columns_as_floats))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -47,6 +47,21 @@ logger = logging.getLogger(__name__)
 # round-off; keep it tighter than any acceptance tolerance.
 _CLAMP_SLACK = 1e-9
 
+# Bisection steps `coverage_point` takes per CDF evaluation (2^levels - 1
+# points); ~60 steps reach adjacent floats, so a call takes ~6 passes.
+_BISECTION_LEVELS = 10
+
+
+def _jump_counts(x: np.ndarray, d: float) -> np.ndarray:
+    """k = #{n >= 1 : x >= n*d} for x >= 0, as the float comparison decides it.
+
+    floor(x/d) can be one off that comparison, which would put a jump on the
+    wrong side of a grid point sitting on a multiple of d.
+    """
+    k = np.floor(x / d)
+    k = np.where(x < k * d, k - 1.0, k)
+    return np.where(x >= (k + 1.0) * d, k + 1.0, k)
+
 
 def _busy_mixture_cdf(scenario: CoexistenceScenario, x: np.ndarray,
                       residual: bool) -> np.ndarray:
@@ -61,11 +76,7 @@ def _busy_mixture_cdf(scenario: CoexistenceScenario, x: np.ndarray,
     if isinstance(busy, ExponentialOnTime):
         return -np.expm1(-busy.rate * g_comp * x)
     d = busy.duration
-    # floor(x/d) can be one off the float comparison x >= n*d, which would put
-    # a jump on the wrong side of a grid point sitting on a multiple of d.
-    k = np.floor(x / d)
-    k = np.where(x < k * d, k - 1.0, k)
-    k = np.where(x >= (k + 1.0) * d, k + 1.0, k)
+    k = _jump_counts(x, d)
     tail = g**k
     if not residual:
         return 1.0 - tail
@@ -110,6 +121,48 @@ def ctd_mixture(scenario: CoexistenceScenario, x):
 
 
 @dataclass(frozen=True)
+class SlotTail:
+    """1 - F on the bit-slot grid x = l*bit_time, one run of slots at a time.
+
+    On the run that starts at slot ``starts[i]`` (and ends where the next one
+    starts),
+
+        1 - F(l*bit_time) = exp(log_decay*l) * (heads[i] - slopes[i]*(l - starts[i])).
+
+    A constant busy time d makes each run one busy period, with jump count k
+    taken as `_busy_mixture_cdf` takes it: heads = g^k*(c0 - c1*(x/d - k))
+    at the run's first slot x, slopes = g^k*c1*bit_time/d, where
+    c0 = (1-alpha)*gR + alpha, c1 = alpha*(1-g) and log_decay = -rate*bit_time.
+    An exponential busy time gives one flat run with
+    log_decay = -(rate + r*(1-g))*bit_time.
+    """
+
+    starts: np.ndarray
+    heads: np.ndarray
+    slopes: np.ndarray
+    log_decay: float
+
+
+def slot_tail(scenario: CoexistenceScenario, slots: int) -> SlotTail:
+    """`SlotTail` of the mixture CDF for slots 0..slots-1."""
+    s, bit, busy = scenario.packet_rate, scenario.bit_time, scenario.busy
+    alpha = activity_factor(scenario)
+    g_comp = scenario.idle.one_minus_laplace(s)
+    c0 = (1.0 - alpha) * scenario.idle.residual_laplace(s) + alpha
+    if isinstance(busy, ExponentialOnTime):
+        return SlotTail(np.zeros(1, dtype=np.int64), np.array([c0]), np.zeros(1),
+                        -(s + busy.rate * g_comp) * bit)
+    d = busy.duration
+    k = _jump_counts(np.arange(slots) * bit, d)
+    starts = np.flatnonzero(np.diff(k, prepend=-1.0))
+    k = k[starts]
+    tail = scenario.idle.laplace(s) ** k
+    c1 = alpha * g_comp
+    heads = tail * (c0 - c1 * np.clip(starts * bit / d - k, 0.0, 1.0))
+    return SlotTail(starts, heads, tail * (c1 * bit / d), -s * bit)
+
+
+@dataclass(frozen=True)
 class CtdCurve:
     """Collision-time CDF evaluated on a grid.
 
@@ -129,24 +182,41 @@ class CtdCurve:
 
 
 def coverage_point(scenario: CoexistenceScenario, coverage: float = 1e-4) -> float:
-    """Smallest x with mixture CDF >= 1 - coverage, found by bisection.
+    """Smallest x with mixture CDF >= 1 - coverage, to the last float.
 
     The collision time never exceeds the packet length, so the CDF dominates
     1 - e^(-rate*x) and -log(coverage)/rate brackets the answer from above.
+    The bracket is bisected until no float lies strictly between its ends,
+    so the point returned meets the target and the float just below it does
+    not.  Each pass evaluates the CDF once, at every midpoint the next
+    _BISECTION_LEVELS steps could visit, and then takes those steps.
     """
     if not (0.0 < coverage < 1.0):
         raise ValueError("coverage must lie in (0, 1)")
     target = 1.0 - coverage
-    hi = -math.log(coverage) / scenario.packet_rate
-    lo = 0.0
     if float(ctd_mixture(scenario, 0.0)) >= target:
         return 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(ctd_mixture(scenario, mid)) >= target:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = 0.0, -math.log(coverage) / scenario.packet_rate
+    size = 2**_BISECTION_LEVELS
+    ends = np.empty(size + 1)
+    while np.nextafter(lo, hi) < hi:
+        # ends[i] is the midpoint bisection forms for the bracket
+        # (ends[i - step], ends[i + step]), computed as it computes it.
+        ends[0], ends[-1] = lo, hi
+        step = size
+        while step > 1:
+            ends[step // 2::step] = 0.5 * (ends[:-1:step] + ends[step::step])
+            step //= 2
+        met = ctd_mixture(scenario, ends[1:-1]) >= target
+        i = step = size // 2
+        while step:
+            step //= 2
+            if met[i - 1]:
+                hi = float(ends[i])
+                i -= step
+            else:
+                lo = float(ends[i])
+                i += step
     return hi
 
 

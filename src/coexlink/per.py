@@ -15,11 +15,13 @@ Three evaluation routes for success(l):
   * quadrature - the fading average on fixed nodes: a trapezoid rule in
     t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
     (877 nodes).  A single window (`success_prob_quadrature`) sums
-    q(g)^bits over the nodes; for the PER the slot sum is taken first, so
-    the integrand is one polynomial in the per-bit success q(g), evaluated
-    by Horner's rule for the whole INR sweep at once.  The tests check both
-    against adaptive quadrature to 1e-12, and that adaptive integral is the
-    oracle of the other routes;
+    q(g)^bits over the nodes; for the PER the slot sum is taken first and
+    summed by parts against the collision-time tail, which is geometric
+    times linear within each busy period (`ctd.slot_tail`), so each node
+    costs one geometric and one arithmetic-geometric sum per busy period,
+    for the whole INR sweep at once.  The tests check both against adaptive
+    quadrature, and the PER against one Horner step per slot, to 1e-12;
+    the adaptive integral is the oracle of the other routes;
   * closed form ("qn") - an 8-term exponential-polynomial fit of the
     Gaussian Q-function turns the average into a finite sum of modified
     Bessel K terms: binomial order r of (1 - coeff*Q)^l needs the 7r+1
@@ -53,7 +55,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from .ctd import coverage_point, ctd_mixture
+from .ctd import coverage_point, ctd_mixture, slot_tail
 from .dist import CoexistenceScenario
 from .specfun import erf_inv, gaussian_q
 
@@ -92,6 +94,10 @@ class PerMethod(Enum):
 
 class GumbelDomainError(ValueError):
     """Raised when bits * coeff <= 2, outside the Gumbel construction's domain."""
+
+
+class FloatRangeError(ArithmeticError):
+    """Raised when a route's terms overflow or turn NaN for the requested link."""
 
 
 class NumericsWarning(UserWarning):
@@ -169,14 +175,24 @@ def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
         fit_power = np.polynomial.polynomial.polypow(QN_COEFFS, r)
         delta = (2.0 - np.arange(fit_power.size)) / 4.0
         arg = np.sqrt(2.0 * r * base / inr)
-        terms = (
-            fit_power
-            * 2.0 ** (1.0 - delta)
-            * (r * base * inr) ** delta
-            * base ** (1.0 - 2.0 * delta)
-            * special.kv(2.0 * delta, arg)
-            / inr
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (
+                fit_power
+                * 2.0 ** (1.0 - delta)
+                * (r * base * inr) ** delta
+                * base ** (1.0 - 2.0 * delta)
+                * special.kv(2.0 * delta, arg)
+                / inr
+            )
+        finite = np.isfinite(terms).all(axis=1)
+        if not finite.all():
+            raise FloatRangeError(
+                f"closed-form (qn) success terms leave the float range at snr "
+                f"{10.0 * math.log10(snr):.6g} dB, mean INR "
+                f"{10.0 * math.log10(mean_inr[~finite][0]):.6g} dB; the qn and hybrid "
+                "routes cannot evaluate this link, use the quadrature method "
+                "(--method quadrature)"
+            )
         orders.append([math.fsum(row) for row in terms.tolist()])
     table = np.empty((mean_inr.size, top + 1))
     for bits in range(top + 1):
@@ -187,7 +203,7 @@ def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
         ]
     # The fit bias allows overshoot of order 1e-5 near saturation; anything
     # beyond that means the expansion itself misbehaved.
-    wild = (table < -1e-4) | (table > 1.0 + 1e-4)
+    wild = ~((table >= -1e-4) & (table <= 1.0 + 1e-4))
     if np.any(wild):
         warnings.warn(
             f"closed-form success probabilities {table[wild]!r} clamped to [0, 1]",
@@ -376,30 +392,136 @@ _FADE_WEIGHTS[[0, -1]] *= 0.5
 _FADE_ROOT = np.exp(-0.5 * _FADE_T)
 
 
+def _bit_failure(modulation: Modulation, snr: float, mean_inr: np.ndarray) -> np.ndarray:
+    """Per-bit failure coeff * Q(sqrt(gain * snr / g)) on the fading nodes,
+    shape (mean_inr.size, nodes)."""
+    x = np.sqrt(modulation.gain * snr / mean_inr)[:, None] * _FADE_ROOT
+    return modulation.coeff * gaussian_q(x)
+
+
 def _bit_success(modulation: Modulation, snr: float, mean_inr: np.ndarray) -> np.ndarray:
     """Per-bit success q(g) = 1 - coeff * Q(sqrt(gain * snr / g)) on the fading
     nodes, shape (mean_inr.size, nodes)."""
-    x = np.sqrt(modulation.gain * snr / mean_inr)[:, None] * _FADE_ROOT
-    return 1.0 - modulation.coeff * gaussian_q(x)
+    return 1.0 - _bit_failure(modulation, snr, mean_inr)
 
 
-def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Packet success sum_l poly_l * E[q(g)^l] at every mean INR.
+# Floor of log q and log clear: exp of anything below it is 0.0, and it keeps
+# a failure probability of exactly 1 (coeff 2 at snr 0) from turning into
+# 0 * inf in the sums below.
+_LOG_FLOOR = -1000.0
+# Below this n*|rho| the closed form of sum j*e^(j*rho) loses ~eps/(n*|rho|)
+# to cancellation, so its Taylor series (terms (n*|rho|)^p / p!) takes over.
+_SERIES_CUT = 0.05
+_SERIES_TERMS = 12
 
-    Summing over slots first makes the integrand a polynomial in the per-bit
-    success q(g); one Horner pass over the (INR x node) array evaluates it
-    for the whole sweep.
+
+def _ratio_sums(rho: np.ndarray, one_minus_y: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sum_{j<n} y^j, sum_{j<n} j*y^j, y^n) with y = e^rho, rho <= 0, elementwise.
+
+    ``one_minus_y`` is -expm1(rho), shared by every n.
     """
-    q = _bit_success(spec.modulation, spec.snr, mean_inr)
-    acc = np.full(q.shape, poly[-1])
-    for c in poly[-2::-1]:
-        acc *= q
-        acc += c
-    return np.array([math.fsum(row) for row in (acc * _FADE_WEIGHTS).tolist()])
+    n_rho = n * rho
+    y_n = np.exp(n_rho)
+    one_minus_y_n = -np.expm1(n_rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s0 = one_minus_y_n / one_minus_y
+        # s0 - 1 = (y - y^n) / (1 - y), formed without cancelling at small y
+        s1 = ((one_minus_y_n - one_minus_y) / one_minus_y - (n - 1) * y_n) / one_minus_y
+    small = n_rho > -_SERIES_CUT
+    if np.any(small):
+        j = np.arange(n, dtype=float)
+        powers = [math.fsum((j**p).tolist()) for p in range(_SERIES_TERMS + 2)]
+        r = rho[small]
+        s0[small] = n
+        s1[small] = powers[1]
+        term = np.ones_like(r)
+        for p in range(1, _SERIES_TERMS + 1):
+            term = term * r / p
+            s0[small] += term * powers[p]
+            s1[small] += term * powers[p + 1]
+    return s0, s1, y_n
+
+
+def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, ell_max: int,
+                    tail_mass: float) -> np.ndarray:
+    """PER at every mean INR by the fading average on fixed nodes.
+
+    At each node, a packet whose first l bits collide succeeds with
+    u_l = clear^(N-l) * q^l below N = noise_bits and q^l from N on (q^l
+    throughout without noise bits).  With G = 1 - F on the slot grid and
+    L = ell_max, summation by parts turns sum_l (F_l - F_(l-1)) * u_l into
+
+        PER = 1 - u_0 + G_L * u_L + sum_(l<L) G_l * (u_l - u_(l+1)),
+
+    and u_l - u_(l+1) is (1 - q) * q^l from N on and
+    (clear - q) * clear^(N-1-l) * q^l below it.  `slot_tail` gives G as
+    exp(log_decay * l) times a linear function of l on each run of constant
+    jump count, so a run (split at N) is one geometric and one
+    arithmetic-geometric sum in the ratio y = e^log_decay * q, or
+    y / clear below N.  Only a few run lengths occur, so each length's sums
+    are formed once.  From N on y <= 1 and a running product carries y^m
+    from run to run; below N the ratio can exceed 1, so each run is summed
+    from whichever end its terms are largest at.  G_L is the ignored tail,
+    which counts as errors.
+    """
+    tail = slot_tail(spec.scenario, ell_max)
+    fail = _bit_failure(spec.modulation, spec.snr, mean_inr)
+    clear_fail = float(ber_awgn(spec.modulation, spec.snr))
+    with np.errstate(divide="ignore"):
+        log_q = np.maximum(np.log1p(-fail), _LOG_FLOOR)
+        log_clear = max(float(np.log1p(-clear_fail)), _LOG_FLOOR)
+    log_y = tail.log_decay + log_q
+    n_bits = spec.noise_bits or 0
+    split = min(n_bits, ell_max)
+    starts = tail.starts
+    if 0 < split < ell_max:
+        starts = np.union1d(starts, [split])
+    runs = np.searchsorted(tail.starts, starts, side="right") - 1
+    slopes = tail.slopes[runs]
+    heads = tail.heads[runs] - slopes * (starts - tail.starts[runs])
+    pieces = list(zip(starts.tolist(), np.diff(starts, append=ell_max).tolist(),
+                      heads.tolist(), slopes.tolist()))
+    below = int(np.searchsorted(starts, split))
+
+    per = -np.expm1(n_bits * log_clear) + tail_mass * np.exp(
+        max(n_bits - ell_max, 0) * log_clear + ell_max * log_q)
+
+    one_minus_y = -np.expm1(log_y)
+    sums = {}
+    plain = np.zeros_like(fail)
+    y_m = np.exp(split * log_y)
+    for _, n, head, slope in pieces[below:]:
+        if n not in sums:
+            sums[n] = _ratio_sums(log_y, one_minus_y, n)
+        s0, s1, y_n = sums[n]
+        plain += y_m * (head * s0 - slope * s1)
+        y_m *= y_n
+    per += fail * plain
+
+    if below:
+        log_ratio = log_y - log_clear
+        backward = log_ratio > 0.0
+        rho = -np.abs(log_ratio)
+        one_minus_z = -np.expm1(rho)
+        sums = {}
+        noisy = np.zeros_like(fail)
+        for m, n, head, slope in pieces[:below]:
+            if n not in sums:
+                # Where the ratio exceeds 1 the run is summed from its last
+                # slot back, so no partial power overflows.
+                s0, s1, _ = _ratio_sums(rho, one_minus_z, n)
+                sums[n] = (s0, np.where(backward, (n - 1) * s0 - s1, s1),
+                           np.where(backward, (n - 1) * log_ratio, 0.0))
+            s0, s1, shift = sums[n]
+            log_start = (n_bits - 1 - m) * log_clear + m * log_y
+            noisy += np.exp(log_start + shift) * (head * s0 - slope * s1)
+        per += (fail - clear_fail) * noisy
+    return np.array([math.fsum(row) for row in (per * _FADE_WEIGHTS).tolist()])
 
 
 def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
-                increments: np.ndarray) -> np.ndarray:
+                increments: np.ndarray, tail_mass: float) -> np.ndarray:
     """PER at every mean INR, sharing the collision weights of ``spec``."""
     ell_max = increments.size - 1
     if method is PerMethod.CLOSED_FORM and ell_max > QN_MAX_BITS:
@@ -407,17 +529,16 @@ def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
             f"qn route cannot cover {ell_max} slots "
             f"(limit {QN_MAX_BITS}); use hybrid or quadrature"
         )
-    weights = _slot_weights(spec, ell_max)
     if method is PerMethod.QUADRATURE:
-        poly = increments if weights is None else increments * weights
-        success = _per_quadrature(spec, mean_inr, poly)
+        per = _per_quadrature(spec, mean_inr, ell_max, tail_mass)
     else:
         table = _success_table(spec, method, mean_inr, ell_max)
+        weights = _slot_weights(spec, ell_max)
         if weights is not None:
             table = table * weights
         success = np.array([math.fsum(row) for row in (table * increments).tolist()])
-    per = 1.0 - success
-    wild = (per < -1e-4) | (per > 1.0 + 1e-4)
+        per = 1.0 - success
+    wild = ~((per >= -1e-4) & (per <= 1.0 + 1e-4))
     if np.any(wild):
         warnings.warn(f"PER {per[wild]!r} clamped to [0, 1]", NumericsWarning, stacklevel=3)
     return np.clip(per, 0.0, 1.0)
@@ -426,7 +547,7 @@ def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
 def packet_error_rate(spec: PerSpec, method: PerMethod = PerMethod.HYBRID) -> PerResult:
     """PER by the chosen route; the ignored CDF tail counts as errors."""
     increments, tail_mass, ell_max = _collision_weights(spec)
-    per = _per_values(spec, method, np.array([spec.mean_inr]), increments)
+    per = _per_values(spec, method, np.array([spec.mean_inr]), increments, tail_mass)
     return PerResult(float(per[0]), tail_mass, ell_max)
 
 
@@ -460,5 +581,6 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
                    ell_switch=ell_switch, ell_max=ell_max,
                    tail_cut=tail_cut, noise_bits=noise_bits)
     increments, tail_mass, slots = _collision_weights(spec)
-    values = {method.value: _per_values(spec, method, grid, increments) for method in methods}
+    values = {method.value: _per_values(spec, method, grid, increments, tail_mass)
+              for method in methods}
     return PerCurve(scenario, modulation, snr, grid, values, tail_mass, slots)

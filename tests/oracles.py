@@ -1,10 +1,10 @@
 """Independent reference routes shared by several test modules.
 
-Each one computes by adaptive quadrature or a plain library call what
-`coexlink` computes another way, so the tests that compare the two judge a
-route with something that does not share its code.  Nothing in `coexlink`
-imports this module.  Outside pytest, put this directory on `sys.path`
-first (`scripts/run_iell_comparison.py` does).
+Each one computes by adaptive quadrature, a plain library call or a plain
+loop what `coexlink` computes another way, so the tests that compare the two
+judge a route with something that does not share its code.  Nothing in
+`coexlink` imports this module.  Outside pytest, put this directory on
+`sys.path` first (`scripts/run_iell_comparison.py` does).
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 from scipy import integrate, special
+
+from coexlink.ctd import ctd_mixture
+from coexlink.per import _FADE_WEIGHTS, _bit_success, _collision_weights, _slot_weights
 
 # exp argument beyond which exp(-v) underflows to exactly 0.0 in binary64;
 # used to truncate integral representations safely.
@@ -134,3 +137,60 @@ def bessel_k_integral(nu: float, x: float) -> float:
             break
     val, _ = integrate.quad(integrand, 0.0, t_hi, limit=400, epsabs=0.0, epsrel=1e-13)
     return val
+
+
+def coverage_point_bisect(scenario, coverage: float = 1e-4) -> float:
+    """Smallest x with mixture CDF >= 1 - coverage, by 80 scalar bisection steps."""
+    if not (0.0 < coverage < 1.0):
+        raise ValueError("coverage must lie in (0, 1)")
+    target = 1.0 - coverage
+    hi = -math.log(coverage) / scenario.packet_rate
+    lo = 0.0
+    if float(ctd_mixture(scenario, 0.0)) >= target:
+        return 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if float(ctd_mixture(scenario, mid)) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def resolve_ell_max_bisect(spec) -> int:
+    """`per.resolve_ell_max` on top of `coverage_point_bisect`."""
+    if spec.ell_max is not None:
+        return spec.ell_max
+    x_tail = coverage_point_bisect(spec.scenario, spec.tail_cut)
+    ell = max(1, math.ceil(x_tail / spec.scenario.bit_time))
+    while ell * spec.scenario.bit_time < x_tail:
+        ell += 1
+    return ell
+
+
+def per_quadrature_horner(spec, mean_inr: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Packet success sum_l poly_l * E[q(g)^l] at every mean INR.
+
+    Summing over slots first makes the integrand a polynomial in the per-bit
+    success q(g); one Horner pass over the (INR x node) array evaluates it
+    for the whole sweep.
+    """
+    q = _bit_success(spec.modulation, spec.snr, mean_inr)
+    acc = np.full(q.shape, poly[-1])
+    for c in poly[-2::-1]:
+        acc *= q
+        acc += c
+    return np.array([math.fsum(row) for row in (acc * _FADE_WEIGHTS).tolist()])
+
+
+def per_horner(spec, mean_inr) -> np.ndarray:
+    """Quadrature PER of ``spec`` at every mean INR by one Horner pass per slot.
+
+    The slot polynomial holds the collision-time CDF increments (times the
+    AWGN factors of ``noise_bits``); the ignored tail counts as errors.
+    """
+    increments, _, ell_max = _collision_weights(spec)
+    weights = _slot_weights(spec, ell_max)
+    poly = increments if weights is None else increments * weights
+    success = per_quadrature_horner(spec, np.asarray(mean_inr, dtype=float), poly)
+    return np.clip(1.0 - success, 0.0, 1.0)

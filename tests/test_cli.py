@@ -1,6 +1,8 @@
 import json
+import math
 import textwrap
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -25,6 +27,18 @@ SCENARIO_TEXT = textwrap.dedent(
       inr_start_db: -5.0
       inr_stop_db: 15.0
       inr_step_db: 5.0
+    """
+)
+
+
+LINK_TEXT = textwrap.dedent(
+    """
+    interferer:
+      busy: {kind: constant, duration: "374 us"}
+      idle: {kind: exponential, mean: "2 ms"}
+    link:
+      packet_mean: "1.984 ms"
+      bit_time: "4 us"
     """
 )
 
@@ -269,6 +283,24 @@ class TestPerCommand:
         assert result.exit_code == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("job", ["{snr_db: 150}", "{snr_db: -400}",
+                                     "{inr_start_db: 400, inr_stop_db: 400}"])
+    def test_closed_form_overflow_is_a_numerical_failure(self, runner, tmp_path, job):
+        # the hybrid's closed-form terms overflow to inf * 0 on these links
+        path = tmp_path / "extreme.yaml"
+        path.write_text(LINK_TEXT + f"job: {job}\n")
+        out = tmp_path / "per.csv"
+        result = runner.invoke(cli.main, ["per", str(path), "-o", str(out)])
+        assert result.exit_code == cli.EXIT_NUMERIC
+        assert "numerical failure" in result.output and "--method quadrature" in result.output
+        assert not out.exists()
+        result = runner.invoke(
+            cli.main, ["per", str(path), "-o", str(out), "--method", "quadrature"]
+        )
+        assert result.exit_code == 0, result.output
+        _, _, rows = read_csv(out)
+        assert rows and all(math.isfinite(v) for row in rows for v in row)
+
     def test_method_choices_are_the_per_methods(self):
         # job.method rejects every other value (tests/test_scenario.py)
         (option,) = [p for p in cli.cmd_per.params if p.name == "method"]
@@ -297,3 +329,15 @@ def test_rejects_non_finite_numbers(runner, tmp_path, section, key, value):
     assert result.exit_code == cli.EXIT_CONFIG
     assert f"{section}.{key}: expected a finite number" in result.output
     assert not out.exists()
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # one "%.12g,...%.12g" per row writes what format(float(v), ".12g") per
+    # value wrote
+    tricky = [0.0, -0.0, 1.0, 5e-324, 1e300, 1.0 / 3.0, 17.0, 123456.789012, -2.5e-7]
+    arrays = [np.array(tricky), np.arange(len(tricky)), np.array(tricky[::-1])]
+    path = tmp_path / "rows.csv"
+    cli._write_csv(str(path), {"generator": "test"}, ["a", "b", "c"], arrays)
+    lines = ["# generator = test", "a,b,c"]
+    lines += [",".join(format(float(v), ".12g") for v in row) for row in zip(*arrays)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import coexlink.ctd as ctd
 from coexlink.ctd import (
     coverage_point,
     ctd_curve,
@@ -12,6 +13,7 @@ from coexlink.ctd import (
     ctd_off_start,
     ctd_on_start,
     default_grid,
+    slot_tail,
 )
 from coexlink.dist import (
     CoexistenceScenario,
@@ -23,8 +25,8 @@ from coexlink.dist import (
 from coexlink.presets import preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf, pmf_tail_index
 
-from conftest import ALL_PRESET_NAMES
-from oracles import gamma_lower_reg
+from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
+from oracles import coverage_point_bisect, gamma_lower_reg
 
 PACKET_RATE = 1.0 / 1.984e-3
 
@@ -79,17 +81,6 @@ def series_on_start(scenario, x, epsilon: float = 1e-15):
     damp = np.exp(-scenario.packet_rate * xc)
     vals = (1.0 - damp) + damp * _series_sum(scenario, xc, epsilon, residual=True)
     return np.clip(np.where(xa < 0.0, 0.0, vals), 0.0, 1.0)
-
-
-def _oracle_scenario(name: str) -> CoexistenceScenario:
-    if name == "saturated":
-        # 374 us frames, 42 us idle gaps: g ~ 0.98, ~1700 series terms
-        return CoexistenceScenario(ConstantOnTime(374e-6), ExponentialIdle(1.0 / 42e-6),
-                                   PACKET_RATE)
-    if name == "exp_busy":
-        return CoexistenceScenario(ExponentialOnTime(1.0 / 374e-6),
-                                   ExponentialIdle(1.0 / 2e-3), PACKET_RATE)
-    return preset_scenario(name)
 
 
 def _mean_above(curve_fn, scenario):
@@ -223,6 +214,54 @@ class TestCoveragePoint:
         with pytest.raises(ValueError):
             coverage_point(scenario_exp_0p1575, coverage=0.0)
 
+    @pytest.mark.parametrize("name", ALL_PRESET_NAMES + ["saturated", "exp_busy"])
+    def test_few_cdf_evaluations(self, name, monkeypatch):
+        # one CDF call at 0, then one per ten bisection steps (~60 to reach
+        # adjacent floats), where plain bisection made 81 scalar calls
+        calls = []
+
+        def counted(scenario, x):
+            calls.append(np.size(x))
+            return ctd_mixture(scenario, x)
+
+        monkeypatch.setattr(ctd, "ctd_mixture", counted)
+        for coverage in (1e-4, 1e-9):
+            calls.clear()
+            coverage_point(scenario_named(name), coverage)
+            assert len(calls) <= 10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(ALL_PRESET_NAMES + ["saturated", "exp_busy"]),
+    log_coverage=st.floats(min_value=math.log(1e-9), max_value=math.log(0.5)),
+)
+def test_coverage_point_is_the_bisection_crossing(name, log_coverage):
+    sc = scenario_named(name)
+    coverage = math.exp(log_coverage)
+    target = 1.0 - coverage
+    x = coverage_point(sc, coverage)
+    assert float(ctd_mixture(sc, x)) >= target
+    if x > 0.0:
+        assert float(ctd_mixture(sc, np.nextafter(x, 0.0))) < target
+    assert x == pytest.approx(coverage_point_bisect(sc, coverage), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ALL_PRESET_NAMES + sorted(EXTRA_SCENARIOS))
+def test_slot_tail_is_one_minus_cdf_on_the_slot_grid(name):
+    # the runs must start exactly where the CDF jumps, including slots that
+    # sit on a multiple of the busy time (1309, 1683, 2618 on alpha_ge_0.5)
+    sc = scenario_named(name)
+    slots = np.arange(3000)
+    tail = slot_tail(sc, slots.size)
+    run = np.searchsorted(tail.starts, slots, side="right") - 1
+    values = np.exp(tail.log_decay * slots) * (
+        tail.heads[run] - tail.slopes[run] * (slots - tail.starts[run]))
+    np.testing.assert_allclose(values, 1.0 - ctd_mixture(sc, slots * sc.bit_time),
+                               rtol=0.0, atol=1e-15)
+    if isinstance(sc.busy, ExponentialOnTime):
+        assert tail.starts.tolist() == [0]
+
 
 class TestCurve:
     def test_default_grid_span(self, scenario_exp_0p1575):
@@ -261,7 +300,7 @@ class TestSeriesOracle:
                                             (ctd_on_start, series_on_start)],
                              ids=["off_start", "on_start"])
     def test_closed_form_matches_series(self, name, fn, oracle):
-        sc = _oracle_scenario(name)
+        sc = scenario_named(name)
         # the slot grid of the PER weights puts points exactly on multiples
         # of the busy duration (slots 1309, 1683, 2618 on alpha_ge_0.5),
         # where the jump must fall on the same side as in the series

@@ -10,6 +10,7 @@ from coexlink.ctd import ctd_mixture
 from coexlink.per import (
     QN_COEFFS,
     QN_MAX_BITS,
+    FloatRangeError,
     GumbelDomainError,
     Modulation,
     PerMethod,
@@ -24,9 +25,10 @@ from coexlink.per import (
     success_prob_gumbel_gamma,
     success_prob_quadrature,
 )
-from coexlink.per import _collision_weights, _slot_weights
+from coexlink.per import _collision_weights, _ratio_sums, _slot_weights
 from coexlink.presets import preset_names, preset_scenario
-from oracles import success_prob_adaptive
+from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
+from oracles import per_horner, resolve_ell_max_bisect, success_prob_adaptive
 
 BPSK = Modulation()
 
@@ -440,3 +442,83 @@ def test_batched_quadrature_matches_adaptive_oracle(name):
                 spec = PerSpec(scenario, BPSK, snr, float(i), noise_bits=noise_bits)
                 worst = max(worst, abs(value - per_quadrature_adaptive(spec, increments)))
     assert worst <= 1e-12
+
+
+PIECE_SCENARIOS = ALL_PRESET_NAMES + sorted(EXTRA_SCENARIOS)
+# -30..40 dB; 30 dB SNR at -30 dB INR puts the ratio y of the busy-period
+# sums within ~2e-3 of 1
+PIECE_INR = 10 ** (np.arange(-30.0, 40.1, 5.0) / 10.0)
+
+
+@pytest.mark.parametrize("name", PIECE_SCENARIOS)
+def test_quadrature_matches_horner_oracle(name):
+    # one term per busy period (summation by parts) against one Horner step
+    # per slot, on the same nodes and slots
+    scenario = scenario_named(name)
+    natural = resolve_ell_max(PerSpec(scenario, BPSK, 1.0, 1.0))
+    cases = [(snr, noise_bits, None) for snr in (1.0, 10.0, 1000.0) for noise_bits in (None, 496)]
+    cases += [(10.0, noise_bits, ell_max) for noise_bits in (None, 496)
+              for ell_max in (5, 561, natural + 1)]
+    worst = 0.0
+    for snr, noise_bits, ell_max in cases:
+        curve = per_curve(scenario, BPSK, snr, PIECE_INR, [PerMethod.QUADRATURE],
+                          ell_max=ell_max, noise_bits=noise_bits)
+        spec = PerSpec(scenario, BPSK, snr, 1.0, ell_max=ell_max, noise_bits=noise_bits)
+        assert curve.ell_max == (ell_max or natural)
+        oracle = per_horner(spec, PIECE_INR)
+        worst = max(worst, float(np.max(np.abs(curve.values["quadrature"] - oracle))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("modulation,snr,inr", [
+    (Modulation(coeff=2.0), 0.0, 1.0),      # every bit fails: q = clear = 0
+    (Modulation(coeff=2.0), 1e-40, 1.0),    # clear rounds to 0, q does not
+    (Modulation(coeff=1.9, gain=1.0), 0.5, 0.01),
+    (BPSK, 1e15, 0.1),
+    (BPSK, 10.0, 1e40),
+])
+@pytest.mark.parametrize("noise_bits", [None, 496])
+def test_quadrature_extreme_links_match_horner_oracle(per_setup, modulation, snr, inr,
+                                                      noise_bits):
+    scenario, _ = per_setup
+    spec = PerSpec(scenario, modulation, snr, inr, noise_bits=noise_bits)
+    per = packet_error_rate(spec, PerMethod.QUADRATURE).per
+    assert per == pytest.approx(float(per_horner(spec, [inr])[0]), abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1e-12, -1e-7, -1e-6, -1e-4, -0.002, -0.5, -30.0, -1000.0])
+@pytest.mark.parametrize("n", [1, 2, 93, 94, 1000, 300_000])
+def test_ratio_sums_against_direct_sums(rho, n):
+    # the closed forms near y = 1 (n*|rho| above the series cut, e.g.
+    # rho = -1e-6 at n = 3e5) need 1 - y and 1 - y^n from expm1
+    # s1 meets the head term of a run through slope <= head/(n-1), so an
+    # error below eps*n*s0 is round-off of the run's sum
+    terms = np.exp(rho * np.arange(n))
+    s0, s1, y_n = _ratio_sums(np.array([rho]), -np.expm1(np.array([rho])), n)
+    exact_s0 = math.fsum(terms.tolist())
+    assert s0[0] == pytest.approx(exact_s0, rel=1e-13)
+    assert s1[0] == pytest.approx(math.fsum((terms * np.arange(n)).tolist()),
+                                  rel=1e-13, abs=1e-15 * n * exact_s0)
+    assert y_n[0] == pytest.approx(math.exp(rho * n), rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("name", PIECE_SCENARIOS)
+def test_resolve_ell_max_matches_bisection_oracle(name):
+    scenario = scenario_named(name)
+    for tail_cut in (1e-3, 1e-4, 1e-6, 1e-9):
+        spec = PerSpec(scenario, BPSK, 10.0, 1.0, tail_cut=tail_cut)
+        assert resolve_ell_max(spec) == resolve_ell_max_bisect(spec)
+
+
+@pytest.mark.parametrize("snr,inr", [(1e15, [0.1, 1.0]), (1e-40, [0.1, 1.0]), (10.0, [1e40])])
+def test_closed_form_overflow_raises(per_setup, snr, inr):
+    # the order-r Bessel terms leave the float range (inf * 0); quadrature
+    # still covers the link
+    scenario, mod = per_setup
+    for method in (PerMethod.HYBRID, PerMethod.CLOSED_FORM):
+        with pytest.raises(FloatRangeError, match="quadrature"):
+            per_curve(scenario, mod, snr, inr, [method], ell_max=12)
+    with pytest.raises(FloatRangeError):
+        success_prob_closed_form(mod, snr, inr[0], QN_MAX_BITS)
+    quad = per_curve(scenario, mod, snr, inr, [PerMethod.QUADRATURE]).values["quadrature"]
+    assert np.all(np.isfinite(quad))
