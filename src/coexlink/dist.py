@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -160,23 +161,52 @@ class HyperexponentialIdle:
         )
         return acc / self.mean
 
-    def _phase_means(self) -> np.ndarray:
-        return np.asarray(self.means, dtype=float)
+    @cached_property
+    def _phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phase means, phase CDF) of a full gap."""
+        return _phase_table(self.means, self.weights)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        idx = rng.choice(len(self.weights), size=size, p=np.asarray(self.weights))
-        return rng.exponential(self._phase_means()[idx])
+    @cached_property
+    def _residual_phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phase means, phase CDF) of the stationary residual.
 
-    def residual_sample(self, rng: np.random.Generator, size=None):
-        # Stationary residual of a mixture: phase i is picked proportionally
-        # to the time spent in it (w_i * m_i), then the residual within an
-        # exponential phase is again exponential.
+        Phase i is picked proportionally to the time spent in it (w_i * m_i),
+        and the residual within an exponential phase is again exponential.
+        """
         probs = np.asarray(
             [w * m / self.mean for w, m in zip(self.weights, self.means)]
         )
-        probs = probs / probs.sum()
-        idx = rng.choice(len(self.weights), size=size, p=probs)
-        return rng.exponential(self._phase_means()[idx])
+        return _phase_table(self.means, probs / probs.sum())
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return _phase_sample(rng, *self._phases, size)
+
+    def residual_sample(self, rng: np.random.Generator, size=None):
+        return _phase_sample(rng, *self._residual_phases, size)
+
+
+def _phase_table(means, probs) -> tuple[np.ndarray, np.ndarray]:
+    # The CDF as `Generator.choice(p=probs)` forms it.
+    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    return np.asarray(means, dtype=float), cdf / cdf[-1]
+
+
+def _phase_sample(rng: np.random.Generator, means: np.ndarray, cdf: np.ndarray, size):
+    """Exponential draws whose mean is a phase picked with CDF ``cdf``.
+
+    One uniform per draw is compared with the CDF, then one standard
+    exponential per draw is scaled by its phase mean: the generator is
+    consumed as by ``rng.exponential(means[rng.choice(len(means), size, p=probs)])``,
+    which picks the phase by the same count of CDF entries at or below the
+    uniform, and every draw comes out the same float.
+    """
+    u = rng.random(size)
+    phase = sum(u >= c for c in cdf[:-1].tolist())
+    if size is None:
+        return float(means[phase] * rng.standard_exponential())
+    draws = rng.standard_exponential(size)
+    draws *= means.take(phase)
+    return draws
 
 
 OnTimeModel = ConstantOnTime | ExponentialOnTime

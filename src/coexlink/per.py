@@ -340,17 +340,20 @@ def resolve_ell_max(spec: PerSpec) -> int:
     return ell
 
 
-def _collision_weights(spec: PerSpec) -> tuple[np.ndarray, float, int]:
+def _collision_weights(spec: PerSpec,
+                       increments: bool) -> tuple[np.ndarray | None, float, int]:
     """(per-slot CDF increments, ignored tail mass, ell_max).
 
     Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
-    no-collision atom F(0).
+    no-collision atom F(0).  Only the qn and hybrid routes read the
+    increments; without ``increments`` they are None and the CDF is
+    evaluated at the last slot alone, which the tail mass needs.
     """
     ell_max = resolve_ell_max(spec)
-    grid = np.arange(ell_max + 1) * spec.scenario.bit_time
-    cdf = ctd_mixture(spec.scenario, grid)
-    increments = np.diff(cdf, prepend=0.0)
-    return increments, float(1.0 - cdf[-1]), ell_max
+    slots = np.arange(ell_max + 1) if increments else np.array([ell_max])
+    cdf = ctd_mixture(spec.scenario, slots * spec.scenario.bit_time)
+    steps = np.diff(cdf, prepend=0.0) if increments else None
+    return steps, float(1.0 - cdf[-1]), ell_max
 
 
 def _slot_weights(spec: PerSpec, ell_max: int) -> np.ndarray | None:
@@ -521,9 +524,10 @@ def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, ell_max: int,
 
 
 def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
-                increments: np.ndarray, tail_mass: float) -> np.ndarray:
-    """PER at every mean INR, sharing the collision weights of ``spec``."""
-    ell_max = increments.size - 1
+                increments: np.ndarray | None, tail_mass: float,
+                ell_max: int) -> np.ndarray:
+    """PER at every mean INR, sharing the collision weights of ``spec``
+    (``increments`` may be None for the quadrature route)."""
     if method is PerMethod.CLOSED_FORM and ell_max > QN_MAX_BITS:
         raise ValueError(
             f"qn route cannot cover {ell_max} slots "
@@ -546,8 +550,10 @@ def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
 
 def packet_error_rate(spec: PerSpec, method: PerMethod = PerMethod.HYBRID) -> PerResult:
     """PER by the chosen route; the ignored CDF tail counts as errors."""
-    increments, tail_mass, ell_max = _collision_weights(spec)
-    per = _per_values(spec, method, np.array([spec.mean_inr]), increments, tail_mass)
+    increments, tail_mass, ell_max = _collision_weights(
+        spec, method is not PerMethod.QUADRATURE)
+    per = _per_values(spec, method, np.array([spec.mean_inr]), increments, tail_mass,
+                      ell_max)
     return PerResult(float(per[0]), tail_mass, ell_max)
 
 
@@ -580,7 +586,8 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
     spec = PerSpec(scenario, modulation, snr, float(grid[0]),
                    ell_switch=ell_switch, ell_max=ell_max,
                    tail_cut=tail_cut, noise_bits=noise_bits)
-    increments, tail_mass, slots = _collision_weights(spec)
-    values = {method.value: _per_values(spec, method, grid, increments, tail_mass)
+    increments, tail_mass, slots = _collision_weights(
+        spec, any(method is not PerMethod.QUADRATURE for method in methods))
+    values = {method.value: _per_values(spec, method, grid, increments, tail_mass, slots)
               for method in methods}
     return PerCurve(scenario, modulation, snr, grid, values, tail_mass, slots)

@@ -10,6 +10,17 @@ engine deliberately shares the duration models with `dist` and nothing with
 Trials are walked in fixed-size chunks, each chunk on its own SeedSequence
 child stream, so results are reproducible for a given seed regardless of how
 many trials are requested or how the chunks are scheduled.
+
+Within a chunk the walk keeps two groups, the trials that started busy and
+those that started idle, each in ascending trial order and holding only its
+live trials: a trial whose packet ends within its current period leaves
+its group, and its collision time and renewal count are written out once.  The two groups
+alternate between busy and idle in lockstep, so each step draws the busy
+group's next periods and then the idle group's, one sampler call each.  That
+is the same sequence of calls, with the same sizes, as drawing for every
+live trial at once with the busy ones first, so a seed gives the same
+generator stream and the same floats whichever way the live trials are
+stored.  The renewal-count walk carries its live trials the same way.
 """
 
 from __future__ import annotations
@@ -80,8 +91,13 @@ class EmpiricalCdf:
         every unique sample value to get its left and right limits; the hair
         is far above tie round-off yet negligible on the continuous parts.
         """
-        n = self.samples.size
-        unique, counts = np.unique(self.samples, return_counts=True)
+        s = self.samples
+        n = s.size
+        # The sample is sorted, so a value is new wherever it differs from
+        # its predecessor: the uniques and counts np.unique would find.
+        starts = np.flatnonzero(s[1:] != s[:-1]) + 1
+        unique = s.take(np.concatenate(([0], starts)))
+        counts = np.diff(starts, prepend=0, append=n)
         ecdf = np.cumsum(counts) / n
         ecdf_left = ecdf - counts / n
         nudge = 1e-12 * float(unique[-1]) + 1e-300
@@ -122,47 +138,43 @@ def run_trial(scenario: CoexistenceScenario, rng: np.random.Generator) -> TrialR
     return TrialResult(on, packet, min(collision, packet), renewals)
 
 
-def _draw_by_state(scenario, rng, state: np.ndarray, residual: bool) -> np.ndarray:
-    # One rng call per model, in a fixed on-then-off order, keeps the stream
-    # deterministic while still vectorizing.
-    out = np.empty(state.size)
-    on_idx = np.flatnonzero(state)
-    off_idx = np.flatnonzero(~state)
-    busy, idle = scenario.busy, scenario.idle
-    if residual:
-        out[on_idx] = busy.residual_sample(rng, on_idx.size)
-        out[off_idx] = idle.residual_sample(rng, off_idx.size)
-    else:
-        out[on_idx] = busy.sample(rng, on_idx.size)
-        out[off_idx] = idle.sample(rng, off_idx.size)
-    return out
-
-
 def _walk_chunk(scenario: CoexistenceScenario, rng: np.random.Generator,
                 n: int) -> TrialBatch:
     packet = rng.exponential(scenario.packet_mean, n)
     start_on = rng.random(n) < activity_factor(scenario)
-    duration = _draw_by_state(scenario, rng, start_on, residual=True)
-
-    remaining = packet.copy()
-    collision = np.zeros(n)
-    renewals = np.zeros(n, dtype=np.int64)
-    state = start_on.copy()
-    active = np.arange(n)
-    while active.size:
-        dur = duration[active]
-        rem = remaining[active]
-        st = state[active]
-        ends_inside = dur < rem
-        overlap = np.minimum(dur, rem)
-        collision[active] += np.where(st, overlap, 0.0)
-        renewals[active] += (~st & ends_inside).astype(np.int64)
-        remaining[active] = rem - overlap
-        active = active[ends_inside]
-        if active.size == 0:
+    busy, idle = scenario.busy, scenario.idle
+    collision = np.empty(n)
+    renewals = np.empty(n, dtype=np.int64)
+    # Group 0 started busy and group 1 idle, so group g is busy on the steps
+    # of g's parity.  Per live trial of a group: its id, time left, busy time
+    # so far and the current period's length.
+    groups = [(ids, packet.take(ids), np.zeros(ids.size), model.residual_sample(rng, ids.size))
+              for ids, model in ((np.flatnonzero(start_on), busy),
+                                 (np.flatnonzero(~start_on), idle))]
+    step = 0
+    while True:
+        for g, (ids, left, busy_time, period) in enumerate(groups):
+            on = (step - g) % 2 == 0
+            inside = period < left
+            done = np.flatnonzero(~inside)
+            if done.size:
+                out = ids.take(done)
+                total = busy_time.take(done)
+                collision[out] = total + left.take(done) if on else total
+                # every idle period before this step ended inside
+                renewals[out] = (step + g) // 2
+            more = np.flatnonzero(inside)
+            period = period.take(more)
+            busy_time = busy_time.take(more)
+            groups[g] = (ids.take(more), left.take(more) - period,
+                         busy_time + period if on else busy_time, period)
+        if groups[0][0].size + groups[1][0].size == 0:
             break
-        state[active] = ~state[active]
-        duration[active] = _draw_by_state(scenario, rng, state[active], residual=False)
+        step += 1
+        on_group = step % 2
+        for g, model in ((on_group, busy), (1 - on_group, idle)):
+            ids, left, busy_time, _ = groups[g]
+            groups[g] = (ids, left, busy_time, model.sample(rng, ids.size))
     return TrialBatch(start_on, packet, np.minimum(collision, packet), renewals)
 
 
@@ -200,19 +212,20 @@ def split_by_start(batch: TrialBatch) -> tuple[EmpiricalCdf, EmpiricalCdf]:
 
 
 def _count_chunk(scenario, rng, n: int, offset: float, equilibrium: bool) -> np.ndarray:
+    """Histogram of the completed idle gaps of one chunk's trials."""
     window = rng.exponential(scenario.packet_mean, n) - offset
     np.maximum(window, 0.0, out=window)
     idle = scenario.idle
-    elapsed = np.asarray(
-        idle.residual_sample(rng, n) if equilibrium else idle.sample(rng, n)
-    )
-    counts = np.zeros(n, dtype=np.int64)
-    active = np.flatnonzero(elapsed <= window)
-    while active.size:
-        counts[active] += 1
-        elapsed[active] += np.asarray(idle.sample(rng, active.size))
-        active = active[elapsed[active] <= window[active]]
-    return counts
+    elapsed = idle.residual_sample(rng, n) if equilibrium else idle.sample(rng, n)
+    live = np.flatnonzero(elapsed <= window)
+    histogram = [n - live.size]
+    window, elapsed = window.take(live), elapsed.take(live)
+    while window.size:
+        elapsed += idle.sample(rng, window.size)
+        live = np.flatnonzero(elapsed <= window)
+        histogram.append(window.size - live.size)
+        window, elapsed = window.take(live), elapsed.take(live)
+    return np.array(histogram, dtype=np.int64)
 
 
 def empirical_renewal_counts(scenario: CoexistenceScenario, config: McConfig,
@@ -226,4 +239,7 @@ def empirical_renewal_counts(scenario: CoexistenceScenario, config: McConfig,
         raise ValueError("offset must be nonnegative")
     parts = [_count_chunk(scenario, rng, size, offset, equilibrium)
              for rng, size in _chunks(config)]
-    return np.bincount(np.concatenate(parts))
+    counts = np.zeros(max(p.size for p in parts), dtype=np.int64)
+    for part in parts:
+        counts[:part.size] += part
+    return counts

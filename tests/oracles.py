@@ -9,13 +9,16 @@ judge a route with something that does not share its code.  Nothing in
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 from scipy import integrate, special
 
 from coexlink.ctd import ctd_mixture
+from coexlink.dist import HyperexponentialIdle, activity_factor
 from coexlink.per import _FADE_WEIGHTS, _bit_success, _collision_weights, _slot_weights
+from coexlink.simcore import TrialBatch
 
 # exp argument beyond which exp(-v) underflows to exactly 0.0 in binary64;
 # used to truncate integral representations safely.
@@ -189,8 +192,125 @@ def per_horner(spec, mean_inr) -> np.ndarray:
     The slot polynomial holds the collision-time CDF increments (times the
     AWGN factors of ``noise_bits``); the ignored tail counts as errors.
     """
-    increments, _, ell_max = _collision_weights(spec)
+    increments, _, ell_max = _collision_weights(spec, True)
     weights = _slot_weights(spec, ell_max)
     poly = increments if weights is None else increments * weights
     success = per_quadrature_horner(spec, np.asarray(mean_inr, dtype=float), poly)
     return np.clip(1.0 - success, 0.0, 1.0)
+
+
+class ChoiceHyperexponentialIdle(HyperexponentialIdle):
+    """`HyperexponentialIdle` drawing its phase with `rng.choice`.
+
+    The samplers' bodies as they were before the phase became one uniform
+    compared with the phase CDF; the new samplers must consume the generator
+    the same way and return the same floats.
+    """
+
+    def sample(self, rng: np.random.Generator, size=None):
+        idx = rng.choice(len(self.weights), size=size, p=np.asarray(self.weights))
+        return rng.exponential(self._phase_means()[idx])
+
+    def residual_sample(self, rng: np.random.Generator, size=None):
+        # Stationary residual of a mixture: phase i is picked proportionally
+        # to the time spent in it (w_i * m_i), then the residual within an
+        # exponential phase is again exponential.
+        probs = np.asarray(
+            [w * m / self.mean for w, m in zip(self.weights, self.means)]
+        )
+        probs = probs / probs.sum()
+        idx = rng.choice(len(self.weights), size=size, p=probs)
+        return rng.exponential(self._phase_means()[idx])
+
+    def _phase_means(self) -> np.ndarray:
+        return np.asarray(self.means, dtype=float)
+
+
+def with_choice_sampler(scenario):
+    """``scenario`` with a hyperexponential idle law swapped for its
+    `ChoiceHyperexponentialIdle` twin (other scenarios are returned as is)."""
+    idle = scenario.idle
+    if not isinstance(idle, HyperexponentialIdle):
+        return scenario
+    return dataclasses.replace(scenario, idle=ChoiceHyperexponentialIdle(idle.weights, idle.means))
+
+
+def _draw_by_state(scenario, rng, state: np.ndarray, residual: bool) -> np.ndarray:
+    # One rng call per model, in a fixed on-then-off order, keeps the stream
+    # deterministic while still vectorizing.
+    out = np.empty(state.size)
+    on_idx = np.flatnonzero(state)
+    off_idx = np.flatnonzero(~state)
+    busy, idle = scenario.busy, scenario.idle
+    if residual:
+        out[on_idx] = busy.residual_sample(rng, on_idx.size)
+        out[off_idx] = idle.residual_sample(rng, off_idx.size)
+    else:
+        out[on_idx] = busy.sample(rng, on_idx.size)
+        out[off_idx] = idle.sample(rng, off_idx.size)
+    return out
+
+
+def walk_chunk_gather(scenario, rng: np.random.Generator, n: int) -> TrialBatch:
+    """One chunk of the collision walk, gathering every live trial from and
+    scattering it into full-size arrays at each step.
+
+    The walk `simcore._walk_chunk` replaced; with `with_choice_sampler` it is
+    the engine as it was, draw for draw.
+    """
+    packet = rng.exponential(scenario.packet_mean, n)
+    start_on = rng.random(n) < activity_factor(scenario)
+    duration = _draw_by_state(scenario, rng, start_on, residual=True)
+
+    remaining = packet.copy()
+    collision = np.zeros(n)
+    renewals = np.zeros(n, dtype=np.int64)
+    state = start_on.copy()
+    active = np.arange(n)
+    while active.size:
+        dur = duration[active]
+        rem = remaining[active]
+        st = state[active]
+        ends_inside = dur < rem
+        overlap = np.minimum(dur, rem)
+        collision[active] += np.where(st, overlap, 0.0)
+        renewals[active] += (~st & ends_inside).astype(np.int64)
+        remaining[active] = rem - overlap
+        active = active[ends_inside]
+        if active.size == 0:
+            break
+        state[active] = ~state[active]
+        duration[active] = _draw_by_state(scenario, rng, state[active], residual=False)
+    return TrialBatch(start_on, packet, np.minimum(collision, packet), renewals)
+
+
+def count_chunk_gather(scenario, rng, n: int, offset: float, equilibrium: bool) -> np.ndarray:
+    """Per-trial completed idle gaps of one chunk, by the gather/scatter loop
+    `simcore._count_chunk` replaced (it returns the histogram of these)."""
+    window = rng.exponential(scenario.packet_mean, n) - offset
+    np.maximum(window, 0.0, out=window)
+    idle = scenario.idle
+    elapsed = np.asarray(
+        idle.residual_sample(rng, n) if equilibrium else idle.sample(rng, n)
+    )
+    counts = np.zeros(n, dtype=np.int64)
+    active = np.flatnonzero(elapsed <= window)
+    while active.size:
+        counts[active] += 1
+        elapsed[active] += np.asarray(idle.sample(rng, active.size))
+        active = active[elapsed[active] <= window[active]]
+    return counts
+
+
+def ks_distance_unique(ecdf, cdf) -> float:
+    """`EmpiricalCdf.ks_distance` with uniques and counts from `np.unique`."""
+    n = ecdf.samples.size
+    unique, counts = np.unique(ecdf.samples, return_counts=True)
+    ecdf_right = np.cumsum(counts) / n
+    ecdf_left = ecdf_right - counts / n
+    nudge = 1e-12 * float(unique[-1]) + 1e-300
+    ref_right = np.asarray(cdf(unique + nudge), dtype=float)
+    ref_left = np.asarray(cdf(unique - nudge), dtype=float)
+    return float(
+        max(np.max(np.abs(ref_right - ecdf_right)), np.max(np.abs(ref_left - ecdf_left)))
+    )

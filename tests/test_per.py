@@ -432,7 +432,7 @@ class TestPerCurve:
 def test_batched_quadrature_matches_adaptive_oracle(name):
     scenario = preset_scenario(name)
     inr = 10 ** (np.arange(-30.0, 40.1, 2.5) / 10.0)
-    increments, _, _ = _collision_weights(PerSpec(scenario, BPSK, 1.0, 1.0))
+    increments, _, _ = _collision_weights(PerSpec(scenario, BPSK, 1.0, 1.0), True)
     worst = 0.0
     for snr in (1.0, 10.0, 1000.0):
         for noise_bits in (None, 496):
@@ -468,6 +468,29 @@ def test_quadrature_matches_horner_oracle(name):
         oracle = per_horner(spec, PIECE_INR)
         worst = max(worst, float(np.max(np.abs(curve.values["quadrature"] - oracle))))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("name", PIECE_SCENARIOS)
+def test_quadrature_alone_skips_the_increments(name):
+    # a quadrature-only sweep evaluates the CDF at the last slot alone; its
+    # tail mass, slot count and PER must be the floats the slot-by-slot CDF
+    # that the hybrid route needs gives
+    scenario = scenario_named(name)
+    for ell_max, noise_bits in ((None, None), (None, 496), (5, None), (561, 496)):
+        spec = PerSpec(scenario, BPSK, 10.0, 1.0, ell_max=ell_max, noise_bits=noise_bits)
+        increments, tail_mass, slots = _collision_weights(spec, True)
+        assert increments.size == slots + 1
+        assert _collision_weights(spec, False) == (None, tail_mass, slots)
+        alone = per_curve(scenario, BPSK, 10.0, PIECE_INR, [PerMethod.QUADRATURE],
+                          ell_max=ell_max, noise_bits=noise_bits)
+        both = per_curve(scenario, BPSK, 10.0, PIECE_INR,
+                         [PerMethod.HYBRID, PerMethod.QUADRATURE],
+                         ell_max=ell_max, noise_bits=noise_bits)
+        assert (alone.tail_mass, alone.ell_max) == (both.tail_mass, both.ell_max)
+        assert (alone.tail_mass, alone.ell_max) == (tail_mass, slots)
+        assert np.array_equal(alone.values["quadrature"], both.values["quadrature"])
+        single = packet_error_rate(spec, PerMethod.QUADRATURE)
+        assert (single.tail_mass, single.ell_max) == (tail_mass, slots)
 
 
 @pytest.mark.parametrize("modulation,snr,inr", [

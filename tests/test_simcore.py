@@ -3,19 +3,29 @@ import hashlib
 import numpy as np
 import pytest
 
-from coexlink.dist import activity_factor
-from coexlink.presets import preset_scenario
+from coexlink.ctd import ctd_mixture
+from coexlink.dist import HyperexponentialIdle, activity_factor
+from coexlink.presets import IDLE_MIXTURES, preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf_values
 from coexlink.simcore import (
     CHUNK,
     EmpiricalCdf,
     McConfig,
+    _count_chunk,
+    _walk_chunk,
     empirical_renewal_counts,
     run_trial,
     run_trials,
     split_by_start,
 )
-from conftest import SUITE_SEED
+from conftest import ALL_PRESET_NAMES, SUITE_SEED, scenario_named
+from oracles import (
+    ChoiceHyperexponentialIdle,
+    count_chunk_gather,
+    ks_distance_unique,
+    walk_chunk_gather,
+    with_choice_sampler,
+)
 
 
 def empirical_renewal_pmf(scenario, config: McConfig, offset: float = 0.0,
@@ -153,6 +163,136 @@ class TestEngine:
         assert _digest(batch.initial_on, batch.packet_time, batch.collision_time,
                        batch.renewal_count) == walk
         assert _digest(empirical_renewal_counts(scenario, config, 374e-6)) == counts
+
+    # sha256 of the walk and of all four count conventions (equilibrium and
+    # ordinary, offsets 0 and 374 us) on a hyperexponential, an exponential
+    # and an exponential-busy scenario, recorded while the walk still
+    # gathered from full-size arrays and drew phases with `rng.choice`.
+    @pytest.mark.parametrize("name,trials,seed,walk,counts", [
+        ("alpha_ge_0.5", 1000, 7,
+         "b10802578f4a6e4cfcbced1735cfd1361062ad3144746c69478eae41bcdc6ad4",
+         "5fa4e414fd4ad65eb9a7f1e06de9744f0a485304aca1217f7d4429f897cb7fb9"),
+        ("alpha_ge_0.5", CHUNK, 3,
+         "f775bbedab403a416d450b4c03739e983ba7ad70fff15ce5f725aa3af1fe70e0",
+         "62ae9abd21cc67e75131e630f3699fcf361c5f7cba1f5fcd381df26d589d2f14"),
+        ("alpha_ge_0.5", 2 * CHUNK + 777, SUITE_SEED,
+         "2c9b9df030820b17e92e74f41dd010fc3ae9b9abe2e1aff991b153465cd0fd7a",
+         "1061d76cdb31cfbfefdec295a1c10063698126ed265b4540bd998fbcd05d60cd"),
+        ("exp_alpha_0.1575", 1000, 7,
+         "a3c4429906001c7e91e4f7dce90abc02b08e32a3ea0083c78892b9cfb2ac3726",
+         "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f"),
+        ("exp_alpha_0.1575", CHUNK, 3,
+         "8a602d8d5a36c9e3ec66c5e51a396df6413f66984c5afb7a0b1b85d41f981b84",
+         "17152e564a69fbfb7b7b9eb2bb858289c662f531c05d5a1e7f266dbb740d17d7"),
+        ("exp_alpha_0.1575", 2 * CHUNK + 777, SUITE_SEED,
+         "8bb93f6658d016ea0a98f058b9388856d94268042346c2b7779b808bdc17f03c",
+         "94b84a6ab78d003d794fc33a873f57ff31aafcbdb6a726009eff5a5416a02f8a"),
+        ("exp_busy", 1000, 7,
+         "711ebb08569f21ab21628d78dac47c956a4428ee5a7b1b5c968c8bfd89766429",
+         "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f"),
+        ("exp_busy", CHUNK, 3,
+         "52d020636e2af280e1021225bbdb162ae34a1ea3009a27590838a59cf8edcfc8",
+         "ab858fde0843742c54d9c57b61b0b65fd1090ecb086e456b3fc34063f6e2b5a2"),
+        ("exp_busy", 2 * CHUNK + 777, SUITE_SEED,
+         "2d7438e8be1bc235f99621434c2bc73914afc2341515cd8554933a6a1a67e100",
+         "6ca158aa27c0ba0e69e8b0b82c3db7dce02078dee5b7d82c17aad97c151fe35b"),
+    ])
+    def test_streams_frozen_every_count_convention(self, name, trials, seed, walk, counts):
+        scenario = scenario_named(name)
+        config = McConfig(trials=trials, seed=seed)
+        batch = run_trials(scenario, config)
+        assert _digest(batch.initial_on, batch.packet_time, batch.collision_time,
+                       batch.renewal_count) == walk
+        parts = [empirical_renewal_counts(scenario, config, offset, equilibrium)
+                 for equilibrium in (True, False) for offset in (0.0, 374e-6)]
+        assert _digest(np.array([p.size for p in parts]), *parts) == counts
+
+    def test_scalar_walk_frozen(self):
+        # 300 reference-walk trials on a hyperexponential preset: scalar
+        # draws of both idle samplers and of the residual busy time
+        rng = np.random.default_rng(SUITE_SEED)
+        scenario = preset_scenario("alpha_lt_0.1")
+        trials = [run_trial(scenario, rng) for _ in range(300)]
+        assert _digest(
+            np.array([t.initial_on for t in trials]),
+            np.array([t.packet_time for t in trials]),
+            np.array([t.collision_time for t in trials]),
+            np.array([t.renewal_count for t in trials]),
+        ) == "445126955798bc4e8589d948b2ea6aa140b76d98548fb3949b5b2f2da84248d9"
+
+
+# The walk, the count loop and the phase samplers must consume each stream
+# exactly as the gather/scatter loops and `rng.choice` did (tests/oracles.py)
+# and return the same floats, so every seed keeps its results.
+ORACLE_SCENARIOS = ALL_PRESET_NAMES + ["saturated", "exp_busy"]
+ORACLE_SIZES = [1, 17, CHUNK, CHUNK + 777]
+
+
+def _twin_streams(seed: int):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+class TestAgainstGatherOracle:
+    @pytest.mark.parametrize("name", ORACLE_SCENARIOS)
+    def test_walk_chunk(self, name):
+        scenario = scenario_named(name)
+        for n in ORACLE_SIZES:
+            rng, rng_oracle = _twin_streams(SUITE_SEED + n)
+            batch = _walk_chunk(scenario, rng, n)
+            oracle = walk_chunk_gather(with_choice_sampler(scenario), rng_oracle, n)
+            for field in ("initial_on", "packet_time", "collision_time", "renewal_count"):
+                got, want = getattr(batch, field), getattr(oracle, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, field)
+            assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    @pytest.mark.parametrize("name", ORACLE_SCENARIOS)
+    def test_count_chunk(self, name):
+        scenario = scenario_named(name)
+        for n in ORACLE_SIZES:
+            for offset, equilibrium in ((0.0, True), (374e-6, False)):
+                rng, rng_oracle = _twin_streams(SUITE_SEED + n)
+                histogram = _count_chunk(scenario, rng, n, offset, equilibrium)
+                counts = count_chunk_gather(with_choice_sampler(scenario), rng_oracle, n,
+                                            offset, equilibrium)
+                assert np.array_equal(histogram, np.bincount(counts)), (n, offset)
+                assert histogram.dtype == np.int64 and histogram[-1] > 0
+                assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    @pytest.mark.parametrize("law", [
+        *(preset_scenario(name).idle for name in sorted(IDLE_MIXTURES)),
+        HyperexponentialIdle((1.0,), (2e-3,)),
+        HyperexponentialIdle((0.25, 0.25, 0.25, 0.25), (1e-4, 1e-3, 1e-2, 1e-1)),
+    ], ids=lambda law: f"{len(law.weights)}_phases_mean_{law.mean:.3g}")
+    def test_phase_samplers(self, law):
+        oracle = ChoiceHyperexponentialIdle(law.weights, law.means)
+        for residual in (False, True):
+            for size in (None, 0, 1, 7, CHUNK):
+                rng, rng_oracle = _twin_streams(SUITE_SEED)
+                name = "residual_sample" if residual else "sample"
+                got = getattr(law, name)(rng, size)
+                want = getattr(oracle, name)(rng_oracle, size)
+                if size is None:
+                    assert type(got) is float and got == want
+                else:
+                    assert got.shape == (size,) and np.array_equal(got, want)
+                assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    def test_ks_uniques_from_the_sorted_sample(self, rng):
+        scenario = preset_scenario("alpha_ge_0.5")
+        mixture = lambda x: ctd_mixture(scenario, x)  # noqa: E731
+        uniform = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)  # noqa: E731
+        walked = run_trials(scenario, McConfig(trials=50_000, seed=SUITE_SEED)).collision_time
+        samples = [
+            (walked, mixture),                                  # atom at 0
+            (np.round(walked, 4), mixture),                     # ties everywhere
+            (np.round(rng.random(20_000), 2), uniform),
+            (np.zeros(10), uniform),                            # a single value
+            (np.array([0.5]), uniform),
+            (np.array([0.0, 0.0, 1.0]), uniform),
+        ]
+        for values, cdf in samples:
+            ecdf = EmpiricalCdf.from_samples(values)
+            assert ecdf.ks_distance(cdf) == ks_distance_unique(ecdf, cdf)
 
 
 class TestRenewalCounting:

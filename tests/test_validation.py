@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from scipy import stats
 
 import coexlink
 from coexlink.ctd import ctd_mixture
+from coexlink.presets import preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 from coexlink.validation import Tolerances, chi_square_counts, validate_scenario
 from conftest import SUITE_SEED
@@ -91,11 +93,25 @@ class TestValidateScenario:
         )
         assert not report.passed
 
+    # sha256 of the JSON report, recorded while the walk still gathered from
+    # full-size arrays and drew phases with `rng.choice`: a faster walk or KS
+    # must leave every digit of every statistic as it was.
+    @pytest.mark.parametrize("name,seed,expected", [
+        ("alpha_ge_0.5", 11, "d9c1bdcda781015501eb0a97803067c35bb60c143b76a0590333e7e80a8e12af"),
+        ("alpha_ge_0.5", 12, "2aa258c97a2c44dcdd36c79e81c3757d5219ec8d369b86e878cf1231426f957b"),
+        ("exp_alpha_0.1575", 11,
+         "35ab7cb81e76d8dbc53245daaffdf24634a414cfa630db3c0972349950d08a60"),
+        ("exp_alpha_0.1575", 12,
+         "26eac2284e25e2140c7ec8216d8ba7416f8bbf8e1bae6c5f8df8a325ff1146a1"),
+    ])
+    def test_report_frozen(self, name, seed, expected):
+        report = validate_scenario(preset_scenario(name), trials=20_000, seed=seed)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == expected
+
 
 def test_renewal_chi2_catches_wrong_convention(scenario_exp_0p1575, rng):
     # sanity for the helper wiring: ordinary counts tested against the
     # equilibrium PMF of a mixture scenario must be distinguishable
-    from coexlink.presets import preset_scenario
     from coexlink.simcore import McConfig, empirical_renewal_counts
 
     scenario = preset_scenario("alpha_ge_0.5")
