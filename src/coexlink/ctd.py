@@ -63,61 +63,55 @@ def _jump_counts(x: np.ndarray, d: float) -> np.ndarray:
     return np.where(x >= (k + 1.0) * d, k + 1.0, k)
 
 
-def _busy_mixture_cdf(scenario: CoexistenceScenario, x: np.ndarray,
-                      residual: bool) -> np.ndarray:
-    """S(x), or SR(x) when ``residual``, in closed form for x >= 0.
+def _start_cdfs(scenario: CoexistenceScenario, x) -> tuple[np.ndarray, np.ndarray]:
+    """(F0, F1): the idle-start and busy-start CDFs at x, from one jump count.
 
+    S and SR share k and g^k; for an exponential busy time they coincide.
     1 - g comes from the idle law directly: as g -> 1 the subtraction would
     leave it only ~1e-16/(1 - g) relative precision.
     """
-    s, busy = scenario.packet_rate, scenario.busy
-    g = scenario.idle.laplace(s)
-    g_comp = scenario.idle.one_minus_laplace(s)
+    s, busy, idle = scenario.packet_rate, scenario.busy, scenario.idle
+    g_comp = idle.one_minus_laplace(s)
+    xa = np.asarray(x, dtype=float)
+    xc = np.maximum(xa, 0.0)
+    damp = np.exp(-s * xc)
     if isinstance(busy, ExponentialOnTime):
-        return -np.expm1(-busy.rate * g_comp * x)
-    d = busy.duration
-    k = _jump_counts(x, d)
-    tail = g**k
-    if not residual:
-        return 1.0 - tail
-    return 1.0 - tail + g_comp * tail * np.clip(x / d - k, 0.0, 1.0)
-
-
-def _clamp(values: np.ndarray, label: str) -> np.ndarray:
-    worst = max(float(np.max(values - 1.0, initial=0.0)), float(np.max(-values, initial=0.0)))
+        full = mixed = -np.expm1(-busy.rate * g_comp * xc)
+    else:
+        d = busy.duration
+        k = _jump_counts(xc, d)
+        tail = idle.laplace(s) ** k
+        full = 1.0 - tail
+        mixed = full + g_comp * tail * np.clip(xc / d - k, 0.0, 1.0)
+    both = np.empty((2,) + xa.shape)
+    np.subtract(1.0, damp * idle.residual_laplace(s) * (1.0 - full), out=both[0, ...])
+    np.add(1.0 - damp, damp * mixed, out=both[1, ...])
+    np.copyto(both, 0.0, where=xa < 0.0)
+    worst = max(float(np.max(both, initial=1.0)) - 1.0, -float(np.min(both, initial=0.0)))
     if worst > _CLAMP_SLACK:
-        logger.debug("%s exceeded [0,1] by %.3e before clamping", label, worst)
-    return np.clip(values, 0.0, 1.0)
+        logger.debug("collision-time CDF exceeded [0,1] by %.3e before clamping", worst)
+    off, on = np.clip(both, 0.0, 1.0, out=both)
+    return off, on
+
+
+def _mix(scenario: CoexistenceScenario, off, on):
+    alpha = activity_factor(scenario)
+    return alpha * on + (1.0 - alpha) * off
 
 
 def ctd_off_start(scenario: CoexistenceScenario, x):
     """CDF of the collision time given the packet starts in an idle period."""
-    s = scenario.packet_rate
-    g_res = scenario.idle.residual_laplace(s)
-    xa = np.asarray(x, dtype=float)
-    xc = np.maximum(xa, 0.0)
-    damp = np.exp(-s * xc)
-    inner = 1.0 - _busy_mixture_cdf(scenario, xc, residual=False)
-    vals = 1.0 - damp * g_res * inner
-    vals = np.where(xa < 0.0, 0.0, vals)
-    return _clamp(vals, "off-start CDF")
+    return _start_cdfs(scenario, x)[0]
 
 
 def ctd_on_start(scenario: CoexistenceScenario, x):
     """CDF of the collision time given the packet starts in a busy period."""
-    xa = np.asarray(x, dtype=float)
-    xc = np.maximum(xa, 0.0)
-    damp = np.exp(-scenario.packet_rate * xc)
-    mixed = _busy_mixture_cdf(scenario, xc, residual=True)
-    vals = (1.0 - damp) + damp * mixed
-    vals = np.where(xa < 0.0, 0.0, vals)
-    return _clamp(vals, "on-start CDF")
+    return _start_cdfs(scenario, x)[1]
 
 
 def ctd_mixture(scenario: CoexistenceScenario, x):
     """Stationary collision-time CDF, the activity-factor mixture of the two starts."""
-    alpha = activity_factor(scenario)
-    return alpha * ctd_on_start(scenario, x) + (1.0 - alpha) * ctd_off_start(scenario, x)
+    return _mix(scenario, *_start_cdfs(scenario, x))
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ class SlotTail:
         1 - F(l*bit_time) = exp(log_decay*l) * (heads[i] - slopes[i]*(l - starts[i])).
 
     A constant busy time d makes each run one busy period, with jump count k
-    taken as `_busy_mixture_cdf` takes it: heads = g^k*(c0 - c1*(x/d - k))
+    taken as the CDF takes it: heads = g^k*(c0 - c1*(x/d - k))
     at the run's first slot x, slopes = g^k*c1*bit_time/d, where
     c0 = (1-alpha)*gR + alpha, c1 = alpha*(1-g) and log_decay = -rate*bit_time.
     An exponential busy time gives one flat run with
@@ -141,6 +135,17 @@ class SlotTail:
     heads: np.ndarray
     slopes: np.ndarray
     log_decay: float
+
+    def at(self, slots):
+        """1 - F at the slot indices ``slots``, each read from its run.
+
+        The slots must lie below the count `slot_tail` was built for: a run
+        that would start past it is not in the tail.
+        """
+        slots = np.asarray(slots)
+        run = np.searchsorted(self.starts, slots, side="right") - 1
+        return np.exp(self.log_decay * slots) * (
+            self.heads[run] - self.slopes[run] * (slots - self.starts[run]))
 
 
 def slot_tail(scenario: CoexistenceScenario, slots: int) -> SlotTail:
@@ -242,8 +247,5 @@ def ctd_curve(scenario: CoexistenceScenario, grid=None, points: int = 512) -> Ct
         raise ValueError("grid must be finite")
     if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0:
         raise ValueError("grid must be nondecreasing and nonnegative")
-    omega0 = ctd_off_start(scenario, grid)
-    omega1 = ctd_on_start(scenario, grid)
-    alpha = activity_factor(scenario)
-    omega = alpha * omega1 + (1.0 - alpha) * omega0
-    return CtdCurve(scenario, grid, omega0, omega1, omega)
+    omega0, omega1 = _start_cdfs(scenario, grid)
+    return CtdCurve(scenario, grid, omega0, omega1, _mix(scenario, omega0, omega1))

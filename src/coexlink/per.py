@@ -11,6 +11,13 @@ bits-long collision window; combining those with the collision-time CDF of
 
     PER = 1 - sum_l success(l) * (F(l*bit_time) - F((l-1)*bit_time))
 
+The sum stops at ell_max slots (`resolve_ell_max`), and the mass 1 - F
+beyond them counts as errors.  Every route reads F from one `ctd.slot_tail`
+of slots 0..ell_max, built once per INR sweep: the qn and hybrid routes take
+the increments from it, the quadrature route sums by parts against it, and
+the ignored tail mass is its value at ell_max, not 1 - F formed by a
+subtraction.  `packet_error_rate` is `per_curve` at one INR.
+
 Three evaluation routes for success(l):
   * quadrature - the fading average on fixed nodes: a trapezoid rule in
     t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
@@ -55,7 +62,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from .ctd import coverage_point, ctd_mixture, slot_tail
+from .ctd import SlotTail, coverage_point, slot_tail
 from .dist import CoexistenceScenario
 from .specfun import erf_inv, gaussian_q
 
@@ -340,22 +347,6 @@ def resolve_ell_max(spec: PerSpec) -> int:
     return ell
 
 
-def _collision_weights(spec: PerSpec,
-                       increments: bool) -> tuple[np.ndarray | None, float, int]:
-    """(per-slot CDF increments, ignored tail mass, ell_max).
-
-    Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
-    no-collision atom F(0).  Only the qn and hybrid routes read the
-    increments; without ``increments`` they are None and the CDF is
-    evaluated at the last slot alone, which the tail mass needs.
-    """
-    ell_max = resolve_ell_max(spec)
-    slots = np.arange(ell_max + 1) if increments else np.array([ell_max])
-    cdf = ctd_mixture(spec.scenario, slots * spec.scenario.bit_time)
-    steps = np.diff(cdf, prepend=0.0) if increments else None
-    return steps, float(1.0 - cdf[-1]), ell_max
-
-
 def _slot_weights(spec: PerSpec, ell_max: int) -> np.ndarray | None:
     """AWGN success factor per slot, or None in the interference-limited model."""
     if spec.noise_bits is None:
@@ -446,7 +437,7 @@ def _ratio_sums(rho: np.ndarray, one_minus_y: np.ndarray,
     return s0, s1, y_n
 
 
-def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, ell_max: int,
+def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, tail: SlotTail, ell_max: int,
                     tail_mass: float) -> np.ndarray:
     """PER at every mean INR by the fading average on fixed nodes.
 
@@ -468,7 +459,6 @@ def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, ell_max: int,
     from whichever end its terms are largest at.  G_L is the ignored tail,
     which counts as errors.
     """
-    tail = slot_tail(spec.scenario, ell_max)
     fail = _bit_failure(spec.modulation, spec.snr, mean_inr)
     clear_fail = float(ber_awgn(spec.modulation, spec.snr))
     with np.errstate(divide="ignore"):
@@ -477,7 +467,7 @@ def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, ell_max: int,
     log_y = tail.log_decay + log_q
     n_bits = spec.noise_bits or 0
     split = min(n_bits, ell_max)
-    starts = tail.starts
+    starts = tail.starts[tail.starts < ell_max]
     if 0 < split < ell_max:
         starts = np.union1d(starts, [split])
     runs = np.searchsorted(tail.starts, starts, side="right") - 1
@@ -523,19 +513,21 @@ def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, ell_max: int,
     return np.array([math.fsum(row) for row in (per * _FADE_WEIGHTS).tolist()])
 
 
-def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
-                increments: np.ndarray | None, tail_mass: float,
-                ell_max: int) -> np.ndarray:
-    """PER at every mean INR, sharing the collision weights of ``spec``
-    (``increments`` may be None for the quadrature route)."""
+def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray, tail: SlotTail,
+                ell_max: int, tail_mass: float) -> np.ndarray:
+    """PER at every mean INR, read from the collision-time tail ``tail`` of
+    slots 0..ell_max; the ignored mass ``tail_mass`` counts as errors."""
     if method is PerMethod.CLOSED_FORM and ell_max > QN_MAX_BITS:
         raise ValueError(
             f"qn route cannot cover {ell_max} slots "
             f"(limit {QN_MAX_BITS}); use hybrid or quadrature"
         )
     if method is PerMethod.QUADRATURE:
-        per = _per_quadrature(spec, mean_inr, ell_max, tail_mass)
+        per = _per_quadrature(spec, mean_inr, tail, ell_max, tail_mass)
     else:
+        # Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
+        # no-collision atom F(0).
+        increments = -np.diff(tail.at(np.arange(ell_max + 1)), prepend=1.0)
         table = _success_table(spec, method, mean_inr, ell_max)
         weights = _slot_weights(spec, ell_max)
         if weights is not None:
@@ -550,11 +542,10 @@ def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
 
 def packet_error_rate(spec: PerSpec, method: PerMethod = PerMethod.HYBRID) -> PerResult:
     """PER by the chosen route; the ignored CDF tail counts as errors."""
-    increments, tail_mass, ell_max = _collision_weights(
-        spec, method is not PerMethod.QUADRATURE)
-    per = _per_values(spec, method, np.array([spec.mean_inr]), increments, tail_mass,
-                      ell_max)
-    return PerResult(float(per[0]), tail_mass, ell_max)
+    curve = per_curve(spec.scenario, spec.modulation, spec.snr, [spec.mean_inr], [method],
+                      ell_switch=spec.ell_switch, ell_max=spec.ell_max,
+                      tail_cut=spec.tail_cut, noise_bits=spec.noise_bits)
+    return PerResult(float(curve.values[method.value][0]), curve.tail_mass, curve.ell_max)
 
 
 @dataclass(frozen=True)
@@ -574,9 +565,9 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
               mean_inr_values, methods=(PerMethod.HYBRID,), *, ell_switch: int = 8,
               ell_max: int | None = None, tail_cut: float = 1e-6,
               noise_bits: int | None = None) -> PerCurve:
-    """PER over a mean INR sweep; every point equals ``packet_error_rate``'s.
+    """PER over a mean INR sweep; `packet_error_rate` is its one-point case.
 
-    The collision weights do not depend on the INR and are computed once.
+    The collision-time tail does not depend on the INR and is built once.
     """
     grid = np.asarray(mean_inr_values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -586,8 +577,9 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
     spec = PerSpec(scenario, modulation, snr, float(grid[0]),
                    ell_switch=ell_switch, ell_max=ell_max,
                    tail_cut=tail_cut, noise_bits=noise_bits)
-    increments, tail_mass, slots = _collision_weights(
-        spec, any(method is not PerMethod.QUADRATURE for method in methods))
-    values = {method.value: _per_values(spec, method, grid, increments, tail_mass, slots)
+    slots = resolve_ell_max(spec)
+    tail = slot_tail(scenario, slots + 1)
+    tail_mass = float(tail.at(slots))
+    values = {method.value: _per_values(spec, method, grid, tail, slots, tail_mass)
               for method in methods}
     return PerCurve(scenario, modulation, snr, grid, values, tail_mass, slots)

@@ -104,31 +104,28 @@ def pmf_values(spec: RenewalPmfSpec, n_max: int) -> list[float]:
     return out
 
 
-def pmf_tail_index(spec: RenewalPmfSpec, epsilon: float, hard_cap: int = 10_000_000) -> int:
+def pmf_tail_index(spec: RenewalPmfSpec, epsilon: float) -> int:
     """Smallest n_max whose cumulative PMF reaches 1 - epsilon.
 
-    The left-out tail is a plain geometric series, so the index solves
-    g^k <= epsilon directly; the loop form is kept in the tests as the
-    brute-force cross-check, not here.
+    The left-out tail is a plain geometric series, head * g^n beyond n >= 1
+    terms (head alone beyond the n = 0 term), so the index solves
+    n * log(g) <= log(epsilon / head) directly; the loop form is kept in the
+    tests as the brute-force cross-check, not here.  For g near 1, log g is
+    log1p(-(1 - g)) with 1 - g from the idle law, and the index grows like
+    1/(1 - g) without any cap.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    g, _, g_res, damp = _factors(spec)
+    g, g_comp, g_res, damp = _factors(spec)
     head = g_res * damp if spec.kind is CountKind.EQUILIBRIUM else g * damp
-    # Tail beyond n terms: head * g^n for n >= 1; the n = 0 term alone leaves
-    # mass head.
     if head <= epsilon:
         return 0
     if g <= 0.0:
         return 1
-    n = math.ceil((math.log(epsilon) - math.log(head)) / math.log(g))
-    n = max(n, 1)
-    # Guard against log round-off at the boundary.
-    while n <= hard_cap and head * g**n > epsilon:
+    log_g = math.log1p(-g_comp) if g_comp < 0.5 else math.log(g)
+    budget = math.log(epsilon / head)
+    n = max(math.ceil(budget / log_g), 1)
+    # One step guards against the quotient's round-off at the boundary.
+    if n * log_g > budget:
         n += 1
-    if n > hard_cap:
-        raise RuntimeError(
-            f"renewal tail index exceeded hard cap {hard_cap}; "
-            f"epsilon={epsilon!r} is too tight for g={g!r}"
-        )
     return n

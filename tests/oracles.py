@@ -4,7 +4,7 @@ Each one computes by adaptive quadrature, a plain library call or a plain
 loop what `coexlink` computes another way, so the tests that compare the two
 judge a route with something that does not share its code.  Nothing in
 `coexlink` imports this module.  Outside pytest, put this directory on
-`sys.path` first (`scripts/run_iell_comparison.py` does).
+`sys.path` first.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 from scipy import integrate, special
 
 from coexlink.ctd import ctd_mixture
-from coexlink.dist import HyperexponentialIdle, activity_factor
-from coexlink.per import _FADE_WEIGHTS, _bit_success, _collision_weights, _slot_weights
+from coexlink.dist import ExponentialOnTime, HyperexponentialIdle, activity_factor
+from coexlink.per import _FADE_WEIGHTS, _bit_success, _slot_weights, resolve_ell_max
 from coexlink.simcore import TrialBatch
 
 # exp argument beyond which exp(-v) underflows to exactly 0.0 in binary64;
@@ -186,13 +186,22 @@ def per_quadrature_horner(spec, mean_inr: np.ndarray, poly: np.ndarray) -> np.nd
     return np.array([math.fsum(row) for row in (acc * _FADE_WEIGHTS).tolist()])
 
 
+def slot_increments(scenario, ell_max: int) -> np.ndarray:
+    """F(l*bit_time) - F((l-1)*bit_time) for slots 0..ell_max, slot 0 holding
+    the no-collision atom F(0), from `ctd_mixture`."""
+    cdf = ctd_mixture(scenario, np.arange(ell_max + 1) * scenario.bit_time)
+    return np.diff(cdf, prepend=0.0)
+
+
 def per_horner(spec, mean_inr) -> np.ndarray:
     """Quadrature PER of ``spec`` at every mean INR by one Horner pass per slot.
 
-    The slot polynomial holds the collision-time CDF increments (times the
-    AWGN factors of ``noise_bits``); the ignored tail counts as errors.
+    The slot polynomial holds the increments of `ctd_mixture` on the slot
+    grid (times the AWGN factors of ``noise_bits``), not the `ctd.slot_tail`
+    the routes read; the ignored tail counts as errors.
     """
-    increments, _, ell_max = _collision_weights(spec, True)
+    ell_max = resolve_ell_max(spec)
+    increments = slot_increments(spec.scenario, ell_max)
     weights = _slot_weights(spec, ell_max)
     poly = increments if weights is None else increments * weights
     success = per_quadrature_horner(spec, np.asarray(mean_inr, dtype=float), poly)
@@ -314,3 +323,41 @@ def ks_distance_unique(ecdf, cdf) -> float:
     return float(
         max(np.max(np.abs(ref_right - ecdf_right)), np.max(np.abs(ref_left - ecdf_left)))
     )
+
+
+def mixture_tail_mp(scenario, slot: int, dps: int = 40):
+    """1 - F at x = slot*bit_time in ``dps``-digit arithmetic (an mpmath number).
+
+    Every transform is summed from the scenario's float parameters, taken as
+    exact; only the jump count k = #{n >= 1 : x >= n*d} of a constant busy
+    time d follows the float comparison on the slot grid, as the model
+    defines it there.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        s = mpf(scenario.packet_rate)
+        x = mpf(slot) * mpf(scenario.bit_time)
+        idle, busy = scenario.idle, scenario.busy
+        if isinstance(idle, HyperexponentialIdle):
+            phases = [(mpf(w), mpf(m)) for w, m in zip(idle.weights, idle.means)]
+        else:
+            phases = [(mpf(1), 1 / mpf(idle.rate))]
+        idle_mean = sum(w * m for w, m in phases)
+        g = sum(w / (1 + s * m) for w, m in phases)
+        g_res = sum(w * m / (1 + s * m) for w, m in phases) / idle_mean
+        g_comp = sum(w * s * m / (1 + s * m) for w, m in phases)
+        if isinstance(busy, ExponentialOnTime):
+            busy_mean = 1 / mpf(busy.rate)
+        else:
+            busy_mean = mpf(busy.duration)
+        alpha = busy_mean / (busy_mean + idle_mean)
+        head = (1 - alpha) * g_res + alpha
+        if isinstance(busy, ExponentialOnTime):
+            return mpmath.exp(-(s + g_comp / busy_mean) * x) * head
+        d = busy.duration
+        x_float = slot * scenario.bit_time
+        k = sum(1 for n in range(1, int(x_float / d) + 2) if x_float >= n * d)
+        frac = min(max(x / mpf(d) - k, 0), 1)
+        return mpmath.exp(-s * x) * g**k * (head - alpha * g_comp * frac)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -259,8 +260,36 @@ def test_slot_tail_is_one_minus_cdf_on_the_slot_grid(name):
         tail.heads[run] - tail.slopes[run] * (slots - tail.starts[run]))
     np.testing.assert_allclose(values, 1.0 - ctd_mixture(sc, slots * sc.bit_time),
                                rtol=0.0, atol=1e-15)
+    assert np.array_equal(tail.at(slots), values)
     if isinstance(sc.busy, ExponentialOnTime):
         assert tail.starts.tolist() == [0]
+
+
+# sha256 of both conditional CDFs and their mixture on the first 3000 bit
+# slots and on the default grid, then of the coverage points at 1e-4, 1e-6
+# and 1e-9, recorded while each start state had its own jump count: the
+# shared evaluation must reproduce every float.
+@pytest.mark.parametrize("name,expected", [
+    ("alpha_0.1_0.3", "1422319ff1f3a054d99044c100405cd6e1288514f781ca1bdd4a86634275018c"),
+    ("alpha_0.3_0.5", "2115104466035347741e16208e11471f201f5ef9a1ded40626207fa90500e6e9"),
+    ("alpha_ge_0.5", "fe55ae38a4bfd99465dc749f5976bbf7a3ca9182fc499c0691be9c4b5bc2e7c0"),
+    ("alpha_lt_0.1", "e78f3a54db36d4e380432328ffa474f4f6141fca05e8ce9c566487dfc3375a61"),
+    ("exp_alpha_0.0361", "47558f391292c6218d9021b5b253c1a59fd8fbf102d567220d3d8af6acafbbd6"),
+    ("exp_alpha_0.1575", "c1431bde1f4fa2060cc08b75cb46bed4f1893d9a7be2a5948391ecdc029be3c1"),
+    ("busy_below_bit", "265b50f39264120680e9c6969c8a26d2c633097fff2d762a93620c46ee329db1"),
+    ("exp_busy", "ede35707702f4a4950916c36f3ad5c13df9d8e5bdb4b6c440f53c1d128b74e74"),
+    ("g_to_1", "987a35a026511aee273bb9c864075f2b348accbbfcd2c9dbc6c94d800881ec6f"),
+    ("saturated", "2b256674a9efcd6a1a308e28cf2b3436178e7d8429a1eb5972730e33bc519385"),
+])
+def test_cdf_floats_frozen(name, expected):
+    sc = scenario_named(name)
+    h = hashlib.sha256()
+    for grid in (np.arange(3000) * sc.bit_time, default_grid(sc)):
+        for fn in (ctd_off_start, ctd_on_start, ctd_mixture):
+            h.update(np.asarray(fn(sc, grid), dtype="<f8").tobytes())
+    points = [coverage_point(sc, coverage) for coverage in (1e-4, 1e-6, 1e-9)]
+    h.update(np.array(points, dtype="<f8").tobytes())
+    assert h.hexdigest() == expected
 
 
 class TestCurve:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from coexlink.ctd import ctd_mixture
+from coexlink.ctd import SlotTail, ctd_mixture
 from coexlink.per import (
     QN_COEFFS,
     QN_MAX_BITS,
@@ -25,10 +25,16 @@ from coexlink.per import (
     success_prob_gumbel_gamma,
     success_prob_quadrature,
 )
-from coexlink.per import _collision_weights, _ratio_sums, _slot_weights
+from coexlink.per import _ratio_sums, _slot_weights
 from coexlink.presets import preset_names, preset_scenario
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
-from oracles import per_horner, resolve_ell_max_bisect, success_prob_adaptive
+from oracles import (
+    mixture_tail_mp,
+    per_horner,
+    resolve_ell_max_bisect,
+    slot_increments,
+    success_prob_adaptive,
+)
 
 BPSK = Modulation()
 
@@ -432,7 +438,7 @@ class TestPerCurve:
 def test_batched_quadrature_matches_adaptive_oracle(name):
     scenario = preset_scenario(name)
     inr = 10 ** (np.arange(-30.0, 40.1, 2.5) / 10.0)
-    increments, _, _ = _collision_weights(PerSpec(scenario, BPSK, 1.0, 1.0), True)
+    increments = slot_increments(scenario, resolve_ell_max(PerSpec(scenario, BPSK, 1.0, 1.0)))
     worst = 0.0
     for snr in (1.0, 10.0, 1000.0):
         for noise_bits in (None, 496):
@@ -471,26 +477,46 @@ def test_quadrature_matches_horner_oracle(name):
 
 
 @pytest.mark.parametrize("name", PIECE_SCENARIOS)
-def test_quadrature_alone_skips_the_increments(name):
-    # a quadrature-only sweep evaluates the CDF at the last slot alone; its
-    # tail mass, slot count and PER must be the floats the slot-by-slot CDF
-    # that the hybrid route needs gives
+def test_quadrature_alone_skips_the_increments(name, monkeypatch):
+    # a quadrature-only sweep reads the slot tail at the last slot alone (the
+    # tail mass); the hybrid route also reads every slot for its increments,
+    # and must leave the tail mass, slot count and quadrature PER unchanged
     scenario = scenario_named(name)
+    reads = []
+    read = SlotTail.at
+
+    def counted(tail, slots):
+        reads.append(np.size(slots))
+        return read(tail, slots)
+
+    monkeypatch.setattr(SlotTail, "at", counted)
     for ell_max, noise_bits in ((None, None), (None, 496), (5, None), (561, 496)):
-        spec = PerSpec(scenario, BPSK, 10.0, 1.0, ell_max=ell_max, noise_bits=noise_bits)
-        increments, tail_mass, slots = _collision_weights(spec, True)
-        assert increments.size == slots + 1
-        assert _collision_weights(spec, False) == (None, tail_mass, slots)
+        reads.clear()
         alone = per_curve(scenario, BPSK, 10.0, PIECE_INR, [PerMethod.QUADRATURE],
                           ell_max=ell_max, noise_bits=noise_bits)
+        assert reads == [1]
+        reads.clear()
         both = per_curve(scenario, BPSK, 10.0, PIECE_INR,
                          [PerMethod.HYBRID, PerMethod.QUADRATURE],
                          ell_max=ell_max, noise_bits=noise_bits)
+        assert reads == [1, alone.ell_max + 1]
         assert (alone.tail_mass, alone.ell_max) == (both.tail_mass, both.ell_max)
-        assert (alone.tail_mass, alone.ell_max) == (tail_mass, slots)
         assert np.array_equal(alone.values["quadrature"], both.values["quadrature"])
+        spec = PerSpec(scenario, BPSK, 10.0, 1.0, ell_max=ell_max, noise_bits=noise_bits)
         single = packet_error_rate(spec, PerMethod.QUADRATURE)
-        assert (single.tail_mass, single.ell_max) == (tail_mass, slots)
+        assert (single.tail_mass, single.ell_max) == (alone.tail_mass, alone.ell_max)
+
+
+@pytest.mark.parametrize("name", PIECE_SCENARIOS)
+@pytest.mark.parametrize("tail_cut", [1e-6, 1e-9])
+def test_tail_mass_against_extended_precision(name, tail_cut):
+    # the ignored tail is read from the slot tail, not formed as 1 - F, so it
+    # keeps full relative precision where F is within 1e-9 of 1
+    pytest.importorskip("mpmath")
+    scenario = scenario_named(name)
+    curve = per_curve(scenario, BPSK, 10.0, [1.0], [PerMethod.QUADRATURE], tail_cut=tail_cut)
+    exact = float(mixture_tail_mp(scenario, curve.ell_max))
+    assert curve.tail_mass == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("modulation,snr,inr", [

@@ -117,12 +117,23 @@ def test_tail_index_against_brute_force(kind, epsilon):
         assert shorter > epsilon
 
 
-def test_tail_index_hard_cap():
-    # near-certain long gaps force an astronomical index
-    idle = ExponentialIdle(rate=1e9)
-    spec = RenewalPmfSpec(idle, 1e-3, 0.0, CountKind.ORDINARY)
-    with pytest.raises(RuntimeError):
-        pmf_tail_index(spec, 1e-300, hard_cap=1000)
+def test_tail_index_at_g_near_one():
+    # 0.1 ns idle gaps under a 1.984 ms packet: g = 1 - 5.04e-8, so the index
+    # runs to 1.37e8 at epsilon 1e-3; the tail head * g^n it leaves must meet
+    # epsilon and one term fewer must not, checked in 40-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    rate, idle_rate = 1.0 / 1.984e-3, 1e10
+    with mpmath.workdps(40):
+        # exponential idle gaps: the residual transform is g itself
+        g = mpmath.mpf(idle_rate) / (mpmath.mpf(rate) + mpmath.mpf(idle_rate))
+        for kind in CountKind:
+            for offset in (0.0, 374e-6):
+                spec = RenewalPmfSpec(ExponentialIdle(idle_rate), rate, offset, kind)
+                head = g * mpmath.exp(-mpmath.mpf(rate) * mpmath.mpf(offset))
+                for epsilon in (1e-3, 1e-6, 1e-300):
+                    n = pmf_tail_index(spec, epsilon)
+                    assert n > 1e8
+                    assert head * g**n <= epsilon < head * g ** (n - 1)
 
 
 def test_input_validation():
