@@ -15,18 +15,14 @@ import argparse
 import sys
 
 import numpy as np
-from scipy import special
 
 from coexlink.per import QN_COEFFS
-
-
-def q_exact(x):
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+from coexlink.specfun import gaussian_q
 
 
 def fit_table(degree: int, x_max: float, points: int) -> np.ndarray:
     x = np.linspace(0.0, x_max, points)
-    lifted = q_exact(x) * np.exp(x * x / 2.0)
+    lifted = gaussian_q(x) * np.exp(x * x / 2.0)
     weight = np.exp(-x * x / 2.0)
     # p(x) = 0.5 + x * q(x): pinning the constant keeps the atom at snr -> inf
     # exact and leaves degree columns 1..degree for the fit.
@@ -39,7 +35,7 @@ def fit_table(degree: int, x_max: float, points: int) -> np.ndarray:
 def fit_error(table: np.ndarray, x_max: float = 8.0, points: int = 2001) -> float:
     x = np.linspace(0.0, x_max, points)
     approx = np.exp(-x * x / 2.0) * np.polynomial.polynomial.polyval(x, table)
-    return float(np.max(np.abs(approx - q_exact(x))))
+    return float(np.max(np.abs(approx - gaussian_q(x))))
 
 
 def main(argv=None) -> int:

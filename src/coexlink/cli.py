@@ -17,7 +17,7 @@ import numpy as np
 
 from .ctd import ctd_curve
 from .dist import activity_factor
-from .per import PerMethod, per_curve
+from .per import Modulation, PerMethod, per_curve
 from .presets import describe_presets, preset_scenario
 from .scenario import (
     JobParams,
@@ -55,8 +55,6 @@ def _guarded(fn):
 
 def _load(scenario_file, preset) -> tuple[ScenarioDoc | None, object, object, JobParams]:
     """Returns (doc, scenario, modulation, job); doc is None for presets."""
-    from .per import Modulation
-
     if scenario_file and preset:
         raise ScenarioFormatError("give either a scenario file or --preset, not both")
     if scenario_file:

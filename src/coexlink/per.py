@@ -18,38 +18,38 @@ the increments from it, the quadrature route sums by parts against it, and
 the ignored tail mass is its value at ell_max, not 1 - F formed by a
 subtraction.  `packet_error_rate` is `per_curve` at one INR.
 
-Three evaluation routes for success(l):
+Three routes evaluate success(l) (`PerMethod`); `success_prob` reads one
+window by any of them:
   * quadrature - the fading average on fixed nodes: a trapezoid rule in
     t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
-    (877 nodes).  A single window (`success_prob_quadrature`) sums
-    q(g)^bits over the nodes; for the PER the slot sum is taken first and
-    summed by parts against the collision-time tail, which is geometric
-    times linear within each busy period (`ctd.slot_tail`), so each node
-    costs one geometric and one arithmetic-geometric sum per busy period,
-    for the whole INR sweep at once.  The tests check both against adaptive
-    quadrature, and the PER against one Horner step per slot, to 1e-12;
-    the adaptive integral is the oracle of the other routes;
-  * closed form ("qn") - an 8-term exponential-polynomial fit of the
+    (877 nodes).  A single window sums q(g)^bits over the nodes; for the
+    PER the slot sum is taken first and summed by parts against the
+    collision-time tail, which is geometric times linear within each busy
+    period (`ctd.slot_tail`), so each node costs one geometric and one
+    arithmetic-geometric sum per busy period, for the whole INR sweep at
+    once.  The tests check both against adaptive quadrature, and the PER
+    against one Horner step per slot, to 1e-12; the adaptive integral is the
+    oracle of the other routes;
+  * qn (closed form) - an 8-term exponential-polynomial fit of the
     Gaussian Q-function turns the average into a finite sum of modified
     Bessel K terms: binomial order r of (1 - coeff*Q)^l needs the 7r+1
     coefficients of the fit polynomial's r-th power, and the per-order sums
     serve every l.  Capped at QN_MAX_BITS (accuracy validated for snr in
     [0, 30] dB and mean_inr in [-10, 20] dB);
-  * gumbel (`success_prob_gumbel_gamma`) - the window success
-    (1 - ber(x))^l, as a function of the linear SIR x = snr/g, is
-    approximated by a Gumbel CDF in x whose location and scale come from
-    erf_inv; that Gumbel is moment-matched to a Gamma law, whose fading
-    average is a single Bessel K term; usable for large l (l*coeff > 2).
+  * hybrid - qn up to ELL_SWITCH bits, and beyond them a Gumbel/Gamma
+    match: the window success (1 - ber(x))^l, as a function of the linear
+    SIR x = snr/g, is approximated by a Gumbel CDF in x whose location and
+    scale come from erf_inv; that Gumbel is moment-matched to a Gamma law,
+    whose fading average is a single Bessel K term.  The match needs
+    l*coeff > 2, so windows past ELL_SWITCH need (ELL_SWITCH + 1)*coeff > 2.
     Against quadrature for BPSK over snr 0-30 dB and mean_inr -10-20 dB
     (5 dB steps) its worst relative error is 0.0999, 0.0619, 0.0356 and
     0.0223 at l = 16, 32, 64 and 128; errors above 0.05 occur only at
     snr/mean_inr <= 0 dB, where the success probability is <= 0.24 and the
     absolute error <= 0.016.
 
-The PER methods (`PerMethod`) are quadrature, qn and hybrid.  Gumbel alone
-is no PER method, since slot 1 would need coeff > 2; the hybrid route uses
-the closed form up to ``ell_switch`` bits and the Gumbel path beyond, which
-is the intended production setting.
+`_success_table` alone decides which of the qn and Gumbel parts covers which
+window, for single windows and PER sweeps alike.
 """
 
 from __future__ import annotations
@@ -87,6 +87,10 @@ QN_COEFFS = (
 # 12 bits, 9.5e-6 at 24, against quadrature).
 QN_MAX_BITS = 12
 
+# The hybrid route takes windows up to this many bits from the closed form
+# and longer ones from the Gumbel/Gamma match.
+ELL_SWITCH = 8
+
 # Gumbel mean offset used by the moment match (Euler-Mascheroni, 4 places).
 E0 = 0.5772
 
@@ -100,7 +104,8 @@ class PerMethod(Enum):
 
 
 class GumbelDomainError(ValueError):
-    """Raised when bits * coeff <= 2, outside the Gumbel construction's domain."""
+    """Raised when a hybrid window needs the Gumbel match at bits * coeff <= 2,
+    outside the construction's domain."""
 
 
 class FloatRangeError(ArithmeticError):
@@ -143,20 +148,10 @@ def _validate_link(snr: float, mean_inr: float) -> None:
         raise ValueError("mean_inr must be finite and positive")
 
 
-def _validate_bits(bits: int) -> None:
-    if bits != int(bits) or bits < 0:
-        raise ValueError(f"bits must be a nonnegative integer, got {bits!r}")
-
-
-def success_prob_quadrature(modulation: Modulation, snr: float, mean_inr: float,
-                            bits: int) -> float:
-    """Fading average of (1 - ber)^bits on the fixed nodes of the PER quadrature."""
-    _validate_link(snr, mean_inr)
-    _validate_bits(bits)
-    if bits == 0:
-        return 1.0
-    q = _bit_success(modulation, snr, np.array([mean_inr]))[0]
-    return min(max(math.fsum((q**bits * _FADE_WEIGHTS).tolist()), 0.0), 1.0)
+def _validate_count(name: str, value: int, low: int) -> None:
+    """Bit and slot counts are Python or NumPy integers; a float would split a slot."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
@@ -220,27 +215,11 @@ def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
     return np.clip(table, 0.0, 1.0)
 
 
-def success_prob_closed_form(modulation: Modulation, snr: float, mean_inr: float,
-                             bits: int) -> float:
-    """Bessel-sum evaluation of the fading average for small bit counts.
-
-    Binomial expansion in powers of coeff*Q plus the Q-function fit reduce
-    every term to a power-weighted Bessel K of the fading mean.
-    """
-    _validate_link(snr, mean_inr)
-    _validate_bits(bits)
-    if bits == 0:
-        return 1.0
-    if bits > QN_MAX_BITS:
-        raise ValueError(f"closed form supports at most {QN_MAX_BITS} bits, got {bits}")
-    return float(_closed_form_table(modulation, snr, np.array([mean_inr]), bits)[0, bits])
-
-
 def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: np.ndarray,
                         bits: np.ndarray) -> np.ndarray:
     """Gumbel-Gamma success probabilities, shape (mean_inr.size, bits.size).
 
-    Callers check the domain.
+    `_success_table` checks the domain.
     """
     coeff, gain = modulation.coeff, modulation.gain
     bits = np.asarray(bits, dtype=float)
@@ -269,32 +248,49 @@ def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: np.ndarray
     return np.clip(out, 0.0, 1.0)
 
 
-def success_prob_gumbel_gamma(modulation: Modulation, snr: float, mean_inr: float,
-                              bits: int) -> float:
-    """Gumbel-matched Gamma evaluation; needs bits * coeff > 2."""
-    _validate_link(snr, mean_inr)
-    _validate_bits(bits)
-    if bits == 0:
-        return 1.0
-    if bits * modulation.coeff <= 2.0:
-        raise GumbelDomainError(
-            f"gumbel route needs bits * coeff > 2, got {bits} * {modulation.coeff}; "
-            "use the qn or quadrature route for short windows"
+def _success_table(modulation: Modulation, snr: float, method: PerMethod,
+                   mean_inr: np.ndarray, top: int) -> np.ndarray:
+    """success(l) by the qn or hybrid route for windows 0..top at every mean
+    INR, shape (mean_inr.size, top + 1).
+
+    The one place that decides which part covers which window: qn covers
+    every window up to QN_MAX_BITS; the hybrid takes qn up to ELL_SWITCH and
+    the Gumbel/Gamma match beyond, whose domain starts past 2 / coeff bits.
+    """
+    if method is PerMethod.CLOSED_FORM and top > QN_MAX_BITS:
+        raise ValueError(
+            f"qn route cannot cover {top} slots "
+            f"(limit {QN_MAX_BITS}); use hybrid or quadrature"
         )
-    table = _gumbel_gamma_array(modulation, snr, np.array([mean_inr]), np.array([bits]))
-    return float(table[0, 0])
+    qn_top = top if method is PerMethod.CLOSED_FORM else min(ELL_SWITCH, top)
+    head = _closed_form_table(modulation, snr, mean_inr, qn_top)
+    if qn_top == top:
+        return head
+    if (ELL_SWITCH + 1) * modulation.coeff <= 2.0:
+        raise GumbelDomainError(
+            f"hybrid route cannot cover slot {ELL_SWITCH + 1}: its gumbel part needs "
+            f"bits * coeff > 2, got coeff={modulation.coeff}; use the quadrature "
+            "method, which covers every slot"
+        )
+    tail = _gumbel_gamma_array(modulation, snr, mean_inr, np.arange(ELL_SWITCH + 1, top + 1))
+    return np.hstack([head, tail])
 
 
 def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
-                 method: PerMethod = PerMethod.HYBRID, ell_switch: int = 8) -> float:
-    """Success probability of a ``bits``-long collision window, by any route."""
+                 method: PerMethod = PerMethod.HYBRID) -> float:
+    """Success probability of a ``bits``-long collision window, by any route.
+
+    The quadrature route sums q(g)^bits on the fixed nodes of the PER
+    quadrature; qn and hybrid read the window from `_success_table`.
+    """
+    _validate_link(snr, mean_inr)
+    _validate_count("bits", bits, 0)
+    if bits == 0:
+        return 1.0
     if method is PerMethod.QUADRATURE:
-        return success_prob_quadrature(modulation, snr, mean_inr, bits)
-    if method is PerMethod.CLOSED_FORM:
-        return success_prob_closed_form(modulation, snr, mean_inr, bits)
-    if bits <= ell_switch:
-        return success_prob_closed_form(modulation, snr, mean_inr, bits)
-    return success_prob_gumbel_gamma(modulation, snr, mean_inr, bits)
+        q = _bit_success(modulation, snr, np.array([mean_inr]))[0]
+        return min(max(math.fsum((q**bits * _FADE_WEIGHTS).tolist()), 0.0), 1.0)
+    return float(_success_table(modulation, snr, method, np.array([mean_inr]), bits)[0, bits])
 
 
 @dataclass(frozen=True)
@@ -311,21 +307,18 @@ class PerSpec:
     modulation: Modulation
     snr: float
     mean_inr: float
-    ell_switch: int = 8
     ell_max: int | None = None
     tail_cut: float = 1e-6
     noise_bits: int | None = None
 
     def __post_init__(self) -> None:
         _validate_link(self.snr, self.mean_inr)
-        if not (1 <= self.ell_switch <= QN_MAX_BITS):
-            raise ValueError(f"ell_switch must lie in [1, {QN_MAX_BITS}]")
-        if self.ell_max is not None and self.ell_max < 1:
-            raise ValueError("ell_max must be >= 1 when given")
+        if self.ell_max is not None:
+            _validate_count("ell_max", self.ell_max, 1)
         if not (0.0 < self.tail_cut < 1.0):
             raise ValueError("tail_cut must lie in (0, 1)")
-        if self.noise_bits is not None and self.noise_bits < 0:
-            raise ValueError("noise_bits must be nonnegative when given")
+        if self.noise_bits is not None:
+            _validate_count("noise_bits", self.noise_bits, 0)
 
 
 @dataclass(frozen=True)
@@ -337,7 +330,7 @@ class PerResult:
 
 def resolve_ell_max(spec: PerSpec) -> int:
     if spec.ell_max is not None:
-        return spec.ell_max
+        return int(spec.ell_max)
     x_tail = coverage_point(spec.scenario, spec.tail_cut)
     ell = max(1, math.ceil(x_tail / spec.scenario.bit_time))
     # ceil in floats can still land the top slot an ulp short of x_tail,
@@ -354,25 +347,6 @@ def _slot_weights(spec: PerSpec, ell_max: int) -> np.ndarray | None:
     clear = 1.0 - float(ber_awgn(spec.modulation, spec.snr))
     exponents = np.maximum(spec.noise_bits - np.arange(ell_max + 1), 0)
     return clear**exponents
-
-
-def _success_table(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray,
-                   ell_max: int) -> np.ndarray:
-    """success(l) by the qn or hybrid route for slots 0..ell_max at every
-    mean INR, shape (INR, slots)."""
-    mod, snr = spec.modulation, spec.snr
-    top = ell_max if method is PerMethod.CLOSED_FORM else min(spec.ell_switch, ell_max)
-    head = _closed_form_table(mod, snr, mean_inr, top)
-    if top == ell_max:
-        return head
-    if (top + 1) * mod.coeff <= 2.0:
-        raise GumbelDomainError(
-            f"hybrid route cannot cover slot {top + 1}: its gumbel part needs "
-            f"bits * coeff > 2, got coeff={mod.coeff}; use the quadrature "
-            "method, which covers every slot"
-        )
-    tail = _gumbel_gamma_array(mod, snr, mean_inr, np.arange(top + 1, ell_max + 1))
-    return np.hstack([head, tail])
 
 
 # Fading average on fixed nodes in t = log(g / mean_inr), where the
@@ -517,18 +491,13 @@ def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray, tail: Sl
                 ell_max: int, tail_mass: float) -> np.ndarray:
     """PER at every mean INR, read from the collision-time tail ``tail`` of
     slots 0..ell_max; the ignored mass ``tail_mass`` counts as errors."""
-    if method is PerMethod.CLOSED_FORM and ell_max > QN_MAX_BITS:
-        raise ValueError(
-            f"qn route cannot cover {ell_max} slots "
-            f"(limit {QN_MAX_BITS}); use hybrid or quadrature"
-        )
     if method is PerMethod.QUADRATURE:
         per = _per_quadrature(spec, mean_inr, tail, ell_max, tail_mass)
     else:
+        table = _success_table(spec.modulation, spec.snr, method, mean_inr, ell_max)
         # Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
         # no-collision atom F(0).
         increments = -np.diff(tail.at(np.arange(ell_max + 1)), prepend=1.0)
-        table = _success_table(spec, method, mean_inr, ell_max)
         weights = _slot_weights(spec, ell_max)
         if weights is not None:
             table = table * weights
@@ -543,7 +512,7 @@ def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray, tail: Sl
 def packet_error_rate(spec: PerSpec, method: PerMethod = PerMethod.HYBRID) -> PerResult:
     """PER by the chosen route; the ignored CDF tail counts as errors."""
     curve = per_curve(spec.scenario, spec.modulation, spec.snr, [spec.mean_inr], [method],
-                      ell_switch=spec.ell_switch, ell_max=spec.ell_max,
+                      ell_max=spec.ell_max,
                       tail_cut=spec.tail_cut, noise_bits=spec.noise_bits)
     return PerResult(float(curve.values[method.value][0]), curve.tail_mass, curve.ell_max)
 
@@ -562,9 +531,8 @@ class PerCurve:
 
 
 def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
-              mean_inr_values, methods=(PerMethod.HYBRID,), *, ell_switch: int = 8,
-              ell_max: int | None = None, tail_cut: float = 1e-6,
-              noise_bits: int | None = None) -> PerCurve:
+              mean_inr_values, methods=(PerMethod.HYBRID,), *, ell_max: int | None = None,
+              tail_cut: float = 1e-6, noise_bits: int | None = None) -> PerCurve:
     """PER over a mean INR sweep; `packet_error_rate` is its one-point case.
 
     The collision-time tail does not depend on the INR and is built once.
@@ -575,8 +543,7 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
     if not np.all(np.isfinite(grid) & (grid > 0.0)):
         raise ValueError("mean_inr_values must all be finite and positive")
     spec = PerSpec(scenario, modulation, snr, float(grid[0]),
-                   ell_switch=ell_switch, ell_max=ell_max,
-                   tail_cut=tail_cut, noise_bits=noise_bits)
+                   ell_max=ell_max, tail_cut=tail_cut, noise_bits=noise_bits)
     slots = resolve_ell_max(spec)
     tail = slot_tail(scenario, slots + 1)
     tail_mass = float(tail.at(slots))

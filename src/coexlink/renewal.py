@@ -88,20 +88,10 @@ def pmf(spec: RenewalPmfSpec, n: int) -> float:
 
 
 def pmf_values(spec: RenewalPmfSpec, n_max: int) -> list[float]:
-    """PMF at 0..n_max with the geometric powers built incrementally."""
+    """PMF at 0..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    g, g_comp, g_res, damp = _factors(spec)
-    if spec.kind is CountKind.EQUILIBRIUM:
-        out = [1.0 - g_res * damp]
-        term = damp * g_res * g_comp
-    else:
-        out = [1.0 - g * damp]
-        term = damp * g_comp * g
-    for _ in range(n_max):
-        out.append(_clean(term))
-        term *= g
-    return out
+    return [pmf(spec, n) for n in range(n_max + 1)]
 
 
 def pmf_tail_index(spec: RenewalPmfSpec, epsilon: float) -> int:

@@ -28,8 +28,8 @@ _EXP_UNDERFLOW = 745.0
 def success_prob_adaptive(modulation, snr: float, mean_inr: float, bits: int) -> float:
     """Fading average of (1 - ber)^bits by adaptive quadrature.
 
-    The oracle of every window route, `success_prob_quadrature`'s fixed
-    nodes included.  The fading power is mapped to u = g/(1+g) so the
+    The oracle of every `success_prob` route, the quadrature's fixed nodes
+    included.  The fading power is mapped to u = g/(1+g) so the
     integral runs over a finite interval.  Inputs are not validated.
     """
     if bits == 0:

@@ -41,7 +41,6 @@ from coexlink.per import (
     packet_error_rate,
     per_curve,
     success_prob,
-    success_prob_gumbel_gamma,
 )
 from coexlink.presets import (
     exponential_scenario,
@@ -231,7 +230,7 @@ def test_criterion_4_window_success_approximations():
             errors = []
             for ell in gg_ells:
                 oracle = success_prob_adaptive(BPSK, snr, inr, ell)
-                approx = success_prob_gumbel_gamma(BPSK, snr, inr, ell)
+                approx = success_prob(BPSK, snr, inr, ell, PerMethod.HYBRID)
                 err = abs(approx - oracle) / oracle
                 errors.append(err)
                 gg_worst[ell] = max(gg_worst[ell], err)

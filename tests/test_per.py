@@ -1,6 +1,8 @@
+import importlib.util
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy import integrate, special
 
 from coexlink.ctd import SlotTail, ctd_mixture
 from coexlink.per import (
+    ELL_SWITCH,
     QN_COEFFS,
     QN_MAX_BITS,
     FloatRangeError,
@@ -21,11 +24,8 @@ from coexlink.per import (
     per_curve,
     resolve_ell_max,
     success_prob,
-    success_prob_closed_form,
-    success_prob_gumbel_gamma,
-    success_prob_quadrature,
 )
-from coexlink.per import _ratio_sums, _slot_weights
+from coexlink.per import _gumbel_gamma_array, _ratio_sums, _slot_weights
 from coexlink.presets import preset_names, preset_scenario
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
 from oracles import (
@@ -37,6 +37,7 @@ from oracles import (
 )
 
 BPSK = Modulation()
+QUAD, QN, HYBRID = PerMethod.QUADRATURE, PerMethod.CLOSED_FORM, PerMethod.HYBRID
 
 # Criterion 4's grid (tests/test_acceptance.py).
 CRITERION_4_SNR = [10.0 ** (db / 10.0) for db in np.arange(0.0, 30.1, 5.0)]
@@ -163,14 +164,13 @@ class TestSuccessProbRoutes:
     def test_zero_bits_always_succeed(self):
         for method in PerMethod:
             assert success_prob(BPSK, 10.0, 1.0, 0, method) == 1.0
-        assert success_prob_gumbel_gamma(BPSK, 10.0, 1.0, 0) == 1.0
 
     def test_quadrature_frozen_points(self):
         # frozen from this quadrature at tight tolerances; guards regressions
-        assert success_prob_quadrature(BPSK, 10.0, 1.0, 1) == pytest.approx(
+        assert success_prob(BPSK, 10.0, 1.0, 1, QUAD) == pytest.approx(
             0.9991041185830453, rel=1e-10
         )
-        assert success_prob_quadrature(BPSK, 10.0, 10.0, 4) == pytest.approx(
+        assert success_prob(BPSK, 10.0, 10.0, 4, QUAD) == pytest.approx(
             0.7801486355661746, rel=1e-10
         )
 
@@ -178,8 +178,8 @@ class TestSuccessProbRoutes:
         # ber is exactly coeff/2 whatever the fading does
         for bits in (1, 3, 8):
             exact = (1.0 - 0.5 * BPSK.coeff) ** bits
-            assert success_prob_closed_form(BPSK, 0.0, 1.0, bits) == exact
-            assert success_prob_quadrature(BPSK, 0.0, 1.0, bits) == pytest.approx(
+            assert success_prob(BPSK, 0.0, 1.0, bits, QN) == exact
+            assert success_prob(BPSK, 0.0, 1.0, bits, QUAD) == pytest.approx(
                 exact, rel=1e-9
             )
 
@@ -189,7 +189,7 @@ class TestSuccessProbRoutes:
         # fit-limited agreement; the underlying fit is good to ~1e-5
         for bits in range(1, QN_MAX_BITS + 1):
             q = success_prob_adaptive(BPSK, snr, mean_inr, bits)
-            c = success_prob_closed_form(BPSK, snr, mean_inr, bits)
+            c = success_prob(BPSK, snr, mean_inr, bits, QN)
             assert c == pytest.approx(q, abs=2e-5)
 
     def test_closed_form_matches_multiset_oracle(self):
@@ -198,7 +198,7 @@ class TestSuccessProbRoutes:
         for snr in CRITERION_4_SNR:
             for inr in CRITERION_4_INR:
                 for bits in range(1, QN_MAX_BITS + 1):
-                    fast = success_prob_closed_form(BPSK, snr, inr, bits)
+                    fast = success_prob(BPSK, snr, inr, bits, QN)
                     worst = max(worst, abs(fast - closed_form_multiset(BPSK, snr, inr, bits)))
         assert worst <= 1e-12
 
@@ -212,57 +212,75 @@ class TestSuccessProbRoutes:
         for modulation in (BPSK, Modulation(coeff=2.0, gain=1.0)):
             for snr, inr in cases:
                 for bits in (1, 2, 3, 4, 8, 12, 16, 32, 64, 128, 256, 561, 1403, 2687):
-                    fixed = success_prob_quadrature(modulation, snr, inr, bits)
+                    fixed = success_prob(modulation, snr, inr, bits, QUAD)
                     oracle = success_prob_adaptive(modulation, snr, inr, bits)
                     worst = max(worst, abs(fixed - oracle))
         assert worst <= 1e-12
 
     def test_closed_form_refuses_long_windows(self):
-        with pytest.raises(ValueError):
-            success_prob_closed_form(BPSK, 10.0, 1.0, QN_MAX_BITS + 1)
+        with pytest.raises(ValueError, match="qn route cannot cover"):
+            success_prob(BPSK, 10.0, 1.0, QN_MAX_BITS + 1, QN)
+        assert 0.0 < success_prob(BPSK, 10.0, 1.0, QN_MAX_BITS, QN) < 1.0
 
     @pytest.mark.parametrize("bits", [16, 64, 256])
     @pytest.mark.parametrize("snr,mean_inr", [(10.0, 1.0), (10.0, 10.0)])
     def test_gumbel_tracks_quadrature(self, bits, snr, mean_inr):
         q = success_prob_adaptive(BPSK, snr, mean_inr, bits)
-        g = success_prob_gumbel_gamma(BPSK, snr, mean_inr, bits)
+        g = success_prob(BPSK, snr, mean_inr, bits, HYBRID)
         assert g == pytest.approx(q, rel=0.05)
 
     def test_gumbel_domain_guard(self):
-        with pytest.raises(GumbelDomainError):
-            success_prob_gumbel_gamma(BPSK, 10.0, 1.0, 2)
-        assert 0.0 < success_prob_gumbel_gamma(BPSK, 10.0, 1.0, 3) < 1.0
-        # a raised coeff shifts the boundary down
-        assert 0.0 < success_prob_gumbel_gamma(Modulation(coeff=2.0), 10.0, 1.0, 2) < 1.0
+        # a hybrid window past ELL_SWITCH needs the gumbel part from slot
+        # ELL_SWITCH + 1 = 9 on, so 9 * coeff > 2; the qn part alone has no limit
+        weak = Modulation(coeff=0.2)
+        for bits in (ELL_SWITCH + 1, 12):
+            with pytest.raises(GumbelDomainError, match="quadrature"):
+                success_prob(weak, 10.0, 1.0, bits, HYBRID)
+        assert 0.0 < success_prob(weak, 10.0, 1.0, ELL_SWITCH, HYBRID) < 1.0
+        assert 0.0 < success_prob(Modulation(coeff=2.0), 10.0, 1.0, ELL_SWITCH + 1, HYBRID) < 1.0
 
     def test_gumbel_zero_snr_limit(self):
-        assert success_prob_gumbel_gamma(BPSK, 0.0, 1.0, 16) == 0.0
+        assert success_prob(BPSK, 0.0, 1.0, 16, HYBRID) == 0.0
 
     def test_hybrid_dispatch(self):
+        # qn up to ELL_SWITCH bits, the gumbel match beyond
         args = (BPSK, 10.0, 2.0)
-        assert success_prob(*args, 5, PerMethod.HYBRID, ell_switch=8) == (
-            success_prob_closed_form(*args, 5)
-        )
-        assert success_prob(*args, 9, PerMethod.HYBRID, ell_switch=8) == (
-            success_prob_gumbel_gamma(*args, 9)
-        )
+        for bits in (1, 5, ELL_SWITCH):
+            assert success_prob(*args, bits, HYBRID) == success_prob(*args, bits, QN)
+        for bits in (ELL_SWITCH + 1, 64):
+            gumbel = _gumbel_gamma_array(BPSK, 10.0, np.array([2.0]), np.array([bits]))
+            assert success_prob(*args, bits, HYBRID) == gumbel[0, 0]
 
     def test_quadrature_monotone(self):
         # success falls with window length and interference, rises with snr
-        vals = [success_prob_quadrature(BPSK, 10.0, 1.0, b) for b in (1, 4, 16, 64)]
+        vals = [success_prob(BPSK, 10.0, 1.0, b, QUAD) for b in (1, 4, 16, 64)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        by_inr = [success_prob_quadrature(BPSK, 10.0, i, 8) for i in (0.1, 1.0, 10.0)]
+        by_inr = [success_prob(BPSK, 10.0, i, 8, QUAD) for i in (0.1, 1.0, 10.0)]
         assert all(a > b for a, b in zip(by_inr, by_inr[1:]))
-        by_snr = [success_prob_quadrature(BPSK, s, 1.0, 8) for s in (1.0, 10.0, 100.0)]
+        by_snr = [success_prob(BPSK, s, 1.0, 8, QUAD) for s in (1.0, 10.0, 100.0)]
         assert all(a < b for a, b in zip(by_snr, by_snr[1:]))
 
     def test_link_validation(self):
-        with pytest.raises(ValueError):
-            success_prob_quadrature(BPSK, -1.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            success_prob_quadrature(BPSK, 1.0, 0.0, 4)
-        with pytest.raises(ValueError):
-            success_prob_quadrature(BPSK, 1.0, 1.0, -2)
+        for method in PerMethod:
+            with pytest.raises(ValueError):
+                success_prob(BPSK, -1.0, 1.0, 4, method)
+            with pytest.raises(ValueError):
+                success_prob(BPSK, 1.0, 0.0, 4, method)
+            with pytest.raises(ValueError):
+                success_prob(BPSK, 1.0, 1.0, -2, method)
+
+    @pytest.mark.parametrize("method", list(PerMethod))
+    @pytest.mark.parametrize("bits", [3.0, 2.5, np.float64(4.0), True, "4"])
+    def test_bits_must_be_integers(self, method, bits):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            success_prob(BPSK, 10.0, 1.0, bits, method)
+
+    @pytest.mark.parametrize("method", list(PerMethod))
+    def test_numpy_integer_bits(self, method):
+        for bits in (0, 4, 12):
+            assert success_prob(BPSK, 10.0, 1.0, np.int64(bits), method) == (
+                success_prob(BPSK, 10.0, 1.0, bits, method)
+            )
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +306,7 @@ class TestPacketErrorRate:
         grid = np.arange(7) * scenario.bit_time
         increments = np.diff(ctd_mixture(scenario, grid), prepend=0.0)
         direct = math.fsum(
-            increments[ell] * success_prob_quadrature(mod, 10.0, 3.16, ell)
+            increments[ell] * success_prob(mod, 10.0, 3.16, ell, QUAD)
             for ell in range(7)
         )
         assert combined == pytest.approx(1.0 - direct, abs=1e-8)
@@ -320,7 +338,7 @@ class TestPacketErrorRate:
         assert 0.0 <= packet_error_rate(short, PerMethod.CLOSED_FORM).per <= 1.0
 
     def test_gumbel_route_needs_viable_first_slot(self, per_setup):
-        # the hybrid's first gumbel slot, ell_switch + 1 = 9, needs 9 * coeff > 2
+        # the hybrid's first gumbel slot, ELL_SWITCH + 1 = 9, needs 9 * coeff > 2
         scenario, _ = per_setup
         spec = PerSpec(scenario, Modulation(coeff=0.2), 10.0, 3.16, ell_max=16)
         with pytest.raises(GumbelDomainError, match="quadrature"):
@@ -347,7 +365,7 @@ class TestPacketErrorRate:
         expected = 1.0 - (
             cdf[0] * clear**n_bits
             + (cdf[1] - cdf[0])
-            * success_prob_closed_form(mod, 10.0, 3.16, 1)
+            * success_prob(mod, 10.0, 3.16, 1, QN)
             * clear ** (n_bits - 1)
         )
         assert result.per == pytest.approx(expected, abs=1e-14)
@@ -364,10 +382,6 @@ class TestPacketErrorRate:
     def test_spec_validation(self, per_setup):
         scenario, mod = per_setup
         with pytest.raises(ValueError):
-            PerSpec(scenario, mod, 10.0, 3.16, ell_switch=0)
-        with pytest.raises(ValueError):
-            PerSpec(scenario, mod, 10.0, 3.16, ell_switch=QN_MAX_BITS + 1)
-        with pytest.raises(ValueError):
             PerSpec(scenario, mod, 10.0, 3.16, tail_cut=0.0)
         with pytest.raises(ValueError):
             PerSpec(scenario, mod, 10.0, 3.16, ell_max=0)
@@ -377,6 +391,29 @@ class TestPacketErrorRate:
             PerSpec(scenario, mod, -1.0, 3.16)
         with pytest.raises(ValueError):
             PerSpec(scenario, mod, 10.0, 0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_bits", 2.5), ("noise_bits", 496.0), ("noise_bits", True),
+        ("ell_max", 5.5), ("ell_max", 12.0), ("ell_max", np.float64(12.0)),
+    ])
+    def test_counts_must_be_integers(self, per_setup, field, value):
+        # a float count would split a busy-period run or the slot grid
+        scenario, mod = per_setup
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PerSpec(scenario, mod, 10.0, 3.16, **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            per_curve(scenario, mod, 10.0, [1.0, 10.0], [QUAD], **{field: value})
+
+    def test_numpy_integer_counts(self, per_setup):
+        scenario, mod = per_setup
+        methods = [QUAD, HYBRID, QN]
+        plain = per_curve(scenario, mod, 10.0, [1.0, 10.0], methods, ell_max=12, noise_bits=496)
+        numpy = per_curve(scenario, mod, 10.0, [1.0, 10.0], methods,
+                          ell_max=np.int64(12), noise_bits=np.int32(496))
+        assert type(numpy.ell_max) is int and numpy.ell_max == 12
+        assert numpy.tail_mass == plain.tail_mass
+        for method in methods:
+            assert np.array_equal(numpy.values[method.value], plain.values[method.value])
 
 
 class TestPerCurve:
@@ -425,7 +462,7 @@ class TestPerCurve:
                 for i in inr
             ]
             assert curve.values[method.value].tolist() == points
-        # slot ell_switch + 1 = 9 is outside the gumbel domain when 9 * coeff <= 2
+        # slot ELL_SWITCH + 1 = 9 is outside the gumbel domain when 9 * coeff <= 2
         weak = Modulation(coeff=0.2)
         with pytest.raises(GumbelDomainError):
             per_curve(scenario, weak, 10.0, inr, [PerMethod.HYBRID], ell_max=ell_max)
@@ -568,6 +605,15 @@ def test_closed_form_overflow_raises(per_setup, snr, inr):
         with pytest.raises(FloatRangeError, match="quadrature"):
             per_curve(scenario, mod, snr, inr, [method], ell_max=12)
     with pytest.raises(FloatRangeError):
-        success_prob_closed_form(mod, snr, inr[0], QN_MAX_BITS)
+        success_prob(mod, snr, inr[0], QN_MAX_BITS, QN)
     quad = per_curve(scenario, mod, snr, inr, [PerMethod.QUADRATURE]).values["quadrature"]
     assert np.all(np.isfinite(quad))
+
+
+def test_fit_qn_table_script_matches_frozen_coefficients():
+    # the script refits QN_COEFFS and exits 1 when the fit drifts from them
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fit_qn_table.py"
+    spec = importlib.util.spec_from_file_location("fit_qn_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main([]) == 0
