@@ -15,14 +15,11 @@ from .per import (
     GumbelDomainError,
     Modulation,
     PerMethod,
-    PerResult,
-    PerSpec,
-    packet_error_rate,
     per_curve,
     success_prob,
 )
 from .presets import exponential_scenario, preset_names, preset_scenario
-from .renewal import CountKind, RenewalPmfSpec, pmf, pmf_tail_index, pmf_values
+from .renewal import CountKind, RenewalPmfSpec, pmf, pmf_tail_index
 from .scenario import ScenarioDoc, ScenarioFormatError, parse_scenario_file, parse_scenario_text
 from .simcore import EmpiricalCdf, McConfig, TrialBatch, empirical_ctd, run_trial, run_trials
 from .validation import Tolerances, ValidationReport, validate_scenario
@@ -44,9 +41,6 @@ __all__ = [
     "GumbelDomainError",
     "Modulation",
     "PerMethod",
-    "PerResult",
-    "PerSpec",
-    "packet_error_rate",
     "per_curve",
     "success_prob",
     "exponential_scenario",
@@ -56,7 +50,6 @@ __all__ = [
     "RenewalPmfSpec",
     "pmf",
     "pmf_tail_index",
-    "pmf_values",
     "ScenarioDoc",
     "ScenarioFormatError",
     "parse_scenario_file",

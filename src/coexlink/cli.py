@@ -45,7 +45,8 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except KeyError as exc:
             _fail(EXIT_CONFIG, f"config error: {exc.args[0] if exc.args else exc}")
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OSError) as exc:
+            # OSError: an output path that cannot be written; it names the path.
             _fail(EXIT_CONFIG, f"config error: {exc}")
         except (RuntimeError, ArithmeticError) as exc:
             _fail(EXIT_NUMERIC, f"numerical failure: {exc}")

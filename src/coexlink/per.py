@@ -16,7 +16,7 @@ beyond them counts as errors.  Every route reads F from one `ctd.slot_tail`
 of slots 0..ell_max, built once per INR sweep: the qn and hybrid routes take
 the increments from it, the quadrature route sums by parts against it, and
 the ignored tail mass is its value at ell_max, not 1 - F formed by a
-subtraction.  `packet_error_rate` is `per_curve` at one INR.
+subtraction.  `per_curve` is the one PER front; one INR is a one-point sweep.
 
 Three routes evaluate success(l) (`PerMethod`); `success_prob` reads one
 window by any of them:
@@ -141,11 +141,9 @@ def ber_awgn(modulation: Modulation, snr: float):
     return modulation.coeff * gaussian_q(np.sqrt(modulation.gain * np.asarray(snr, dtype=float)))
 
 
-def _validate_link(snr: float, mean_inr: float) -> None:
+def _validate_snr(snr: float) -> None:
     if not (math.isfinite(snr) and snr >= 0.0):
         raise ValueError("snr must be finite and nonnegative")
-    if not (math.isfinite(mean_inr) and mean_inr > 0.0):
-        raise ValueError("mean_inr must be finite and positive")
 
 
 def _validate_count(name: str, value: int, low: int) -> None:
@@ -283,7 +281,9 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     The quadrature route sums q(g)^bits on the fixed nodes of the PER
     quadrature; qn and hybrid read the window from `_success_table`.
     """
-    _validate_link(snr, mean_inr)
+    _validate_snr(snr)
+    if not (math.isfinite(mean_inr) and mean_inr > 0.0):
+        raise ValueError("mean_inr must be finite and positive")
     _validate_count("bits", bits, 0)
     if bits == 0:
         return 1.0
@@ -293,59 +293,24 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     return float(_success_table(modulation, snr, method, np.array([mean_inr]), bits)[0, bits])
 
 
-@dataclass(frozen=True)
-class PerSpec:
-    """Inputs of one PER evaluation.
-
-    ``snr`` and ``mean_inr`` are linear ratios.  ``ell_max`` caps the number
-    of bit slots the collision CDF is resolved into; when None it is sized so
-    the ignored CDF tail is below ``tail_cut``.  ``noise_bits``, when set to
-    the packet bit count, adds AWGN-only errors on the non-colliding bits.
-    """
-
-    scenario: CoexistenceScenario
-    modulation: Modulation
-    snr: float
-    mean_inr: float
-    ell_max: int | None = None
-    tail_cut: float = 1e-6
-    noise_bits: int | None = None
-
-    def __post_init__(self) -> None:
-        _validate_link(self.snr, self.mean_inr)
-        if self.ell_max is not None:
-            _validate_count("ell_max", self.ell_max, 1)
-        if not (0.0 < self.tail_cut < 1.0):
-            raise ValueError("tail_cut must lie in (0, 1)")
-        if self.noise_bits is not None:
-            _validate_count("noise_bits", self.noise_bits, 0)
-
-
-@dataclass(frozen=True)
-class PerResult:
-    per: float
-    tail_mass: float
-    ell_max: int
-
-
-def resolve_ell_max(spec: PerSpec) -> int:
-    if spec.ell_max is not None:
-        return int(spec.ell_max)
-    x_tail = coverage_point(spec.scenario, spec.tail_cut)
-    ell = max(1, math.ceil(x_tail / spec.scenario.bit_time))
+def resolve_ell_max(scenario: CoexistenceScenario, tail_cut: float) -> int:
+    """Fewest bit slots beyond which at most ``tail_cut`` of the collision time lies."""
+    x_tail = coverage_point(scenario, tail_cut)
+    ell = max(1, math.ceil(x_tail / scenario.bit_time))
     # ceil in floats can still land the top slot an ulp short of x_tail,
     # which matters when the coverage point sits on a CDF jump.
-    while ell * spec.scenario.bit_time < x_tail:
+    while ell * scenario.bit_time < x_tail:
         ell += 1
     return ell
 
 
-def _slot_weights(spec: PerSpec, ell_max: int) -> np.ndarray | None:
+def _slot_weights(modulation: Modulation, snr: float, noise_bits: int | None,
+                  ell_max: int) -> np.ndarray | None:
     """AWGN success factor per slot, or None in the interference-limited model."""
-    if spec.noise_bits is None:
+    if noise_bits is None:
         return None
-    clear = 1.0 - float(ber_awgn(spec.modulation, spec.snr))
-    exponents = np.maximum(spec.noise_bits - np.arange(ell_max + 1), 0)
+    clear = 1.0 - float(ber_awgn(modulation, snr))
+    exponents = np.maximum(noise_bits - np.arange(ell_max + 1), 0)
     return clear**exponents
 
 
@@ -411,7 +376,8 @@ def _ratio_sums(rho: np.ndarray, one_minus_y: np.ndarray,
     return s0, s1, y_n
 
 
-def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, tail: SlotTail, ell_max: int,
+def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
+                    mean_inr: np.ndarray, tail: SlotTail, ell_max: int,
                     tail_mass: float) -> np.ndarray:
     """PER at every mean INR by the fading average on fixed nodes.
 
@@ -433,13 +399,13 @@ def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, tail: SlotTail, ell_max
     from whichever end its terms are largest at.  G_L is the ignored tail,
     which counts as errors.
     """
-    fail = _bit_failure(spec.modulation, spec.snr, mean_inr)
-    clear_fail = float(ber_awgn(spec.modulation, spec.snr))
+    fail = _bit_failure(modulation, snr, mean_inr)
+    clear_fail = float(ber_awgn(modulation, snr))
     with np.errstate(divide="ignore"):
         log_q = np.maximum(np.log1p(-fail), _LOG_FLOOR)
         log_clear = max(float(np.log1p(-clear_fail)), _LOG_FLOOR)
     log_y = tail.log_decay + log_q
-    n_bits = spec.noise_bits or 0
+    n_bits = noise_bits or 0
     split = min(n_bits, ell_max)
     starts = tail.starts[tail.starts < ell_max]
     if 0 < split < ell_max:
@@ -487,36 +453,6 @@ def _per_quadrature(spec: PerSpec, mean_inr: np.ndarray, tail: SlotTail, ell_max
     return np.array([math.fsum(row) for row in (per * _FADE_WEIGHTS).tolist()])
 
 
-def _per_values(spec: PerSpec, method: PerMethod, mean_inr: np.ndarray, tail: SlotTail,
-                ell_max: int, tail_mass: float) -> np.ndarray:
-    """PER at every mean INR, read from the collision-time tail ``tail`` of
-    slots 0..ell_max; the ignored mass ``tail_mass`` counts as errors."""
-    if method is PerMethod.QUADRATURE:
-        per = _per_quadrature(spec, mean_inr, tail, ell_max, tail_mass)
-    else:
-        table = _success_table(spec.modulation, spec.snr, method, mean_inr, ell_max)
-        # Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
-        # no-collision atom F(0).
-        increments = -np.diff(tail.at(np.arange(ell_max + 1)), prepend=1.0)
-        weights = _slot_weights(spec, ell_max)
-        if weights is not None:
-            table = table * weights
-        success = np.array([math.fsum(row) for row in (table * increments).tolist()])
-        per = 1.0 - success
-    wild = ~((per >= -1e-4) & (per <= 1.0 + 1e-4))
-    if np.any(wild):
-        warnings.warn(f"PER {per[wild]!r} clamped to [0, 1]", NumericsWarning, stacklevel=3)
-    return np.clip(per, 0.0, 1.0)
-
-
-def packet_error_rate(spec: PerSpec, method: PerMethod = PerMethod.HYBRID) -> PerResult:
-    """PER by the chosen route; the ignored CDF tail counts as errors."""
-    curve = per_curve(spec.scenario, spec.modulation, spec.snr, [spec.mean_inr], [method],
-                      ell_max=spec.ell_max,
-                      tail_cut=spec.tail_cut, noise_bits=spec.noise_bits)
-    return PerResult(float(curve.values[method.value][0]), curve.tail_mass, curve.ell_max)
-
-
 @dataclass(frozen=True)
 class PerCurve:
     """PER swept over the mean INR, one value array per requested route."""
@@ -533,8 +469,13 @@ class PerCurve:
 def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
               mean_inr_values, methods=(PerMethod.HYBRID,), *, ell_max: int | None = None,
               tail_cut: float = 1e-6, noise_bits: int | None = None) -> PerCurve:
-    """PER over a mean INR sweep; `packet_error_rate` is its one-point case.
+    """PER over a mean INR sweep by each route in ``methods``; the ignored CDF
+    tail counts as errors.
 
+    ``snr`` and the mean INRs are linear ratios.  ``ell_max`` caps the number
+    of bit slots the collision CDF is resolved into; when None it is sized so
+    the ignored CDF tail is below ``tail_cut``.  ``noise_bits``, when set to
+    the packet bit count, adds AWGN-only errors on the non-colliding bits.
     The collision-time tail does not depend on the INR and is built once.
     """
     grid = np.asarray(mean_inr_values, dtype=float)
@@ -542,11 +483,31 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
         raise ValueError("mean_inr_values must be a nonempty 1-d array")
     if not np.all(np.isfinite(grid) & (grid > 0.0)):
         raise ValueError("mean_inr_values must all be finite and positive")
-    spec = PerSpec(scenario, modulation, snr, float(grid[0]),
-                   ell_max=ell_max, tail_cut=tail_cut, noise_bits=noise_bits)
-    slots = resolve_ell_max(spec)
+    _validate_snr(snr)
+    if ell_max is not None:
+        _validate_count("ell_max", ell_max, 1)
+    if not (0.0 < tail_cut < 1.0):
+        raise ValueError("tail_cut must lie in (0, 1)")
+    if noise_bits is not None:
+        _validate_count("noise_bits", noise_bits, 0)
+    slots = resolve_ell_max(scenario, tail_cut) if ell_max is None else int(ell_max)
     tail = slot_tail(scenario, slots + 1)
     tail_mass = float(tail.at(slots))
-    values = {method.value: _per_values(spec, method, grid, tail, slots, tail_mass)
-              for method in methods}
+    values = {}
+    for method in methods:
+        if method is PerMethod.QUADRATURE:
+            per = _per_quadrature(modulation, snr, noise_bits, grid, tail, slots, tail_mass)
+        else:
+            table = _success_table(modulation, snr, method, grid, slots)
+            # Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
+            # no-collision atom F(0).
+            increments = -np.diff(tail.at(np.arange(slots + 1)), prepend=1.0)
+            weights = _slot_weights(modulation, snr, noise_bits, slots)
+            if weights is not None:
+                table = table * weights
+            per = 1.0 - np.array([math.fsum(row) for row in (table * increments).tolist()])
+        wild = ~((per >= -1e-4) & (per <= 1.0 + 1e-4))
+        if np.any(wild):
+            warnings.warn(f"PER {per[wild]!r} clamped to [0, 1]", NumericsWarning, stacklevel=2)
+        values[method.value] = np.clip(per, 0.0, 1.0)
     return PerCurve(scenario, modulation, snr, grid, values, tail_mass, slots)

@@ -87,13 +87,6 @@ def pmf(spec: RenewalPmfSpec, n: int) -> float:
     return _clean(damp * g_comp * g**n)
 
 
-def pmf_values(spec: RenewalPmfSpec, n_max: int) -> list[float]:
-    """PMF at 0..n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return [pmf(spec, n) for n in range(n_max + 1)]
-
-
 def pmf_tail_index(spec: RenewalPmfSpec, epsilon: float) -> int:
     """Smallest n_max whose cumulative PMF reaches 1 - epsilon.
 

@@ -110,9 +110,18 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
 
     ``mixture_cdf`` substitutes the analytic joint CDF (negative-control
     hook for the test suite); conditionals always use the analytic curves.
+    A run in which no trial starts idle, or none starts busy, is a ValueError.
     """
     config = simcore.McConfig(trials=trials, seed=seed)
     batch = simcore.run_trials(scenario, config)
+    started_busy = int(np.count_nonzero(batch.initial_on))
+    for state, count in (("idle", trials - started_busy), ("busy", started_busy)):
+        if count == 0:
+            raise ValueError(
+                f"no trial started {state} at activity factor "
+                f"{activity_factor(scenario):.6g} in {trials} trials, so its conditional "
+                "CDF cannot be checked; raise --trials"
+            )
     joint = simcore.EmpiricalCdf.from_samples(batch.collision_time)
     off_cdf, on_cdf = simcore.split_by_start(batch)
 

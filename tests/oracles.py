@@ -160,25 +160,24 @@ def coverage_point_bisect(scenario, coverage: float = 1e-4) -> float:
     return hi
 
 
-def resolve_ell_max_bisect(spec) -> int:
+def resolve_ell_max_bisect(scenario, tail_cut: float) -> int:
     """`per.resolve_ell_max` on top of `coverage_point_bisect`."""
-    if spec.ell_max is not None:
-        return spec.ell_max
-    x_tail = coverage_point_bisect(spec.scenario, spec.tail_cut)
-    ell = max(1, math.ceil(x_tail / spec.scenario.bit_time))
-    while ell * spec.scenario.bit_time < x_tail:
+    x_tail = coverage_point_bisect(scenario, tail_cut)
+    ell = max(1, math.ceil(x_tail / scenario.bit_time))
+    while ell * scenario.bit_time < x_tail:
         ell += 1
     return ell
 
 
-def per_quadrature_horner(spec, mean_inr: np.ndarray, poly: np.ndarray) -> np.ndarray:
+def per_quadrature_horner(modulation, snr: float, mean_inr: np.ndarray,
+                          poly: np.ndarray) -> np.ndarray:
     """Packet success sum_l poly_l * E[q(g)^l] at every mean INR.
 
     Summing over slots first makes the integrand a polynomial in the per-bit
     success q(g); one Horner pass over the (INR x node) array evaluates it
     for the whole sweep.
     """
-    q = _bit_success(spec.modulation, spec.snr, mean_inr)
+    q = _bit_success(modulation, snr, mean_inr)
     acc = np.full(q.shape, poly[-1])
     for c in poly[-2::-1]:
         acc *= q
@@ -193,18 +192,21 @@ def slot_increments(scenario, ell_max: int) -> np.ndarray:
     return np.diff(cdf, prepend=0.0)
 
 
-def per_horner(spec, mean_inr) -> np.ndarray:
-    """Quadrature PER of ``spec`` at every mean INR by one Horner pass per slot.
+def per_horner(scenario, modulation, snr: float, mean_inr, *, ell_max=None,
+               tail_cut: float = 1e-6, noise_bits=None) -> np.ndarray:
+    """Quadrature PER at every mean INR by one Horner pass per slot; the
+    arguments are those of `per.per_curve`.
 
     The slot polynomial holds the increments of `ctd_mixture` on the slot
     grid (times the AWGN factors of ``noise_bits``), not the `ctd.slot_tail`
     the routes read; the ignored tail counts as errors.
     """
-    ell_max = resolve_ell_max(spec)
-    increments = slot_increments(spec.scenario, ell_max)
-    weights = _slot_weights(spec, ell_max)
+    if ell_max is None:
+        ell_max = resolve_ell_max(scenario, tail_cut)
+    increments = slot_increments(scenario, ell_max)
+    weights = _slot_weights(modulation, snr, noise_bits, ell_max)
     poly = increments if weights is None else increments * weights
-    success = per_quadrature_horner(spec, np.asarray(mean_inr, dtype=float), poly)
+    success = per_quadrature_horner(modulation, snr, np.asarray(mean_inr, dtype=float), poly)
     return np.clip(1.0 - success, 0.0, 1.0)
 
 

@@ -37,8 +37,6 @@ from coexlink.dist import activity_factor
 from coexlink.per import (
     Modulation,
     PerMethod,
-    PerSpec,
-    packet_error_rate,
     per_curve,
     success_prob,
 )
@@ -48,7 +46,7 @@ from coexlink.presets import (
     preset_names,
     preset_scenario,
 )
-from coexlink.renewal import CountKind, RenewalPmfSpec, pmf_tail_index, pmf_values
+from coexlink.renewal import CountKind, RenewalPmfSpec, pmf, pmf_tail_index
 from coexlink.simcore import McConfig, empirical_ctd, empirical_renewal_counts, run_trials
 from conftest import SUITE_SEED, record_criterion
 from oracles import (
@@ -159,7 +157,8 @@ def test_criterion_3_renewal_pmf_correctness():
                 spec = RenewalPmfSpec(
                     scenario.idle, scenario.packet_rate, float(offset), kind
                 )
-                total = math.fsum(pmf_values(spec, pmf_tail_index(spec, 1e-12)))
+                n_max = pmf_tail_index(spec, 1e-12)
+                total = math.fsum(pmf(spec, n) for n in range(n_max + 1))
                 worst_norm = max(worst_norm, abs(total - 1.0))
 
     # equilibrium counting with a memoryless gap collapses to the plain
@@ -173,7 +172,7 @@ def test_criterion_3_renewal_pmf_correctness():
             scenario.idle, s, float(offset), CountKind.EQUILIBRIUM
         )
         damp = math.exp(-s * float(offset))
-        values = pmf_values(spec, 40)
+        values = [pmf(spec, n) for n in range(41)]
         direct = [1.0 - damp * rho / (s + rho)] + [
             damp * s * rho**n / (s + rho) ** (n + 1) for n in range(1, 41)
         ]
@@ -189,7 +188,7 @@ def test_criterion_3_renewal_pmf_correctness():
                 scenario, McConfig(trials=TRIALS, seed=SUITE_SEED), equilibrium=equilibrium
             )
             spec = RenewalPmfSpec(scenario.idle, scenario.packet_rate, 0.0, kind)
-            probs = np.asarray(pmf_values(spec, observed.size - 1))
+            probs = np.asarray([pmf(spec, n) for n in range(observed.size)])
             expected = probs * TRIALS
             keep = expected >= 10.0
             z = np.abs(observed[keep] - expected[keep]) / np.sqrt(
@@ -314,17 +313,15 @@ def test_criterion_6_property_suite():
     for name in ("alpha_lt_0.1", "alpha_ge_0.5"):
         for inr in (1.0, 10.0):
             for method in (PerMethod.QUADRATURE, PerMethod.HYBRID):
-                spec = PerSpec(preset_scenario(name), BPSK, 10.0, inr)
-                value = packet_error_rate(spec, method).per
+                curve = per_curve(preset_scenario(name), BPSK, 10.0, [inr], [method])
+                value = curve.values[method.value][0]
                 if not 0.0 <= value <= 1.0:
                     problems.append(f"PER out of range: {name} inr={inr} {method.value}")
 
     # a vanishing activity factor starves the error rate
     per_small = [
-        packet_error_rate(
-            PerSpec(exponential_scenario(a), BPSK, 10.0, 10.0, tail_cut=1e-9),
-            PerMethod.QUADRATURE,
-        ).per
+        float(per_curve(exponential_scenario(a), BPSK, 10.0, [10.0], [PerMethod.QUADRATURE],
+                        tail_cut=1e-9).values["quadrature"][0])
         for a in (1e-4, 1e-6)
     ]
     if not (per_small[0] > per_small[1] and per_small[1] < 1e-4):

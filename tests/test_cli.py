@@ -331,6 +331,19 @@ def test_rejects_non_finite_numbers(runner, tmp_path, section, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["ctd", "--preset", "alpha_lt_0.1", "--grid", "32", "-o"],
+    ["per", "--preset", "alpha_lt_0.1", "--method", "quadrature", "-o"],
+    ["validate", "--preset", "exp_alpha_0.1575", "--trials", "10000", "--report"],
+], ids=["ctd", "per", "validate"])
+def test_unwritable_output_is_a_config_error(runner, tmp_path, args):
+    path = str(tmp_path / "missing_dir" / "out")
+    result = runner.invoke(cli.main, args + [path])
+    assert result.exit_code == cli.EXIT_CONFIG
+    assert "config error:" in result.output
+    assert path in result.output
+
+
 def test_csv_rows_match_per_value_formatting(tmp_path):
     # one "%.12g,...%.12g" per row writes what format(float(v), ".12g") per
     # value wrote

@@ -16,11 +16,9 @@ from coexlink.per import (
     FloatRangeError,
     GumbelDomainError,
     Modulation,
+    PerCurve,
     PerMethod,
-    PerResult,
-    PerSpec,
     ber_awgn,
-    packet_error_rate,
     per_curve,
     resolve_ell_max,
     success_prob,
@@ -104,25 +102,32 @@ def closed_form_multiset(modulation: Modulation, snr: float, mean_inr: float,
     return min(max(math.fsum(np.concatenate(pieces).tolist()), 0.0), 1.0)
 
 
-def per_quadrature_adaptive(spec: PerSpec, increments: np.ndarray) -> float:
+def per_at(scenario, modulation: Modulation, snr: float, mean_inr: float,
+           method: PerMethod, **kwargs) -> float:
+    """PER at one mean INR: a one-point `per_curve`."""
+    curve = per_curve(scenario, modulation, snr, [mean_inr], [method], **kwargs)
+    return float(curve.values[method.value][0])
+
+
+def per_quadrature_adaptive(modulation: Modulation, snr: float, mean_inr: float,
+                            noise_bits: int | None, increments: np.ndarray) -> float:
     """PER as one adaptive quadrature over the fading, g = u / (1 - u).
 
     The slot polynomial is summed as sum_l poly_l * q^l by powers rather
     than by Horner's rule, which keeps this scalar integrand fast.
     """
-    weights = _slot_weights(spec, increments.size - 1)
+    weights = _slot_weights(modulation, snr, noise_bits, increments.size - 1)
     poly = increments if weights is None else increments * weights
     powers = np.arange(poly.size, dtype=float)
-    coeff, gain = spec.modulation.coeff, spec.modulation.gain
-    base = gain * spec.snr
-    mean_inr = spec.mean_inr
+    coeff, gain = modulation.coeff, modulation.gain
+    base = gain * snr
 
     def integrand(u: float) -> float:
         if u >= 1.0:
             return 0.0
         g = u / (1.0 - u)
         if g == 0.0:
-            qfun = 0.0 if spec.snr > 0.0 else 0.5
+            qfun = 0.0 if snr > 0.0 else 0.5
         else:
             qfun = 0.5 * math.erfc(math.sqrt(base / g) / math.sqrt(2.0))
         expo = -g / mean_inr
@@ -291,18 +296,16 @@ def per_setup():
 class TestPacketErrorRate:
     def test_result_shape(self, per_setup):
         scenario, mod = per_setup
-        spec = PerSpec(scenario, mod, 10.0, 3.16)
-        result = packet_error_rate(spec, PerMethod.QUADRATURE)
-        assert isinstance(result, PerResult)
-        assert 0.0 <= result.per <= 1.0
-        assert 0.0 <= result.tail_mass <= spec.tail_cut
-        assert result.ell_max == resolve_ell_max(spec)
+        curve = per_curve(scenario, mod, 10.0, [3.16], [PerMethod.QUADRATURE])
+        assert isinstance(curve, PerCurve)
+        assert 0.0 <= curve.values["quadrature"][0] <= 1.0
+        assert 0.0 <= curve.tail_mass <= 1e-6
+        assert curve.ell_max == resolve_ell_max(scenario, 1e-6)
 
     def test_quadrature_equals_slotwise_sum(self, per_setup):
         # swapping the fading integral and the slot sum must be exact
         scenario, mod = per_setup
-        spec = PerSpec(scenario, mod, 10.0, 3.16, ell_max=6)
-        combined = packet_error_rate(spec, PerMethod.QUADRATURE).per
+        combined = per_at(scenario, mod, 10.0, 3.16, PerMethod.QUADRATURE, ell_max=6)
         grid = np.arange(7) * scenario.bit_time
         increments = np.diff(ctd_mixture(scenario, grid), prepend=0.0)
         direct = math.fsum(
@@ -313,53 +316,43 @@ class TestPacketErrorRate:
 
     def test_hybrid_close_to_quadrature(self, per_setup):
         scenario, mod = per_setup
-        spec = PerSpec(scenario, mod, 10.0, 3.16)
-        quad = packet_error_rate(spec, PerMethod.QUADRATURE).per
-        hybrid = packet_error_rate(spec, PerMethod.HYBRID).per
+        quad = per_at(scenario, mod, 10.0, 3.16, PerMethod.QUADRATURE)
+        hybrid = per_at(scenario, mod, 10.0, 3.16, PerMethod.HYBRID)
         assert hybrid == pytest.approx(quad, abs=0.02)
 
     def test_truncation_counts_as_errors(self, per_setup):
         scenario, mod = per_setup
-        coarse = packet_error_rate(
-            PerSpec(scenario, mod, 10.0, 3.16, ell_max=2), PerMethod.QUADRATURE
-        )
-        fine = packet_error_rate(
-            PerSpec(scenario, mod, 10.0, 3.16, tail_cut=1e-9), PerMethod.QUADRATURE
-        )
-        assert coarse.per >= fine.per
+        coarse = per_curve(scenario, mod, 10.0, [3.16], [PerMethod.QUADRATURE], ell_max=2)
+        fine = per_curve(scenario, mod, 10.0, [3.16], [PerMethod.QUADRATURE], tail_cut=1e-9)
+        assert coarse.values["quadrature"][0] >= fine.values["quadrature"][0]
         assert coarse.tail_mass > fine.tail_mass
 
     def test_qn_route_requires_short_packets(self, per_setup):
         scenario, mod = per_setup
-        spec = PerSpec(scenario, mod, 10.0, 3.16)  # resolves to thousands of slots
-        with pytest.raises(ValueError):
-            packet_error_rate(spec, PerMethod.CLOSED_FORM)
-        short = PerSpec(scenario, mod, 10.0, 3.16, ell_max=12)
-        assert 0.0 <= packet_error_rate(short, PerMethod.CLOSED_FORM).per <= 1.0
+        with pytest.raises(ValueError):  # resolves to thousands of slots
+            per_at(scenario, mod, 10.0, 3.16, PerMethod.CLOSED_FORM)
+        assert 0.0 <= per_at(scenario, mod, 10.0, 3.16, PerMethod.CLOSED_FORM, ell_max=12) <= 1.0
 
     def test_gumbel_route_needs_viable_first_slot(self, per_setup):
         # the hybrid's first gumbel slot, ELL_SWITCH + 1 = 9, needs 9 * coeff > 2
         scenario, _ = per_setup
-        spec = PerSpec(scenario, Modulation(coeff=0.2), 10.0, 3.16, ell_max=16)
+        link = (scenario, Modulation(coeff=0.2), 10.0, 3.16)
         with pytest.raises(GumbelDomainError, match="quadrature"):
-            packet_error_rate(spec, PerMethod.HYBRID)
-        assert 0.0 <= packet_error_rate(spec, PerMethod.QUADRATURE).per <= 1.0
+            per_at(*link, PerMethod.HYBRID, ell_max=16)
+        assert 0.0 <= per_at(*link, PerMethod.QUADRATURE, ell_max=16) <= 1.0
 
     def test_noise_bits_zero_is_interference_limited(self, per_setup):
         scenario, mod = per_setup
-        plain = PerSpec(scenario, mod, 10.0, 3.16)
-        with_zero = PerSpec(scenario, mod, 10.0, 3.16, noise_bits=0)
         for method in (PerMethod.QUADRATURE, PerMethod.HYBRID):
-            assert packet_error_rate(plain, method).per == packet_error_rate(
-                with_zero, method
-            ).per
+            assert per_at(scenario, mod, 10.0, 3.16, method) == per_at(
+                scenario, mod, 10.0, 3.16, method, noise_bits=0
+            )
 
     def test_noise_bits_single_slot_identity(self, per_setup):
         # hand-assembled two-term expansion for a one-slot resolution
         scenario, mod = per_setup
         n_bits = 496
-        spec = PerSpec(scenario, mod, 10.0, 3.16, ell_max=1, noise_bits=n_bits)
-        result = packet_error_rate(spec, PerMethod.HYBRID)
+        per = per_at(scenario, mod, 10.0, 3.16, PerMethod.HYBRID, ell_max=1, noise_bits=n_bits)
         clear = 1.0 - float(ber_awgn(mod, 10.0))
         cdf = ctd_mixture(scenario, np.arange(2) * scenario.bit_time)
         expected = 1.0 - (
@@ -368,39 +361,37 @@ class TestPacketErrorRate:
             * success_prob(mod, 10.0, 3.16, 1, QN)
             * clear ** (n_bits - 1)
         )
-        assert result.per == pytest.approx(expected, abs=1e-14)
+        assert per == pytest.approx(expected, abs=1e-14)
 
     def test_noise_bits_add_errors(self, per_setup):
         scenario, mod = per_setup
-        base = PerSpec(scenario, mod, 2.0, 3.16)
-        noisy = PerSpec(scenario, mod, 2.0, 3.16, noise_bits=496)
         assert (
-            packet_error_rate(noisy, PerMethod.QUADRATURE).per
-            > packet_error_rate(base, PerMethod.QUADRATURE).per
+            per_at(scenario, mod, 2.0, 3.16, PerMethod.QUADRATURE, noise_bits=496)
+            > per_at(scenario, mod, 2.0, 3.16, PerMethod.QUADRATURE)
         )
 
     def test_spec_validation(self, per_setup):
         scenario, mod = per_setup
-        with pytest.raises(ValueError):
-            PerSpec(scenario, mod, 10.0, 3.16, tail_cut=0.0)
-        with pytest.raises(ValueError):
-            PerSpec(scenario, mod, 10.0, 3.16, ell_max=0)
-        with pytest.raises(ValueError):
-            PerSpec(scenario, mod, 10.0, 3.16, noise_bits=-1)
-        with pytest.raises(ValueError):
-            PerSpec(scenario, mod, -1.0, 3.16)
-        with pytest.raises(ValueError):
-            PerSpec(scenario, mod, 10.0, 0.0)
+        for snr, inr, kwargs, message in [
+            (-1.0, 3.16, {}, "snr must be finite and nonnegative"),
+            (math.nan, 3.16, {}, "snr must be finite and nonnegative"),
+            (math.inf, 3.16, {}, "snr must be finite and nonnegative"),
+            (10.0, 3.16, {"tail_cut": 0.0}, "tail_cut must lie in"),
+            (10.0, 3.16, {"tail_cut": 1.0}, "tail_cut must lie in"),
+            (10.0, 3.16, {"ell_max": 0}, "ell_max must be an integer >= 1"),
+            (10.0, 3.16, {"noise_bits": -1}, "noise_bits must be an integer >= 0"),
+            (10.0, 0.0, {}, "finite and positive"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                per_at(scenario, mod, snr, inr, PerMethod.QUADRATURE, **kwargs)
 
     @pytest.mark.parametrize("field,value", [
         ("noise_bits", 2.5), ("noise_bits", 496.0), ("noise_bits", True),
-        ("ell_max", 5.5), ("ell_max", 12.0), ("ell_max", np.float64(12.0)),
+        ("ell_max", 5.5), ("ell_max", 12.0), ("ell_max", np.float64(12.0)), ("ell_max", True),
     ])
     def test_counts_must_be_integers(self, per_setup, field, value):
         # a float count would split a busy-period run or the slot grid
         scenario, mod = per_setup
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            PerSpec(scenario, mod, 10.0, 3.16, **{field: value})
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             per_curve(scenario, mod, 10.0, [1.0, 10.0], [QUAD], **{field: value})
 
@@ -454,11 +445,8 @@ class TestPerCurve:
                           ell_max=ell_max, noise_bits=noise_bits)
         for method in methods:
             points = [
-                packet_error_rate(
-                    PerSpec(scenario, mod, 10.0, float(i), ell_max=ell_max,
-                            noise_bits=noise_bits),
-                    method,
-                ).per
+                per_at(scenario, mod, 10.0, float(i), method, ell_max=ell_max,
+                       noise_bits=noise_bits)
                 for i in inr
             ]
             assert curve.values[method.value].tolist() == points
@@ -467,23 +455,22 @@ class TestPerCurve:
         with pytest.raises(GumbelDomainError):
             per_curve(scenario, weak, 10.0, inr, [PerMethod.HYBRID], ell_max=ell_max)
         with pytest.raises(GumbelDomainError):
-            packet_error_rate(PerSpec(scenario, weak, 10.0, 1.0, ell_max=ell_max),
-                              PerMethod.HYBRID)
+            per_at(scenario, weak, 10.0, 1.0, PerMethod.HYBRID, ell_max=ell_max)
 
 
 @pytest.mark.parametrize("name", preset_names())
 def test_batched_quadrature_matches_adaptive_oracle(name):
     scenario = preset_scenario(name)
     inr = 10 ** (np.arange(-30.0, 40.1, 2.5) / 10.0)
-    increments = slot_increments(scenario, resolve_ell_max(PerSpec(scenario, BPSK, 1.0, 1.0)))
+    increments = slot_increments(scenario, resolve_ell_max(scenario, 1e-6))
     worst = 0.0
     for snr in (1.0, 10.0, 1000.0):
         for noise_bits in (None, 496):
             curve = per_curve(scenario, BPSK, snr, inr, [PerMethod.QUADRATURE],
                               noise_bits=noise_bits)
             for i, value in zip(inr, curve.values["quadrature"]):
-                spec = PerSpec(scenario, BPSK, snr, float(i), noise_bits=noise_bits)
-                worst = max(worst, abs(value - per_quadrature_adaptive(spec, increments)))
+                oracle = per_quadrature_adaptive(BPSK, snr, float(i), noise_bits, increments)
+                worst = max(worst, abs(value - oracle))
     assert worst <= 1e-12
 
 
@@ -498,7 +485,7 @@ def test_quadrature_matches_horner_oracle(name):
     # one term per busy period (summation by parts) against one Horner step
     # per slot, on the same nodes and slots
     scenario = scenario_named(name)
-    natural = resolve_ell_max(PerSpec(scenario, BPSK, 1.0, 1.0))
+    natural = resolve_ell_max(scenario, 1e-6)
     cases = [(snr, noise_bits, None) for snr in (1.0, 10.0, 1000.0) for noise_bits in (None, 496)]
     cases += [(10.0, noise_bits, ell_max) for noise_bits in (None, 496)
               for ell_max in (5, 561, natural + 1)]
@@ -506,9 +493,8 @@ def test_quadrature_matches_horner_oracle(name):
     for snr, noise_bits, ell_max in cases:
         curve = per_curve(scenario, BPSK, snr, PIECE_INR, [PerMethod.QUADRATURE],
                           ell_max=ell_max, noise_bits=noise_bits)
-        spec = PerSpec(scenario, BPSK, snr, 1.0, ell_max=ell_max, noise_bits=noise_bits)
         assert curve.ell_max == (ell_max or natural)
-        oracle = per_horner(spec, PIECE_INR)
+        oracle = per_horner(scenario, BPSK, snr, PIECE_INR, ell_max=ell_max, noise_bits=noise_bits)
         worst = max(worst, float(np.max(np.abs(curve.values["quadrature"] - oracle))))
     assert worst <= 1e-12
 
@@ -539,8 +525,8 @@ def test_quadrature_alone_skips_the_increments(name, monkeypatch):
         assert reads == [1, alone.ell_max + 1]
         assert (alone.tail_mass, alone.ell_max) == (both.tail_mass, both.ell_max)
         assert np.array_equal(alone.values["quadrature"], both.values["quadrature"])
-        spec = PerSpec(scenario, BPSK, 10.0, 1.0, ell_max=ell_max, noise_bits=noise_bits)
-        single = packet_error_rate(spec, PerMethod.QUADRATURE)
+        single = per_curve(scenario, BPSK, 10.0, [1.0], [PerMethod.QUADRATURE],
+                           ell_max=ell_max, noise_bits=noise_bits)
         assert (single.tail_mass, single.ell_max) == (alone.tail_mass, alone.ell_max)
 
 
@@ -567,9 +553,9 @@ def test_tail_mass_against_extended_precision(name, tail_cut):
 def test_quadrature_extreme_links_match_horner_oracle(per_setup, modulation, snr, inr,
                                                       noise_bits):
     scenario, _ = per_setup
-    spec = PerSpec(scenario, modulation, snr, inr, noise_bits=noise_bits)
-    per = packet_error_rate(spec, PerMethod.QUADRATURE).per
-    assert per == pytest.approx(float(per_horner(spec, [inr])[0]), abs=1e-12)
+    per = per_at(scenario, modulation, snr, inr, PerMethod.QUADRATURE, noise_bits=noise_bits)
+    oracle = per_horner(scenario, modulation, snr, [inr], noise_bits=noise_bits)
+    assert per == pytest.approx(float(oracle[0]), abs=1e-12)
 
 
 @pytest.mark.parametrize("rho", [0.0, -1e-12, -1e-7, -1e-6, -1e-4, -0.002, -0.5, -30.0, -1000.0])
@@ -592,8 +578,7 @@ def test_ratio_sums_against_direct_sums(rho, n):
 def test_resolve_ell_max_matches_bisection_oracle(name):
     scenario = scenario_named(name)
     for tail_cut in (1e-3, 1e-4, 1e-6, 1e-9):
-        spec = PerSpec(scenario, BPSK, 10.0, 1.0, tail_cut=tail_cut)
-        assert resolve_ell_max(spec) == resolve_ell_max_bisect(spec)
+        assert resolve_ell_max(scenario, tail_cut) == resolve_ell_max_bisect(scenario, tail_cut)
 
 
 @pytest.mark.parametrize("snr,inr", [(1e15, [0.1, 1.0]), (1e-40, [0.1, 1.0]), (10.0, [1e40])])

@@ -9,7 +9,6 @@ from coexlink.renewal import (
     RenewalPmfSpec,
     pmf,
     pmf_tail_index,
-    pmf_values,
 )
 
 MIXTURE = HyperexponentialIdle(weights=(0.3, 0.7), means=(2e-3, 2e-4))
@@ -67,7 +66,6 @@ def test_positive_counts_keep_precision_as_g_tends_to_one():
     for kind in CountKind:
         spec = RenewalPmfSpec(idle, s, 0.0, kind)
         assert pmf(spec, 1) == pytest.approx(one_minus_g * idle.laplace(s), rel=1e-14, abs=0.0)
-        assert pmf_values(spec, 1)[1] == pytest.approx(pmf(spec, 1), rel=1e-15, abs=0.0)
 
 
 def test_offset_damps_positive_counts():
@@ -81,19 +79,10 @@ def test_offset_damps_positive_counts():
 
 
 @pytest.mark.parametrize("kind", list(CountKind))
-def test_pmf_values_matches_pointwise(kind):
-    spec = spec_for(kind)
-    values = pmf_values(spec, 12)
-    assert len(values) == 13
-    for n, v in enumerate(values):
-        assert v == pytest.approx(pmf(spec, n), rel=1e-13, abs=1e-300)
-
-
-@pytest.mark.parametrize("kind", list(CountKind))
 def test_normalization(kind):
     spec = spec_for(kind)
     n_max = pmf_tail_index(spec, 1e-15)
-    total = math.fsum(pmf_values(spec, n_max))
+    total = math.fsum(pmf(spec, n) for n in range(n_max + 1))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -110,10 +99,10 @@ def test_tail_index_against_brute_force(kind, epsilon):
         n += 1
     brute = n - 1
     assert n_max == brute
-    tail = 1.0 - math.fsum(pmf_values(spec, n_max))
+    tail = 1.0 - math.fsum(pmf(spec, n) for n in range(n_max + 1))
     assert tail <= epsilon + 1e-15
     if n_max > 0:
-        shorter = 1.0 - math.fsum(pmf_values(spec, n_max - 1))
+        shorter = 1.0 - math.fsum(pmf(spec, n) for n in range(n_max))
         assert shorter > epsilon
 
 
@@ -158,7 +147,7 @@ def test_input_validation():
 )
 def test_pmf_is_a_probability_vector(rate, idle_mean, offset, kind):
     spec = RenewalPmfSpec(ExponentialIdle(rate=1.0 / idle_mean), rate, offset, kind)
-    values = pmf_values(spec, 50)
+    values = [pmf(spec, n) for n in range(51)]
     assert all(0.0 <= v <= 1.0 for v in values)
     assert math.fsum(values) <= 1.0 + 1e-12
     # geometric decay after the first positive term

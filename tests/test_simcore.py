@@ -6,7 +6,7 @@ import pytest
 from coexlink.ctd import ctd_mixture
 from coexlink.dist import HyperexponentialIdle, activity_factor
 from coexlink.presets import IDLE_MIXTURES, preset_scenario
-from coexlink.renewal import CountKind, RenewalPmfSpec, pmf_values
+from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 from coexlink.simcore import (
     CHUNK,
     EmpiricalCdf,
@@ -304,7 +304,7 @@ class TestRenewalCounting:
         )
         kind = CountKind.EQUILIBRIUM if equilibrium else CountKind.ORDINARY
         spec = RenewalPmfSpec(any_scenario.idle, any_scenario.packet_rate, 374e-6, kind)
-        pmf_exact = np.asarray(pmf_values(spec, pmf_mc.size - 1))
+        pmf_exact = np.asarray([pmf(spec, n) for n in range(pmf_mc.size)])
         assert np.max(np.abs(pmf_mc - pmf_exact)) < 0.006
 
     def test_offset_validation(self, scenario_exp_0p1575):

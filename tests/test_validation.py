@@ -93,6 +93,17 @@ class TestValidateScenario:
         )
         assert not report.passed
 
+    def test_empty_start_state_names_the_remedy(self):
+        # at alpha 1e-5, 10^4 trials almost surely hold no busy start, and a
+        # start state without samples has no empirical CDF to compare
+        with pytest.raises(ValueError) as info:
+            validate_scenario(preset_scenario("exp_alpha_0.00001"), trials=10_000, seed=1)
+        message = str(info.value)
+        assert "no trial started busy" in message
+        assert "activity factor 1e-05" in message
+        assert "10000 trials" in message
+        assert "raise --trials" in message
+
     # sha256 of the JSON report, recorded while the walk still gathered from
     # full-size arrays and drew phases with `rng.choice`: a faster walk or KS
     # must leave every digit of every statistic as it was.
