@@ -111,6 +111,12 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
     ``mixture_cdf`` substitutes the analytic joint CDF (negative-control
     hook for the test suite); conditionals always use the analytic curves.
     A run in which no trial starts idle, or none starts busy, is a ValueError.
+
+    Both renewal-count conventions walk ``seed + 1``, so the equilibrium and
+    ordinary counts come from the same packet windows and their chi-squares
+    are correlated, not two independent tests, and a run at ``seed + 1``
+    walks its collisions on this run's count stream (ROADMAP item 4 takes
+    this up).
     """
     config = simcore.McConfig(trials=trials, seed=seed)
     batch = simcore.run_trials(scenario, config)

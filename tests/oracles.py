@@ -17,8 +17,9 @@ from scipy import integrate, special
 
 from coexlink.ctd import ctd_mixture
 from coexlink.dist import ExponentialOnTime, HyperexponentialIdle, activity_factor
-from coexlink.per import _FADE_WEIGHTS, _bit_success, _slot_weights, resolve_ell_max
+from coexlink.per import _FADE_WEIGHTS, _LOG2, E0, _bit_success, _slot_weights, resolve_ell_max
 from coexlink.simcore import TrialBatch
+from coexlink.specfun import erf_inv
 
 # exp argument beyond which exp(-v) underflows to exactly 0.0 in binary64;
 # used to truncate integral representations safely.
@@ -140,6 +141,42 @@ def bessel_k_integral(nu: float, x: float) -> float:
             break
     val, _ = integrate.quad(integrand, 0.0, t_hi, limit=400, epsabs=0.0, epsrel=1e-13)
     return val
+
+
+def gumbel_gamma_kve(modulation, snr: float, mean_inr: np.ndarray,
+                     bits: np.ndarray) -> np.ndarray:
+    """Gumbel-Gamma success probabilities, shape (mean_inr.size, bits.size),
+    with one scipy `kve` call per (INR, window).
+
+    The body `per._gumbel_gamma_array` had before it took log K from
+    `specfun.log_bessel_k`, kept as the reference of that route.  Where kve
+    overflows it substitutes the z/shape limit, which is inaccurate there.
+    """
+    coeff, gain = modulation.coeff, modulation.gain
+    bits = np.asarray(bits, dtype=float)
+    loc = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff)) ** 2
+    scale = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff * math.e)) ** 2 - loc
+    shape = 6.0 * (loc + scale * E0) ** 2 / (math.pi**2 * scale**2)
+    theta = (loc + scale * E0) / shape
+    if snr == 0.0:
+        # z -> 0 limit of the matched-Gamma average.
+        return np.zeros((mean_inr.size, bits.size))
+    z = snr / (mean_inr[:, None] * theta)
+    root = 2.0 * np.sqrt(z)
+    log_fail = (
+        _LOG2
+        - special.gammaln(shape)
+        + 0.5 * shape * np.log(z)
+        + np.log(special.kve(shape, root))
+        - root
+    )
+    out = -np.expm1(log_fail)
+    # kve overflows once shape*log(shape) is extreme; there the matched Gamma
+    # concentrates at its mean and the average is 1 - E[exp(-z/T)] ~ z/shape.
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        out[bad] = np.clip((z / np.maximum(shape - 1.0, 1.0))[bad], 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0)
 
 
 def coverage_point_bisect(scenario, coverage: float = 1e-4) -> float:

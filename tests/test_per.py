@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from coexlink import per as per_module
 from coexlink.ctd import SlotTail, ctd_mixture
 from coexlink.per import (
+    E0,
     ELL_SWITCH,
     QN_COEFFS,
     QN_MAX_BITS,
@@ -25,8 +27,10 @@ from coexlink.per import (
 )
 from coexlink.per import _gumbel_gamma_array, _ratio_sums, _slot_weights
 from coexlink.presets import preset_names, preset_scenario
+from coexlink.specfun import erf_inv
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
 from oracles import (
+    gumbel_gamma_kve,
     mixture_tail_mp,
     per_horner,
     resolve_ell_max_bisect,
@@ -593,6 +597,65 @@ def test_closed_form_overflow_raises(per_setup, snr, inr):
         success_prob(mod, snr, inr[0], QN_MAX_BITS, QN)
     quad = per_curve(scenario, mod, snr, inr, [PerMethod.QUADRATURE]).values["quadrature"]
     assert np.all(np.isfinite(quad))
+
+
+# -- the Gumbel/Gamma part against the one-kve-call-per-window body it replaced
+
+GUMBEL_MODULATIONS = [Modulation(1.0, 2.0), Modulation(2.0, 1.0), Modulation(0.5, 2.0),
+                      Modulation(1.0, 0.5)]
+
+
+@pytest.mark.parametrize("modulation", GUMBEL_MODULATIONS)
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 30.0])
+def test_gumbel_success_matches_kve_oracle(modulation, snr_db):
+    snr = 10.0 ** (snr_db / 10.0)
+    inr = 10.0 ** (np.arange(-30.0, 40.1, 5.0) / 10.0)
+    bits = np.unique(np.geomspace(ELL_SWITCH + 1, 30000, 200).astype(int))
+    np.testing.assert_allclose(_gumbel_gamma_array(modulation, snr, inr, bits),
+                               gumbel_gamma_kve(modulation, snr, inr, bits),
+                               rtol=0.0, atol=5e-13)
+
+
+@pytest.mark.parametrize("name", ALL_PRESET_NAMES)
+def test_per_curve_hybrid_matches_kve_oracle(name, monkeypatch):
+    scenario = preset_scenario(name)
+    inr = 10.0 ** (np.linspace(-10.0, 30.0, 17) / 10.0)
+    for snr_db in (0.0, 10.0, 30.0):
+        snr = 10.0 ** (snr_db / 10.0)
+        hybrid = per_curve(scenario, BPSK, snr, inr).values["hybrid"]
+        with monkeypatch.context() as patch:
+            patch.setattr(per_module, "_gumbel_gamma_array", gumbel_gamma_kve)
+            oracle = per_curve(scenario, BPSK, snr, inr).values["hybrid"]
+        np.testing.assert_allclose(hybrid, oracle, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("inr_db", [30.0, 40.0])
+def test_gumbel_extreme_window_matches_mpmath(inr_db):
+    # at 1e7 bits (shape 128.6) K_shape(2 sqrt(z)) overflows a double; the
+    # z/shape stand-in the kve body used there was 2.6e-9 (3.6e-5 relative)
+    # off at 30 dB.  log K is ~800 here and cancels against the other terms
+    # of log(1 - success), so 1e-13 is about one ulp of those terms; the
+    # log-space route was measured 4.4e-14 and 5.0e-14 off.
+    import mpmath
+
+    bits = np.array([1e7])
+    loc = erf_inv(1.0 - 2.0 / bits) ** 2
+    scale = erf_inv(1.0 - 2.0 / (bits * math.e)) ** 2 - loc
+    shape = 6.0 * (loc + scale * E0) ** 2 / (math.pi**2 * scale**2)
+    theta = (loc + scale * E0) / shape
+    inr = 10.0 ** (inr_db / 10.0)
+    with mpmath.workdps(60):
+        nu = mpmath.mpf(shape[0])
+        z = mpmath.mpf(1.0 / (inr * theta[0]))
+        expected = 1 - 2 * z ** (nu / 2) * mpmath.besselk(nu, 2 * mpmath.sqrt(z)) / mpmath.gamma(nu)
+    got = _gumbel_gamma_array(BPSK, 1.0, np.array([inr]), bits)[0, 0]
+    assert got == pytest.approx(float(expected), rel=0.0, abs=1e-13)
+
+
+def test_gumbel_overflow_raises():
+    # below the Debye orders kve still overflows at a vanishing argument
+    with pytest.raises(FloatRangeError, match="quadrature"):
+        _gumbel_gamma_array(BPSK, 1e-30, np.array([1.0, 1e30]), np.array([ELL_SWITCH + 1, 200]))
 
 
 def test_fit_qn_table_script_matches_frozen_coefficients():

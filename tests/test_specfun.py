@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,3 +126,75 @@ def test_bessel_k_scaled_survives_large_argument():
 def test_bessel_domain_errors():
     with pytest.raises(ValueError):
         bessel_k_integral(1.0, 0.0)
+
+
+# log K on a log grid of the Debye range, orders 12-300 and arguments 1e-3 to
+# 1e3; kve overflows on part of it (K_300(1e-3) ~ e^3700).
+DEBYE_ORDERS = np.geomspace(specfun.DEBYE_MIN_ORDER, 300.0, 25)[::4]
+DEBYE_ARGS = np.geomspace(1e-3, 1e3, 31)[::3]
+
+
+def log_bessel_k_mp(nu: float, x: float) -> float:
+    """log K_nu(x) by mpmath, correct to 40 digits and more.
+
+    mpmath works at 60 digits: at 40 its besselk returned log K = 8.25 for
+    -14.0887 at nu = 229.417, x = 158.489 (a point of the full 25 x 31 grid
+    DEBYE_ORDERS and DEBYE_ARGS thin out); at 60 and 80 digits all 775 points
+    of that grid agree.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        return float(mpmath.log(mpmath.besselk(mpmath.mpf(nu), mpmath.mpf(x))))
+
+
+def test_log_bessel_k_debye_range_matches_mpmath():
+    got = specfun.log_bessel_k(DEBYE_ORDERS[:, None], DEBYE_ARGS[None, :])
+    expected = np.array([[log_bessel_k_mp(nu, x) for x in DEBYE_ARGS] for nu in DEBYE_ORDERS])
+    # |log K| reaches 3.7e3 here, where one ulp is 4.5e-13
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def test_log_bessel_k_low_orders_take_kve():
+    nu = np.array([0.0, 0.5, 1.0, 2.3, 7.5, 11.9])[:, None]
+    x = np.array([1e-3, 0.3, 2.0, 25.0, 700.0])
+    expected = np.log(special.kve(nu, x)) - x
+    np.testing.assert_array_equal(specfun.log_bessel_k(nu, x), expected)
+    for n, row in zip(nu[:, 0], expected):
+        for xi, value in zip(x, row):
+            assert value == pytest.approx(log_bessel_k_mp(n, xi), rel=0.0, abs=1e-12)
+
+
+def test_log_bessel_k_mixed_orders_match_each_route():
+    # one call over orders on both sides of the threshold gives, element by
+    # element, what a call with a single order gives
+    nu = np.array([1.5, 11.0, specfun.DEBYE_MIN_ORDER, 40.0, 3.0, 130.0])
+    x = np.array([[0.01], [1.0], [90.0]])
+    mixed = specfun.log_bessel_k(nu, x)
+    for j, n in enumerate(nu):
+        np.testing.assert_allclose(mixed[:, j], specfun.log_bessel_k(n, x[:, 0]),
+                                   rtol=1e-15, atol=0.0)
+    assert float(specfun.log_bessel_k(130.0, 0.01)) == pytest.approx(
+        log_bessel_k_mp(130.0, 0.01), rel=0.0, abs=1e-12)
+
+
+def test_log_bessel_k_domain_errors():
+    for nu, x in ((-1.0, 1.0), (20.0, 0.0), (3.0, -2.0)):
+        with pytest.raises(ValueError, match="log_bessel_k"):
+            specfun.log_bessel_k(nu, x)
+
+
+def test_debye_polynomials_match_dlmf_rationals():
+    # DLMF 10.41.10
+    exact = [
+        [1],
+        [0, Fraction(3, 24), 0, Fraction(-5, 24)],
+        [0, 0, Fraction(81, 1152), 0, Fraction(-462, 1152), 0, Fraction(385, 1152)],
+        [0, 0, 0, Fraction(30375, 414720), 0, Fraction(-369603, 414720), 0,
+         Fraction(765765, 414720), 0, Fraction(-425425, 414720)],
+    ]
+    table = specfun._debye_polynomials(4)
+    for k, coeffs in enumerate(exact):
+        expected = np.zeros(table.shape[1])
+        expected[: len(coeffs)] = [float(c) for c in coeffs]
+        np.testing.assert_allclose(table[k], expected, rtol=4e-16, atol=0.0)
