@@ -33,9 +33,14 @@ window by any of them:
   * qn (closed form) - an 8-term exponential-polynomial fit of the
     Gaussian Q-function turns the average into a finite sum of modified
     Bessel K terms: binomial order r of (1 - coeff*Q)^l needs the 7r+1
-    coefficients of the fit polynomial's r-th power, and the per-order sums
-    serve every l.  Capped at QN_MAX_BITS (accuracy validated for snr in
-    [0, 30] dB and mean_inr in [-10, 20] dB);
+    coefficients of the fit polynomial's r-th power (formed once, at
+    import), and the per-order sums serve every l.  Their Bessel K have the
+    orders |2 - j|/2, integer and half-integer, and all of them, for every r
+    and INR, come from one upward recurrence started at scipy's k0e and k1e
+    and at the elementary K_(1/2) and K_(3/2); the tests hold it within
+    2e-13 of per-order scipy kv calls up to ELL_SWITCH bits.  Capped at
+    QN_MAX_BITS (accuracy validated for snr in [0, 30] dB and mean_inr in
+    [-10, 20] dB);
   * hybrid - qn up to ELL_SWITCH bits, and beyond them a Gumbel/Gamma
     match: the window success (1 - ber(x))^l, as a function of the linear
     SIR x = snr/g, is approximated by a Gumbel CDF in x whose location and
@@ -43,8 +48,9 @@ window by any of them:
     whose fading average is a single Bessel K term, of the Gamma shape's
     order.  `specfun.log_bessel_k` gives its log: scipy's kve below order
     12 (BPSK windows up to 243 bits) and the 16-term Debye expansion from
-    there on, within 1e-12 of log K, so long windows cannot overflow; a
-    non-finite term raises FloatRangeError.  The match needs l*coeff > 2,
+    there on, within 1e-12 of log K, so long windows cannot overflow; the
+    shape rises with the window, so the windows split into one block per
+    method.  A non-finite term raises FloatRangeError.  The match needs l*coeff > 2,
     so windows past ELL_SWITCH need (ELL_SWITCH + 1)*coeff > 2.
     Against quadrature for BPSK over snr 0-30 dB and mean_inr -10-20 dB
     (5 dB steps) its worst relative error is 0.0999, 0.0619, 0.0356 and
@@ -53,7 +59,8 @@ window by any of them:
     absolute error <= 0.016.
 
 `_success_table` alone decides which of the qn and Gumbel parts covers which
-window, for single windows and PER sweeps alike.
+window, for single windows and PER sweeps alike; it evaluates only the
+windows it is given, so `success_prob` costs one window.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from scipy import special
 
 from .ctd import SlotTail, coverage_point, slot_tail
 from .dist import CoexistenceScenario
-from .specfun import erf_inv, gaussian_q, log_bessel_k
+from .specfun import DEBYE_MIN_ORDER, erf_inv, gaussian_q, log_bessel_k
 
 # Coefficients of the Q-function fit Q(x) ~ exp(-x^2/2) * sum_j b_j x^j on
 # x >= 0, degree 7, b_0 pinned to Q(0) = 0.5.  Regenerate with
@@ -156,55 +163,98 @@ def _validate_count(name: str, value: int, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+# Row r holds the 7r+1 coefficients of the fit polynomial's r-th power, which
+# binomial order r of the closed form averages, zero-padded to a common width.
+_QN_POWERS = np.array([
+    np.pad(np.polynomial.polynomial.polypow(QN_COEFFS, r), (0, 7 * (QN_MAX_BITS - r)))
+    for r in range(QN_MAX_BITS + 1)
+])
+
+
+def _half_order_kve(x: np.ndarray, count: int) -> np.ndarray:
+    """Scaled Bessel K, e^x * K_(m/2)(x) for m = 0..count-1, on a new first axis.
+
+    Integer orders start from k0e and k1e, half-integer ones from
+    K_(1/2) = sqrt(pi / 2x) e^-x and K_(3/2) = K_(1/2) (1 + 1/x); both go up
+    together by K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, which is stable upward.
+    """
+    pairs = -(-count // 2)
+    # out[k, p] holds order k + p/2
+    out = np.empty((pairs, 2) + x.shape)
+    out[0, 0] = special.k0e(x)
+    out[0, 1] = np.sqrt(0.5 * math.pi / x)
+    out[1, 0] = special.k1e(x)
+    out[1, 1] = out[0, 1] * (1.0 + 1.0 / x)
+    two_nu = 2.0 * np.arange(1, pairs - 1)[:, None] + np.arange(2.0)
+    ratio = two_nu.reshape(two_nu.shape + (1,) * x.ndim) / x
+    for k in range(2, pairs):
+        np.multiply(ratio[k - 2], out[k - 1], out=out[k])
+        out[k] += out[k - 2]
+    return out.reshape((2 * pairs,) + x.shape)[:count]
+
+
 def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
-                       top: int) -> np.ndarray:
-    """Closed-form success(bits) for bits 0..top at every mean INR.
+                       windows: np.ndarray) -> np.ndarray:
+    """Closed-form success(bits) for each of ``windows`` (at most QN_MAX_BITS
+    bits) at every mean INR, shape (mean_inr.size, windows.size).
 
     (1 - coeff*Q)^bits expands binomially into powers Q^r.  With the fit
     Q(x) ~ exp(-x^2/2) * sum_j b_j x^j, Q^r is exp(-r x^2/2) times the
     polynomial power of the b_j (7r+1 coefficients), and each of its terms
-    averages over the fading to one power-weighted Bessel K.  The per-order
-    sums are formed once and shared by every bit count.  Returns shape
-    (mean_inr.size, top + 1); values are clamped to [0, 1].
+    averages over the fading to one power-weighted Bessel K of order
+    |2 - j|/2.  Every K of every order r comes from one upward recurrence
+    (`_half_order_kve`), and the per-order sums are formed once and shared by
+    every window.  Values are clamped to [0, 1].
     """
     coeff, gain = modulation.coeff, modulation.gain
+    windows = [int(w) for w in windows]
+    top = max(windows, default=0)
     if snr == 0.0:
         # Q(0) = 1/2 regardless of fading.
-        exact = [(1.0 - 0.5 * coeff) ** bits for bits in range(top + 1)]
+        exact = [(1.0 - 0.5 * coeff) ** bits for bits in windows]
         return np.tile(exact, (mean_inr.size, 1))
+    if top == 0:
+        # Empty windows always succeed.
+        return np.ones((mean_inr.size, len(windows)))
     base = gain * snr
-    inr = mean_inr[:, None]
-    orders = [[1.0] * mean_inr.size]
-    for r in range(1, top + 1):
-        fit_power = np.polynomial.polynomial.polypow(QN_COEFFS, r)
-        delta = (2.0 - np.arange(fit_power.size)) / 4.0
-        arg = np.sqrt(2.0 * r * base / inr)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = (
-                fit_power
-                * 2.0 ** (1.0 - delta)
-                * (r * base * inr) ** delta
-                * base ** (1.0 - 2.0 * delta)
-                * special.kv(2.0 * delta, arg)
-                / inr
-            )
-        finite = np.isfinite(terms).all(axis=1)
-        if not finite.all():
-            raise FloatRangeError(
-                f"closed-form (qn) success terms leave the float range at snr "
-                f"{10.0 * math.log10(snr):.6g} dB, mean INR "
-                f"{10.0 * math.log10(mean_inr[~finite][0]):.6g} dB; the qn and hybrid "
-                "routes cannot evaluate this link, use the quadrature method "
-                "(--method quadrature)"
-            )
-        orders.append([math.fsum(row) for row in terms.tolist()])
-    table = np.empty((mean_inr.size, top + 1))
-    for bits in range(top + 1):
-        scale = [math.comb(bits, r) * (-coeff) ** r for r in range(bits + 1)]
-        table[:, bits] = [
-            math.fsum(c * s for c, s in zip(scale, column))
-            for column in zip(*orders[: bits + 1])
-        ]
+    r = np.arange(1, top + 1)
+    j = np.arange(7 * top + 1)
+    delta = (2.0 - j) / 4.0
+    inr = mean_inr[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = np.sqrt(2.0 * r * base / mean_inr[:, None])
+        bessel = _half_order_kve(arg, 7 * top - 1) * np.exp(-arg)
+        # Axes (INR, order r, term j); order r has terms j <= 7r.
+        terms = (
+            _QN_POWERS[1 : top + 1, : 7 * top + 1]
+            * 2.0 ** (1.0 - delta)
+            * (r[:, None] * base * inr) ** delta
+            * base ** (1.0 - 2.0 * delta)
+            * np.moveaxis(bessel[np.abs(2 - j)], 0, -1)
+            / inr
+        )
+    terms = terms[:, j <= 7 * r[:, None]]
+    finite = np.isfinite(terms).all(axis=1)
+    if not finite.all():
+        raise FloatRangeError(
+            f"closed-form (qn) success terms leave the float range at snr "
+            f"{10.0 * math.log10(snr):.6g} dB, mean INR "
+            f"{10.0 * math.log10(mean_inr[~finite][0]):.6g} dB; the qn and hybrid "
+            "routes cannot evaluate this link, use the quadrature method "
+            "(--method quadrature)"
+        )
+    # Order r's terms start at offset sum_(k<r) (7k+1) of each INR row.
+    offsets = [0] + np.cumsum(7 * r + 1).tolist()
+    orders = np.ones((mean_inr.size, top + 1))
+    orders[:, 1:] = [
+        [math.fsum(row[a:b]) for a, b in zip(offsets, offsets[1:])]
+        for row in terms.tolist()
+    ]
+    table = np.empty((mean_inr.size, len(windows)))
+    for col, bits in enumerate(windows):
+        scale = [math.comb(bits, k) * (-coeff) ** k for k in range(bits + 1)]
+        mix = orders[:, : bits + 1] * scale
+        table[:, col] = [math.fsum(row) for row in mix.tolist()]
     # The fit bias allows overshoot of order 1e-5 near saturation; anything
     # beyond that means the expansion itself misbehaved.
     wild = ~((table >= -1e-4) & (table <= 1.0 + 1e-4))
@@ -233,12 +283,15 @@ def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: np.ndarray
         # z -> 0 limit of the matched-Gamma average.
         return np.zeros((mean_inr.size, bits.size))
     z = snr / (mean_inr[:, None] * theta)
-    log_fail = (
-        _LOG2
-        - special.gammaln(shape)
-        + 0.5 * shape * np.log(z)
-        + log_bessel_k(shape, 2.0 * np.sqrt(z))
-    )
+    root = 2.0 * np.sqrt(z)
+    # The shape rises with the window, so ascending windows split into a kve
+    # block and a Debye block; log_bessel_k takes each in one pass.
+    split = int(np.searchsorted(shape, DEBYE_MIN_ORDER))
+    log_k = np.empty_like(z)
+    for cols in (slice(None, split), slice(split, None)):
+        if shape[cols].size:
+            log_k[:, cols] = log_bessel_k(shape[cols], root[:, cols])
+    log_fail = _LOG2 - special.gammaln(shape) + 0.5 * shape * np.log(z) + log_k
     finite = np.isfinite(log_fail).all(axis=1)
     if not finite.all():
         raise FloatRangeError(
@@ -252,22 +305,25 @@ def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: np.ndarray
 
 
 def _success_table(modulation: Modulation, snr: float, method: PerMethod,
-                   mean_inr: np.ndarray, top: int) -> np.ndarray:
-    """success(l) by the qn or hybrid route for windows 0..top at every mean
-    INR, shape (mean_inr.size, top + 1).
+                   mean_inr: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """success(l) by the qn or hybrid route for each of the ascending bit
+    counts ``windows`` at every mean INR, shape (mean_inr.size, windows.size).
 
     The one place that decides which part covers which window: qn covers
     every window up to QN_MAX_BITS; the hybrid takes qn up to ELL_SWITCH and
     the Gumbel/Gamma match beyond, whose domain starts past 2 / coeff bits.
     """
+    windows = np.asarray(windows)
+    top = int(windows[-1])
     if method is PerMethod.CLOSED_FORM and top > QN_MAX_BITS:
         raise ValueError(
             f"qn route cannot cover {top} slots "
             f"(limit {QN_MAX_BITS}); use hybrid or quadrature"
         )
-    qn_top = top if method is PerMethod.CLOSED_FORM else min(ELL_SWITCH, top)
-    head = _closed_form_table(modulation, snr, mean_inr, qn_top)
-    if qn_top == top:
+    qn_top = top if method is PerMethod.CLOSED_FORM else ELL_SWITCH
+    split = int(np.searchsorted(windows, qn_top, side="right"))
+    head = _closed_form_table(modulation, snr, mean_inr, windows[:split])
+    if split == windows.size:
         return head
     if (ELL_SWITCH + 1) * modulation.coeff <= 2.0:
         raise GumbelDomainError(
@@ -275,7 +331,7 @@ def _success_table(modulation: Modulation, snr: float, method: PerMethod,
             f"bits * coeff > 2, got coeff={modulation.coeff}; use the quadrature "
             "method, which covers every slot"
         )
-    tail = _gumbel_gamma_array(modulation, snr, mean_inr, np.arange(ELL_SWITCH + 1, top + 1))
+    tail = _gumbel_gamma_array(modulation, snr, mean_inr, windows[split:])
     return np.hstack([head, tail])
 
 
@@ -284,7 +340,7 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     """Success probability of a ``bits``-long collision window, by any route.
 
     The quadrature route sums q(g)^bits on the fixed nodes of the PER
-    quadrature; qn and hybrid read the window from `_success_table`.
+    quadrature; qn and hybrid evaluate this window alone by `_success_table`.
     """
     _validate_snr(snr)
     if not (math.isfinite(mean_inr) and mean_inr > 0.0):
@@ -295,7 +351,8 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     if method is PerMethod.QUADRATURE:
         q = _bit_success(modulation, snr, np.array([mean_inr]))[0]
         return min(max(math.fsum((q**bits * _FADE_WEIGHTS).tolist()), 0.0), 1.0)
-    return float(_success_table(modulation, snr, method, np.array([mean_inr]), bits)[0, bits])
+    return float(_success_table(modulation, snr, method, np.array([mean_inr]),
+                                np.array([bits]))[0, 0])
 
 
 def resolve_ell_max(scenario: CoexistenceScenario, tail_cut: float) -> int:
@@ -503,7 +560,7 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
         if method is PerMethod.QUADRATURE:
             per = _per_quadrature(modulation, snr, noise_bits, grid, tail, slots, tail_mass)
         else:
-            table = _success_table(modulation, snr, method, grid, slots)
+            table = _success_table(modulation, snr, method, grid, np.arange(slots + 1))
             # Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
             # no-collision atom F(0).
             increments = -np.diff(tail.at(np.arange(slots + 1)), prepend=1.0)

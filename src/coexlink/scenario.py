@@ -3,7 +3,10 @@
 Every duration is a string "NUMBER UNIT" (units ns/us/ms/s) so a file can
 never be misread by a factor of a thousand.  Unknown keys anywhere are an
 error; the raw tree is kept on the parsed document for lossless round-trips
-and for hashing the full resolved configuration into output headers.
+and for hashing the full resolved configuration into output headers.  Files
+are read by libyaml's C parser where PyYAML has it, and by PyYAML's
+pure-Python parser otherwise; both build the same tree with the same safe
+constructor.
 
 Schema (YAML):
 
@@ -198,8 +201,11 @@ def _parse_job(node, where: str) -> JobParams:
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
+    # libyaml's C parser under safe_load's constructor and resolver: the same
+    # tree at a tenth of the cost; PyYAML built without libyaml lacks it.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        tree = yaml.safe_load(text)
+        tree = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioFormatError(f"{source}: not valid YAML: {exc}") from exc
     if not isinstance(tree, dict):
@@ -246,11 +252,6 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
 def parse_scenario_file(path) -> ScenarioDoc:
     with open(path, encoding="utf-8") as handle:
         return parse_scenario_text(handle.read(), source=str(path))
-
-
-def serialize_scenario(doc: ScenarioDoc) -> str:
-    """Canonical YAML of the original tree; parses back to an equal document."""
-    return yaml.safe_dump(doc.tree, sort_keys=True, default_flow_style=False)
 
 
 def config_hash(doc: ScenarioDoc | None, overrides: dict) -> str:

@@ -17,9 +17,18 @@ from scipy import integrate, special
 
 from coexlink.ctd import ctd_mixture
 from coexlink.dist import ExponentialOnTime, HyperexponentialIdle, activity_factor
-from coexlink.per import _FADE_WEIGHTS, _LOG2, E0, _bit_success, _slot_weights, resolve_ell_max
+from coexlink.per import (
+    _FADE_WEIGHTS,
+    _LOG2,
+    E0,
+    QN_COEFFS,
+    FloatRangeError,
+    _bit_success,
+    _slot_weights,
+    resolve_ell_max,
+)
 from coexlink.simcore import TrialBatch
-from coexlink.specfun import erf_inv
+from coexlink.specfun import erf_inv, log_bessel_k
 
 # exp argument beyond which exp(-v) underflows to exactly 0.0 in binary64;
 # used to truncate integral representations safely.
@@ -143,6 +152,58 @@ def bessel_k_integral(nu: float, x: float) -> float:
     return val
 
 
+def closed_form_table_kv(modulation, snr: float, mean_inr: np.ndarray, top: int) -> np.ndarray:
+    """Closed-form success(bits) for bits 0..top at every mean INR, shape
+    (mean_inr.size, top + 1), with one scipy `kv` call per order.
+
+    The body `per._closed_form_table` had before it took every Bessel K from
+    one upward recurrence, kept as the reference of that route: it forms the
+    fit polynomial's r-th power and each order's Bessel K afresh per order r.
+    """
+    coeff, gain = modulation.coeff, modulation.gain
+    if snr == 0.0:
+        exact = [(1.0 - 0.5 * coeff) ** bits for bits in range(top + 1)]
+        return np.tile(exact, (mean_inr.size, 1))
+    base = gain * snr
+    inr = mean_inr[:, None]
+    orders = [[1.0] * mean_inr.size]
+    for r in range(1, top + 1):
+        fit_power = np.polynomial.polynomial.polypow(QN_COEFFS, r)
+        delta = (2.0 - np.arange(fit_power.size)) / 4.0
+        arg = np.sqrt(2.0 * r * base / inr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (
+                fit_power
+                * 2.0 ** (1.0 - delta)
+                * (r * base * inr) ** delta
+                * base ** (1.0 - 2.0 * delta)
+                * special.kv(2.0 * delta, arg)
+                / inr
+            )
+        if not np.isfinite(terms).all():
+            raise FloatRangeError("closed-form terms leave the float range")
+        orders.append([math.fsum(row) for row in terms.tolist()])
+    table = np.empty((mean_inr.size, top + 1))
+    for bits in range(top + 1):
+        scale = [math.comb(bits, r) * (-coeff) ** r for r in range(bits + 1)]
+        table[:, bits] = [
+            math.fsum(c * s for c, s in zip(scale, column))
+            for column in zip(*orders[: bits + 1])
+        ]
+    return np.clip(table, 0.0, 1.0)
+
+
+def gumbel_gamma_match(modulation, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shape and scale of the Gamma law matched to each window's Gumbel fit."""
+    coeff, gain = modulation.coeff, modulation.gain
+    bits = np.asarray(bits, dtype=float)
+    loc = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff)) ** 2
+    scale = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff * math.e)) ** 2 - loc
+    shape = 6.0 * (loc + scale * E0) ** 2 / (math.pi**2 * scale**2)
+    theta = (loc + scale * E0) / shape
+    return shape, theta
+
+
 def gumbel_gamma_kve(modulation, snr: float, mean_inr: np.ndarray,
                      bits: np.ndarray) -> np.ndarray:
     """Gumbel-Gamma success probabilities, shape (mean_inr.size, bits.size),
@@ -152,15 +213,10 @@ def gumbel_gamma_kve(modulation, snr: float, mean_inr: np.ndarray,
     `specfun.log_bessel_k`, kept as the reference of that route.  Where kve
     overflows it substitutes the z/shape limit, which is inaccurate there.
     """
-    coeff, gain = modulation.coeff, modulation.gain
-    bits = np.asarray(bits, dtype=float)
-    loc = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff)) ** 2
-    scale = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff * math.e)) ** 2 - loc
-    shape = 6.0 * (loc + scale * E0) ** 2 / (math.pi**2 * scale**2)
-    theta = (loc + scale * E0) / shape
+    shape, theta = gumbel_gamma_match(modulation, bits)
     if snr == 0.0:
         # z -> 0 limit of the matched-Gamma average.
-        return np.zeros((mean_inr.size, bits.size))
+        return np.zeros((mean_inr.size, shape.size))
     z = snr / (mean_inr[:, None] * theta)
     root = 2.0 * np.sqrt(z)
     log_fail = (
@@ -177,6 +233,24 @@ def gumbel_gamma_kve(modulation, snr: float, mean_inr: np.ndarray,
     if np.any(bad):
         out[bad] = np.clip((z / np.maximum(shape - 1.0, 1.0))[bad], 0.0, 1.0)
     return np.clip(out, 0.0, 1.0)
+
+
+def gumbel_gamma_one_call(modulation, snr: float, mean_inr: np.ndarray,
+                          bits: np.ndarray) -> np.ndarray:
+    """Gumbel-Gamma success probabilities with every window's log K from one
+    mixed-order `specfun.log_bessel_k` call, the body `per._gumbel_gamma_array`
+    had before it split the windows at the Debye order."""
+    shape, theta = gumbel_gamma_match(modulation, bits)
+    if snr == 0.0:
+        return np.zeros((mean_inr.size, shape.size))
+    z = snr / (mean_inr[:, None] * theta)
+    log_fail = (
+        _LOG2
+        - special.gammaln(shape)
+        + 0.5 * shape * np.log(z)
+        + log_bessel_k(shape, 2.0 * np.sqrt(z))
+    )
+    return np.clip(-np.expm1(log_fail), 0.0, 1.0)
 
 
 def coverage_point_bisect(scenario, coverage: float = 1e-4) -> float:

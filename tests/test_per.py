@@ -11,7 +11,6 @@ from scipy import integrate, special
 from coexlink import per as per_module
 from coexlink.ctd import SlotTail, ctd_mixture
 from coexlink.per import (
-    E0,
     ELL_SWITCH,
     QN_COEFFS,
     QN_MAX_BITS,
@@ -25,12 +24,21 @@ from coexlink.per import (
     resolve_ell_max,
     success_prob,
 )
-from coexlink.per import _gumbel_gamma_array, _ratio_sums, _slot_weights
+from coexlink.per import (
+    _closed_form_table,
+    _gumbel_gamma_array,
+    _half_order_kve,
+    _ratio_sums,
+    _slot_weights,
+    _success_table,
+)
 from coexlink.presets import preset_names, preset_scenario
-from coexlink.specfun import erf_inv
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
 from oracles import (
+    closed_form_table_kv,
     gumbel_gamma_kve,
+    gumbel_gamma_match,
+    gumbel_gamma_one_call,
     mixture_tail_mp,
     per_horner,
     resolve_ell_max_bisect,
@@ -599,10 +607,77 @@ def test_closed_form_overflow_raises(per_setup, snr, inr):
     assert np.all(np.isfinite(quad))
 
 
-# -- the Gumbel/Gamma part against the one-kve-call-per-window body it replaced
-
 GUMBEL_MODULATIONS = [Modulation(1.0, 2.0), Modulation(2.0, 1.0), Modulation(0.5, 2.0),
                       Modulation(1.0, 0.5)]
+
+
+# -- the qn head against the one-kv-call-per-order body it replaced
+
+def test_half_order_kve_matches_scipy():
+    # the upward recurrence over every order the closed form reaches (m/2 for
+    # m <= 7 * QN_MAX_BITS - 2), measured within 1.9e-14 relative of kve
+    x = np.geomspace(1e-3, 1e3, 61)
+    count = 7 * QN_MAX_BITS - 1
+    expected = special.kve(np.arange(count)[:, None] / 2.0, x)
+    assert np.isfinite(expected).all()
+    np.testing.assert_allclose(_half_order_kve(x, count), expected, rtol=5e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("modulation", GUMBEL_MODULATIONS)
+@pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
+def test_closed_form_matches_kv_oracle(modulation, snr_db):
+    # measured 9.7e-14 up to ELL_SWITCH bits; at QN_MAX_BITS the alternating
+    # binomial sum magnifies either route's 1e-16 Bessel K error (4.3e-12)
+    snr = 10.0 ** (snr_db / 10.0)
+    inr = 10.0 ** (np.arange(-10.0, 40.1, 2.5) / 10.0)
+    table = _closed_form_table(modulation, snr, inr, np.arange(QN_MAX_BITS + 1))
+    oracle = closed_form_table_kv(modulation, snr, inr, QN_MAX_BITS)
+    np.testing.assert_allclose(table[:, : ELL_SWITCH + 1], oracle[:, : ELL_SWITCH + 1],
+                               rtol=0.0, atol=2e-13)
+    np.testing.assert_allclose(table, oracle, rtol=0.0, atol=1e-11)
+
+
+def test_closed_form_reads_only_the_requested_windows():
+    inr = 10.0 ** (np.arange(-10.0, 40.1, 10.0) / 10.0)
+    full = _closed_form_table(BPSK, 10.0, inr, np.arange(QN_MAX_BITS + 1))
+    for windows in ([0], [3], [2, 7, 12]):
+        np.testing.assert_array_equal(_closed_form_table(BPSK, 10.0, inr, windows),
+                                      full[:, windows])
+
+
+# -- success_prob evaluates its window alone, as the PER sweep's table has it
+
+@pytest.mark.parametrize("modulation", [BPSK, Modulation(2.0, 1.0)])
+@pytest.mark.parametrize("snr", [1.0, 10.0, 1000.0])
+def test_success_prob_matches_the_sweep_table(modulation, snr):
+    inr = 10.0 ** (np.arange(-10.0, 40.1, 10.0) / 10.0)
+    for method, top, windows in ((HYBRID, 2687, (1, 8, 9, 12, 16, 561, 2687)),
+                                 (QN, QN_MAX_BITS, (1, 8, 12))):
+        table = _success_table(modulation, snr, method, inr, np.arange(top + 1))
+        for bits in windows:
+            single = [success_prob(modulation, snr, g, bits, method) for g in inr]
+            np.testing.assert_allclose(single, table[:, bits], rtol=0.0, atol=1e-15)
+
+
+# -- the Gumbel/Gamma part against the bodies it replaced
+
+def test_gamma_shape_rises_with_the_window():
+    # so `_gumbel_gamma_array` cuts ascending windows into a kve block and a
+    # Debye block at one column
+    for modulation in GUMBEL_MODULATIONS:
+        shape, _ = gumbel_gamma_match(modulation, np.arange(ELL_SWITCH + 1, 100_001))
+        assert np.all(np.diff(shape) > 0.0)
+
+
+@pytest.mark.parametrize("modulation", GUMBEL_MODULATIONS)
+def test_gumbel_blocks_match_one_log_bessel_k_call(modulation):
+    inr = 10.0 ** (np.arange(-10.0, 40.1, 5.0) / 10.0)
+    bits = np.arange(ELL_SWITCH + 1, 3000)
+    for snr_db in (0.0, 10.0, 20.0, 30.0):
+        snr = 10.0 ** (snr_db / 10.0)
+        np.testing.assert_allclose(_gumbel_gamma_array(modulation, snr, inr, bits),
+                                   gumbel_gamma_one_call(modulation, snr, inr, bits),
+                                   rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("modulation", GUMBEL_MODULATIONS)
@@ -639,10 +714,7 @@ def test_gumbel_extreme_window_matches_mpmath(inr_db):
     import mpmath
 
     bits = np.array([1e7])
-    loc = erf_inv(1.0 - 2.0 / bits) ** 2
-    scale = erf_inv(1.0 - 2.0 / (bits * math.e)) ** 2 - loc
-    shape = 6.0 * (loc + scale * E0) ** 2 / (math.pi**2 * scale**2)
-    theta = (loc + scale * E0) / shape
+    shape, theta = gumbel_gamma_match(BPSK, bits)
     inr = 10.0 ** (inr_db / 10.0)
     with mpmath.workdps(60):
         nu = mpmath.mpf(shape[0])
