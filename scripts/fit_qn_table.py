@@ -1,4 +1,5 @@
-"""Regenerate the polynomial Q-function table used by the closed-form route.
+"""Regenerate the polynomial Q-function table of the hybrid PER route's
+closed-form head (windows up to coexlink.per.ELL_SWITCH bits).
 
 Fits Q(x) ~ exp(-x^2/2) * p(x) with p of degree 7 and p(0) pinned to
 Q(0) = 0.5, by weighted least squares in the lifted space (target

@@ -150,10 +150,8 @@ def cmd_validate(scenario_file, preset, trials, seed, report_path) -> None:
 @click.option("--method", type=click.Choice([m.value for m in PerMethod]),
               default=None, help="Evaluation route (default from the job section).")
 @click.option("--snr-db", type=float, default=None, help="Mean SNR of the observed link, dB.")
-@click.option("--ell-max", type=int, default=None,
-              help="Cap on resolved bit slots (mainly for the qn route).")
 @_guarded
-def cmd_per(scenario_file, preset, output, method, snr_db, ell_max) -> None:
+def cmd_per(scenario_file, preset, output, method, snr_db) -> None:
     """Sweep PER over the mean INR range of the job section."""
     doc, scenario, modulation, job = _load(scenario_file, preset)
     method_name = method if method is not None else job.method
@@ -169,10 +167,10 @@ def cmd_per(scenario_file, preset, output, method, snr_db, ell_max) -> None:
     methods = [PerMethod.QUADRATURE]
     if chosen is not PerMethod.QUADRATURE:
         methods.append(chosen)
-    curve = per_curve(scenario, modulation, snr, inr, methods, ell_max=ell_max)
+    curve = per_curve(scenario, modulation, snr, inr, methods)
 
     overrides = {"command": "per", "preset": preset, "method": method_name,
-                 "snr_db": snr_db_val, "ell_max": ell_max}
+                 "snr_db": snr_db_val}
     digest = config_hash(doc, overrides)
     columns = ["gamma_i_bar_db"] + [f"per_{m.value}" for m in methods] + ["tail_mass"]
     arrays = [inr_db] + [curve.values[m.value] for m in methods]

@@ -12,14 +12,14 @@ bits-long collision window; combining those with the collision-time CDF of
     PER = 1 - sum_l success(l) * (F(l*bit_time) - F((l-1)*bit_time))
 
 The sum stops at ell_max slots (`resolve_ell_max`), and the mass 1 - F
-beyond them counts as errors.  Every route reads F from one `ctd.slot_tail`
-of slots 0..ell_max, built once per INR sweep: the qn and hybrid routes take
-the increments from it, the quadrature route sums by parts against it, and
-the ignored tail mass is its value at ell_max, not 1 - F formed by a
+beyond them counts as errors.  Both routes read F from one `ctd.slot_tail`
+of slots 0..ell_max, built once per INR sweep: the hybrid route takes the
+increments from it, the quadrature route sums by parts against it, and the
+ignored tail mass is its value at ell_max, not 1 - F formed by a
 subtraction.  `per_curve` is the one PER front; one INR is a one-point sweep.
 
-Three routes evaluate success(l) (`PerMethod`); `success_prob` reads one
-window by any of them:
+Two routes evaluate success(l) (`PerMethod`); `success_prob` reads one
+window by either:
   * quadrature - the fading average on fixed nodes: a trapezoid rule in
     t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
     (877 nodes).  A single window sums q(g)^bits over the nodes; for the
@@ -29,38 +29,37 @@ window by any of them:
     arithmetic-geometric sum per busy period, for the whole INR sweep at
     once.  The tests check both against adaptive quadrature, and the PER
     against one Horner step per slot, to 1e-12; the adaptive integral is the
-    oracle of the other routes;
-  * qn (closed form) - an 8-term exponential-polynomial fit of the
-    Gaussian Q-function turns the average into a finite sum of modified
-    Bessel K terms: binomial order r of (1 - coeff*Q)^l needs the 7r+1
-    coefficients of the fit polynomial's r-th power (formed once, at
-    import), and the per-order sums serve every l.  Their Bessel K have the
-    orders |2 - j|/2, integer and half-integer, and all of them, for every r
-    and INR, come from one upward recurrence started at scipy's k0e and k1e
-    and at the elementary K_(1/2) and K_(3/2); the tests hold it within
-    2e-13 of per-order scipy kv calls up to ELL_SWITCH bits.  Capped at
-    QN_MAX_BITS (accuracy validated for snr in [0, 30] dB and mean_inr in
-    [-10, 20] dB);
-  * hybrid - qn up to ELL_SWITCH bits, and beyond them a Gumbel/Gamma
-    match: the window success (1 - ber(x))^l, as a function of the linear
-    SIR x = snr/g, is approximated by a Gumbel CDF in x whose location and
-    scale come from erf_inv; that Gumbel is moment-matched to a Gamma law,
-    whose fading average is a single Bessel K term, of the Gamma shape's
-    order.  `specfun.log_bessel_k` gives its log: scipy's kve below order
-    12 (BPSK windows up to 243 bits) and the 16-term Debye expansion from
-    there on, within 1e-12 of log K, so long windows cannot overflow; the
-    shape rises with the window, so the windows split into one block per
-    method.  A non-finite term raises FloatRangeError.  The match needs l*coeff > 2,
-    so windows past ELL_SWITCH need (ELL_SWITCH + 1)*coeff > 2.
+    oracle of the hybrid;
+  * hybrid - a closed form (the qn head) up to ELL_SWITCH bits, and beyond
+    them a Gumbel/Gamma match.  The closed form: an 8-term
+    exponential-polynomial fit of the Gaussian Q-function turns the average
+    into a finite sum of modified Bessel K terms: binomial order r of
+    (1 - coeff*Q)^l needs the 7r+1 coefficients of the fit polynomial's
+    r-th power (formed once, at import), and the per-order sums serve every
+    l.  Their Bessel K have the orders |2 - j|/2, integer and half-integer,
+    and all of them, for every r and INR, come from one upward recurrence
+    started at scipy's k0e and k1e and at the elementary K_(1/2) and
+    K_(3/2); the tests hold it within 2e-13 of per-order scipy kv calls.
+    The Gumbel/Gamma match: the window success (1 - ber(x))^l, as a
+    function of the linear SIR x = snr/g, is approximated by a Gumbel CDF
+    in x whose location and scale come from erf_inv; that Gumbel is
+    moment-matched to a Gamma law, whose fading average is a single Bessel
+    K term, of the Gamma shape's order.  `specfun.log_bessel_k` gives its
+    log: scipy's kve below order 12 (BPSK windows up to 243 bits) and the
+    16-term Debye expansion from there on, within 1e-12 of log K, so long
+    windows cannot overflow; the shape rises with the window, so the
+    windows split into one block per method.  A non-finite term of either
+    part raises FloatRangeError.  The match needs l*coeff > 2, so windows
+    past ELL_SWITCH need (ELL_SWITCH + 1)*coeff > 2.
     Against quadrature for BPSK over snr 0-30 dB and mean_inr -10-20 dB
     (5 dB steps) its worst relative error is 0.0999, 0.0619, 0.0356 and
     0.0223 at l = 16, 32, 64 and 128; errors above 0.05 occur only at
     snr/mean_inr <= 0 dB, where the success probability is <= 0.24 and the
     absolute error <= 0.016.
 
-`_success_table` alone decides which of the qn and Gumbel parts covers which
-window, for single windows and PER sweeps alike; it evaluates only the
-windows it is given, so `success_prob` costs one window.
+`_success_table` alone decides which of the closed form and the Gumbel part
+covers which window, for single windows and PER sweeps alike; it evaluates
+only the windows it is given, so `success_prob` costs one window.
 """
 
 from __future__ import annotations
@@ -91,15 +90,11 @@ QN_COEFFS = (
     -0.0001550149131660018,
 )
 
-# The closed form is validated (criterion 4, the tests) and used by the
-# hybrid only up to this window.  Its cost is no limit (7r+1 terms per order),
-# but past ~26 bits at 30 dB snr the order-r terms, which carry base^(7r/2),
-# overflow to inf - inf, and its fit bias grows with the window (4.8e-6 at
-# 12 bits, 9.5e-6 at 24, against quadrature).
-QN_MAX_BITS = 12
-
 # The hybrid route takes windows up to this many bits from the closed form
-# and longer ones from the Gumbel/Gamma match.
+# and longer ones from the Gumbel/Gamma match.  The closed form's cost is no
+# limit (7r+1 terms per order), but past ~26 bits at 30 dB snr its order-r
+# terms, which carry base^(7r/2), overflow to inf - inf, and its fit bias
+# grows with the window (4.8e-6 at 12 bits, 9.5e-6 at 24, against quadrature).
 ELL_SWITCH = 8
 
 # Gumbel mean offset used by the moment match (Euler-Mascheroni, 4 places).
@@ -110,7 +105,6 @@ _LOG2 = math.log(2.0)
 
 class PerMethod(Enum):
     QUADRATURE = "quadrature"
-    CLOSED_FORM = "qn"
     HYBRID = "hybrid"
 
 
@@ -166,8 +160,8 @@ def _validate_count(name: str, value: int, low: int) -> None:
 # Row r holds the 7r+1 coefficients of the fit polynomial's r-th power, which
 # binomial order r of the closed form averages, zero-padded to a common width.
 _QN_POWERS = np.array([
-    np.pad(np.polynomial.polynomial.polypow(QN_COEFFS, r), (0, 7 * (QN_MAX_BITS - r)))
-    for r in range(QN_MAX_BITS + 1)
+    np.pad(np.polynomial.polynomial.polypow(QN_COEFFS, r), (0, 7 * (ELL_SWITCH - r)))
+    for r in range(ELL_SWITCH + 1)
 ])
 
 
@@ -195,7 +189,7 @@ def _half_order_kve(x: np.ndarray, count: int) -> np.ndarray:
 
 def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
                        windows: np.ndarray) -> np.ndarray:
-    """Closed-form success(bits) for each of ``windows`` (at most QN_MAX_BITS
+    """Closed-form success(bits) for each of ``windows`` (at most ELL_SWITCH
     bits) at every mean INR, shape (mean_inr.size, windows.size).
 
     (1 - coeff*Q)^bits expands binomially into powers Q^r.  With the fit
@@ -237,10 +231,10 @@ def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
     finite = np.isfinite(terms).all(axis=1)
     if not finite.all():
         raise FloatRangeError(
-            f"closed-form (qn) success terms leave the float range at snr "
+            f"closed-form (hybrid) success terms leave the float range at snr "
             f"{10.0 * math.log10(snr):.6g} dB, mean INR "
-            f"{10.0 * math.log10(mean_inr[~finite][0]):.6g} dB; the qn and hybrid "
-            "routes cannot evaluate this link, use the quadrature method "
+            f"{10.0 * math.log10(mean_inr[~finite][0]):.6g} dB; the hybrid route "
+            "cannot evaluate this link, use the quadrature method "
             "(--method quadrature)"
         )
     # Order r's terms start at offset sum_(k<r) (7k+1) of each INR row.
@@ -304,24 +298,17 @@ def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: np.ndarray
     return np.clip(-np.expm1(log_fail), 0.0, 1.0)
 
 
-def _success_table(modulation: Modulation, snr: float, method: PerMethod,
-                   mean_inr: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """success(l) by the qn or hybrid route for each of the ascending bit
-    counts ``windows`` at every mean INR, shape (mean_inr.size, windows.size).
+def _success_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
+                   windows: np.ndarray) -> np.ndarray:
+    """Hybrid success(l) for each of the ascending bit counts ``windows`` at
+    every mean INR, shape (mean_inr.size, windows.size).
 
-    The one place that decides which part covers which window: qn covers
-    every window up to QN_MAX_BITS; the hybrid takes qn up to ELL_SWITCH and
-    the Gumbel/Gamma match beyond, whose domain starts past 2 / coeff bits.
+    The one place that decides which part covers which window: the closed
+    form up to ELL_SWITCH and the Gumbel/Gamma match beyond, whose domain
+    starts past 2 / coeff bits.
     """
     windows = np.asarray(windows)
-    top = int(windows[-1])
-    if method is PerMethod.CLOSED_FORM and top > QN_MAX_BITS:
-        raise ValueError(
-            f"qn route cannot cover {top} slots "
-            f"(limit {QN_MAX_BITS}); use hybrid or quadrature"
-        )
-    qn_top = top if method is PerMethod.CLOSED_FORM else ELL_SWITCH
-    split = int(np.searchsorted(windows, qn_top, side="right"))
+    split = int(np.searchsorted(windows, ELL_SWITCH, side="right"))
     head = _closed_form_table(modulation, snr, mean_inr, windows[:split])
     if split == windows.size:
         return head
@@ -337,10 +324,10 @@ def _success_table(modulation: Modulation, snr: float, method: PerMethod,
 
 def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
                  method: PerMethod = PerMethod.HYBRID) -> float:
-    """Success probability of a ``bits``-long collision window, by any route.
+    """Success probability of a ``bits``-long collision window, by either route.
 
     The quadrature route sums q(g)^bits on the fixed nodes of the PER
-    quadrature; qn and hybrid evaluate this window alone by `_success_table`.
+    quadrature; the hybrid evaluates this window alone by `_success_table`.
     """
     _validate_snr(snr)
     if not (math.isfinite(mean_inr) and mean_inr > 0.0):
@@ -351,8 +338,7 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     if method is PerMethod.QUADRATURE:
         q = _bit_success(modulation, snr, np.array([mean_inr]))[0]
         return min(max(math.fsum((q**bits * _FADE_WEIGHTS).tolist()), 0.0), 1.0)
-    return float(_success_table(modulation, snr, method, np.array([mean_inr]),
-                                np.array([bits]))[0, 0])
+    return float(_success_table(modulation, snr, np.array([mean_inr]), np.array([bits]))[0, 0])
 
 
 def resolve_ell_max(scenario: CoexistenceScenario, tail_cut: float) -> int:
@@ -560,7 +546,7 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
         if method is PerMethod.QUADRATURE:
             per = _per_quadrature(modulation, snr, noise_bits, grid, tail, slots, tail_mass)
         else:
-            table = _success_table(modulation, snr, method, grid, np.arange(slots + 1))
+            table = _success_table(modulation, snr, grid, np.arange(slots + 1))
             # Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
             # no-collision atom F(0).
             increments = -np.diff(tail.at(np.arange(slots + 1)), prepend=1.0)

@@ -45,38 +45,34 @@ IDLE_MIXTURES: dict[str, HyperexponentialIdle] = {
 EXPONENTIAL_ALPHAS = (0.0361, 0.1575)
 
 
-def exponential_scenario(alpha: float, busy_time: float = DEFAULT_BUSY_TIME,
-                         packet_mean: float = DEFAULT_PACKET_MEAN,
-                         bit_time: float = DEFAULT_BIT_TIME) -> CoexistenceScenario:
+def exponential_scenario(alpha: float) -> CoexistenceScenario:
     """Constant busy time plus the exponential idle law matching ``alpha``."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    idle_mean = busy_time * (1.0 - alpha) / alpha
+    idle_mean = DEFAULT_BUSY_TIME * (1.0 - alpha) / alpha
     return CoexistenceScenario(
-        busy=ConstantOnTime(busy_time),
+        busy=ConstantOnTime(DEFAULT_BUSY_TIME),
         idle=ExponentialIdle(1.0 / idle_mean),
-        packet_rate=1.0 / packet_mean,
-        bit_time=bit_time,
+        packet_rate=1.0 / DEFAULT_PACKET_MEAN,
+        bit_time=DEFAULT_BIT_TIME,
     )
 
 
-def preset_scenario(name: str, busy_time: float = DEFAULT_BUSY_TIME,
-                    packet_mean: float = DEFAULT_PACKET_MEAN,
-                    bit_time: float = DEFAULT_BIT_TIME) -> CoexistenceScenario:
+def preset_scenario(name: str) -> CoexistenceScenario:
     """Scenario for a named idle mixture, or exp_alpha_<value> for exponential idle."""
     if name in IDLE_MIXTURES:
         return CoexistenceScenario(
-            busy=ConstantOnTime(busy_time),
+            busy=ConstantOnTime(DEFAULT_BUSY_TIME),
             idle=IDLE_MIXTURES[name],
-            packet_rate=1.0 / packet_mean,
-            bit_time=bit_time,
+            packet_rate=1.0 / DEFAULT_PACKET_MEAN,
+            bit_time=DEFAULT_BIT_TIME,
         )
     if name.startswith("exp_alpha_"):
         try:
             alpha = float(name.removeprefix("exp_alpha_"))
         except ValueError:
             raise KeyError(f"malformed exponential preset name: {name!r}") from None
-        return exponential_scenario(alpha, busy_time, packet_mean, bit_time)
+        return exponential_scenario(alpha)
     raise KeyError(
         f"unknown preset {name!r}; choose one of {sorted(IDLE_MIXTURES)} "
         "or exp_alpha_<value>"

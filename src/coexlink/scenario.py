@@ -25,7 +25,7 @@ Schema (YAML):
       trials: 1000000
       seed: 20260815
       grid_points: 512
-      method: hybrid       # or quadrature, qn
+      method: hybrid       # or quadrature
       snr_db: 10.0
       inr_start_db: -10.0
       inr_stop_db: 30.0
@@ -74,6 +74,10 @@ def parse_duration(value, where: str) -> float:
     seconds = float(match.group(1)) * _UNIT_SCALE[match.group(2)]
     if seconds <= 0.0:
         raise ScenarioFormatError(f"{where}: duration must be positive, got {value!r}")
+    # Every duration becomes a rate or a divisor, so its reciprocal must be
+    # a float too.
+    if not (math.isfinite(seconds) and math.isfinite(1.0 / seconds)):
+        raise ScenarioFormatError(f"{where}: duration {value!r} is out of the float range")
     return seconds
 
 

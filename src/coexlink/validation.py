@@ -115,8 +115,8 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
     Both renewal-count conventions walk ``seed + 1``, so the equilibrium and
     ordinary counts come from the same packet windows and their chi-squares
     are correlated, not two independent tests, and a run at ``seed + 1``
-    walks its collisions on this run's count stream (ROADMAP item 4 takes
-    this up).
+    walks its collisions on this run's count stream; the fix is one
+    `SeedSequence` child per test.
     """
     config = simcore.McConfig(trials=trials, seed=seed)
     batch = simcore.run_trials(scenario, config)

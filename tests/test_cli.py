@@ -236,29 +236,18 @@ class TestPerCommand:
         _, columns, _ = read_csv(out)
         assert columns == ["gamma_i_bar_db", "per_quadrature", "tail_mass"]
 
-    def test_qn_needs_slot_cap(self, runner, scenario_file, tmp_path):
-        out = tmp_path / "per.csv"
-        result = runner.invoke(
-            cli.main, ["per", scenario_file, "-o", str(out), "--method", "qn"]
-        )
-        assert result.exit_code == cli.EXIT_CONFIG
-        assert not out.exists()
-        result = runner.invoke(
-            cli.main,
-            ["per", scenario_file, "-o", str(out), "--method", "qn", "--ell-max", "12"],
-        )
-        assert result.exit_code == 0, result.output
-
     def test_gumbel_first_slot_guard(self, runner, scenario_file, tmp_path):
         # the gumbel route cannot cover slot 1 (needs bits * coeff > 2 with
-        # coeff <= 2), so it is not a PER method: rejected as configuration
+        # coeff <= 2), and the closed form (qn) is only the hybrid's head up
+        # to ELL_SWITCH bits; neither is a PER method
         out = tmp_path / "per.csv"
-        result = runner.invoke(
-            cli.main, ["per", scenario_file, "-o", str(out), "--method", "gumbel"]
-        )
-        assert result.exit_code == cli.EXIT_CONFIG
-        assert "'gumbel' is not one of" in result.output
-        assert not out.exists()
+        for method in ("gumbel", "qn"):
+            result = runner.invoke(
+                cli.main, ["per", scenario_file, "-o", str(out), "--method", method]
+            )
+            assert result.exit_code == cli.EXIT_CONFIG
+            assert f"'{method}' is not one of" in result.output
+            assert not out.exists()
 
     def test_hybrid_gumbel_domain_is_a_config_error(self, runner, tmp_path):
         # the hybrid's first gumbel slot, 9, needs 9 * coeff > 2
@@ -281,6 +270,16 @@ class TestPerCommand:
             cli.main, ["per", scenario_file, "-o", str(out), "--epsilon", "1e-9"]
         )
         assert result.exit_code == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    def test_rejects_ell_max(self, runner, scenario_file, tmp_path):
+        # per_curve still takes ell_max; the CLI resolves it from the tail cut
+        out = tmp_path / "per.csv"
+        result = runner.invoke(
+            cli.main, ["per", scenario_file, "-o", str(out), "--ell-max", "12"]
+        )
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert "No such option" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("job", ["{snr_db: 150}", "{snr_db: -400}",
@@ -328,6 +327,31 @@ def test_rejects_non_finite_numbers(runner, tmp_path, section, key, value):
     result = runner.invoke(cli.main, ["per", str(path), "-o", str(out)])
     assert result.exit_code == cli.EXIT_CONFIG
     assert f"{section}.{key}: expected a finite number" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("interferer.busy.duration", "1e400 s"),
+    ("interferer.idle.mean", "1e400 s"),
+    ("interferer.idle.mean", "1e-320 s"),
+    ("link.packet_mean", "1e400 s"),
+])
+def test_durations_beyond_the_float_range(runner, tmp_path, key, value):
+    # each duration becomes a rate or a divisor, so it and its reciprocal
+    # must be finite floats
+    durations = {"interferer.busy.duration": "374 us", "interferer.idle.mean": "2 ms",
+                 "link.packet_mean": "1.984 ms"}
+    durations[key] = value
+    path = tmp_path / "scenario.yaml"
+    path.write_text(
+        'interferer:\n  busy: {kind: constant, duration: "%(interferer.busy.duration)s"}\n'
+        '  idle: {kind: exponential, mean: "%(interferer.idle.mean)s"}\n'
+        'link:\n  packet_mean: "%(link.packet_mean)s"\n' % durations
+    )
+    out = tmp_path / "ctd.csv"
+    result = runner.invoke(cli.main, ["ctd", str(path), "-o", str(out)])
+    assert result.exit_code == cli.EXIT_CONFIG
+    assert f"{path}.{key}: duration {value!r} is out of the float range" in result.output
     assert not out.exists()
 
 

@@ -1,11 +1,17 @@
-"""The README's library examples run, and the package exports what it lists."""
+"""The README's library examples run, its CLI examples parse, and the package
+exports what it lists."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
+import click
+import pytest
+
 import coexlink
+from coexlink import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,6 +25,32 @@ def test_readme_python_blocks_run():
     with contextlib.redirect_stdout(io.StringIO()):
         for number, block in enumerate(blocks, start=1):
             exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+
+
+def _readme_cli_lines():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        flags=re.DOTALL | re.MULTILINE)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["coexlink"]]
+
+
+def _parse_command(args):
+    """Parse a command line as click would run it, without running it."""
+    # the group has no options of its own, so the subcommand starts the line
+    group = cli.main.make_context("coexlink", list(args))
+    name, command, rest = cli.main.resolve_command(group, list(args))
+    command.make_context(name, rest, parent=group)
+
+
+@pytest.mark.parametrize("args", _readme_cli_lines(), ids=lambda args: args[0])
+def test_readme_cli_lines_parse(args):
+    _parse_command(args)
+
+
+def test_cli_parse_check_catches_unknown_flags():
+    assert len(_readme_cli_lines()) == 4
+    with pytest.raises(click.NoSuchOption):
+        _parse_command(["per", "--preset", "alpha_lt_0.1", "-o", "per.csv", "--epsilon", "1e-9"])
 
 
 def test_every_export_resolves():

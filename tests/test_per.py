@@ -13,7 +13,6 @@ from coexlink.ctd import SlotTail, ctd_mixture
 from coexlink.per import (
     ELL_SWITCH,
     QN_COEFFS,
-    QN_MAX_BITS,
     FloatRangeError,
     GumbelDomainError,
     Modulation,
@@ -47,7 +46,7 @@ from oracles import (
 )
 
 BPSK = Modulation()
-QUAD, QN, HYBRID = PerMethod.QUADRATURE, PerMethod.CLOSED_FORM, PerMethod.HYBRID
+QUAD, HYBRID = PerMethod.QUADRATURE, PerMethod.HYBRID
 
 # Criterion 4's grid (tests/test_acceptance.py).
 CRITERION_4_SNR = [10.0 ** (db / 10.0) for db in np.arange(0.0, 30.1, 5.0)]
@@ -192,10 +191,11 @@ class TestSuccessProbRoutes:
         )
 
     def test_zero_snr_closed_forms(self):
-        # ber is exactly coeff/2 whatever the fading does
-        for bits in (1, 3, 8):
+        # ber is exactly coeff/2 whatever the fading does; the hybrid takes
+        # windows up to ELL_SWITCH from the closed form
+        for bits in (1, 3, ELL_SWITCH):
             exact = (1.0 - 0.5 * BPSK.coeff) ** bits
-            assert success_prob(BPSK, 0.0, 1.0, bits, QN) == exact
+            assert success_prob(BPSK, 0.0, 1.0, bits, HYBRID) == exact
             assert success_prob(BPSK, 0.0, 1.0, bits, QUAD) == pytest.approx(
                 exact, rel=1e-9
             )
@@ -204,18 +204,20 @@ class TestSuccessProbRoutes:
     @pytest.mark.parametrize("mean_inr", [0.1, 1.0, 10.0])
     def test_closed_form_tracks_quadrature(self, snr, mean_inr):
         # fit-limited agreement; the underlying fit is good to ~1e-5
-        for bits in range(1, QN_MAX_BITS + 1):
+        windows = np.arange(1, ELL_SWITCH + 1)
+        table = _closed_form_table(BPSK, snr, np.array([mean_inr]), windows)
+        for bits, c in zip(windows.tolist(), table[0].tolist()):
             q = success_prob_adaptive(BPSK, snr, mean_inr, bits)
-            c = success_prob(BPSK, snr, mean_inr, bits, QN)
             assert c == pytest.approx(q, abs=2e-5)
 
     def test_closed_form_matches_multiset_oracle(self):
         # polynomial powers of the fit against the multiset expansion
         worst = 0.0
+        windows = np.arange(1, ELL_SWITCH + 1)
         for snr in CRITERION_4_SNR:
-            for inr in CRITERION_4_INR:
-                for bits in range(1, QN_MAX_BITS + 1):
-                    fast = success_prob(BPSK, snr, inr, bits, QN)
+            table = _closed_form_table(BPSK, snr, np.array(CRITERION_4_INR), windows)
+            for inr, row in zip(CRITERION_4_INR, table.tolist()):
+                for bits, fast in zip(windows.tolist(), row):
                     worst = max(worst, abs(fast - closed_form_multiset(BPSK, snr, inr, bits)))
         assert worst <= 1e-12
 
@@ -234,11 +236,6 @@ class TestSuccessProbRoutes:
                     worst = max(worst, abs(fixed - oracle))
         assert worst <= 1e-12
 
-    def test_closed_form_refuses_long_windows(self):
-        with pytest.raises(ValueError, match="qn route cannot cover"):
-            success_prob(BPSK, 10.0, 1.0, QN_MAX_BITS + 1, QN)
-        assert 0.0 < success_prob(BPSK, 10.0, 1.0, QN_MAX_BITS, QN) < 1.0
-
     @pytest.mark.parametrize("bits", [16, 64, 256])
     @pytest.mark.parametrize("snr,mean_inr", [(10.0, 1.0), (10.0, 10.0)])
     def test_gumbel_tracks_quadrature(self, bits, snr, mean_inr):
@@ -248,7 +245,7 @@ class TestSuccessProbRoutes:
 
     def test_gumbel_domain_guard(self):
         # a hybrid window past ELL_SWITCH needs the gumbel part from slot
-        # ELL_SWITCH + 1 = 9 on, so 9 * coeff > 2; the qn part alone has no limit
+        # ELL_SWITCH + 1 = 9 on, so 9 * coeff > 2; the closed form has no limit
         weak = Modulation(coeff=0.2)
         for bits in (ELL_SWITCH + 1, 12):
             with pytest.raises(GumbelDomainError, match="quadrature"):
@@ -260,10 +257,11 @@ class TestSuccessProbRoutes:
         assert success_prob(BPSK, 0.0, 1.0, 16, HYBRID) == 0.0
 
     def test_hybrid_dispatch(self):
-        # qn up to ELL_SWITCH bits, the gumbel match beyond
+        # the closed form up to ELL_SWITCH bits, the gumbel match beyond
         args = (BPSK, 10.0, 2.0)
         for bits in (1, 5, ELL_SWITCH):
-            assert success_prob(*args, bits, HYBRID) == success_prob(*args, bits, QN)
+            closed = _closed_form_table(BPSK, 10.0, np.array([2.0]), np.array([bits]))
+            assert success_prob(*args, bits, HYBRID) == closed[0, 0]
         for bits in (ELL_SWITCH + 1, 64):
             gumbel = _gumbel_gamma_array(BPSK, 10.0, np.array([2.0]), np.array([bits]))
             assert success_prob(*args, bits, HYBRID) == gumbel[0, 0]
@@ -339,12 +337,6 @@ class TestPacketErrorRate:
         assert coarse.values["quadrature"][0] >= fine.values["quadrature"][0]
         assert coarse.tail_mass > fine.tail_mass
 
-    def test_qn_route_requires_short_packets(self, per_setup):
-        scenario, mod = per_setup
-        with pytest.raises(ValueError):  # resolves to thousands of slots
-            per_at(scenario, mod, 10.0, 3.16, PerMethod.CLOSED_FORM)
-        assert 0.0 <= per_at(scenario, mod, 10.0, 3.16, PerMethod.CLOSED_FORM, ell_max=12) <= 1.0
-
     def test_gumbel_route_needs_viable_first_slot(self, per_setup):
         # the hybrid's first gumbel slot, ELL_SWITCH + 1 = 9, needs 9 * coeff > 2
         scenario, _ = per_setup
@@ -370,7 +362,7 @@ class TestPacketErrorRate:
         expected = 1.0 - (
             cdf[0] * clear**n_bits
             + (cdf[1] - cdf[0])
-            * success_prob(mod, 10.0, 3.16, 1, QN)
+            * success_prob(mod, 10.0, 3.16, 1, HYBRID)
             * clear ** (n_bits - 1)
         )
         assert per == pytest.approx(expected, abs=1e-14)
@@ -409,7 +401,7 @@ class TestPacketErrorRate:
 
     def test_numpy_integer_counts(self, per_setup):
         scenario, mod = per_setup
-        methods = [QUAD, HYBRID, QN]
+        methods = [QUAD, HYBRID]
         plain = per_curve(scenario, mod, 10.0, [1.0, 10.0], methods, ell_max=12, noise_bits=496)
         numpy = per_curve(scenario, mod, 10.0, [1.0, 10.0], methods,
                           ell_max=np.int64(12), noise_bits=np.int32(496))
@@ -451,8 +443,6 @@ class TestPerCurve:
         scenario, mod = per_setup
         inr = 10 ** (np.arange(-10.0, 30.1, 2.5) / 10.0)
         methods = [PerMethod.QUADRATURE, PerMethod.HYBRID]
-        if ell_max is not None:
-            methods.append(PerMethod.CLOSED_FORM)
         curve = per_curve(scenario, mod, 10.0, inr, methods,
                           ell_max=ell_max, noise_bits=noise_bits)
         for method in methods:
@@ -598,11 +588,10 @@ def test_closed_form_overflow_raises(per_setup, snr, inr):
     # the order-r Bessel terms leave the float range (inf * 0); quadrature
     # still covers the link
     scenario, mod = per_setup
-    for method in (PerMethod.HYBRID, PerMethod.CLOSED_FORM):
-        with pytest.raises(FloatRangeError, match="quadrature"):
-            per_curve(scenario, mod, snr, inr, [method], ell_max=12)
+    with pytest.raises(FloatRangeError, match="quadrature"):
+        per_curve(scenario, mod, snr, inr, [PerMethod.HYBRID], ell_max=12)
     with pytest.raises(FloatRangeError):
-        success_prob(mod, snr, inr[0], QN_MAX_BITS, QN)
+        success_prob(mod, snr, inr[0], ELL_SWITCH, HYBRID)
     quad = per_curve(scenario, mod, snr, inr, [PerMethod.QUADRATURE]).values["quadrature"]
     assert np.all(np.isfinite(quad))
 
@@ -611,13 +600,13 @@ GUMBEL_MODULATIONS = [Modulation(1.0, 2.0), Modulation(2.0, 1.0), Modulation(0.5
                       Modulation(1.0, 0.5)]
 
 
-# -- the qn head against the one-kv-call-per-order body it replaced
+# -- the closed form against the one-kv-call-per-order body it replaced
 
 def test_half_order_kve_matches_scipy():
     # the upward recurrence over every order the closed form reaches (m/2 for
-    # m <= 7 * QN_MAX_BITS - 2), measured within 1.9e-14 relative of kve
+    # m <= 7 * ELL_SWITCH - 2), measured within 1.9e-14 relative of kve
     x = np.geomspace(1e-3, 1e3, 61)
-    count = 7 * QN_MAX_BITS - 1
+    count = 7 * ELL_SWITCH - 1
     expected = special.kve(np.arange(count)[:, None] / 2.0, x)
     assert np.isfinite(expected).all()
     np.testing.assert_allclose(_half_order_kve(x, count), expected, rtol=5e-14, atol=0.0)
@@ -626,21 +615,18 @@ def test_half_order_kve_matches_scipy():
 @pytest.mark.parametrize("modulation", GUMBEL_MODULATIONS)
 @pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])
 def test_closed_form_matches_kv_oracle(modulation, snr_db):
-    # measured 9.7e-14 up to ELL_SWITCH bits; at QN_MAX_BITS the alternating
-    # binomial sum magnifies either route's 1e-16 Bessel K error (4.3e-12)
+    # measured 9.7e-14 up to ELL_SWITCH bits
     snr = 10.0 ** (snr_db / 10.0)
     inr = 10.0 ** (np.arange(-10.0, 40.1, 2.5) / 10.0)
-    table = _closed_form_table(modulation, snr, inr, np.arange(QN_MAX_BITS + 1))
-    oracle = closed_form_table_kv(modulation, snr, inr, QN_MAX_BITS)
-    np.testing.assert_allclose(table[:, : ELL_SWITCH + 1], oracle[:, : ELL_SWITCH + 1],
-                               rtol=0.0, atol=2e-13)
-    np.testing.assert_allclose(table, oracle, rtol=0.0, atol=1e-11)
+    table = _closed_form_table(modulation, snr, inr, np.arange(ELL_SWITCH + 1))
+    oracle = closed_form_table_kv(modulation, snr, inr, ELL_SWITCH)
+    np.testing.assert_allclose(table, oracle, rtol=0.0, atol=2e-13)
 
 
 def test_closed_form_reads_only_the_requested_windows():
     inr = 10.0 ** (np.arange(-10.0, 40.1, 10.0) / 10.0)
-    full = _closed_form_table(BPSK, 10.0, inr, np.arange(QN_MAX_BITS + 1))
-    for windows in ([0], [3], [2, 7, 12]):
+    full = _closed_form_table(BPSK, 10.0, inr, np.arange(ELL_SWITCH + 1))
+    for windows in ([0], [3], [2, 5, ELL_SWITCH]):
         np.testing.assert_array_equal(_closed_form_table(BPSK, 10.0, inr, windows),
                                       full[:, windows])
 
@@ -651,12 +637,10 @@ def test_closed_form_reads_only_the_requested_windows():
 @pytest.mark.parametrize("snr", [1.0, 10.0, 1000.0])
 def test_success_prob_matches_the_sweep_table(modulation, snr):
     inr = 10.0 ** (np.arange(-10.0, 40.1, 10.0) / 10.0)
-    for method, top, windows in ((HYBRID, 2687, (1, 8, 9, 12, 16, 561, 2687)),
-                                 (QN, QN_MAX_BITS, (1, 8, 12))):
-        table = _success_table(modulation, snr, method, inr, np.arange(top + 1))
-        for bits in windows:
-            single = [success_prob(modulation, snr, g, bits, method) for g in inr]
-            np.testing.assert_allclose(single, table[:, bits], rtol=0.0, atol=1e-15)
+    table = _success_table(modulation, snr, inr, np.arange(2688))
+    for bits in (1, 8, 9, 12, 16, 561, 2687):
+        single = [success_prob(modulation, snr, g, bits, HYBRID) for g in inr]
+        np.testing.assert_allclose(single, table[:, bits], rtol=0.0, atol=1e-15)
 
 
 # -- the Gumbel/Gamma part against the bodies it replaced

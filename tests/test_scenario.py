@@ -66,7 +66,8 @@ class TestParseDuration:
         assert parse_duration(text, "x") == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize(
-        "bad", [374, 0.5, "374", "374 sec", "us 374", "-1 ms", "0 s", "", None]
+        "bad", [374, 0.5, "374", "374 sec", "us 374", "-1 ms", "0 s", "", None,
+                "1e400 s", "1e-320 s"]
     )
     def test_rejects(self, bad):
         with pytest.raises(ScenarioFormatError):
@@ -202,6 +203,7 @@ class TestJobParams:
             {"inr_step_db": 0.0},
             {"method": "fastest"},
             {"method": "gumbel"},
+            {"method": "qn"},
         ],
     )
     def test_validation(self, kwargs):
