@@ -236,18 +236,31 @@ class TestPerCommand:
         _, columns, _ = read_csv(out)
         assert columns == ["gamma_i_bar_db", "per_quadrature", "tail_mass"]
 
-    def test_gumbel_first_slot_guard(self, runner, scenario_file, tmp_path):
-        # the gumbel route cannot cover slot 1 (needs bits * coeff > 2 with
-        # coeff <= 2), and the closed form (qn) is only the hybrid's head up
-        # to ELL_SWITCH bits; neither is a PER method
+    def test_qn_needs_slot_cap(self, runner, scenario_file, tmp_path):
+        # the closed form (qn) is only the hybrid's head up to ELL_SWITCH
+        # bits, not a PER method, with or without a slot cap
         out = tmp_path / "per.csv"
-        for method in ("gumbel", "qn"):
+        for extra in ([], ["--ell-max", "12"]):
             result = runner.invoke(
-                cli.main, ["per", scenario_file, "-o", str(out), "--method", method]
+                cli.main,
+                ["per", scenario_file, "-o", str(out), "--method", "qn", *extra],
             )
             assert result.exit_code == cli.EXIT_CONFIG
-            assert f"'{method}' is not one of" in result.output
             assert not out.exists()
+        assert "'qn' is not one of" in runner.invoke(
+            cli.main, ["per", scenario_file, "-o", str(out), "--method", "qn"]
+        ).output
+
+    def test_gumbel_first_slot_guard(self, runner, scenario_file, tmp_path):
+        # the gumbel route cannot cover slot 1 (needs bits * coeff > 2 with
+        # coeff <= 2), so it is not a PER method: rejected as configuration
+        out = tmp_path / "per.csv"
+        result = runner.invoke(
+            cli.main, ["per", scenario_file, "-o", str(out), "--method", "gumbel"]
+        )
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert "'gumbel' is not one of" in result.output
+        assert not out.exists()
 
     def test_hybrid_gumbel_domain_is_a_config_error(self, runner, tmp_path):
         # the hybrid's first gumbel slot, 9, needs 9 * coeff > 2
