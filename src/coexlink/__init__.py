@@ -21,7 +21,7 @@ from .per import (
 from .presets import exponential_scenario, preset_names, preset_scenario
 from .renewal import CountKind, RenewalPmfSpec, pmf, pmf_tail_index
 from .scenario import ScenarioDoc, ScenarioFormatError, parse_scenario_file, parse_scenario_text
-from .simcore import EmpiricalCdf, McConfig, TrialBatch, empirical_ctd, run_trial, run_trials
+from .simcore import EmpiricalCdf, McConfig, TrialBatch, run_trials
 from .validation import Tolerances, ValidationReport, validate_scenario
 
 __version__ = "0.1.0"
@@ -57,8 +57,6 @@ __all__ = [
     "EmpiricalCdf",
     "McConfig",
     "TrialBatch",
-    "empirical_ctd",
-    "run_trial",
     "run_trials",
     "Tolerances",
     "ValidationReport",

@@ -25,6 +25,7 @@ stored.  The renewal-count walk carries its live trials the same way.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ import numpy as np
 from .dist import CoexistenceScenario, activity_factor
 
 CHUNK = 1 << 17
+# Uniques per KS block: 64 KiB per float array.
+KS_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -40,18 +43,12 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """One packet drop: start state, drawn length, overlap, completed idle gaps."""
-
-    initial_on: bool
-    packet_time: float
-    collision_time: float
-    renewal_count: int
+        # Python and NumPy integers pass; bool and float do not.
+        for name, low in (("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,52 +87,33 @@ class EmpiricalCdf:
         constant on-times), so the reference is probed a hair below and above
         every unique sample value to get its left and right limits; the hair
         is far above tie round-off yet negligible on the continuous parts.
+        The hair is set by the whole sample's maximum.  The uniques are
+        walked in blocks of ``KS_BLOCK``, each probed on both sides by one
+        ``cdf`` call, so the probe arrays stay cache-sized whatever the
+        sample size; the result is the same float as one pass over all
+        uniques.
         """
         s = self.samples
         n = s.size
         # The sample is sorted, so a value is new wherever it differs from
-        # its predecessor: the uniques and counts np.unique would find.
-        starts = np.flatnonzero(s[1:] != s[:-1]) + 1
-        unique = s.take(np.concatenate(([0], starts)))
-        counts = np.diff(starts, prepend=0, append=n)
-        ecdf = np.cumsum(counts) / n
-        ecdf_left = ecdf - counts / n
-        nudge = 1e-12 * float(unique[-1]) + 1e-300
-        ref_right = np.asarray(cdf(unique + nudge), dtype=float)
-        ref_left = np.asarray(cdf(unique - nudge), dtype=float)
-        return float(
-            max(np.max(np.abs(ref_right - ecdf)), np.max(np.abs(ref_left - ecdf_left)))
-        )
-
-
-def sample_stationary_start(scenario: CoexistenceScenario,
-                            rng: np.random.Generator) -> tuple[bool, float]:
-    """Equilibrium snapshot: (state, residual time left in that state)."""
-    on = bool(rng.random() < activity_factor(scenario))
-    model = scenario.busy if on else scenario.idle
-    return on, float(model.residual_sample(rng))
-
-
-def run_trial(scenario: CoexistenceScenario, rng: np.random.Generator) -> TrialResult:
-    """Reference scalar walk; the chunked engine must agree with it in law."""
-    packet = float(rng.exponential(scenario.packet_mean))
-    on, duration = sample_stationary_start(scenario, rng)
-    state = on
-    remaining = packet
-    collision = 0.0
-    renewals = 0
-    while duration < remaining:
-        if state:
-            collision += duration
-        else:
-            renewals += 1
-        remaining -= duration
-        state = not state
-        model = scenario.busy if state else scenario.idle
-        duration = float(model.sample(rng))
-    if state:
-        collision += remaining
-    return TrialResult(on, packet, min(collision, packet), renewals)
+        # its predecessor: unique j spans s[bounds[j]:bounds[j + 1]], the
+        # uniques and counts np.unique would find.
+        bounds = np.concatenate(([0], np.flatnonzero(s[1:] != s[:-1]) + 1, [n]))
+        firsts, ends = bounds[:-1], bounds[1:]
+        nudge = 1e-12 * float(s[-1]) + 1e-300
+        worst = 0.0
+        for lo in range(0, firsts.size, KS_BLOCK):
+            first = firsts[lo:lo + KS_BLOCK]
+            end = ends[lo:lo + KS_BLOCK]
+            unique = s.take(first)
+            counts = end - first
+            ecdf = end / n
+            ecdf_left = ecdf - counts / n
+            ref_right = np.asarray(cdf(unique + nudge), dtype=float)
+            ref_left = np.asarray(cdf(unique - nudge), dtype=float)
+            worst = max(worst, np.max(np.abs(ref_right - ecdf)),
+                        np.max(np.abs(ref_left - ecdf_left)))
+        return float(worst)
 
 
 def _walk_chunk(scenario: CoexistenceScenario, rng: np.random.Generator,
@@ -198,10 +176,6 @@ def run_trials(scenario: CoexistenceScenario, config: McConfig) -> TrialBatch:
         np.concatenate([b.collision_time for b in batches]),
         np.concatenate([b.renewal_count for b in batches]),
     )
-
-
-def empirical_ctd(scenario: CoexistenceScenario, config: McConfig) -> EmpiricalCdf:
-    return EmpiricalCdf.from_samples(run_trials(scenario, config).collision_time)
 
 
 def split_by_start(batch: TrialBatch) -> tuple[EmpiricalCdf, EmpiricalCdf]:

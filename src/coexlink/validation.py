@@ -112,6 +112,13 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
     hook for the test suite); conditionals always use the analytic curves.
     A run in which no trial starts idle, or none starts busy, is a ValueError.
 
+    The stages run one after another and hold only their own arrays.  The
+    collision walk holds its chunks and then the joined batch; the three KS
+    passes hold that batch, the three sorted samples and one block of probes
+    at a time (`simcore.KS_BLOCK`), and all of it is released when they are
+    done.  Each renewal-count walk then holds one chunk's windows and its
+    histogram.
+
     Both renewal-count conventions walk ``seed + 1``, so the equilibrium and
     ordinary counts come from the same packet windows and their chi-squares
     are correlated, not two independent tests, and a run at ``seed + 1``
@@ -133,6 +140,11 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
 
     if mixture_cdf is None:
         mixture_cdf = lambda x: ctd_mixture(scenario, x)  # noqa: E731
+    ks_joint = joint.ks_distance(mixture_cdf)
+    ks_off = off_cdf.ks_distance(lambda x: ctd_off_start(scenario, x))
+    ks_on = on_cdf.ks_distance(lambda x: ctd_on_start(scenario, x))
+    # Nothing below reads the walk: free it before the count walks allocate.
+    del batch, joint, off_cdf, on_cdf
 
     widen = math.sqrt(max(tolerances.reference_trials / trials, 1.0))
     ks_joint_limit = tolerances.ks_joint * widen
@@ -142,9 +154,9 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
         alpha=activity_factor(scenario),
         trials=trials,
         seed=seed,
-        ks_joint=joint.ks_distance(mixture_cdf),
-        ks_off=off_cdf.ks_distance(lambda x: ctd_off_start(scenario, x)),
-        ks_on=on_cdf.ks_distance(lambda x: ctd_on_start(scenario, x)),
+        ks_joint=ks_joint,
+        ks_off=ks_off,
+        ks_on=ks_on,
         ks_joint_limit=ks_joint_limit,
         ks_conditional_limit=ks_conditional_limit,
     )

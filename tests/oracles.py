@@ -16,7 +16,12 @@ import numpy as np
 from scipy import integrate, special
 
 from coexlink.ctd import ctd_mixture
-from coexlink.dist import ExponentialOnTime, HyperexponentialIdle, activity_factor
+from coexlink.dist import (
+    CoexistenceScenario,
+    ExponentialOnTime,
+    HyperexponentialIdle,
+    activity_factor,
+)
 from coexlink.per import (
     _FADE_WEIGHTS,
     _LOG2,
@@ -27,7 +32,7 @@ from coexlink.per import (
     _slot_weights,
     resolve_ell_max,
 )
-from coexlink.simcore import TrialBatch
+from coexlink.simcore import EmpiricalCdf, McConfig, TrialBatch, run_trials
 from coexlink.specfun import erf_inv, log_bessel_k
 
 # exp argument beyond which exp(-v) underflows to exactly 0.0 in binary64;
@@ -422,6 +427,50 @@ def count_chunk_gather(scenario, rng, n: int, offset: float, equilibrium: bool) 
         elapsed[active] += np.asarray(idle.sample(rng, active.size))
         active = active[elapsed[active] <= window[active]]
     return counts
+
+
+@dataclasses.dataclass(frozen=True)
+class TrialResult:
+    """One packet drop: start state, drawn length, overlap, completed idle gaps."""
+
+    initial_on: bool
+    packet_time: float
+    collision_time: float
+    renewal_count: int
+
+
+def sample_stationary_start(scenario: CoexistenceScenario,
+                            rng: np.random.Generator) -> tuple[bool, float]:
+    """Equilibrium snapshot: (state, residual time left in that state)."""
+    on = bool(rng.random() < activity_factor(scenario))
+    model = scenario.busy if on else scenario.idle
+    return on, float(model.residual_sample(rng))
+
+
+def run_trial(scenario: CoexistenceScenario, rng: np.random.Generator) -> TrialResult:
+    """Reference scalar walk; the chunked engine must agree with it in law."""
+    packet = float(rng.exponential(scenario.packet_mean))
+    on, duration = sample_stationary_start(scenario, rng)
+    state = on
+    remaining = packet
+    collision = 0.0
+    renewals = 0
+    while duration < remaining:
+        if state:
+            collision += duration
+        else:
+            renewals += 1
+        remaining -= duration
+        state = not state
+        model = scenario.busy if state else scenario.idle
+        duration = float(model.sample(rng))
+    if state:
+        collision += remaining
+    return TrialResult(on, packet, min(collision, packet), renewals)
+
+
+def empirical_ctd(scenario: CoexistenceScenario, config: McConfig) -> EmpiricalCdf:
+    return EmpiricalCdf.from_samples(run_trials(scenario, config).collision_time)
 
 
 def ks_distance_unique(ecdf, cdf) -> float:

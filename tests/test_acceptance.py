@@ -48,10 +48,11 @@ from coexlink.presets import (
     preset_scenario,
 )
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf, pmf_tail_index
-from coexlink.simcore import McConfig, empirical_ctd, empirical_renewal_counts, run_trials
+from coexlink.simcore import McConfig, empirical_renewal_counts, run_trials
 from conftest import SUITE_SEED, record_criterion
 from oracles import (
     bessel_k_integral,
+    empirical_ctd,
     gamma_lower_reg,
     gamma_lower_reg_quad,
     success_prob_adaptive,

@@ -194,6 +194,11 @@ class TestValidateCommand:
         assert result.exit_code == cli.EXIT_CONFIG
         assert "at least 10000" in result.output
 
+    def test_rejects_negative_seed(self, runner, scenario_file):
+        result = runner.invoke(cli.main, ["validate", scenario_file, "--seed", "-1"])
+        assert result.exit_code == cli.EXIT_CONFIG
+        assert "config error: seed must be an integer >= 0, got -1" in result.output
+
     def test_failure_exit_code(self, runner, scenario_file, monkeypatch):
         failing = ValidationReport(
             alpha=0.1, trials=20000, seed=1, ks_joint=0.5, ks_off=0.5, ks_on=0.5,

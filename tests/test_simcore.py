@@ -9,12 +9,12 @@ from coexlink.presets import IDLE_MIXTURES, preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 from coexlink.simcore import (
     CHUNK,
+    KS_BLOCK,
     EmpiricalCdf,
     McConfig,
     _count_chunk,
     _walk_chunk,
     empirical_renewal_counts,
-    run_trial,
     run_trials,
     split_by_start,
 )
@@ -23,6 +23,7 @@ from oracles import (
     ChoiceHyperexponentialIdle,
     count_chunk_gather,
     ks_distance_unique,
+    run_trial,
     walk_chunk_gather,
     with_choice_sampler,
 )
@@ -140,6 +141,27 @@ class TestEngine:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)
+
+    @pytest.mark.parametrize("trials,seed,field,shown", [
+        (2e5, 1, "trials", "200000.0"),
+        (True, 1, "trials", "True"),
+        (np.True_, 1, "trials", "True"),
+        (0, 1, "trials", "0"),
+        (-5, 1, "trials", "-5"),
+        (10, 1.5, "seed", "1.5"),
+        (10, False, "seed", "False"),
+        (10, -1, "seed", "-1"),
+        (10, np.float64(3.0), "seed", "3.0"),
+    ])
+    def test_config_names_the_bad_field(self, trials, seed, field, shown):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer") as info:
+            McConfig(trials=trials, seed=seed)
+        assert shown in str(info.value)
+
+    def test_config_takes_python_and_numpy_integers(self):
+        for trials, seed in ((1, 0), (np.int64(5), np.uint32(3)), (np.int32(7), np.int64(0))):
+            config = McConfig(trials=trials, seed=seed)
+            assert (config.trials, config.seed) == (trials, seed)
 
     # sha256 of the outputs on alpha_ge_0.5, recorded when run_trials and
     # empirical_renewal_counts each had their own chunk loop: the shared one
@@ -290,6 +312,16 @@ class TestAgainstGatherOracle:
             (np.array([0.5]), uniform),
             (np.array([0.0, 0.0, 1.0]), uniform),
         ]
+        # Unique counts on either side of the block edges, each value drawn
+        # 1-3 times, so blocks start and end inside runs of ties.
+        for uniques in (1, KS_BLOCK - 1, KS_BLOCK, KS_BLOCK + 1, 3 * KS_BLOCK + 5):
+            values = np.repeat(rng.random(uniques), rng.integers(1, 4, uniques))
+            assert np.unique(values).size == uniques
+            samples.append((values, uniform))
+        # One value far above the first block: the probes' hair is set by the
+        # whole sample's maximum, and a steep CDF shows a block-local one.
+        steep = lambda x: np.clip(np.asarray(x, dtype=float) * 1e5, 0.0, 1.0)  # noqa: E731
+        samples.append((np.append(np.arange(KS_BLOCK) * 1e-9, 1e3), steep))
         for values, cdf in samples:
             ecdf = EmpiricalCdf.from_samples(values)
             assert ecdf.ks_distance(cdf) == ks_distance_unique(ecdf, cdf)

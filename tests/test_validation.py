@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from coexlink.ctd import ctd_mixture
 from coexlink.presets import preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 from coexlink.validation import Tolerances, chi_square_counts, validate_scenario
-from conftest import SUITE_SEED
+from conftest import SUITE_SEED, scenario_named
 
 
 class TestChiSquareCounts:
@@ -118,6 +119,36 @@ class TestValidateScenario:
     def test_report_frozen(self, name, seed, expected):
         report = validate_scenario(preset_scenario(name), trials=20_000, seed=seed)
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == expected
+
+    # The same at 200k trials, recorded before the KS passes walked their
+    # uniques in blocks: the joint pass of alpha_ge_0.5 then spans 11 blocks
+    # of `simcore.KS_BLOCK`, where 20k trials span one or two.
+    @pytest.mark.parametrize("name,seed,expected", [
+        ("alpha_ge_0.5", 11, "18ddc6df06e831715b9dd4f333d2ad9b6a85c755702b08dfb2dc43fdcaf16678"),
+        ("exp_busy", 11, "4b9497520913e75aac723371ca933553bde3200dd6457f02a56d1792288c6aca"),
+    ])
+    def test_report_frozen_at_200k_trials(self, name, seed, expected):
+        report = validate_scenario(scenario_named(name), trials=200_000, seed=seed)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("name", ["alpha_ge_0.5", "exp_busy"])
+    def test_traced_peak_is_bounded(self, name):
+        # The KS passes probe one block at a time and the collision batch is
+        # released before the count walks, so the walk's own chunk sets the
+        # peak (about 10 MiB; 19-20 MiB when each KS probed all its uniques
+        # at once and the batch lived through the count walks).
+        scenario = scenario_named(name)
+        tracemalloc.start()
+        try:
+            validate_scenario(scenario, trials=200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    def test_float_trials_name_the_field(self, scenario_exp_0p1575):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1, got 200000.0"):
+            validate_scenario(scenario_exp_0p1575, 2e5, 1)
 
 
 def test_renewal_chi2_catches_wrong_convention(scenario_exp_0p1575, rng):
