@@ -19,10 +19,10 @@ from .per import (
     success_prob,
 )
 from .presets import exponential_scenario, preset_names, preset_scenario
-from .renewal import CountKind, RenewalPmfSpec, pmf, pmf_tail_index
+from .renewal import CountKind, RenewalPmfSpec, pmf
 from .scenario import ScenarioDoc, ScenarioFormatError, parse_scenario_file, parse_scenario_text
 from .simcore import EmpiricalCdf, McConfig, TrialBatch, run_trials
-from .validation import Tolerances, ValidationReport, validate_scenario
+from .validation import ValidationReport, validate_scenario
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "CountKind",
     "RenewalPmfSpec",
     "pmf",
-    "pmf_tail_index",
     "ScenarioDoc",
     "ScenarioFormatError",
     "parse_scenario_file",
@@ -58,7 +57,6 @@ __all__ = [
     "McConfig",
     "TrialBatch",
     "run_trials",
-    "Tolerances",
     "ValidationReport",
     "validate_scenario",
     "__version__",

@@ -187,13 +187,16 @@ class CtdCurve:
 
 
 def coverage_point(scenario: CoexistenceScenario, coverage: float = 1e-4) -> float:
-    """Smallest x with mixture CDF >= 1 - coverage, to the last float.
+    """A float x at which the mixture CDF meets 1 - coverage and the float
+    just below x does not.
 
     The collision time never exceeds the packet length, so the CDF dominates
     1 - e^(-rate*x) and -log(coverage)/rate brackets the answer from above.
-    The bracket is bisected until no float lies strictly between its ends,
-    so the point returned meets the target and the float just below it does
-    not.  Each pass evaluates the CDF once, at every midpoint the next
+    The bracket is bisected until no float lies strictly between its ends.
+    Within about 1e-12 relative of the crossing the CDF evaluated in floats
+    is not monotone, so a smaller x can meet the target too; x is the
+    crossing to about that precision, not the smallest such float.  Each
+    pass evaluates the CDF once, at every midpoint the next
     _BISECTION_LEVELS steps could visit, and then takes those steps.
     """
     if not (0.0 < coverage < 1.0):

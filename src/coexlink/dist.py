@@ -20,6 +20,8 @@ from functools import cached_property
 import numpy as np
 
 _WEIGHT_TOL = 1e-12
+# Per-bit airtime of the observed link when a scenario does not set one.
+DEFAULT_BIT_TIME = 4e-6
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -224,7 +226,7 @@ class CoexistenceScenario:
     busy: OnTimeModel
     idle: IdleTimeModel
     packet_rate: float
-    bit_time: float = 4e-6
+    bit_time: float = DEFAULT_BIT_TIME
 
     def __post_init__(self) -> None:
         _require_positive(self.packet_rate, "packet_rate")

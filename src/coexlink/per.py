@@ -328,7 +328,9 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
 
     The quadrature route sums q(g)^bits on the fixed nodes of the PER
     quadrature; the hybrid evaluates this window alone by `_success_table`.
+    ``method`` is a `PerMethod` or its value.
     """
+    method = PerMethod(method)
     _validate_snr(snr)
     if not (math.isfinite(mean_inr) and mean_inr > 0.0):
         raise ValueError("mean_inr must be finite and positive")
@@ -524,8 +526,12 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
     of bit slots the collision CDF is resolved into; when None it is sized so
     the ignored CDF tail is below ``tail_cut``.  ``noise_bits``, when set to
     the packet bit count, adds AWGN-only errors on the non-colliding bits.
-    The collision-time tail does not depend on the INR and is built once.
+    Each of ``methods`` is a `PerMethod` or its value.  The collision-time
+    tail does not depend on the INR and is built once.
     """
+    methods = [PerMethod(method) for method in methods]
+    if not methods:
+        raise ValueError("methods must name at least one PerMethod")
     grid = np.asarray(mean_inr_values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("mean_inr_values must be a nonempty 1-d array")

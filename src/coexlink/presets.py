@@ -11,6 +11,7 @@ way.  `describe_presets` carries this assumption into CLI output.
 from __future__ import annotations
 
 from .dist import (
+    DEFAULT_BIT_TIME,
     ConstantOnTime,
     CoexistenceScenario,
     ExponentialIdle,
@@ -20,7 +21,6 @@ from .dist import (
 
 DEFAULT_BUSY_TIME = 374e-6
 DEFAULT_PACKET_MEAN = 1.984e-3
-DEFAULT_BIT_TIME = 4e-6
 
 IDLE_MIXTURES: dict[str, HyperexponentialIdle] = {
     "alpha_lt_0.1": HyperexponentialIdle(
@@ -81,16 +81,6 @@ def preset_scenario(name: str) -> CoexistenceScenario:
 
 def preset_names() -> list[str]:
     return sorted(IDLE_MIXTURES) + [f"exp_alpha_{a}" for a in EXPONENTIAL_ALPHAS]
-
-
-def matched_exponential(scenario: CoexistenceScenario) -> CoexistenceScenario:
-    """Same scenario with the idle law swapped for an exponential of equal mean."""
-    return CoexistenceScenario(
-        busy=scenario.busy,
-        idle=ExponentialIdle(1.0 / scenario.idle.mean),
-        packet_rate=scenario.packet_rate,
-        bit_time=scenario.bit_time,
-    )
 
 
 def describe_presets() -> list[dict]:

@@ -85,30 +85,3 @@ def pmf(spec: RenewalPmfSpec, n: int) -> float:
     if n == 0:
         return 1.0 - g * damp
     return _clean(damp * g_comp * g**n)
-
-
-def pmf_tail_index(spec: RenewalPmfSpec, epsilon: float) -> int:
-    """Smallest n_max whose cumulative PMF reaches 1 - epsilon.
-
-    The left-out tail is a plain geometric series, head * g^n beyond n >= 1
-    terms (head alone beyond the n = 0 term), so the index solves
-    n * log(g) <= log(epsilon / head) directly; the loop form is kept in the
-    tests as the brute-force cross-check, not here.  For g near 1, log g is
-    log1p(-(1 - g)) with 1 - g from the idle law, and the index grows like
-    1/(1 - g) without any cap.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    g, g_comp, g_res, damp = _factors(spec)
-    head = g_res * damp if spec.kind is CountKind.EQUILIBRIUM else g * damp
-    if head <= epsilon:
-        return 0
-    if g <= 0.0:
-        return 1
-    log_g = math.log1p(-g_comp) if g_comp < 0.5 else math.log(g)
-    budget = math.log(epsilon / head)
-    n = max(math.ceil(budget / log_g), 1)
-    # One step guards against the quotient's round-off at the boundary.
-    if n * log_g > budget:
-        n += 1
-    return n

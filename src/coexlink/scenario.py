@@ -43,6 +43,7 @@ from dataclasses import dataclass, fields
 import yaml
 
 from .dist import (
+    DEFAULT_BIT_TIME,
     ConstantOnTime,
     CoexistenceScenario,
     ExponentialIdle,
@@ -228,7 +229,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
     bit_time = (
         parse_duration(link["bit_time"], f"{source}.link.bit_time")
         if "bit_time" in link
-        else 4e-6
+        else DEFAULT_BIT_TIME
     )
 
     modulation = Modulation()

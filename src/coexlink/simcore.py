@@ -14,7 +14,7 @@ many trials are requested or how the chunks are scheduled.
 Within a chunk the walk keeps two groups, the trials that started busy and
 those that started idle, each in ascending trial order and holding only its
 live trials: a trial whose packet ends within its current period leaves
-its group, and its collision time and renewal count are written out once.  The two groups
+its group, and its collision time is written out once.  The two groups
 alternate between busy and idle in lockstep, so each step draws the busy
 group's next periods and then the idle group's, one sampler call each.  That
 is the same sequence of calls, with the same sizes, as drawing for every
@@ -54,13 +54,7 @@ class McConfig:
 @dataclass(frozen=True)
 class TrialBatch:
     initial_on: np.ndarray
-    packet_time: np.ndarray
     collision_time: np.ndarray
-    renewal_count: np.ndarray
-
-    @property
-    def trials(self) -> int:
-        return int(self.packet_time.size)
 
 
 @dataclass(frozen=True)
@@ -75,10 +69,6 @@ class EmpiricalCdf:
         if arr.size == 0:
             raise ValueError("need at least one sample")
         return cls(arr)
-
-    def evaluate(self, x):
-        pos = np.searchsorted(self.samples, np.asarray(x, dtype=float), side="right")
-        return pos / self.samples.size
 
     def ks_distance(self, cdf) -> float:
         """Sup distance against a reference CDF callable.
@@ -122,7 +112,6 @@ def _walk_chunk(scenario: CoexistenceScenario, rng: np.random.Generator,
     start_on = rng.random(n) < activity_factor(scenario)
     busy, idle = scenario.busy, scenario.idle
     collision = np.empty(n)
-    renewals = np.empty(n, dtype=np.int64)
     # Group 0 started busy and group 1 idle, so group g is busy on the steps
     # of g's parity.  Per live trial of a group: its id, time left, busy time
     # so far and the current period's length.
@@ -139,8 +128,6 @@ def _walk_chunk(scenario: CoexistenceScenario, rng: np.random.Generator,
                 out = ids.take(done)
                 total = busy_time.take(done)
                 collision[out] = total + left.take(done) if on else total
-                # every idle period before this step ended inside
-                renewals[out] = (step + g) // 2
             more = np.flatnonzero(inside)
             period = period.take(more)
             busy_time = busy_time.take(more)
@@ -153,7 +140,7 @@ def _walk_chunk(scenario: CoexistenceScenario, rng: np.random.Generator,
         for g, model in ((on_group, busy), (1 - on_group, idle)):
             ids, left, busy_time, _ = groups[g]
             groups[g] = (ids, left, busy_time, model.sample(rng, ids.size))
-    return TrialBatch(start_on, packet, np.minimum(collision, packet), renewals)
+    return TrialBatch(start_on, np.minimum(collision, packet))
 
 
 def _chunks(config: McConfig):
@@ -172,9 +159,7 @@ def run_trials(scenario: CoexistenceScenario, config: McConfig) -> TrialBatch:
     batches = [_walk_chunk(scenario, rng, size) for rng, size in _chunks(config)]
     return TrialBatch(
         np.concatenate([b.initial_on for b in batches]),
-        np.concatenate([b.packet_time for b in batches]),
         np.concatenate([b.collision_time for b in batches]),
-        np.concatenate([b.renewal_count for b in batches]),
     )
 
 

@@ -7,8 +7,8 @@ A validation run simulates one scenario, then compares
   * the empirical renewal-count histograms against the closed-form PMFs
     (Pearson chi-square, both counting conventions).
 
-Tolerances are stated at the reference trial count and widened with
-1/sqrt(trials) when a run is smaller, so quick runs stay meaningful.
+The limits are module constants, stated at ``REFERENCE_TRIALS`` and widened
+with 1/sqrt(trials) when a run is smaller, so quick runs stay meaningful.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ from .ctd import ctd_mixture, ctd_off_start, ctd_on_start
 from .dist import CoexistenceScenario, activity_factor
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    ks_joint: float = 0.005
-    ks_conditional: float = 0.01
-    chi2_pvalue_min: float = 1e-3
-    reference_trials: int = 1_000_000
+# Limits at REFERENCE_TRIALS; a smaller run widens the KS limits by
+# sqrt(REFERENCE_TRIALS / trials).
+KS_JOINT = 0.005
+KS_CONDITIONAL = 0.01
+CHI2_PVALUE_MIN = 1e-3
+REFERENCE_TRIALS = 1_000_000
+# Chi-square bins expecting fewer counts than this are pooled into the tail.
+MIN_EXPECTED = 5.0
 
 
 @dataclass
@@ -69,12 +71,11 @@ class ValidationReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int,
-                      min_expected: float = 5.0) -> dict[str, float]:
+def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int) -> dict[str, float]:
     """Pearson test of an observed count histogram against an analytic PMF.
 
     ``observed`` holds per-count totals; ``expected_pmf`` maps n to its
-    probability.  Bins with expected count below ``min_expected`` are pooled
+    probability.  Bins with expected count below ``MIN_EXPECTED`` are pooled
     into the tail, which also absorbs the PMF mass beyond the histogram.
     """
     top = observed.size
@@ -85,7 +86,7 @@ def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int,
     obs.append(0.0)
     exp.append(tail_prob * trials)
     # Pool from the high end until every kept bin is well populated.
-    while len(obs) > 2 and exp[-1] < min_expected:
+    while len(obs) > 2 and exp[-1] < MIN_EXPECTED:
         exp[-2] += exp[-1]
         obs[-2] += obs[-1]
         del obs[-1], exp[-1]
@@ -104,7 +105,6 @@ def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int,
 
 
 def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
-                      tolerances: Tolerances = Tolerances(),
                       mixture_cdf=None) -> ValidationReport:
     """Full MC-vs-analytic comparison for one scenario.
 
@@ -146,9 +146,9 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
     # Nothing below reads the walk: free it before the count walks allocate.
     del batch, joint, off_cdf, on_cdf
 
-    widen = math.sqrt(max(tolerances.reference_trials / trials, 1.0))
-    ks_joint_limit = tolerances.ks_joint * widen
-    ks_conditional_limit = tolerances.ks_conditional * widen
+    widen = math.sqrt(max(REFERENCE_TRIALS / trials, 1.0))
+    ks_joint_limit = KS_JOINT * widen
+    ks_conditional_limit = KS_CONDITIONAL * widen
 
     report = ValidationReport(
         alpha=activity_factor(scenario),
@@ -184,9 +184,9 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
         spec = renewal.RenewalPmfSpec(scenario.idle, scenario.packet_rate, 0.0, kind)
         cell = chi_square_counts(observed, lambda n: renewal.pmf(spec, n), trials)
         report.chi2[label] = cell
-        if cell["pvalue"] < tolerances.chi2_pvalue_min:
+        if cell["pvalue"] < CHI2_PVALUE_MIN:
             report.failures.append(
                 f"{label} count chi-square p={cell['pvalue']:.2e} "
-                f"below {tolerances.chi2_pvalue_min:.0e}"
+                f"below {CHI2_PVALUE_MIN:.0e}"
             )
     return report

@@ -18,6 +18,7 @@ from scipy import integrate, special
 from coexlink.ctd import ctd_mixture
 from coexlink.dist import (
     CoexistenceScenario,
+    ExponentialIdle,
     ExponentialOnTime,
     HyperexponentialIdle,
     activity_factor,
@@ -32,6 +33,7 @@ from coexlink.per import (
     _slot_weights,
     resolve_ell_max,
 )
+from coexlink.renewal import CountKind, RenewalPmfSpec
 from coexlink.simcore import EmpiricalCdf, McConfig, TrialBatch, run_trials
 from coexlink.specfun import erf_inv, log_bessel_k
 
@@ -391,7 +393,6 @@ def walk_chunk_gather(scenario, rng: np.random.Generator, n: int) -> TrialBatch:
 
     remaining = packet.copy()
     collision = np.zeros(n)
-    renewals = np.zeros(n, dtype=np.int64)
     state = start_on.copy()
     active = np.arange(n)
     while active.size:
@@ -401,14 +402,13 @@ def walk_chunk_gather(scenario, rng: np.random.Generator, n: int) -> TrialBatch:
         ends_inside = dur < rem
         overlap = np.minimum(dur, rem)
         collision[active] += np.where(st, overlap, 0.0)
-        renewals[active] += (~st & ends_inside).astype(np.int64)
         remaining[active] = rem - overlap
         active = active[ends_inside]
         if active.size == 0:
             break
         state[active] = ~state[active]
         duration[active] = _draw_by_state(scenario, rng, state[active], residual=False)
-    return TrialBatch(start_on, packet, np.minimum(collision, packet), renewals)
+    return TrialBatch(start_on, np.minimum(collision, packet))
 
 
 def count_chunk_gather(scenario, rng, n: int, offset: float, equilibrium: bool) -> np.ndarray:
@@ -523,3 +523,44 @@ def mixture_tail_mp(scenario, slot: int, dps: int = 40):
         k = sum(1 for n in range(1, int(x_float / d) + 2) if x_float >= n * d)
         frac = min(max(x / mpf(d) - k, 0), 1)
         return mpmath.exp(-s * x) * g**k * (head - alpha * g_comp * frac)
+
+
+def pmf_tail_index(spec: RenewalPmfSpec, epsilon: float) -> int:
+    """Smallest n_max whose cumulative `renewal.pmf` reaches 1 - epsilon.
+
+    The truncation index of the series the closed forms replaced.  The
+    left-out tail is a plain geometric series, head * g^n beyond n >= 1
+    terms (head alone beyond the n = 0 term), so the index solves
+    n * log(g) <= log(epsilon / head) directly.  g, 1 - g, gR and the damping
+    come from the idle law as `renewal.pmf` takes them.  For g near 1, log g
+    is log1p(-(1 - g)), and the index grows like 1/(1 - g) without any cap.
+    """
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
+    rate = spec.packet_rate
+    g = spec.idle.laplace(rate)
+    g_comp = spec.idle.one_minus_laplace(rate)
+    g_res = spec.idle.residual_laplace(rate)
+    damp = math.exp(-rate * spec.offset)
+    head = g_res * damp if spec.kind is CountKind.EQUILIBRIUM else g * damp
+    if head <= epsilon:
+        return 0
+    if g <= 0.0:
+        return 1
+    log_g = math.log1p(-g_comp) if g_comp < 0.5 else math.log(g)
+    budget = math.log(epsilon / head)
+    n = max(math.ceil(budget / log_g), 1)
+    # One step guards against the quotient's round-off at the boundary.
+    if n * log_g > budget:
+        n += 1
+    return n
+
+
+def matched_exponential(scenario: CoexistenceScenario) -> CoexistenceScenario:
+    """Same scenario with the idle law swapped for an exponential of equal mean."""
+    return CoexistenceScenario(
+        busy=scenario.busy,
+        idle=ExponentialIdle(1.0 / scenario.idle.mean),
+        packet_rate=scenario.packet_rate,
+        bit_time=scenario.bit_time,
+    )

@@ -24,10 +24,10 @@ from coexlink.dist import (
     activity_factor,
 )
 from coexlink.presets import preset_scenario
-from coexlink.renewal import CountKind, RenewalPmfSpec, pmf, pmf_tail_index
+from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
-from oracles import coverage_point_bisect, gamma_lower_reg
+from oracles import coverage_point_bisect, gamma_lower_reg, pmf_tail_index
 
 PACKET_RATE = 1.0 / 1.984e-3
 
@@ -202,10 +202,16 @@ def test_constant_busy_jumps_match_renewal_pmf(any_scenario):
 
 
 class TestCoveragePoint:
-    def test_brackets_target(self, scenario_exp_0p1575):
-        x = coverage_point(scenario_exp_0p1575, coverage=1e-4)
-        assert float(ctd_mixture(scenario_exp_0p1575, x)) >= 1.0 - 1e-4
-        assert float(ctd_mixture(scenario_exp_0p1575, 0.999 * x)) < 1.0 - 1e-4
+    def test_brackets_target(self):
+        # the point meets the target and the float just below it does not;
+        # it need not be the smallest float that meets it (see coverage_point)
+        for name in ALL_PRESET_NAMES:
+            scenario = scenario_named(name)
+            for coverage in (1e-4, 1e-6, 1e-9):
+                x = coverage_point(scenario, coverage=coverage)
+                assert float(ctd_mixture(scenario, x)) >= 1.0 - coverage, (name, coverage)
+                below = np.nextafter(x, 0.0)
+                assert float(ctd_mixture(scenario, below)) < 1.0 - coverage, (name, coverage)
 
     def test_degenerate_when_atom_covers(self, scenario_exp_0p0361):
         # mixture atom at 0 is ~0.804, so 30% coverage is met instantly

@@ -291,6 +291,18 @@ class TestSuccessProbRoutes:
             success_prob(BPSK, 10.0, 1.0, bits, method)
 
     @pytest.mark.parametrize("method", list(PerMethod))
+    def test_method_by_value(self, method):
+        # a route given by name runs that route, not the default
+        for bits in (1, 40):
+            assert success_prob(BPSK, 10.0, 1.0, bits, method.value) == (
+                success_prob(BPSK, 10.0, 1.0, bits, method)
+            )
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="'qn' is not a valid PerMethod"):
+            success_prob(BPSK, 10.0, 1.0, 40, "qn")
+
+    @pytest.mark.parametrize("method", list(PerMethod))
     def test_numpy_integer_bits(self, method):
         for bits in (0, 4, 12):
             assert success_prob(BPSK, 10.0, 1.0, np.int64(bits), method) == (
@@ -426,6 +438,26 @@ class TestPerCurve:
             assert np.all((row >= 0.0) & (row <= 1.0))
         # more interference, more loss
         assert np.all(np.diff(curve.values["quadrature"]) > 0.0)
+
+    def test_methods_by_value(self, per_setup):
+        scenario, mod = per_setup
+        inr = [0.3, 1.0, 10.0]
+        by_member = per_curve(scenario, mod, 10.0, inr, list(PerMethod))
+        by_value = per_curve(scenario, mod, 10.0, inr, [m.value for m in PerMethod])
+        assert set(by_value.values) == {m.value for m in PerMethod}
+        for method in PerMethod:
+            assert by_value.values[method.value].tolist() == (
+                by_member.values[method.value].tolist())
+
+    @pytest.mark.parametrize("methods,message", [
+        ([], "at least one"),
+        (["qn"], "'qn' is not a valid PerMethod"),
+        ([PerMethod.HYBRID, "gumbel"], "'gumbel' is not a valid PerMethod"),
+    ])
+    def test_rejects_bad_methods(self, per_setup, methods, message):
+        scenario, mod = per_setup
+        with pytest.raises(ValueError, match=message):
+            per_curve(scenario, mod, 10.0, [1.0], methods)
 
     def test_rejects_empty_grid(self, per_setup):
         scenario, mod = per_setup

@@ -7,10 +7,10 @@ from coexlink.presets import (
     IDLE_MIXTURES,
     describe_presets,
     exponential_scenario,
-    matched_exponential,
     preset_names,
     preset_scenario,
 )
+from oracles import matched_exponential
 
 # activity factors implied by the bundled mixtures with the stock busy time,
 # frozen from busy / (busy + idle_mean)

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexlink.dist import ExponentialIdle, HyperexponentialIdle
-from coexlink.renewal import (
-    CountKind,
-    RenewalPmfSpec,
-    pmf,
-    pmf_tail_index,
-)
+from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
+from oracles import pmf_tail_index
 
 MIXTURE = HyperexponentialIdle(weights=(0.3, 0.7), means=(2e-3, 2e-4))
 

@@ -51,13 +51,6 @@ def _digest(*arrays) -> str:
 
 
 class TestEmpiricalCdf:
-    def test_evaluate_steps(self):
-        cdf = EmpiricalCdf.from_samples([2.0, 1.0, 2.0, 3.0])
-        x = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 9.0])
-        np.testing.assert_allclose(
-            cdf.evaluate(x), [0.0, 0.25, 0.25, 0.75, 0.75, 1.0, 1.0]
-        )
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             EmpiricalCdf.from_samples([])
@@ -90,16 +83,13 @@ class TestEngine:
         a = run_trials(scenario_exp_0p1575, McConfig(trials=3000, seed=42))
         b = run_trials(scenario_exp_0p1575, McConfig(trials=3000, seed=42))
         np.testing.assert_array_equal(a.collision_time, b.collision_time)
-        np.testing.assert_array_equal(a.renewal_count, b.renewal_count)
         c = run_trials(scenario_exp_0p1575, McConfig(trials=3000, seed=43))
         assert not np.array_equal(a.collision_time, c.collision_time)
 
     def test_batch_invariants(self, any_scenario):
         batch = run_trials(any_scenario, McConfig(trials=50_000, seed=SUITE_SEED))
-        assert batch.trials == 50_000
+        assert batch.initial_on.size == batch.collision_time.size == 50_000
         assert np.all(batch.collision_time >= 0.0)
-        assert np.all(batch.collision_time <= batch.packet_time + 1e-15)
-        assert np.all(batch.renewal_count >= 0)
         # a busy start collides immediately
         assert np.all(batch.collision_time[batch.initial_on] > 0.0)
         alpha = activity_factor(any_scenario)
@@ -120,7 +110,6 @@ class TestEngine:
         rng = np.random.default_rng(SUITE_SEED)
         scalar = [run_trial(scenario_exp_0p1575, rng) for _ in range(n)]
         s_coll = np.array([t.collision_time for t in scalar])
-        s_renew = np.array([t.renewal_count for t in scalar])
         batch = run_trials(scenario_exp_0p1575, McConfig(trials=n, seed=SUITE_SEED + 1))
         assert np.mean(batch.collision_time) == pytest.approx(
             np.mean(s_coll), rel=0.05
@@ -128,14 +117,11 @@ class TestEngine:
         assert np.mean(batch.collision_time == 0.0) == pytest.approx(
             np.mean(s_coll == 0.0), abs=0.01
         )
-        assert np.mean(batch.renewal_count) == pytest.approx(
-            np.mean(s_renew), rel=0.05
-        )
 
     def test_split_by_start_partitions(self, scenario_exp_0p1575):
         batch = run_trials(scenario_exp_0p1575, McConfig(trials=20_000, seed=7))
         off, on = split_by_start(batch)
-        assert off.samples.size + on.samples.size == batch.trials
+        assert off.samples.size + on.samples.size == batch.collision_time.size
         assert np.all(on.samples > 0.0)
 
     def test_config_validation(self):
@@ -166,65 +152,86 @@ class TestEngine:
     # sha256 of the outputs on alpha_ge_0.5, recorded when run_trials and
     # empirical_renewal_counts each had their own chunk loop: the shared one
     # must keep every SeedSequence stream and chunk size, the last chunk of a
-    # count that is not a multiple of CHUNK included.
+    # count that is not a multiple of CHUNK included.  The walk digest covers
+    # the two arrays the walk returns, initial_on and collision_time.
     @pytest.mark.parametrize("trials,seed,walk,counts", [
         (1000, 7,
-         "b10802578f4a6e4cfcbced1735cfd1361062ad3144746c69478eae41bcdc6ad4",
+         "2daee141c58bb0512dc8dd614f7a3d7b60bef7b4c72d96663d5e80f57902231b",
          "eb79812b0531d35e7fc8c0a680b89aea50b4ecb930ee54f2b824f59ffe477edc"),
         (CHUNK, 3,
-         "f775bbedab403a416d450b4c03739e983ba7ad70fff15ce5f725aa3af1fe70e0",
+         "853a0fc31b04d8ea5e2aafba3cf8843dc80d2fbc1033babc62f050064989aea8",
          "88fc2ac76e669abb8f48630cd56c0166abc6b871e73fb8d6260c7b3fb9ed99e9"),
         (2 * CHUNK + 777, SUITE_SEED,
-         "2c9b9df030820b17e92e74f41dd010fc3ae9b9abe2e1aff991b153465cd0fd7a",
+         "aabfd84ce2299dfdc8cd00e9bc91000c107cb8d680a6c310d880abdbbf1cc7e7",
          "92b455b48c446cc567ca9b780fcf7c9fc9f4631024a893455e4243467d1ecf64"),
     ], ids=["below_chunk", "one_chunk", "two_chunks_plus_777"])
     def test_streams_frozen(self, trials, seed, walk, counts):
         scenario = preset_scenario("alpha_ge_0.5")
         config = McConfig(trials=trials, seed=seed)
         batch = run_trials(scenario, config)
-        assert _digest(batch.initial_on, batch.packet_time, batch.collision_time,
-                       batch.renewal_count) == walk
+        assert _digest(batch.initial_on, batch.collision_time) == walk
         assert _digest(empirical_renewal_counts(scenario, config, 374e-6)) == counts
 
     # sha256 of the walk and of all four count conventions (equilibrium and
     # ordinary, offsets 0 and 374 us) on a hyperexponential, an exponential
     # and an exponential-busy scenario, recorded while the walk still
-    # gathered from full-size arrays and drew phases with `rng.choice`.
+    # gathered from full-size arrays and drew phases with `rng.choice`.  The
+    # walk digests cover initial_on and collision_time; each case keeps the id
+    # it was first collected under, which spells the digest of the four
+    # arrays the walk then returned (packet_time and renewal_count too).
     @pytest.mark.parametrize("name,trials,seed,walk,counts", [
         ("alpha_ge_0.5", 1000, 7,
-         "b10802578f4a6e4cfcbced1735cfd1361062ad3144746c69478eae41bcdc6ad4",
+         "2daee141c58bb0512dc8dd614f7a3d7b60bef7b4c72d96663d5e80f57902231b",
          "5fa4e414fd4ad65eb9a7f1e06de9744f0a485304aca1217f7d4429f897cb7fb9"),
         ("alpha_ge_0.5", CHUNK, 3,
-         "f775bbedab403a416d450b4c03739e983ba7ad70fff15ce5f725aa3af1fe70e0",
+         "853a0fc31b04d8ea5e2aafba3cf8843dc80d2fbc1033babc62f050064989aea8",
          "62ae9abd21cc67e75131e630f3699fcf361c5f7cba1f5fcd381df26d589d2f14"),
         ("alpha_ge_0.5", 2 * CHUNK + 777, SUITE_SEED,
-         "2c9b9df030820b17e92e74f41dd010fc3ae9b9abe2e1aff991b153465cd0fd7a",
+         "aabfd84ce2299dfdc8cd00e9bc91000c107cb8d680a6c310d880abdbbf1cc7e7",
          "1061d76cdb31cfbfefdec295a1c10063698126ed265b4540bd998fbcd05d60cd"),
         ("exp_alpha_0.1575", 1000, 7,
-         "a3c4429906001c7e91e4f7dce90abc02b08e32a3ea0083c78892b9cfb2ac3726",
+         "ca6ec8475ab1ad69807b6a9a1f1a3c099553c5551ac67313033f0c5911d3e35e",
          "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f"),
         ("exp_alpha_0.1575", CHUNK, 3,
-         "8a602d8d5a36c9e3ec66c5e51a396df6413f66984c5afb7a0b1b85d41f981b84",
+         "4ea2919534e152910c8a61a85a7d4baace3c8405580a2a437e3382fcfb5b327a",
          "17152e564a69fbfb7b7b9eb2bb858289c662f531c05d5a1e7f266dbb740d17d7"),
         ("exp_alpha_0.1575", 2 * CHUNK + 777, SUITE_SEED,
-         "8bb93f6658d016ea0a98f058b9388856d94268042346c2b7779b808bdc17f03c",
+         "4f3148e5161c1b1f9d040ee6f4f19c497b0ec821dfb61ecf3d550abafab4df45",
          "94b84a6ab78d003d794fc33a873f57ff31aafcbdb6a726009eff5a5416a02f8a"),
         ("exp_busy", 1000, 7,
-         "711ebb08569f21ab21628d78dac47c956a4428ee5a7b1b5c968c8bfd89766429",
+         "16bd4bc04562e5c3c8e88543765405316c0389b13dbbd9f2c0a8521d07e0e4fc",
          "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f"),
         ("exp_busy", CHUNK, 3,
-         "52d020636e2af280e1021225bbdb162ae34a1ea3009a27590838a59cf8edcfc8",
+         "ca662f1e6c3db210612b7924808ace58b50727563f3c7c41b2b75b9f7b15c5db",
          "ab858fde0843742c54d9c57b61b0b65fd1090ecb086e456b3fc34063f6e2b5a2"),
         ("exp_busy", 2 * CHUNK + 777, SUITE_SEED,
-         "2d7438e8be1bc235f99621434c2bc73914afc2341515cd8554933a6a1a67e100",
+         "c9c98f2a3560e613ce9940a934d8afd3ccc46e863a02384ff8ba3f8c00fd2ce8",
          "6ca158aa27c0ba0e69e8b0b82c3db7dce02078dee5b7d82c17aad97c151fe35b"),
+    ], ids=[
+        "alpha_ge_0.5-1000-7-b10802578f4a6e4cfcbced1735cfd1361062ad3144746c69478eae41bcdc6ad4-"
+        "5fa4e414fd4ad65eb9a7f1e06de9744f0a485304aca1217f7d4429f897cb7fb9",
+        "alpha_ge_0.5-131072-3-f775bbedab403a416d450b4c03739e983ba7ad70fff15ce5f725aa3af1fe70e0-"
+        "62ae9abd21cc67e75131e630f3699fcf361c5f7cba1f5fcd381df26d589d2f14",
+        "alpha_ge_0.5-262921-20260815-2c9b9df030820b17e92e74f41dd010fc3ae9b9abe2e1aff991b153465cd0fd7a-"
+        "1061d76cdb31cfbfefdec295a1c10063698126ed265b4540bd998fbcd05d60cd",
+        "exp_alpha_0.1575-1000-7-a3c4429906001c7e91e4f7dce90abc02b08e32a3ea0083c78892b9cfb2ac3726-"
+        "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f",
+        "exp_alpha_0.1575-131072-3-8a602d8d5a36c9e3ec66c5e51a396df6413f66984c5afb7a0b1b85d41f981b84-"
+        "17152e564a69fbfb7b7b9eb2bb858289c662f531c05d5a1e7f266dbb740d17d7",
+        "exp_alpha_0.1575-262921-20260815-8bb93f6658d016ea0a98f058b9388856d94268042346c2b7779b808bdc17f03c-"
+        "94b84a6ab78d003d794fc33a873f57ff31aafcbdb6a726009eff5a5416a02f8a",
+        "exp_busy-1000-7-711ebb08569f21ab21628d78dac47c956a4428ee5a7b1b5c968c8bfd89766429-"
+        "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f",
+        "exp_busy-131072-3-52d020636e2af280e1021225bbdb162ae34a1ea3009a27590838a59cf8edcfc8-"
+        "ab858fde0843742c54d9c57b61b0b65fd1090ecb086e456b3fc34063f6e2b5a2",
+        "exp_busy-262921-20260815-2d7438e8be1bc235f99621434c2bc73914afc2341515cd8554933a6a1a67e100-"
+        "6ca158aa27c0ba0e69e8b0b82c3db7dce02078dee5b7d82c17aad97c151fe35b",
     ])
     def test_streams_frozen_every_count_convention(self, name, trials, seed, walk, counts):
         scenario = scenario_named(name)
         config = McConfig(trials=trials, seed=seed)
         batch = run_trials(scenario, config)
-        assert _digest(batch.initial_on, batch.packet_time, batch.collision_time,
-                       batch.renewal_count) == walk
+        assert _digest(batch.initial_on, batch.collision_time) == walk
         parts = [empirical_renewal_counts(scenario, config, offset, equilibrium)
                  for equilibrium in (True, False) for offset in (0.0, 374e-6)]
         assert _digest(np.array([p.size for p in parts]), *parts) == counts
@@ -262,7 +269,7 @@ class TestAgainstGatherOracle:
             rng, rng_oracle = _twin_streams(SUITE_SEED + n)
             batch = _walk_chunk(scenario, rng, n)
             oracle = walk_chunk_gather(with_choice_sampler(scenario), rng_oracle, n)
-            for field in ("initial_on", "packet_time", "collision_time", "renewal_count"):
+            for field in ("initial_on", "collision_time"):
                 got, want = getattr(batch, field), getattr(oracle, field)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (n, field)
             assert rng.bit_generator.state == rng_oracle.bit_generator.state

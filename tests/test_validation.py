@@ -15,7 +15,7 @@ import coexlink
 from coexlink.ctd import ctd_mixture
 from coexlink.presets import preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
-from coexlink.validation import Tolerances, chi_square_counts, validate_scenario
+from coexlink.validation import chi_square_counts, validate_scenario
 from conftest import SUITE_SEED, scenario_named
 
 
@@ -42,9 +42,7 @@ class TestChiSquareCounts:
 
     def test_sparse_bins_are_pooled(self):
         observed = np.array([900, 90, 9, 1, 0, 0])
-        cell = chi_square_counts(
-            observed, lambda n: 0.9 * 0.1**n, 1000, min_expected=5.0
-        )
+        cell = chi_square_counts(observed, lambda n: 0.9 * 0.1**n, 1000)
         # expected counts fall below 5 from n = 3 on; those plus the
         # off-histogram tail must be merged
         assert cell["bins"] <= 4.0
@@ -85,14 +83,6 @@ class TestValidateScenario:
         assert payload["ks"]["joint"] == report.ks_joint
         assert payload["trials"] == 50_000
         assert "equilibrium" in payload["chi2"]
-
-    def test_custom_tolerances_gate(self, scenario_exp_0p1575):
-        # an absurdly tight joint limit must fail even an honest model
-        tolerances = Tolerances(ks_joint=1e-6, reference_trials=50_000)
-        report = validate_scenario(
-            scenario_exp_0p1575, trials=50_000, seed=SUITE_SEED, tolerances=tolerances
-        )
-        assert not report.passed
 
     def test_empty_start_state_names_the_remedy(self):
         # at alpha 1e-5, 10^4 trials almost surely hold no busy start, and a
@@ -135,8 +125,7 @@ class TestValidateScenario:
     def test_traced_peak_is_bounded(self, name):
         # The KS passes probe one block at a time and the collision batch is
         # released before the count walks, so the walk's own chunk sets the
-        # peak (about 10 MiB; 19-20 MiB when each KS probed all its uniques
-        # at once and the batch lived through the count walks).
+        # peak, about 9-9.5 MiB.
         scenario = scenario_named(name)
         tracemalloc.start()
         try:
@@ -144,7 +133,7 @@ class TestValidateScenario:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20, f"{peak / 2**20:.2f} MiB"
+        assert peak <= 10 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_float_trials_name_the_field(self, scenario_exp_0p1575):
         with pytest.raises(ValueError, match="trials must be an integer >= 1, got 200000.0"):
