@@ -123,7 +123,8 @@ class SlotTail:
 
         1 - F(l*bit_time) = exp(log_decay*l) * (heads[i] - slopes[i]*(l - starts[i])).
 
-    A constant busy time d makes each run one busy period, with jump count k
+    A constant busy time d makes each run one busy period (or several, when
+    busy periods shorter than a bit end within one slot), with jump count k
     taken as the CDF takes it: heads = g^k*(c0 - c1*(x/d - k))
     at the run's first slot x, slopes = g^k*c1*bit_time/d, where
     c0 = (1-alpha)*gR + alpha, c1 = alpha*(1-g) and log_decay = -rate*bit_time.
@@ -148,8 +149,38 @@ class SlotTail:
             self.heads[run] - self.slopes[run] * (slots - self.starts[run]))
 
 
+def _run_starts(d: float, bit: float, slots: int) -> np.ndarray:
+    """Slots below ``slots`` at which the jump count of x = l*bit rises: slot 0
+    and, for each busy-period boundary n*d, the first slot l whose x the
+    `_jump_counts` comparison puts at or past it.
+
+    Boundaries shorter than a bit apart can share a slot, which then starts
+    one run.  The first guess ceil(n*d/bit) can be a slot off the float
+    comparison, so each guess steps until slot l meets boundary n and slot
+    l - 1 does not.
+    """
+    if slots < 1:
+        return np.zeros(0, dtype=np.int64)
+    last = _jump_counts(np.array([(slots - 1) * bit]), d)[0]
+    n = np.arange(1.0, last + 1.0)
+    first = np.ceil(n * d / bit).astype(np.int64)
+    while True:
+        late = _jump_counts(first * bit, d) < n
+        early = (first > 0) & (_jump_counts(np.maximum(first - 1, 0) * bit, d) >= n)
+        if not (late.any() or early.any()):
+            break
+        first += late
+        first -= early
+    return np.unique(np.concatenate(([0], first)))
+
+
 def slot_tail(scenario: CoexistenceScenario, slots: int) -> SlotTail:
-    """`SlotTail` of the mixture CDF for slots 0..slots-1."""
+    """`SlotTail` of the mixture CDF for slots 0..slots-1.
+
+    A constant busy time costs O(runs), not O(slots): the runs start where
+    the busy-period boundaries fall on the slot grid (`_run_starts`), and
+    the jump count is evaluated at those slots alone.
+    """
     s, bit, busy = scenario.packet_rate, scenario.bit_time, scenario.busy
     alpha = activity_factor(scenario)
     g_comp = scenario.idle.one_minus_laplace(s)
@@ -158,9 +189,8 @@ def slot_tail(scenario: CoexistenceScenario, slots: int) -> SlotTail:
         return SlotTail(np.zeros(1, dtype=np.int64), np.array([c0]), np.zeros(1),
                         -(s + busy.rate * g_comp) * bit)
     d = busy.duration
-    k = _jump_counts(np.arange(slots) * bit, d)
-    starts = np.flatnonzero(np.diff(k, prepend=-1.0))
-    k = k[starts]
+    starts = _run_starts(d, bit, slots)
+    k = _jump_counts(starts * bit, d)
     tail = scenario.idle.laplace(s) ** k
     c1 = alpha * g_comp
     heads = tail * (c0 - c1 * np.clip(starts * bit / d - k, 0.0, 1.0))

@@ -13,10 +13,16 @@ bits-long collision window; combining those with the collision-time CDF of
 
 The sum stops at ell_max slots (`resolve_ell_max`), and the mass 1 - F
 beyond them counts as errors.  Both routes read F from one `ctd.slot_tail`
-of slots 0..ell_max, built once per INR sweep: the hybrid route takes the
-increments from it, the quadrature route sums by parts against it, and the
-ignored tail mass is its value at ell_max, not 1 - F formed by a
-subtraction.  `per_curve` is the one PER front; one INR is a one-point sweep.
+of slots 0..ell_max, built once per INR sweep from the busy-period
+boundaries (O(runs), not O(slots)): the hybrid route takes the increments
+from it, the quadrature route sums by parts against it, and the ignored tail
+mass is its value at ell_max, not 1 - F formed by a subtraction.
+`per_curve` is the one PER front; one INR is a one-point sweep.  A sweep's
+memory does not grow with ell_max: beyond the tail's runs it holds
+INR x (nodes + HYBRID_BLOCK) floats and one float per INR and block of the
+hybrid, since the hybrid sums its slots HYBRID_BLOCK windows at a time
+(`_per_hybrid`) and the quadrature's final fading sum goes row by row.  The
+hybrid's time still grows with ell_max, one Bessel K per window and INR.
 
 Two routes evaluate success(l) (`PerMethod`); `success_prob` reads one
 window by either:
@@ -96,6 +102,13 @@ QN_COEFFS = (
 # terms, which carry base^(7r/2), overflow to inf - inf, and its fit bias
 # grows with the window (4.8e-6 at 12 bits, 9.5e-6 at 24, against quadrature).
 ELL_SWITCH = 8
+
+# Windows per block of the hybrid PER's slot sum (`_per_hybrid`).  Its
+# arrays are INR x block, so a sweep holds 1024 * 8 bytes per INR and array
+# (136 KiB at 17 INRs) however many slots it spans, while each block's fixed
+# cost (one `_success_table` call, ~0.3 ms) stays small next to its INR x
+# 1024 Bessel K evaluations.
+HYBRID_BLOCK = 1024
 
 # Gumbel mean offset used by the moment match (Euler-Mascheroni, 4 places).
 E0 = 0.5772
@@ -355,12 +368,13 @@ def resolve_ell_max(scenario: CoexistenceScenario, tail_cut: float) -> int:
 
 
 def _slot_weights(modulation: Modulation, snr: float, noise_bits: int | None,
-                  ell_max: int) -> np.ndarray | None:
-    """AWGN success factor per slot, or None in the interference-limited model."""
+                  windows: np.ndarray) -> np.ndarray | None:
+    """AWGN success factor of each of the slots ``windows``, or None in the
+    interference-limited model."""
     if noise_bits is None:
         return None
     clear = 1.0 - float(ber_awgn(modulation, snr))
-    exponents = np.maximum(noise_bits - np.arange(ell_max + 1), 0)
+    exponents = np.maximum(noise_bits - windows, 0)
     return clear**exponents
 
 
@@ -500,7 +514,35 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
             log_start = (n_bits - 1 - m) * log_clear + m * log_y
             noisy += np.exp(log_start + shift) * (head * s0 - slope * s1)
         per += (fail - clear_fail) * noisy
-    return np.array([math.fsum(row) for row in (per * _FADE_WEIGHTS).tolist()])
+    return np.array([math.fsum((row * _FADE_WEIGHTS).tolist()) for row in per])
+
+
+def _per_hybrid(modulation: Modulation, snr: float, noise_bits: int | None,
+                mean_inr: np.ndarray, tail: SlotTail, ell_max: int) -> np.ndarray:
+    """PER at every mean INR from the hybrid success table, HYBRID_BLOCK
+    windows at a time.
+
+    Slot l weighs success(l) (times its AWGN factor) by
+    F(l*bit_time) - F((l-1)*bit_time), the drop of ``tail`` across it; slot
+    0 holds the no-collision atom F(0).  Each block reads the tail at its own
+    slots and carries the last value into the next block's first increment.
+    Every INR row's block is fsummed as soon as it is formed, and the PER is
+    1 minus the fsum of a row's block sums.
+    """
+    blocks = range(0, ell_max + 1, HYBRID_BLOCK)
+    block_sums = np.empty((mean_inr.size, len(blocks)))
+    above = 1.0
+    for col, first in enumerate(blocks):
+        windows = np.arange(first, min(first + HYBRID_BLOCK, ell_max + 1))
+        table = _success_table(modulation, snr, mean_inr, windows)
+        weights = _slot_weights(modulation, snr, noise_bits, windows)
+        if weights is not None:
+            table *= weights
+        values = tail.at(windows)
+        table *= -np.diff(values, prepend=above)
+        above = values[-1]
+        block_sums[:, col] = [math.fsum(row.tolist()) for row in table]
+    return 1.0 - np.array([math.fsum(row.tolist()) for row in block_sums])
 
 
 @dataclass(frozen=True)
@@ -552,14 +594,7 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
         if method is PerMethod.QUADRATURE:
             per = _per_quadrature(modulation, snr, noise_bits, grid, tail, slots, tail_mass)
         else:
-            table = _success_table(modulation, snr, grid, np.arange(slots + 1))
-            # Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
-            # no-collision atom F(0).
-            increments = -np.diff(tail.at(np.arange(slots + 1)), prepend=1.0)
-            weights = _slot_weights(modulation, snr, noise_bits, slots)
-            if weights is not None:
-                table = table * weights
-            per = 1.0 - np.array([math.fsum(row) for row in (table * increments).tolist()])
+            per = _per_hybrid(modulation, snr, noise_bits, grid, tail, slots)
         wild = ~((per >= -1e-4) & (per <= 1.0 + 1e-4))
         if np.any(wild):
             warnings.warn(f"PER {per[wild]!r} clamped to [0, 1]", NumericsWarning, stacklevel=2)

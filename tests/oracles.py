@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from coexlink.ctd import ctd_mixture
+from coexlink.ctd import SlotTail, _jump_counts, ctd_mixture
 from coexlink.dist import (
     CoexistenceScenario,
     ExponentialIdle,
@@ -31,6 +31,7 @@ from coexlink.per import (
     FloatRangeError,
     _bit_success,
     _slot_weights,
+    _success_table,
     resolve_ell_max,
 )
 from coexlink.renewal import CountKind, RenewalPmfSpec
@@ -322,10 +323,48 @@ def per_horner(scenario, modulation, snr: float, mean_inr, *, ell_max=None,
     if ell_max is None:
         ell_max = resolve_ell_max(scenario, tail_cut)
     increments = slot_increments(scenario, ell_max)
-    weights = _slot_weights(modulation, snr, noise_bits, ell_max)
+    weights = _slot_weights(modulation, snr, noise_bits, np.arange(ell_max + 1))
     poly = increments if weights is None else increments * weights
     success = per_quadrature_horner(modulation, snr, np.asarray(mean_inr, dtype=float), poly)
     return np.clip(1.0 - success, 0.0, 1.0)
+
+
+def slot_tail_per_slot(scenario, slots: int) -> SlotTail:
+    """`ctd.slot_tail` built from the jump count of every slot 0..slots-1,
+    its runs starting wherever that count changes: the O(slots) construction
+    the busy-period boundaries replaced, which they must reproduce bitwise.
+    """
+    s, bit, busy = scenario.packet_rate, scenario.bit_time, scenario.busy
+    alpha = activity_factor(scenario)
+    g_comp = scenario.idle.one_minus_laplace(s)
+    c0 = (1.0 - alpha) * scenario.idle.residual_laplace(s) + alpha
+    if isinstance(busy, ExponentialOnTime):
+        return SlotTail(np.zeros(1, dtype=np.int64), np.array([c0]), np.zeros(1),
+                        -(s + busy.rate * g_comp) * bit)
+    d = busy.duration
+    k = _jump_counts(np.arange(slots) * bit, d)
+    starts = np.flatnonzero(np.diff(k, prepend=-1.0))
+    k = k[starts]
+    tail = scenario.idle.laplace(s) ** k
+    c1 = alpha * g_comp
+    heads = tail * (c0 - c1 * np.clip(starts * bit / d - k, 0.0, 1.0))
+    return SlotTail(starts, heads, tail * (c1 * bit / d), -s * bit)
+
+
+def per_hybrid_one_table(modulation, snr: float, noise_bits, mean_inr: np.ndarray,
+                         tail: SlotTail, ell_max: int) -> np.ndarray:
+    """Hybrid PER from one success table of every slot 0..ell_max, each INR
+    row fsummed whole: the sum `per._per_hybrid` takes block by block.
+    Unclamped, like `per._per_hybrid`.
+    """
+    table = _success_table(modulation, snr, mean_inr, np.arange(ell_max + 1))
+    # Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
+    # no-collision atom F(0).
+    increments = -np.diff(tail.at(np.arange(ell_max + 1)), prepend=1.0)
+    weights = _slot_weights(modulation, snr, noise_bits, np.arange(ell_max + 1))
+    if weights is not None:
+        table = table * weights
+    return 1.0 - np.array([math.fsum(row) for row in (table * increments).tolist()])
 
 
 class ChoiceHyperexponentialIdle(HyperexponentialIdle):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -23,11 +24,12 @@ from coexlink.dist import (
     ExponentialOnTime,
     activity_factor,
 )
+from coexlink.per import resolve_ell_max
 from coexlink.presets import preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
-from oracles import coverage_point_bisect, gamma_lower_reg, pmf_tail_index
+from oracles import coverage_point_bisect, gamma_lower_reg, pmf_tail_index, slot_tail_per_slot
 
 PACKET_RATE = 1.0 / 1.984e-3
 
@@ -269,6 +271,28 @@ def test_slot_tail_is_one_minus_cdf_on_the_slot_grid(name):
     assert np.array_equal(tail.at(slots), values)
     if isinstance(sc.busy, ExponentialOnTime):
         assert tail.starts.tolist() == [0]
+
+
+@pytest.mark.parametrize("name", ALL_PRESET_NAMES + sorted(EXTRA_SCENARIOS))
+@pytest.mark.parametrize("bit_time", [None, 1e-9])
+def test_slot_tail_runs_equal_the_per_slot_oracle(name, bit_time):
+    # runs found from the busy-period boundaries must start at the slots where
+    # the per-slot jump count changes, with the same heads and slopes, to the
+    # last bit; several boundaries share a slot on busy_below_bit, and at
+    # 1 ns bits the boundaries lie 374,000 slots apart (2,500 on busy_below_bit)
+    sc = scenario_named(name)
+    counts = [0, 1, 2, 94, 3000]
+    if bit_time is None:
+        counts.append(resolve_ell_max(sc, 1e-6) + 1)
+    else:
+        sc = dataclasses.replace(sc, bit_time=bit_time)
+        counts.append(1_000_001)
+    for slots in counts:
+        tail, oracle = slot_tail(sc, slots), slot_tail_per_slot(sc, slots)
+        for field in ("starts", "heads", "slopes"):
+            got, want = getattr(tail, field), getattr(oracle, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (slots, field)
+        assert tail.log_decay == oracle.log_decay
 
 
 # sha256 of both conditional CDFs and their mixture on the first 3000 bit

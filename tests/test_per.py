@@ -1,5 +1,7 @@
+import dataclasses
 import importlib.util
 import math
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -9,9 +11,10 @@ import pytest
 from scipy import integrate, special
 
 from coexlink import per as per_module
-from coexlink.ctd import SlotTail, ctd_mixture
+from coexlink.ctd import SlotTail, ctd_mixture, slot_tail
 from coexlink.per import (
     ELL_SWITCH,
+    HYBRID_BLOCK,
     QN_COEFFS,
     FloatRangeError,
     GumbelDomainError,
@@ -27,6 +30,7 @@ from coexlink.per import (
     _closed_form_table,
     _gumbel_gamma_array,
     _half_order_kve,
+    _per_hybrid,
     _ratio_sums,
     _slot_weights,
     _success_table,
@@ -40,6 +44,7 @@ from oracles import (
     gumbel_gamma_one_call,
     mixture_tail_mp,
     per_horner,
+    per_hybrid_one_table,
     resolve_ell_max_bisect,
     slot_increments,
     success_prob_adaptive,
@@ -127,7 +132,7 @@ def per_quadrature_adaptive(modulation: Modulation, snr: float, mean_inr: float,
     The slot polynomial is summed as sum_l poly_l * q^l by powers rather
     than by Horner's rule, which keeps this scalar integrand fast.
     """
-    weights = _slot_weights(modulation, snr, noise_bits, increments.size - 1)
+    weights = _slot_weights(modulation, snr, noise_bits, np.arange(increments.size))
     poly = increments if weights is None else increments * weights
     powers = np.arange(poly.size, dtype=float)
     coeff, gain = modulation.coeff, modulation.gain
@@ -536,32 +541,79 @@ def test_quadrature_matches_horner_oracle(name):
 @pytest.mark.parametrize("name", PIECE_SCENARIOS)
 def test_quadrature_alone_skips_the_increments(name, monkeypatch):
     # a quadrature-only sweep reads the slot tail at the last slot alone (the
-    # tail mass); the hybrid route also reads every slot for its increments,
-    # and must leave the tail mass, slot count and quadrature PER unchanged
+    # tail mass); the hybrid route also reads every slot 0..ell_max once for
+    # its increments, at most HYBRID_BLOCK slots per read, and must leave the
+    # tail mass, slot count and quadrature PER unchanged
     scenario = scenario_named(name)
     reads = []
     read = SlotTail.at
 
     def counted(tail, slots):
-        reads.append(np.size(slots))
+        reads.append(np.atleast_1d(slots).tolist())
         return read(tail, slots)
 
     monkeypatch.setattr(SlotTail, "at", counted)
-    for ell_max, noise_bits in ((None, None), (None, 496), (5, None), (561, 496)):
+    for ell_max, noise_bits in ((None, None), (None, 496), (5, None), (561, 496),
+                                (2 * HYBRID_BLOCK, 2 * HYBRID_BLOCK)):
         reads.clear()
         alone = per_curve(scenario, BPSK, 10.0, PIECE_INR, [PerMethod.QUADRATURE],
                           ell_max=ell_max, noise_bits=noise_bits)
-        assert reads == [1]
+        assert reads == [[alone.ell_max]]
         reads.clear()
         both = per_curve(scenario, BPSK, 10.0, PIECE_INR,
                          [PerMethod.HYBRID, PerMethod.QUADRATURE],
                          ell_max=ell_max, noise_bits=noise_bits)
-        assert reads == [1, alone.ell_max + 1]
+        assert reads[0] == [alone.ell_max]
+        assert sum(reads[1:], []) == list(range(alone.ell_max + 1))
+        assert max(len(block) for block in reads[1:]) <= HYBRID_BLOCK
         assert (alone.tail_mass, alone.ell_max) == (both.tail_mass, both.ell_max)
         assert np.array_equal(alone.values["quadrature"], both.values["quadrature"])
         single = per_curve(scenario, BPSK, 10.0, [1.0], [PerMethod.QUADRATURE],
                            ell_max=ell_max, noise_bits=noise_bits)
         assert (single.tail_mass, single.ell_max) == (alone.tail_mass, alone.ell_max)
+
+
+# ell_max spanning four blocks, the last one partial; 2 * HYBRID_BLOCK noise
+# bits put the last AWGN-weighted slot at the end of the second block
+@pytest.mark.parametrize("name", ALL_PRESET_NAMES + ["busy_below_bit"])
+def test_hybrid_blocks_match_the_one_table_sum(name):
+    # summing block by block regroups the fsum of each INR row: one rounding
+    # per block sum, never more than an ulp or so of the PER
+    scenario = scenario_named(name)
+    inr = 10.0 ** (np.linspace(-10.0, 30.0, 9) / 10.0)
+    ell_max = 3 * HYBRID_BLOCK + 5
+    tail = slot_tail(scenario, ell_max + 1)
+    for snr in (1.0, 10.0, 1000.0):
+        for noise_bits in (None, 496, 2 * HYBRID_BLOCK):
+            blocks = _per_hybrid(BPSK, snr, noise_bits, inr, tail, ell_max)
+            oracle = per_hybrid_one_table(BPSK, snr, noise_bits, inr, tail, ell_max)
+            np.testing.assert_allclose(blocks, oracle, rtol=0.0, atol=1e-15)
+            curve = per_curve(scenario, BPSK, snr, inr, [HYBRID], ell_max=ell_max,
+                              noise_bits=noise_bits)
+            assert np.array_equal(curve.values["hybrid"], np.clip(blocks, 0.0, 1.0))
+
+
+def test_sweep_memory_does_not_grow_with_the_slots():
+    # both routes at 400 ns bits (26,864 slots on alpha_ge_0.5, 14,025 on
+    # exp_alpha_0.1575) and quadrature alone at 1 ns bits (2,244,000 slots on
+    # alpha_lt_0.1) hold INR x (nodes + HYBRID_BLOCK) floats and the busy
+    # periods' runs; on these cases one success table of every slot traced
+    # 11.0 and 5.7 MiB, and the per-slot tail 70.6 MiB
+    inr = 10.0 ** (np.linspace(-10.0, 30.0, 5) / 10.0)
+    cases = [("alpha_ge_0.5", 400e-9, [QUAD, HYBRID]),
+             ("exp_alpha_0.1575", 400e-9, [QUAD, HYBRID]),
+             ("alpha_lt_0.1", 1e-9, [QUAD])]
+    for name, bit_time, methods in cases:
+        scenario = dataclasses.replace(preset_scenario(name), bit_time=bit_time)
+        # a first short sweep, so that one-off allocations of first calls are not traced
+        per_curve(scenario, BPSK, 10.0, inr[:1], methods, ell_max=20)
+        tracemalloc.start()
+        try:
+            per_curve(scenario, BPSK, 10.0, inr, methods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, (name, peak)
 
 
 @pytest.mark.parametrize("name", PIECE_SCENARIOS)

@@ -176,9 +176,9 @@ class TestEngine:
     # ordinary, offsets 0 and 374 us) on a hyperexponential, an exponential
     # and an exponential-busy scenario, recorded while the walk still
     # gathered from full-size arrays and drew phases with `rng.choice`.  The
-    # walk digests cover initial_on and collision_time; each case keeps the id
-    # it was first collected under, which spells the digest of the four
-    # arrays the walk then returned (packet_time and renewal_count too).
+    # walk digests cover initial_on and collision_time; the ids name the
+    # scenario and the trial count as `test_streams_frozen` does, so a
+    # re-recorded digest renames no case.
     @pytest.mark.parametrize("name,trials,seed,walk,counts", [
         ("alpha_ge_0.5", 1000, 7,
          "2daee141c58bb0512dc8dd614f7a3d7b60bef7b4c72d96663d5e80f57902231b",
@@ -207,26 +207,8 @@ class TestEngine:
         ("exp_busy", 2 * CHUNK + 777, SUITE_SEED,
          "c9c98f2a3560e613ce9940a934d8afd3ccc46e863a02384ff8ba3f8c00fd2ce8",
          "6ca158aa27c0ba0e69e8b0b82c3db7dce02078dee5b7d82c17aad97c151fe35b"),
-    ], ids=[
-        "alpha_ge_0.5-1000-7-b10802578f4a6e4cfcbced1735cfd1361062ad3144746c69478eae41bcdc6ad4-"
-        "5fa4e414fd4ad65eb9a7f1e06de9744f0a485304aca1217f7d4429f897cb7fb9",
-        "alpha_ge_0.5-131072-3-f775bbedab403a416d450b4c03739e983ba7ad70fff15ce5f725aa3af1fe70e0-"
-        "62ae9abd21cc67e75131e630f3699fcf361c5f7cba1f5fcd381df26d589d2f14",
-        "alpha_ge_0.5-262921-20260815-2c9b9df030820b17e92e74f41dd010fc3ae9b9abe2e1aff991b153465cd0fd7a-"
-        "1061d76cdb31cfbfefdec295a1c10063698126ed265b4540bd998fbcd05d60cd",
-        "exp_alpha_0.1575-1000-7-a3c4429906001c7e91e4f7dce90abc02b08e32a3ea0083c78892b9cfb2ac3726-"
-        "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f",
-        "exp_alpha_0.1575-131072-3-8a602d8d5a36c9e3ec66c5e51a396df6413f66984c5afb7a0b1b85d41f981b84-"
-        "17152e564a69fbfb7b7b9eb2bb858289c662f531c05d5a1e7f266dbb740d17d7",
-        "exp_alpha_0.1575-262921-20260815-8bb93f6658d016ea0a98f058b9388856d94268042346c2b7779b808bdc17f03c-"
-        "94b84a6ab78d003d794fc33a873f57ff31aafcbdb6a726009eff5a5416a02f8a",
-        "exp_busy-1000-7-711ebb08569f21ab21628d78dac47c956a4428ee5a7b1b5c968c8bfd89766429-"
-        "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f",
-        "exp_busy-131072-3-52d020636e2af280e1021225bbdb162ae34a1ea3009a27590838a59cf8edcfc8-"
-        "ab858fde0843742c54d9c57b61b0b65fd1090ecb086e456b3fc34063f6e2b5a2",
-        "exp_busy-262921-20260815-2d7438e8be1bc235f99621434c2bc73914afc2341515cd8554933a6a1a67e100-"
-        "6ca158aa27c0ba0e69e8b0b82c3db7dce02078dee5b7d82c17aad97c151fe35b",
-    ])
+    ], ids=[f"{name}-{size}" for name in ("alpha_ge_0.5", "exp_alpha_0.1575", "exp_busy")
+            for size in ("below_chunk", "one_chunk", "two_chunks_plus_777")])
     def test_streams_frozen_every_count_convention(self, name, trials, seed, walk, counts):
         scenario = scenario_named(name)
         config = McConfig(trials=trials, seed=seed)
