@@ -24,6 +24,7 @@ from .scenario import (
     ScenarioDoc,
     ScenarioFormatError,
     config_hash,
+    db_to_ratio,
     parse_scenario_file,
 )
 from .validation import validate_scenario
@@ -157,7 +158,7 @@ def cmd_per(scenario_file, preset, output, method, snr_db) -> None:
     method_name = method if method is not None else job.method
     chosen = PerMethod(method_name)
     snr_db_val = snr_db if snr_db is not None else job.snr_db
-    snr = 10.0 ** (snr_db_val / 10.0)
+    snr = db_to_ratio(snr_db_val, "--snr-db" if snr_db is not None else "job.snr_db")
 
     steps = int(round((job.inr_stop_db - job.inr_start_db) / job.inr_step_db))
     inr_db = job.inr_start_db + job.inr_step_db * np.arange(steps + 1)

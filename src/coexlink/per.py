@@ -11,16 +11,18 @@ bits-long collision window; combining those with the collision-time CDF of
 
     PER = 1 - sum_l success(l) * (F(l*bit_time) - F((l-1)*bit_time))
 
-The sum stops at ell_max slots (`resolve_ell_max`), and the mass 1 - F
-beyond them counts as errors.  Both routes read F from one `ctd.slot_tail`
-of slots 0..ell_max, built once per INR sweep from the busy-period
-boundaries (O(runs), not O(slots)): the hybrid route takes the increments
-from it, the quadrature route sums by parts against it, and the ignored tail
-mass is its value at ell_max, not 1 - F formed by a subtraction.
+The sum stops at ell_max slots, and the mass 1 - F beyond them counts as
+errors.  Both routes read F from one `ctd.slot_tail` of slots 0..ell_max,
+built once per INR sweep from the busy-period boundaries (O(runs), not
+O(slots)): the hybrid route takes the increments from it, the quadrature
+route sums by parts against it, and the ignored tail mass is its value at
+ell_max, not 1 - F formed by a subtraction.  Unless given, ell_max is read
+off the same tail (`resolve_ell_max`): the first slot whose tail is at most
+tail_cut, so the reported tail mass never exceeds the cut.
 `per_curve` is the one PER front; one INR is a one-point sweep.  A sweep's
 memory does not grow with ell_max: beyond the tail's runs it holds
-INR x (nodes + HYBRID_BLOCK) floats and one float per INR and block of the
-hybrid, since the hybrid sums its slots HYBRID_BLOCK windows at a time
+INR x (band nodes + HYBRID_BLOCK) floats and one float per INR and block of
+the hybrid, since the hybrid sums its slots HYBRID_BLOCK windows at a time
 (`_per_hybrid`) and the quadrature's final fading sum goes row by row.  The
 hybrid's time still grows with ell_max, one Bessel K per window and INR.
 
@@ -28,8 +30,12 @@ Two routes evaluate success(l) (`PerMethod`); `success_prob` reads one
 window by either:
   * quadrature - the fading average on fixed nodes: a trapezoid rule in
     t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
-    (877 nodes).  A single window sums q(g)^bits over the nodes; for the
-    PER the slot sum is taken first and summed by parts against the
+    (877 nodes).  On the first nodes (deep fades) no bit can fail at any
+    INR: Q underflows to 0, on 577 of them at snr 10 dB and INR -10..30 dB.
+    Both fronts work on the failing band that follows and let the nodes
+    before it contribute what q = 1 gives, bitwise as if every node were
+    summed (`_nodes_before_band`).  A single window sums q(g)^bits over the
+    nodes; for the PER the slot sum is taken first and summed by parts against the
     collision-time tail, which is geometric times linear within each busy
     period (`ctd.slot_tail`), so each node costs one geometric and one
     arithmetic-geometric sum per busy period, for the whole INR sweep at
@@ -78,7 +84,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from .ctd import SlotTail, coverage_point, slot_tail
+from .ctd import SlotTail, slot_tail
 from .dist import CoexistenceScenario
 from .specfun import DEBYE_MIN_ORDER, erf_inv, gaussian_q, log_bessel_k
 
@@ -351,20 +357,45 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     if bits == 0:
         return 1.0
     if method is PerMethod.QUADRATURE:
-        q = _bit_success(modulation, snr, np.array([mean_inr]))[0]
-        return min(max(math.fsum((q**bits * _FADE_WEIGHTS).tolist()), 0.0), 1.0)
+        # q = 1 exactly before the failing band, so those nodes add their weights.
+        fail = _bit_failure(modulation, snr, np.array([mean_inr]))
+        lead = _nodes_before_band(fail)
+        q = 1.0 - fail[0, lead:]
+        terms = _FADE_WEIGHTS[:lead].tolist() + (q**bits * _FADE_WEIGHTS[lead:]).tolist()
+        return min(max(math.fsum(terms), 0.0), 1.0)
     return float(_success_table(modulation, snr, np.array([mean_inr]), np.array([bits]))[0, 0])
 
 
+def _validate_tail_cut(tail_cut: float) -> None:
+    if not (0.0 < tail_cut < 1.0):
+        raise ValueError(f"tail_cut must lie in (0, 1), got {tail_cut!r}")
+
+
 def resolve_ell_max(scenario: CoexistenceScenario, tail_cut: float) -> int:
-    """Fewest bit slots beyond which at most ``tail_cut`` of the collision time lies."""
-    x_tail = coverage_point(scenario, tail_cut)
-    ell = max(1, math.ceil(x_tail / scenario.bit_time))
-    # ceil in floats can still land the top slot an ulp short of x_tail,
-    # which matters when the coverage point sits on a CDF jump.
-    while ell * scenario.bit_time < x_tail:
-        ell += 1
-    return ell
+    """Fewest bit slots beyond which at most ``tail_cut`` of the collision time lies.
+
+    The answer is the first slot l >= 1 at which `ctd.slot_tail` reads
+    1 - F(l*bit_time) <= tail_cut, the value a sweep reports as its tail
+    mass, so tail.at(l) <= tail_cut < tail.at(l - 1) holds for l > 1.  The
+    collision time never exceeds the packet, so 1 - F <= e^(-rate*x) and the
+    slot ceil(-log(tail_cut) / (rate*bit_time)) brackets l from above; the
+    tail is built up to it (O(runs)) and its integer slots are bisected.
+    """
+    _validate_tail_cut(tail_cut)
+    top = max(1, math.ceil(-math.log(tail_cut) / (scenario.packet_rate * scenario.bit_time)))
+    tail = slot_tail(scenario, top + 1)
+    # The bound holds in reals; rounding could leave the bracket an ulp short.
+    while tail.at(top) > tail_cut:
+        top *= 2
+        tail = slot_tail(scenario, top + 1)
+    low = 0
+    while top - low > 1:
+        mid = (low + top) // 2
+        if tail.at(mid) <= tail_cut:
+            top = mid
+        else:
+            low = mid
+    return top
 
 
 def _slot_weights(modulation: Modulation, snr: float, noise_bits: int | None,
@@ -396,10 +427,16 @@ def _bit_failure(modulation: Modulation, snr: float, mean_inr: np.ndarray) -> np
     return modulation.coeff * gaussian_q(x)
 
 
-def _bit_success(modulation: Modulation, snr: float, mean_inr: np.ndarray) -> np.ndarray:
-    """Per-bit success q(g) = 1 - coeff * Q(sqrt(gain * snr / g)) on the fading
-    nodes, shape (mean_inr.size, nodes)."""
-    return 1.0 - _bit_failure(modulation, snr, mean_inr)
+def _nodes_before_band(fail: np.ndarray) -> int:
+    """How many leading fading nodes no INR row's bit can fail at.
+
+    The failure rises along the nodes (its argument falls with t), so the
+    nodes where some row's failure is nonzero form one suffix, the failing
+    band; before it every row's failure is exactly 0.0.  With no failing
+    node this is the node count, and at snr 0 it is 0.
+    """
+    failing = fail.any(axis=0)
+    return int(np.argmax(failing)) if failing.any() else failing.size
 
 
 # Floor of log q and log clear: exp of anything below it is 0.0, and it keeps
@@ -462,8 +499,16 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
     from run to run; below N the ratio can exceed 1, so each run is summed
     from whichever end its terms are largest at.  G_L is the ignored tail,
     which counts as errors.
+
+    Only the failing band (`_nodes_before_band`) and the one all-zero node
+    before it are summed.  At a node where no bit can fail every row's
+    per-node PER comes from q = 1 alone, so that node's value stands for the
+    skipped ones in each row's final fsum, which is correctly rounded: the
+    PER is bitwise that of summing every node.
     """
     fail = _bit_failure(modulation, snr, mean_inr)
+    skip = max(_nodes_before_band(fail) - 1, 0)
+    fail = fail[:, skip:]
     clear_fail = float(ber_awgn(modulation, snr))
     with np.errstate(divide="ignore"):
         log_q = np.maximum(np.log1p(-fail), _LOG_FLOOR)
@@ -514,7 +559,9 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
             log_start = (n_bits - 1 - m) * log_clear + m * log_y
             noisy += np.exp(log_start + shift) * (head * s0 - slope * s1)
         per += (fail - clear_fail) * noisy
-    return np.array([math.fsum((row * _FADE_WEIGHTS).tolist()) for row in per])
+    weights, skipped = _FADE_WEIGHTS[skip:], _FADE_WEIGHTS[:skip]
+    return np.array([math.fsum((row[0] * skipped).tolist() + (row * weights).tolist())
+                     for row in per])
 
 
 def _per_hybrid(modulation: Modulation, snr: float, noise_bits: int | None,
@@ -565,8 +612,9 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
     tail counts as errors.
 
     ``snr`` and the mean INRs are linear ratios.  ``ell_max`` caps the number
-    of bit slots the collision CDF is resolved into; when None it is sized so
-    the ignored CDF tail is below ``tail_cut``.  ``noise_bits``, when set to
+    of bit slots the collision CDF is resolved into; when None it is the
+    fewest slots whose ignored CDF tail is at most ``tail_cut``
+    (`resolve_ell_max`).  ``noise_bits``, when set to
     the packet bit count, adds AWGN-only errors on the non-colliding bits.
     Each of ``methods`` is a `PerMethod` or its value.  The collision-time
     tail does not depend on the INR and is built once.
@@ -582,8 +630,7 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
     _validate_snr(snr)
     if ell_max is not None:
         _validate_count("ell_max", ell_max, 1)
-    if not (0.0 < tail_cut < 1.0):
-        raise ValueError("tail_cut must lie in (0, 1)")
+    _validate_tail_cut(tail_cut)
     if noise_bits is not None:
         _validate_count("noise_bits", noise_bits, 0)
     slots = resolve_ell_max(scenario, tail_cut) if ell_max is None else int(ell_max)

@@ -82,6 +82,18 @@ def parse_duration(value, where: str) -> float:
     return seconds
 
 
+def db_to_ratio(value: float, where: str) -> float:
+    """10^(value / 10) for a level in dB; a level whose ratio overflows or
+    underflows to 0 leaves the float range and is rejected."""
+    try:
+        ratio = 10.0 ** (value / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not (0.0 < ratio < math.inf):
+        raise ScenarioFormatError(f"{where}: {value!r} dB is out of the float range")
+    return ratio
+
+
 @dataclass(frozen=True)
 class JobParams:
     """Run controls shared by the CLI commands; flags override these."""
@@ -108,6 +120,8 @@ class JobParams:
             raise ScenarioFormatError("job.inr_step_db must be positive")
         if self.inr_stop_db < self.inr_start_db:
             raise ScenarioFormatError("job.inr_stop_db must be >= job.inr_start_db")
+        for name in ("snr_db", "inr_start_db", "inr_stop_db"):
+            db_to_ratio(getattr(self, name), f"job.{name}")
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,13 @@ from coexlink.dist import (
 from coexlink.per import (
     _FADE_WEIGHTS,
     _LOG2,
+    _LOG_FLOOR,
     E0,
     QN_COEFFS,
     FloatRangeError,
-    _bit_success,
+    ber_awgn,
+    _bit_failure,
+    _ratio_sums,
     _slot_weights,
     _success_table,
     resolve_ell_max,
@@ -302,6 +305,79 @@ def per_quadrature_horner(modulation, snr: float, mean_inr: np.ndarray,
         acc *= q
         acc += c
     return np.array([math.fsum(row) for row in (acc * _FADE_WEIGHTS).tolist()])
+
+
+def _bit_success(modulation, snr: float, mean_inr: np.ndarray) -> np.ndarray:
+    """Per-bit success q(g) = 1 - coeff * Q(sqrt(gain * snr / g)) on the fading
+    nodes of `per`, shape (mean_inr.size, nodes)."""
+    return 1.0 - _bit_failure(modulation, snr, mean_inr)
+
+
+def success_prob_full_grid(modulation, snr: float, mean_inr: float, bits: int) -> float:
+    """Quadrature `per.success_prob` summed over every fading node, q = 1 ones
+    included."""
+    q = _bit_success(modulation, snr, np.array([mean_inr]))[0]
+    return min(max(math.fsum((q**bits * _FADE_WEIGHTS).tolist()), 0.0), 1.0)
+
+
+def per_quadrature_full_grid(modulation, snr: float, noise_bits, mean_inr: np.ndarray,
+                             tail: SlotTail, ell_max: int, tail_mass: float) -> np.ndarray:
+    """`per._per_quadrature` summed by parts on every fading node, the
+    failing band and the nodes before it alike: the body the band replaced,
+    which it must reproduce bitwise.
+    """
+    fail = _bit_failure(modulation, snr, mean_inr)
+    clear_fail = float(ber_awgn(modulation, snr))
+    with np.errstate(divide="ignore"):
+        log_q = np.maximum(np.log1p(-fail), _LOG_FLOOR)
+        log_clear = max(float(np.log1p(-clear_fail)), _LOG_FLOOR)
+    log_y = tail.log_decay + log_q
+    n_bits = noise_bits or 0
+    split = min(n_bits, ell_max)
+    starts = tail.starts[tail.starts < ell_max]
+    if 0 < split < ell_max:
+        starts = np.union1d(starts, [split])
+    runs = np.searchsorted(tail.starts, starts, side="right") - 1
+    slopes = tail.slopes[runs]
+    heads = tail.heads[runs] - slopes * (starts - tail.starts[runs])
+    pieces = list(zip(starts.tolist(), np.diff(starts, append=ell_max).tolist(),
+                      heads.tolist(), slopes.tolist()))
+    below = int(np.searchsorted(starts, split))
+
+    per = -np.expm1(n_bits * log_clear) + tail_mass * np.exp(
+        max(n_bits - ell_max, 0) * log_clear + ell_max * log_q)
+
+    one_minus_y = -np.expm1(log_y)
+    sums = {}
+    plain = np.zeros_like(fail)
+    y_m = np.exp(split * log_y)
+    for _, n, head, slope in pieces[below:]:
+        if n not in sums:
+            sums[n] = _ratio_sums(log_y, one_minus_y, n)
+        s0, s1, y_n = sums[n]
+        plain += y_m * (head * s0 - slope * s1)
+        y_m *= y_n
+    per += fail * plain
+
+    if below:
+        log_ratio = log_y - log_clear
+        backward = log_ratio > 0.0
+        rho = -np.abs(log_ratio)
+        one_minus_z = -np.expm1(rho)
+        sums = {}
+        noisy = np.zeros_like(fail)
+        for m, n, head, slope in pieces[:below]:
+            if n not in sums:
+                # Where the ratio exceeds 1 the run is summed from its last
+                # slot back, so no partial power overflows.
+                s0, s1, _ = _ratio_sums(rho, one_minus_z, n)
+                sums[n] = (s0, np.where(backward, (n - 1) * s0 - s1, s1),
+                           np.where(backward, (n - 1) * log_ratio, 0.0))
+            s0, s1, shift = sums[n]
+            log_start = (n_bits - 1 - m) * log_clear + m * log_y
+            noisy += np.exp(log_start + shift) * (head * s0 - slope * s1)
+        per += (fail - clear_fail) * noisy
+    return np.array([math.fsum((row * _FADE_WEIGHTS).tolist()) for row in per])
 
 
 def slot_increments(scenario, ell_max: int) -> np.ndarray:

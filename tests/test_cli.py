@@ -1,6 +1,7 @@
 import json
 import math
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,33 @@ def test_durations_beyond_the_float_range(runner, tmp_path, key, value):
     result = runner.invoke(cli.main, ["ctd", str(path), "-o", str(out)])
     assert result.exit_code == cli.EXIT_CONFIG
     assert f"{path}.{key}: duration {value!r} is out of the float range" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("snr_db", 4000), ("snr_db", -4000),
+                                       ("inr_start_db", -4000), ("inr_stop_db", 4000)])
+def test_db_levels_beyond_the_float_range(runner, tmp_path, key, value):
+    # each level becomes the ratio 10^(dB/10), which must be a positive
+    # finite float; 4000 dB overflowed the float power (exit 3) or leaked
+    # numpy's overflow warning before the sweep rejected the INRs
+    path = tmp_path / "scenario.yaml"
+    path.write_text(LINK_TEXT + f"job:\n  {key}: {value}\n")
+    out = tmp_path / "per.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(cli.main, ["per", str(path), "-o", str(out)])
+    assert result.exit_code == cli.EXIT_CONFIG
+    assert f"job.{key}: {float(value)!r} dB is out of the float range" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+def test_snr_db_flag_beyond_the_float_range(runner, tmp_path, snr_db):
+    out = tmp_path / "per.csv"
+    result = runner.invoke(cli.main, ["per", "--preset", "alpha_lt_0.1", "--snr-db", snr_db,
+                                      "-o", str(out)])
+    assert result.exit_code == cli.EXIT_CONFIG
+    assert f"--snr-db: {float(snr_db)!r} dB is out of the float range" in result.output
     assert not out.exists()
 
 

@@ -3,7 +3,7 @@ import importlib.util
 import math
 import tracemalloc
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, cycle
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ from scipy import integrate, special
 
 from coexlink import per as per_module
 from coexlink.ctd import SlotTail, ctd_mixture, slot_tail
+from coexlink.dist import CoexistenceScenario, ConstantOnTime, ExponentialIdle
 from coexlink.per import (
     ELL_SWITCH,
     HYBRID_BLOCK,
@@ -27,10 +28,13 @@ from coexlink.per import (
     success_prob,
 )
 from coexlink.per import (
+    _bit_failure,
     _closed_form_table,
     _gumbel_gamma_array,
     _half_order_kve,
+    _nodes_before_band,
     _per_hybrid,
+    _per_quadrature,
     _ratio_sums,
     _slot_weights,
     _success_table,
@@ -45,9 +49,11 @@ from oracles import (
     mixture_tail_mp,
     per_horner,
     per_hybrid_one_table,
+    per_quadrature_full_grid,
     resolve_ell_max_bisect,
     slot_increments,
     success_prob_adaptive,
+    success_prob_full_grid,
 )
 
 BPSK = Modulation()
@@ -538,27 +544,89 @@ def test_quadrature_matches_horner_oracle(name):
     assert worst <= 1e-12
 
 
+BAND_MODULATIONS = [Modulation(1.0, 2.0), Modulation(2.0, 1.0), Modulation(0.5, 1.0)]
+# the mixed sweep, one row whose bits never fail at snr >= 1 (no failing
+# node) and rows at the ends of the float range
+BAND_INR = [PIECE_INR, np.array([1e-30]), np.array([1e-30, 1e30])]
+
+
+@pytest.mark.parametrize("name", PIECE_SCENARIOS)
+def test_quadrature_band_matches_the_full_grid_bitwise(name):
+    # summing the failing band plus one all-zero node reproduces the sum over
+    # every node bit for bit; at snr 0 no node is skipped.  The noise bit
+    # counts take turns, so each meets every modulation and snr.
+    scenario = scenario_named(name)
+    natural = resolve_ell_max(scenario, 1e-6)
+    links = [(mod, snr, inr) for mod in BAND_MODULATIONS
+             for snr in (0.0, 1e-3, 1.0, 10.0, 1e3, 1e15) for inr in BAND_INR]
+    noise = cycle([None, 0, 3, 496, 10000])
+    cases = [(mod, snr, next(noise), inr, natural) for mod, snr, inr in links]
+    modulations = cycle(BAND_MODULATIONS)
+    cases += [(next(modulations), 10.0, noise_bits, PIECE_INR, ell_max)
+              for noise_bits in (None, 496) for ell_max in (1, 7, 5000)]
+    leads = set()
+    for mod, snr, noise_bits, inr, ell_max in cases:
+        tail = slot_tail(scenario, ell_max + 1)
+        tail_mass = float(tail.at(ell_max))
+        band = _per_quadrature(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
+        oracle = per_quadrature_full_grid(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
+        assert band.tolist() == oracle.tolist(), (mod, snr, noise_bits, inr, ell_max)
+        leads.add(_nodes_before_band(_bit_failure(mod, snr, inr)))
+    nodes = per_module._FADE_WEIGHTS.size
+    assert {0, nodes} <= leads and len(leads) > 2
+
+
+def test_quadrature_window_band_matches_the_full_grid_bitwise():
+    # success_prob skips the same nodes, whose terms 1.0**bits * w are w
+    leads = set()
+    for mod in BAND_MODULATIONS:
+        for snr in [0.0] + CRITERION_4_SNR:
+            for inr in CRITERION_4_INR + [1e-30]:
+                leads.add(_nodes_before_band(_bit_failure(mod, snr, np.array([inr]))))
+                for bits in (1, 16, 32, 64, 128, 2687):
+                    assert (success_prob(mod, snr, inr, bits, QUAD)
+                            == success_prob_full_grid(mod, snr, inr, bits)), (mod, snr, inr, bits)
+    assert {0, per_module._FADE_WEIGHTS.size} <= leads
+
+
 @pytest.mark.parametrize("name", PIECE_SCENARIOS)
 def test_quadrature_alone_skips_the_increments(name, monkeypatch):
     # a quadrature-only sweep reads the slot tail at the last slot alone (the
     # tail mass); the hybrid route also reads every slot 0..ell_max once for
     # its increments, at most HYBRID_BLOCK slots per read, and must leave the
-    # tail mass, slot count and quadrature PER unchanged
+    # tail mass, slot count and quadrature PER unchanged.  The ell_max search
+    # bisects a tail of its own; its reads are counted apart and bounded by
+    # one scalar read per halving of its bracket plus the bracket's own.
     scenario = scenario_named(name)
-    reads = []
-    read = SlotTail.at
+    reads, search_reads, searching = [], [], []
+    read, search = SlotTail.at, per_module.resolve_ell_max
 
     def counted(tail, slots):
-        reads.append(np.atleast_1d(slots).tolist())
+        (search_reads if searching else reads).append(np.atleast_1d(slots).tolist())
         return read(tail, slots)
 
+    def flagged(*args):
+        searching.append(True)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
+
     monkeypatch.setattr(SlotTail, "at", counted)
+    monkeypatch.setattr(per_module, "resolve_ell_max", flagged)
+    top = math.ceil(-math.log(1e-6) / (scenario.packet_rate * scenario.bit_time))
     for ell_max, noise_bits in ((None, None), (None, 496), (5, None), (561, 496),
                                 (2 * HYBRID_BLOCK, 2 * HYBRID_BLOCK)):
         reads.clear()
+        search_reads.clear()
         alone = per_curve(scenario, BPSK, 10.0, PIECE_INR, [PerMethod.QUADRATURE],
                           ell_max=ell_max, noise_bits=noise_bits)
         assert reads == [[alone.ell_max]]
+        if ell_max is None:
+            assert all(len(slots) == 1 for slots in search_reads)
+            assert 1 <= len(search_reads) <= math.ceil(math.log2(top)) + 1
+        else:
+            assert search_reads == []
         reads.clear()
         both = per_curve(scenario, BPSK, 10.0, PIECE_INR,
                          [PerMethod.HYBRID, PerMethod.QUADRATURE],
@@ -616,6 +684,25 @@ def test_sweep_memory_does_not_grow_with_the_slots():
         assert peak <= 2 * 2**20, (name, peak)
 
 
+def test_per_sweep_memory_holds_the_failing_band():
+    # both routes on the benchmark's per_sweep links (17 INRs, SNR 10 dB):
+    # the quadrature's INR x node arrays span the failing band (300 of 877
+    # nodes here) instead of every node; summed on every node these sweeps
+    # traced 1.94-2.28 MiB, on the band 0.74-1.19 MiB
+    inr = 10.0 ** (np.arange(-10.0, 30.1, 2.5) / 10.0)
+    for name in ("alpha_lt_0.1", "exp_alpha_0.1575", "alpha_ge_0.5"):
+        scenario = preset_scenario(name)
+        # a first short sweep, so that one-off allocations of first calls are not traced
+        per_curve(scenario, BPSK, 10.0, inr[:1], [QUAD, HYBRID], ell_max=20)
+        tracemalloc.start()
+        try:
+            per_curve(scenario, BPSK, 10.0, inr, [QUAD, HYBRID])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20, (name, peak)
+
+
 @pytest.mark.parametrize("name", PIECE_SCENARIOS)
 @pytest.mark.parametrize("tail_cut", [1e-6, 1e-9])
 def test_tail_mass_against_extended_precision(name, tail_cut):
@@ -665,6 +752,84 @@ def test_resolve_ell_max_matches_bisection_oracle(name):
     scenario = scenario_named(name)
     for tail_cut in (1e-3, 1e-4, 1e-6, 1e-9):
         assert resolve_ell_max(scenario, tail_cut) == resolve_ell_max_bisect(scenario, tail_cut)
+
+
+# bit times 1 ns to 1 ms around the 4 us of the presets; cuts 0.5 to 1e-15
+ELL_BIT_TIMES = [1e-9, 40e-9, 1e-6, 4e-6, 100e-6, 1e-3]
+ELL_TAIL_CUTS = [0.5] + [10.0**-k for k in range(1, 16)]
+
+
+@pytest.mark.parametrize("name", PIECE_SCENARIOS)
+def test_resolve_ell_max_is_the_first_slot_under_the_cut(name):
+    # the tail a sweep reads its tail mass from meets the cut at ell_max and
+    # not one slot before it, so tail_mass <= tail_cut holds by construction
+    for bit_time in ELL_BIT_TIMES:
+        scenario = dataclasses.replace(scenario_named(name), bit_time=bit_time)
+        for tail_cut in ELL_TAIL_CUTS:
+            ell = resolve_ell_max(scenario, tail_cut)
+            tail = slot_tail(scenario, ell + 1)
+            assert tail.at(ell) <= tail_cut, (bit_time, tail_cut)
+            if ell > 1:
+                assert tail.at(ell - 1) > tail_cut, (bit_time, tail_cut)
+
+
+# The cases where the search on the slot tail and the coverage bisection it
+# replaced disagree, with the bisection's ell_max and its tail mass.  At
+# tail_cut 1e-12 the bisection decided on 1 - F formed by a subtraction and
+# stopped where the tail still lay 1.7e-6 to 8.9e-5 relative above the cut;
+# on busy_below_bit ceil(8e-05 / 4e-8) evaluates to 2001 although slot 2000
+# already meets the cut.
+#   exp_alpha_0.0361  1 ns  1e-12  5060505   1.0000159601865262e-12
+#   exp_alpha_0.0361 40 ns  1e-12  126513    1.0000016845388016e-12
+#   exp_busy          1 ns  1e-12  14667800  1.0000887511799018e-12
+#   exp_busy         40 ns  1e-12  366695    1.0000887511799018e-12
+#   g_to_1            1 ns  1e-12  54819880  1.0000258250716866e-12
+#   g_to_1           40 ns  1e-12  1370497   1.0000258250716866e-12
+#   saturated         1 ns  1e-12  49336812  1.0000737942242465e-12
+#   saturated        40 ns  1e-12  1233421   1.000058257691643e-12
+#   busy_below_bit   40 ns  0.5    2001      0.4976387115935571
+@pytest.mark.parametrize("name,bit_time,tail_cut,ell_max,tail_mass", [
+    ("exp_alpha_0.0361", 1e-9, 1e-12, 5060522, 9.999997811310957e-13),
+    ("exp_alpha_0.0361", 40e-9, 1e-12, 126514, 9.999636169207294e-13),
+    ("exp_busy", 1e-9, 1e-12, 14667849, 9.999982785567718e-13),
+    ("exp_busy", 40e-9, 1e-12, 366697, 9.999410450017717e-13),
+    ("g_to_1", 1e-9, 1e-12, 54819932, 9.999996150538728e-13),
+    ("g_to_1", 40e-9, 1e-12, 1370499, 9.99985502251892e-13),
+    ("saturated", 1e-9, 1e-12, 49336945, 9.999999978259793e-13),
+    ("saturated", 40e-9, 1e-12, 1233424, 9.99991675262773e-13),
+    ("busy_below_bit", 40e-9, 0.5, 2000, 0.49765817677638885),
+])
+def test_resolve_ell_max_where_the_bisection_erred(name, bit_time, tail_cut, ell_max,
+                                                     tail_mass):
+    scenario = dataclasses.replace(scenario_named(name), bit_time=bit_time)
+    assert resolve_ell_max(scenario, tail_cut) == ell_max
+    tail = slot_tail(scenario, ell_max + 1)
+    assert tail.at(ell_max) == pytest.approx(tail_mass, rel=1e-12, abs=0.0)
+    assert tail.at(ell_max) <= tail_cut < tail.at(ell_max - 1)
+
+
+@pytest.mark.parametrize("tail_cut", [0.0, 1.0, -1e-6, 1.5, math.inf, math.nan])
+def test_resolve_ell_max_rejects_cuts_outside_the_unit_interval(tail_cut):
+    scenario = preset_scenario("alpha_lt_0.1")
+    with pytest.raises(ValueError, match="tail_cut must lie in"):
+        resolve_ell_max(scenario, tail_cut)
+    with pytest.raises(ValueError, match="tail_cut must lie in"):
+        per_curve(scenario, BPSK, 10.0, [1.0], [QUAD], tail_cut=tail_cut)
+
+
+def test_resolve_ell_max_extends_a_short_bracket():
+    # idle gaps of 1e-20 s leave g == 1 in floats, so the slot tail is
+    # e^(-rate*x) itself and its bracket slot meets the cut only in reals: at
+    # a cut one ulp under the tail at slot 288 the bracket is slot 288, which
+    # misses it, and must be extended
+    scenario = CoexistenceScenario(ConstantOnTime(374e-6), ExponentialIdle(1e20),
+                                   1.0 / 1.984e-3)
+    tail_cut = 0.559537258311838
+    bracket = math.ceil(-math.log(tail_cut) / (scenario.packet_rate * scenario.bit_time))
+    assert slot_tail(scenario, bracket + 1).at(bracket) > tail_cut
+    ell = resolve_ell_max(scenario, tail_cut)
+    tail = slot_tail(scenario, ell + 1)
+    assert tail.at(ell) <= tail_cut < tail.at(ell - 1)
 
 
 @pytest.mark.parametrize("snr,inr", [(1e15, [0.1, 1.0]), (1e-40, [0.1, 1.0]), (10.0, [1e40])])
