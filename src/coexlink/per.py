@@ -9,11 +9,14 @@ AWGN-only success probability for them).  Averaging the per-bit success
 bits-long collision window; combining those with the collision-time CDF of
 `ctd` yields the PER:
 
-    PER = 1 - sum_l success(l) * (F(l*bit_time) - F((l-1)*bit_time))
+    PER = sum_l (1 - success(l)) * (F(l*bit_time) - F((l-1)*bit_time))
+          + 1 - F(ell_max*bit_time)
 
 The sum stops at ell_max slots, and the mass 1 - F beyond them counts as
-errors.  Both routes read F from one `ctd.slot_tail` of slots 0..ell_max,
-built once per INR sweep from the busy-period boundaries (O(runs), not
+errors; both routes form the PER as this sum of failures, so a small PER
+keeps its relative precision.  Both routes read F from one `ctd.slot_tail`
+of slots 0..ell_max, built once per INR sweep from the busy-period
+boundaries (O(runs), not
 O(slots)): the hybrid route takes the increments from it, the quadrature
 route sums by parts against it, and the ignored tail mass is its value at
 ell_max, not 1 - F formed by a subtraction.  Unless given, ell_max is read
@@ -32,14 +35,15 @@ window by either:
     t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
     (877 nodes).  On the first nodes (deep fades) no bit can fail at any
     INR: Q underflows to 0, on 577 of them at snr 10 dB and INR -10..30 dB.
-    Both fronts work on the failing band that follows and let the nodes
-    before it contribute what q = 1 gives, bitwise as if every node were
-    summed (`_nodes_before_band`).  A single window sums q(g)^bits over the
-    nodes; for the PER the slot sum is taken first and summed by parts against the
-    collision-time tail, which is geometric times linear within each busy
-    period (`ctd.slot_tail`), so each node costs one geometric and one
-    arithmetic-geometric sum per busy period, for the whole INR sweep at
-    once.  The tests check both against adaptive quadrature, and the PER
+    Both fronts evaluate Q from where the largest INR's argument drops
+    below specfun.Q_ZERO (`_zero_nodes`), work on the failing band that
+    follows and let the nodes before it contribute what q = 1 gives,
+    bitwise as if every node were summed (`_nodes_before_band`).  A single
+    window sums q(g)^bits over the nodes; for the PER the slot sum is
+    taken first and summed by parts against the collision-time tail, which
+    is geometric times linear within each busy period (`ctd.slot_tail`), so
+    each node costs one geometric and one arithmetic-geometric sum per busy
+    period, for the whole INR sweep at once.  The tests check both against adaptive quadrature, and the PER
     against one Horner step per slot, to 1e-12; the adaptive integral is the
     oracle of the hybrid;
   * hybrid - a closed form (the qn head) up to ELL_SWITCH bits, and beyond
@@ -50,17 +54,20 @@ window by either:
     r-th power (formed once, at import), and the per-order sums serve every
     l.  Their Bessel K have the orders |2 - j|/2, integer and half-integer,
     and all of them, for every r and INR, come from one upward recurrence
-    started at scipy's k0e and k1e and at the elementary K_(1/2) and
-    K_(3/2); the tests hold it within 2e-13 of per-order scipy kv calls.
+    started at `specfun.scaled_bessel_k01` and at the elementary K_(1/2)
+    and K_(3/2); the tests hold it within 2e-13 of per-order scipy kv calls.
+    A window's failure is the fsum of its binomial terms past the first.
     The Gumbel/Gamma match: the window success (1 - ber(x))^l, as a
     function of the linear SIR x = snr/g, is approximated by a Gumbel CDF
     in x whose location and scale come from erf_inv; that Gumbel is
     moment-matched to a Gamma law, whose fading average is a single Bessel
-    K term, of the Gamma shape's order.  `specfun.log_bessel_k` gives its
-    log: scipy's kve below order 12 (BPSK windows up to 243 bits) and the
-    16-term Debye expansion from there on, within 1e-12 of log K, so long
-    windows cannot overflow; the shape rises with the window, so the
-    windows split into one block per method.  A non-finite term of either
+    K term, of the Gamma shape's order, over Gamma(shape) (`log_gamma`).
+    `specfun.log_bessel_k` gives its log: Temme's series or a Chebyshev
+    table and the upward recurrence below order 12 (BPSK windows up to 243
+    bits) and the 16-term Debye expansion from there on, within 1e-12 of
+    log K, so long windows cannot overflow; the shape rises with the
+    window, so the windows split into one block per method.  The failure
+    is the exp of the log.  A non-finite term of either
     part raises FloatRangeError.  The match needs l*coeff > 2, so windows
     past ELL_SWITCH need (ELL_SWITCH + 1)*coeff > 2.
     Against quadrature for BPSK over snr 0-30 dB and mean_inr -10-20 dB
@@ -69,9 +76,11 @@ window by either:
     snr/mean_inr <= 0 dB, where the success probability is <= 0.24 and the
     absolute error <= 0.016.
 
-`_success_table` alone decides which of the closed form and the Gumbel part
+`_failure_table` alone decides which of the closed form and the Gumbel part
 covers which window, for single windows and PER sweeps alike; it evaluates
-only the windows it is given, so `success_prob` costs one window.
+only the windows it is given, so `success_prob` costs one window.  Every
+special function comes from `specfun`'s numpy kernels; this module loads
+no scipy.
 """
 
 from __future__ import annotations
@@ -82,11 +91,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import special
 
 from .ctd import SlotTail, slot_tail
 from .dist import CoexistenceScenario
-from .specfun import DEBYE_MIN_ORDER, erf_inv, gaussian_q, log_bessel_k
+from .specfun import (DEBYE_MIN_ORDER, Q_ZERO, erf_inv, gaussian_q, log_bessel_k, log_gamma,
+                      scaled_bessel_k01)
 
 # Coefficients of the Q-function fit Q(x) ~ exp(-x^2/2) * sum_j b_j x^j on
 # x >= 0, degree 7, b_0 pinned to Q(0) = 0.5.  Regenerate with
@@ -112,7 +121,7 @@ ELL_SWITCH = 8
 # Windows per block of the hybrid PER's slot sum (`_per_hybrid`).  Its
 # arrays are INR x block, so a sweep holds 1024 * 8 bytes per INR and array
 # (136 KiB at 17 INRs) however many slots it spans, while each block's fixed
-# cost (one `_success_table` call, ~0.3 ms) stays small next to its INR x
+# cost (one `_failure_table` call, ~0.3 ms) stays small next to its INR x
 # 1024 Bessel K evaluations.
 HYBRID_BLOCK = 1024
 
@@ -187,16 +196,15 @@ _QN_POWERS = np.array([
 def _half_order_kve(x: np.ndarray, count: int) -> np.ndarray:
     """Scaled Bessel K, e^x * K_(m/2)(x) for m = 0..count-1, on a new first axis.
 
-    Integer orders start from k0e and k1e, half-integer ones from
+    Integer orders start from `specfun.scaled_bessel_k01`, half-integer ones from
     K_(1/2) = sqrt(pi / 2x) e^-x and K_(3/2) = K_(1/2) (1 + 1/x); both go up
     together by K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, which is stable upward.
     """
     pairs = -(-count // 2)
     # out[k, p] holds order k + p/2
     out = np.empty((pairs, 2) + x.shape)
-    out[0, 0] = special.k0e(x)
+    out[0, 0], out[1, 0] = scaled_bessel_k01(x)
     out[0, 1] = np.sqrt(0.5 * math.pi / x)
-    out[1, 0] = special.k1e(x)
     out[1, 1] = out[0, 1] * (1.0 + 1.0 / x)
     two_nu = 2.0 * np.arange(1, pairs - 1)[:, None] + np.arange(2.0)
     ratio = two_nu.reshape(two_nu.shape + (1,) * x.ndim) / x
@@ -206,10 +214,10 @@ def _half_order_kve(x: np.ndarray, count: int) -> np.ndarray:
     return out.reshape((2 * pairs,) + x.shape)[:count]
 
 
-def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
-                       windows: np.ndarray) -> np.ndarray:
-    """Closed-form success(bits) for each of ``windows`` (at most ELL_SWITCH
-    bits) at every mean INR, shape (mean_inr.size, windows.size).
+def _closed_form_failures(modulation: Modulation, snr: float, mean_inr: np.ndarray,
+                          windows: np.ndarray) -> np.ndarray:
+    """Closed-form failure 1 - success(bits) for each of ``windows`` (at most
+    ELL_SWITCH bits) at every mean INR, shape (mean_inr.size, windows.size).
 
     (1 - coeff*Q)^bits expands binomially into powers Q^r.  With the fit
     Q(x) ~ exp(-x^2/2) * sum_j b_j x^j, Q^r is exp(-r x^2/2) times the
@@ -217,18 +225,19 @@ def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
     averages over the fading to one power-weighted Bessel K of order
     |2 - j|/2.  Every K of every order r comes from one upward recurrence
     (`_half_order_kve`), and the per-order sums are formed once and shared by
-    every window.  Values are clamped to [0, 1].
+    every window.  The failure is the fsum of the binomial terms r >= 1, so a
+    small one keeps its relative precision.  Values are clamped to [0, 1].
     """
     coeff, gain = modulation.coeff, modulation.gain
     windows = [int(w) for w in windows]
     top = max(windows, default=0)
     if snr == 0.0:
         # Q(0) = 1/2 regardless of fading.
-        exact = [(1.0 - 0.5 * coeff) ** bits for bits in windows]
+        exact = [1.0 - (1.0 - 0.5 * coeff) ** bits for bits in windows]
         return np.tile(exact, (mean_inr.size, 1))
     if top == 0:
         # Empty windows always succeed.
-        return np.ones((mean_inr.size, len(windows)))
+        return np.zeros((mean_inr.size, len(windows)))
     base = gain * snr
     r = np.arange(1, top + 1)
     j = np.arange(7 * top + 1)
@@ -265,47 +274,62 @@ def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
     ]
     table = np.empty((mean_inr.size, len(windows)))
     for col, bits in enumerate(windows):
-        scale = [math.comb(bits, k) * (-coeff) ** k for k in range(bits + 1)]
-        mix = orders[:, : bits + 1] * scale
+        # 1 - sum_(k>=0) C(bits, k) (-coeff)^k E[Q^k], the k = 0 term being 1
+        scale = [-math.comb(bits, k) * (-coeff) ** k for k in range(1, bits + 1)]
+        mix = orders[:, 1 : bits + 1] * scale
         table[:, col] = [math.fsum(row) for row in mix.tolist()]
     # The fit bias allows overshoot of order 1e-5 near saturation; anything
     # beyond that means the expansion itself misbehaved.
     wild = ~((table >= -1e-4) & (table <= 1.0 + 1e-4))
     if np.any(wild):
         warnings.warn(
-            f"closed-form success probabilities {table[wild]!r} clamped to [0, 1]",
+            f"closed-form failure probabilities {table[wild]!r} clamped to [0, 1]",
             NumericsWarning,
             stacklevel=3,
         )
     return np.clip(table, 0.0, 1.0)
 
 
-def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: np.ndarray,
-                        bits: np.ndarray) -> np.ndarray:
-    """Gumbel-Gamma success probabilities, shape (mean_inr.size, bits.size).
+def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
+                       windows: np.ndarray) -> np.ndarray:
+    """Closed-form success(bits), 1 - `_closed_form_failures`."""
+    return 1.0 - _closed_form_failures(modulation, snr, mean_inr, windows)
 
-    `_success_table` checks the domain.
+
+def _gumbel_gamma_failures(modulation: Modulation, snr: float, mean_inr: np.ndarray,
+                           bits: np.ndarray) -> np.ndarray:
+    """Gumbel-Gamma failure probabilities 1 - success, shape
+    (mean_inr.size, bits.size), each as exp of its log, to full relative
+    precision.
+
+    `_failure_table` checks the domain.
     """
     coeff, gain = modulation.coeff, modulation.gain
     bits = np.asarray(bits, dtype=float)
-    loc = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff)) ** 2
-    scale = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff * math.e)) ** 2 - loc
+    # One erf_inv call for both norming constants of every window.
+    loc, top = (2.0 / gain) * erf_inv(1.0 - 2.0 / (bits * coeff * [[1.0], [math.e]])) ** 2
+    scale = top - loc
     shape = 6.0 * (loc + scale * E0) ** 2 / (math.pi**2 * scale**2)
     theta = (loc + scale * E0) / shape
     if snr == 0.0:
         # z -> 0 limit of the matched-Gamma average.
-        return np.zeros((mean_inr.size, bits.size))
-    z = snr / (mean_inr[:, None] * theta)
-    root = 2.0 * np.sqrt(z)
-    # The shape rises with the window, so ascending windows split into a kve
-    # block and a Debye block; log_bessel_k takes each in one pass.
+        return np.ones((mean_inr.size, bits.size))
+    z = mean_inr[:, None] * theta
+    np.divide(snr, z, out=z)
+    root = np.sqrt(z)
+    root *= 2.0
+    # The shape rises with the window, so ascending windows split into a
+    # block below the Debye order and a Debye block; log_bessel_k takes each
+    # in one pass.  log(1 - success) = log 2 - log Gamma(shape)
+    # + (shape / 2) log z + log K_shape(2 sqrt(z)), summed in place in z.
     split = int(np.searchsorted(shape, DEBYE_MIN_ORDER))
-    log_k = np.empty_like(z)
+    np.log(z, out=z)
+    z *= 0.5 * shape
+    z += _LOG2 - log_gamma(shape)
     for cols in (slice(None, split), slice(split, None)):
         if shape[cols].size:
-            log_k[:, cols] = log_bessel_k(shape[cols], root[:, cols])
-    log_fail = _LOG2 - special.gammaln(shape) + 0.5 * shape * np.log(z) + log_k
-    finite = np.isfinite(log_fail).all(axis=1)
+            z[:, cols] += log_bessel_k(shape[cols], root[:, cols])
+    finite = np.isfinite(z).all(axis=1)
     if not finite.all():
         raise FloatRangeError(
             f"Gumbel/Gamma (hybrid) success terms leave the float range at snr "
@@ -314,13 +338,14 @@ def _gumbel_gamma_array(modulation: Modulation, snr: float, mean_inr: np.ndarray
             "cannot evaluate this link, use the quadrature method "
             "(--method quadrature)"
         )
-    return np.clip(-np.expm1(log_fail), 0.0, 1.0)
+    np.exp(z, out=z)
+    return np.clip(z, 0.0, 1.0, out=z)
 
 
-def _success_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
+def _failure_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
                    windows: np.ndarray) -> np.ndarray:
-    """Hybrid success(l) for each of the ascending bit counts ``windows`` at
-    every mean INR, shape (mean_inr.size, windows.size).
+    """Hybrid failure 1 - success(l) for each of the ascending bit counts
+    ``windows`` at every mean INR, shape (mean_inr.size, windows.size).
 
     The one place that decides which part covers which window: the closed
     form up to ELL_SWITCH and the Gumbel/Gamma match beyond, whose domain
@@ -328,7 +353,7 @@ def _success_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
     """
     windows = np.asarray(windows)
     split = int(np.searchsorted(windows, ELL_SWITCH, side="right"))
-    head = _closed_form_table(modulation, snr, mean_inr, windows[:split])
+    head = _closed_form_failures(modulation, snr, mean_inr, windows[:split])
     if split == windows.size:
         return head
     if (ELL_SWITCH + 1) * modulation.coeff <= 2.0:
@@ -337,8 +362,8 @@ def _success_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
             f"bits * coeff > 2, got coeff={modulation.coeff}; use the quadrature "
             "method, which covers every slot"
         )
-    tail = _gumbel_gamma_array(modulation, snr, mean_inr, windows[split:])
-    return np.hstack([head, tail])
+    tail = _gumbel_gamma_failures(modulation, snr, mean_inr, windows[split:])
+    return np.hstack([head, tail]) if split else tail
 
 
 def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
@@ -346,7 +371,7 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     """Success probability of a ``bits``-long collision window, by either route.
 
     The quadrature route sums q(g)^bits on the fixed nodes of the PER
-    quadrature; the hybrid evaluates this window alone by `_success_table`.
+    quadrature; the hybrid evaluates this window alone by `_failure_table`.
     ``method`` is a `PerMethod` or its value.
     """
     method = PerMethod(method)
@@ -358,12 +383,15 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
         return 1.0
     if method is PerMethod.QUADRATURE:
         # q = 1 exactly before the failing band, so those nodes add their weights.
-        fail = _bit_failure(modulation, snr, np.array([mean_inr]))
-        lead = _nodes_before_band(fail)
-        q = 1.0 - fail[0, lead:]
+        inr = np.array([mean_inr])
+        first = _zero_nodes(modulation, snr, inr)
+        fail = _bit_failure(modulation, snr, inr, first)
+        lead = first + _nodes_before_band(fail)
+        q = 1.0 - fail[0, lead - first:]
         terms = _FADE_WEIGHTS[:lead].tolist() + (q**bits * _FADE_WEIGHTS[lead:]).tolist()
         return min(max(math.fsum(terms), 0.0), 1.0)
-    return float(_success_table(modulation, snr, np.array([mean_inr]), np.array([bits]))[0, 0])
+    return 1.0 - float(_failure_table(modulation, snr, np.array([mean_inr]),
+                                      np.array([bits]))[0, 0])
 
 
 def _validate_tail_cut(tail_cut: float) -> None:
@@ -398,15 +426,17 @@ def resolve_ell_max(scenario: CoexistenceScenario, tail_cut: float) -> int:
     return top
 
 
-def _slot_weights(modulation: Modulation, snr: float, noise_bits: int | None,
-                  windows: np.ndarray) -> np.ndarray | None:
-    """AWGN success factor of each of the slots ``windows``, or None in the
-    interference-limited model."""
+def _slot_log_weights(modulation: Modulation, snr: float, noise_bits: int | None,
+                      windows: np.ndarray) -> np.ndarray | None:
+    """log of the AWGN success factor clear^(noise_bits - l) of each of the
+    slots ``windows`` (0 from noise_bits on), or None in the
+    interference-limited model.  log clear is floored at _LOG_FLOOR, so a
+    clear of 0 gives factors 0 and, from noise_bits on, 1."""
     if noise_bits is None:
         return None
-    clear = 1.0 - float(ber_awgn(modulation, snr))
-    exponents = np.maximum(noise_bits - windows, 0)
-    return clear**exponents
+    clear_fail = float(ber_awgn(modulation, snr))
+    log_clear = max(math.log1p(-clear_fail), _LOG_FLOOR) if clear_fail < 1.0 else _LOG_FLOOR
+    return np.maximum(noise_bits - windows, 0) * log_clear
 
 
 # Fading average on fixed nodes in t = log(g / mean_inr), where the
@@ -420,11 +450,21 @@ _FADE_WEIGHTS[[0, -1]] *= 0.5
 _FADE_ROOT = np.exp(-0.5 * _FADE_T)
 
 
-def _bit_failure(modulation: Modulation, snr: float, mean_inr: np.ndarray) -> np.ndarray:
-    """Per-bit failure coeff * Q(sqrt(gain * snr / g)) on the fading nodes,
-    shape (mean_inr.size, nodes)."""
-    x = np.sqrt(modulation.gain * snr / mean_inr)[:, None] * _FADE_ROOT
+def _bit_failure(modulation: Modulation, snr: float, mean_inr: np.ndarray,
+                 first: int = 0) -> np.ndarray:
+    """Per-bit failure coeff * Q(sqrt(gain * snr / g)) on the fading nodes
+    from ``first`` on, shape (mean_inr.size, nodes - first)."""
+    x = np.sqrt(modulation.gain * snr / mean_inr)[:, None] * _FADE_ROOT[first:]
     return modulation.coeff * gaussian_q(x)
+
+
+def _zero_nodes(modulation: Modulation, snr: float, mean_inr: np.ndarray) -> int:
+    """How many leading fading nodes no INR row's bit can fail at because
+    its Q argument exceeds specfun.Q_ZERO, where Q is exactly 0.0.  Read off
+    the largest mean INR, whose argument is the smallest at every node; the
+    failing band starts at most a node or two later."""
+    x = math.sqrt(modulation.gain * snr / float(np.max(mean_inr))) * _FADE_ROOT
+    return int(np.count_nonzero(x > Q_ZERO))
 
 
 def _nodes_before_band(fail: np.ndarray) -> int:
@@ -457,12 +497,17 @@ def _ratio_sums(rho: np.ndarray, one_minus_y: np.ndarray,
     """
     n_rho = n * rho
     y_n = np.exp(n_rho)
-    one_minus_y_n = -np.expm1(n_rho)
+    small = n_rho > -_SERIES_CUT
+    one_minus_y_n = np.expm1(n_rho, out=n_rho)
+    np.negative(one_minus_y_n, out=one_minus_y_n)
     with np.errstate(divide="ignore", invalid="ignore"):
         s0 = one_minus_y_n / one_minus_y
         # s0 - 1 = (y - y^n) / (1 - y), formed without cancelling at small y
-        s1 = ((one_minus_y_n - one_minus_y) / one_minus_y - (n - 1) * y_n) / one_minus_y
-    small = n_rho > -_SERIES_CUT
+        s1 = one_minus_y_n
+        s1 -= one_minus_y
+        s1 /= one_minus_y
+        s1 -= (n - 1) * y_n
+        s1 /= one_minus_y
     if np.any(small):
         j = np.arange(n, dtype=float)
         powers = [math.fsum((j**p).tolist()) for p in range(_SERIES_TERMS + 2)]
@@ -501,24 +546,25 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
     which counts as errors.
 
     Only the failing band (`_nodes_before_band`) and the one all-zero node
-    before it are summed.  At a node where no bit can fail every row's
-    per-node PER comes from q = 1 alone, so that node's value stands for the
-    skipped ones in each row's final fsum, which is correctly rounded: the
-    PER is bitwise that of summing every node.
+    before it are summed, and Q is evaluated from a node or two before the
+    band on (`_zero_nodes`).  At a node where no bit can fail every
+    row's per-node PER comes from q = 1 alone, so that node's value stands
+    for the skipped ones in each row's final fsum, which is correctly
+    rounded: the PER is bitwise that of summing every node.
     """
-    fail = _bit_failure(modulation, snr, mean_inr)
-    skip = max(_nodes_before_band(fail) - 1, 0)
-    fail = fail[:, skip:]
+    first = max(_zero_nodes(modulation, snr, mean_inr) - 1, 0)
+    fail = _bit_failure(modulation, snr, mean_inr, first)
+    skip = max(first + _nodes_before_band(fail) - 1, 0)
+    fail = fail[:, skip - first:]
     clear_fail = float(ber_awgn(modulation, snr))
     with np.errstate(divide="ignore"):
         log_q = np.maximum(np.log1p(-fail), _LOG_FLOOR)
         log_clear = max(float(np.log1p(-clear_fail)), _LOG_FLOOR)
-    log_y = tail.log_decay + log_q
     n_bits = noise_bits or 0
     split = min(n_bits, ell_max)
     starts = tail.starts[tail.starts < ell_max]
-    if 0 < split < ell_max:
-        starts = np.union1d(starts, [split])
+    if 0 < split < ell_max and split not in starts:
+        starts = np.insert(starts, np.searchsorted(starts, split), split)
     runs = np.searchsorted(tail.starts, starts, side="right") - 1
     slopes = tail.slopes[runs]
     heads = tail.heads[runs] - slopes * (starts - tail.starts[runs])
@@ -526,20 +572,30 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
                       heads.tolist(), slopes.tolist()))
     below = int(np.searchsorted(starts, split))
 
-    per = -np.expm1(n_bits * log_clear) + tail_mass * np.exp(
-        max(n_bits - ell_max, 0) * log_clear + ell_max * log_q)
+    # PER = 1 - u_0 + G_L u_L + ..., summed in place
+    per = ell_max * log_q
+    per += max(n_bits - ell_max, 0) * log_clear
+    np.exp(per, out=per)
+    per *= tail_mass
+    per += -np.expm1(n_bits * log_clear)
 
+    log_y = np.add(tail.log_decay, log_q, out=log_q)
     one_minus_y = -np.expm1(log_y)
     sums = {}
     plain = np.zeros_like(fail)
     y_m = np.exp(split * log_y)
+    term = np.empty_like(fail)
     for _, n, head, slope in pieces[below:]:
         if n not in sums:
             sums[n] = _ratio_sums(log_y, one_minus_y, n)
         s0, s1, y_n = sums[n]
-        plain += y_m * (head * s0 - slope * s1)
+        np.multiply(head, s0, out=term)
+        term -= slope * s1
+        term *= y_m
+        plain += term
         y_m *= y_n
-    per += fail * plain
+    plain *= fail
+    per += plain
 
     if below:
         log_ratio = log_y - log_clear
@@ -556,9 +612,15 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
                 sums[n] = (s0, np.where(backward, (n - 1) * s0 - s1, s1),
                            np.where(backward, (n - 1) * log_ratio, 0.0))
             s0, s1, shift = sums[n]
-            log_start = (n_bits - 1 - m) * log_clear + m * log_y
-            noisy += np.exp(log_start + shift) * (head * s0 - slope * s1)
-        per += (fail - clear_fail) * noisy
+            np.multiply(m, log_y, out=term)
+            term += (n_bits - 1 - m) * log_clear
+            term += shift
+            np.exp(term, out=term)
+            term *= head * s0 - slope * s1
+            noisy += term
+        fail -= clear_fail
+        fail *= noisy
+        per += fail
     weights, skipped = _FADE_WEIGHTS[skip:], _FADE_WEIGHTS[:skip]
     return np.array([math.fsum((row[0] * skipped).tolist() + (row * weights).tolist())
                      for row in per])
@@ -566,30 +628,34 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
 
 def _per_hybrid(modulation: Modulation, snr: float, noise_bits: int | None,
                 mean_inr: np.ndarray, tail: SlotTail, ell_max: int) -> np.ndarray:
-    """PER at every mean INR from the hybrid success table, HYBRID_BLOCK
+    """PER at every mean INR from the hybrid failure table, HYBRID_BLOCK
     windows at a time.
 
-    Slot l weighs success(l) (times its AWGN factor) by
+    Slot l weighs its failure 1 - success(l) w_l (w_l its AWGN factor) by
     F(l*bit_time) - F((l-1)*bit_time), the drop of ``tail`` across it; slot
-    0 holds the no-collision atom F(0).  Each block reads the tail at its own
-    slots and carries the last value into the next block's first increment.
-    Every INR row's block is fsummed as soon as it is formed, and the PER is
-    1 minus the fsum of a row's block sums.
+    0 holds the no-collision atom F(0).  The PER is their sum plus the
+    ignored tail 1 - F(ell_max*bit_time), as the quadrature route forms it,
+    so a small PER keeps its relative precision.  Each block reads the tail
+    at its own slots and carries the last value into the next block's first
+    increment.  Every INR row's block is fsummed as soon as it is formed.
     """
     blocks = range(0, ell_max + 1, HYBRID_BLOCK)
-    block_sums = np.empty((mean_inr.size, len(blocks)))
+    block_sums = np.empty((mean_inr.size, len(blocks) + 1))
     above = 1.0
     for col, first in enumerate(blocks):
         windows = np.arange(first, min(first + HYBRID_BLOCK, ell_max + 1))
-        table = _success_table(modulation, snr, mean_inr, windows)
-        weights = _slot_weights(modulation, snr, noise_bits, windows)
-        if weights is not None:
-            table *= weights
+        table = _failure_table(modulation, snr, mean_inr, windows)
+        log_weights = _slot_log_weights(modulation, snr, noise_bits, windows)
+        if log_weights is not None:
+            # 1 - (1 - fail) w = fail w + (1 - w)
+            table *= np.exp(log_weights)
+            table -= np.expm1(log_weights)
         values = tail.at(windows)
         table *= -np.diff(values, prepend=above)
         above = values[-1]
         block_sums[:, col] = [math.fsum(row.tolist()) for row in table]
-    return 1.0 - np.array([math.fsum(row.tolist()) for row in block_sums])
+    block_sums[:, -1] = above
+    return np.array([math.fsum(row.tolist()) for row in block_sums])
 
 
 @dataclass(frozen=True)

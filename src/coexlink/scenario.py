@@ -94,6 +94,12 @@ def db_to_ratio(value: float, where: str) -> float:
     return ratio
 
 
+# Most INR points a PER sweep may hold.  A sweep keeps about 120 KiB per INR
+# (the quadrature's failing-band arrays and the hybrid's block arrays), so
+# this bounds it near 120 MiB; 1001 points are 0.01 dB steps over 10 dB.
+MAX_INR_POINTS = 1001
+
+
 @dataclass(frozen=True)
 class JobParams:
     """Run controls shared by the CLI commands; flags override these."""
@@ -122,6 +128,13 @@ class JobParams:
             raise ScenarioFormatError("job.inr_stop_db must be >= job.inr_start_db")
         for name in ("snr_db", "inr_start_db", "inr_stop_db"):
             db_to_ratio(getattr(self, name), f"job.{name}")
+        steps = (self.inr_stop_db - self.inr_start_db) / self.inr_step_db
+        if steps > MAX_INR_POINTS - 1:
+            raise ScenarioFormatError(
+                f"job.inr_step_db {self.inr_step_db!r} sweeps {steps + 1:.4g} INR points "
+                f"from {self.inr_start_db!r} to {self.inr_stop_db!r} dB, more than "
+                f"{MAX_INR_POINTS}"
+            )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import renewal, simcore
 from .ctd import ctd_mixture, ctd_off_start, ctd_on_start
@@ -96,6 +95,9 @@ def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int) -> dict[s
     obs_arr, exp_arr = obs_arr[keep], exp_arr[keep]
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     dof = max(obs_arr.size - 1, 1)
+    # Imported here, so that only a validation run loads scipy.special.
+    from scipy import special
+
     return {
         "statistic": stat,
         "dof": float(dof),

@@ -33,13 +33,14 @@ from coexlink.per import (
     ber_awgn,
     _bit_failure,
     _ratio_sums,
-    _slot_weights,
-    _success_table,
+    _failure_table,
+    _gumbel_gamma_failures,
+    _slot_log_weights,
     resolve_ell_max,
 )
 from coexlink.renewal import CountKind, RenewalPmfSpec
 from coexlink.simcore import EmpiricalCdf, McConfig, TrialBatch, run_trials
-from coexlink.specfun import erf_inv, log_bessel_k
+from coexlink.specfun import erf_inv, log_bessel_k, log_gamma
 
 # exp argument beyond which exp(-v) underflows to exactly 0.0 in binary64;
 # used to truncate integral representations safely.
@@ -204,6 +205,19 @@ def closed_form_table_kv(modulation, snr: float, mean_inr: np.ndarray, top: int)
     return np.clip(table, 0.0, 1.0)
 
 
+def gumbel_gamma_success(modulation, snr: float, mean_inr: np.ndarray,
+                         bits: np.ndarray) -> np.ndarray:
+    """Gumbel-Gamma success probabilities, 1 - `per._gumbel_gamma_failures`."""
+    return 1.0 - _gumbel_gamma_failures(modulation, snr, mean_inr, bits)
+
+
+def slot_weights(modulation, snr: float, noise_bits, windows: np.ndarray):
+    """AWGN success factor of each of the slots ``windows``, or None in the
+    interference-limited model: exp of `per._slot_log_weights`."""
+    log_weights = _slot_log_weights(modulation, snr, noise_bits, windows)
+    return None if log_weights is None else np.exp(log_weights)
+
+
 def gumbel_gamma_match(modulation, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shape and scale of the Gamma law matched to each window's Gumbel fit."""
     coeff, gain = modulation.coeff, modulation.gain
@@ -220,7 +234,7 @@ def gumbel_gamma_kve(modulation, snr: float, mean_inr: np.ndarray,
     """Gumbel-Gamma success probabilities, shape (mean_inr.size, bits.size),
     with one scipy `kve` call per (INR, window).
 
-    The body `per._gumbel_gamma_array` had before it took log K from
+    The Gumbel body `coexlink.per` had before it took log K from
     `specfun.log_bessel_k`, kept as the reference of that route.  Where kve
     overflows it substitutes the z/shape limit, which is inaccurate there.
     """
@@ -249,15 +263,16 @@ def gumbel_gamma_kve(modulation, snr: float, mean_inr: np.ndarray,
 def gumbel_gamma_one_call(modulation, snr: float, mean_inr: np.ndarray,
                           bits: np.ndarray) -> np.ndarray:
     """Gumbel-Gamma success probabilities with every window's log K from one
-    mixed-order `specfun.log_bessel_k` call, the body `per._gumbel_gamma_array`
-    had before it split the windows at the Debye order."""
+    mixed-order `specfun.log_bessel_k` call, the Gumbel body `coexlink.per`
+    had before it split the windows at the Debye order (with its log Gamma,
+    `specfun.log_gamma`)."""
     shape, theta = gumbel_gamma_match(modulation, bits)
     if snr == 0.0:
         return np.zeros((mean_inr.size, shape.size))
     z = snr / (mean_inr[:, None] * theta)
     log_fail = (
         _LOG2
-        - special.gammaln(shape)
+        - log_gamma(shape)
         + 0.5 * shape * np.log(z)
         + log_bessel_k(shape, 2.0 * np.sqrt(z))
     )
@@ -399,7 +414,7 @@ def per_horner(scenario, modulation, snr: float, mean_inr, *, ell_max=None,
     if ell_max is None:
         ell_max = resolve_ell_max(scenario, tail_cut)
     increments = slot_increments(scenario, ell_max)
-    weights = _slot_weights(modulation, snr, noise_bits, np.arange(ell_max + 1))
+    weights = slot_weights(modulation, snr, noise_bits, np.arange(ell_max + 1))
     poly = increments if weights is None else increments * weights
     success = per_quadrature_horner(modulation, snr, np.asarray(mean_inr, dtype=float), poly)
     return np.clip(1.0 - success, 0.0, 1.0)
@@ -429,18 +444,20 @@ def slot_tail_per_slot(scenario, slots: int) -> SlotTail:
 
 def per_hybrid_one_table(modulation, snr: float, noise_bits, mean_inr: np.ndarray,
                          tail: SlotTail, ell_max: int) -> np.ndarray:
-    """Hybrid PER from one success table of every slot 0..ell_max, each INR
-    row fsummed whole: the sum `per._per_hybrid` takes block by block.
-    Unclamped, like `per._per_hybrid`.
+    """Hybrid PER from one failure table of every slot 0..ell_max, each INR
+    row fsummed whole with the ignored tail: the sum `per._per_hybrid` takes
+    block by block.  Unclamped, like `per._per_hybrid`.
     """
-    table = _success_table(modulation, snr, mean_inr, np.arange(ell_max + 1))
+    windows = np.arange(ell_max + 1)
+    table = _failure_table(modulation, snr, mean_inr, windows)
     # Slot l holds F(l*bit_time) - F((l-1)*bit_time); slot 0 is the
     # no-collision atom F(0).
-    increments = -np.diff(tail.at(np.arange(ell_max + 1)), prepend=1.0)
-    weights = _slot_weights(modulation, snr, noise_bits, np.arange(ell_max + 1))
-    if weights is not None:
-        table = table * weights
-    return 1.0 - np.array([math.fsum(row) for row in (table * increments).tolist()])
+    values = tail.at(windows)
+    increments = -np.diff(values, prepend=1.0)
+    log_weights = _slot_log_weights(modulation, snr, noise_bits, windows)
+    if log_weights is not None:
+        table = table * np.exp(log_weights) - np.expm1(log_weights)
+    return np.array([math.fsum(row + [values[-1]]) for row in (table * increments).tolist()])
 
 
 class ChoiceHyperexponentialIdle(HyperexponentialIdle):

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from click.testing import CliRunner
 
 import coexlink.cli as cli
 from coexlink.per import PerMethod
-from coexlink.scenario import JobParams
+from coexlink.scenario import MAX_INR_POINTS, JobParams, ScenarioFormatError
 from coexlink.validation import ValidationReport
 
 SCENARIO_TEXT = textwrap.dedent(
@@ -319,6 +323,20 @@ class TestPerCommand:
         _, _, rows = read_csv(out)
         assert rows and all(math.isfinite(v) for row in rows for v in row)
 
+    def test_rejects_an_inr_sweep_over_the_point_limit(self, runner, tmp_path):
+        # 1e-12 dB steps over 40 dB once died allocating 291 TiB (exit 1)
+        path = tmp_path / "fine.yaml"
+        path.write_text(LINK_TEXT + "job: {inr_step_db: 1.0e-12}\n")
+        out = tmp_path / "per.csv"
+        result = runner.invoke(cli.main, ["per", str(path), "-o", str(out)])
+        assert result.exit_code == cli.EXIT_CONFIG, result.output
+        assert "job.inr_step_db" in result.output and f"more than {MAX_INR_POINTS}" in result.output
+        assert not out.exists()
+        # the limit itself passes
+        assert JobParams(inr_start_db=0.0, inr_stop_db=10.0, inr_step_db=0.01)
+        with pytest.raises(ScenarioFormatError, match="job.inr_step_db"):
+            JobParams(inr_start_db=0.0, inr_stop_db=10.0, inr_step_db=0.0099)
+
     def test_method_choices_are_the_per_methods(self):
         # job.method rejects every other value (tests/test_scenario.py)
         (option,) = [p for p in cli.cmd_per.params if p.name == "method"]
@@ -424,3 +442,23 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     lines = ["# generator = test", "a,b,c"]
     lines += [",".join(format(float(v), ".12g") for v in row) for row in zip(*arrays)]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["ctd", "--preset", "alpha_lt_0.1"],
+    ["per", "--preset", "alpha_lt_0.1"],
+    ["per", "--preset", "alpha_lt_0.1", "--method", "quadrature"],
+], ids=["import", "ctd", "per", "per-quadrature"])
+def test_commands_load_no_scipy(tmp_path, argv):
+    # the ctd and per paths run on numpy kernels (coexlink.specfun); only
+    # validate's chi-square p-value imports scipy.special, inside the call
+    run = "" if argv is None else (
+        f"main.main({argv + ['-o', str(tmp_path / 'out.csv')]!r}, standalone_mode=False); "
+    )
+    probe = ("import sys; from coexlink.cli import main; " + run
+             + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -30,14 +30,13 @@ from coexlink.per import (
 from coexlink.per import (
     _bit_failure,
     _closed_form_table,
-    _gumbel_gamma_array,
+    _failure_table,
+    _gumbel_gamma_failures,
     _half_order_kve,
     _nodes_before_band,
     _per_hybrid,
     _per_quadrature,
     _ratio_sums,
-    _slot_weights,
-    _success_table,
 )
 from coexlink.presets import preset_names, preset_scenario
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
@@ -46,12 +45,14 @@ from oracles import (
     gumbel_gamma_kve,
     gumbel_gamma_match,
     gumbel_gamma_one_call,
+    gumbel_gamma_success,
     mixture_tail_mp,
     per_horner,
     per_hybrid_one_table,
     per_quadrature_full_grid,
     resolve_ell_max_bisect,
     slot_increments,
+    slot_weights,
     success_prob_adaptive,
     success_prob_full_grid,
 )
@@ -138,7 +139,7 @@ def per_quadrature_adaptive(modulation: Modulation, snr: float, mean_inr: float,
     The slot polynomial is summed as sum_l poly_l * q^l by powers rather
     than by Horner's rule, which keeps this scalar integrand fast.
     """
-    weights = _slot_weights(modulation, snr, noise_bits, np.arange(increments.size))
+    weights = slot_weights(modulation, snr, noise_bits, np.arange(increments.size))
     poly = increments if weights is None else increments * weights
     powers = np.arange(poly.size, dtype=float)
     coeff, gain = modulation.coeff, modulation.gain
@@ -274,7 +275,7 @@ class TestSuccessProbRoutes:
             closed = _closed_form_table(BPSK, 10.0, np.array([2.0]), np.array([bits]))
             assert success_prob(*args, bits, HYBRID) == closed[0, 0]
         for bits in (ELL_SWITCH + 1, 64):
-            gumbel = _gumbel_gamma_array(BPSK, 10.0, np.array([2.0]), np.array([bits]))
+            gumbel = gumbel_gamma_success(BPSK, 10.0, np.array([2.0]), np.array([bits]))
             assert success_prob(*args, bits, HYBRID) == gumbel[0, 0]
 
     def test_quadrature_monotone(self):
@@ -661,6 +662,22 @@ def test_hybrid_blocks_match_the_one_table_sum(name):
             assert np.array_equal(curve.values["hybrid"], np.clip(blocks, 0.0, 1.0))
 
 
+def test_hybrid_per_keeps_its_digits_near_1e_6():
+    # 1 - sum(success x increment) kept about 10 digits of a PER near 1e-6
+    # (9.980494440897658e-07 for 9.980494440992702e-07 at INR 0.1); the sum
+    # of failure x increment plus the ignored tail keeps them all
+    scenario = preset_scenario("alpha_ge_0.5")
+    inr = np.array([0.1, 1.0])
+    for noise_bits in (None, 496):
+        curve = per_curve(scenario, BPSK, 100.0, inr, [HYBRID], noise_bits=noise_bits)
+        tail = slot_tail(scenario, curve.ell_max + 1)
+        exact = per_hybrid_one_table(BPSK, 100.0, noise_bits, inr, tail, curve.ell_max)
+        assert np.all((curve.values["hybrid"] > 9e-7) & (curve.values["hybrid"] < 1.1e-6))
+        np.testing.assert_allclose(curve.values["hybrid"], exact, rtol=1e-14, atol=0.0)
+        # no window can fail at INR 0.1, so the PER is the ignored tail
+        assert curve.values["hybrid"][0] == pytest.approx(curve.tail_mass, rel=1e-15, abs=0.0)
+
+
 def test_sweep_memory_does_not_grow_with_the_slots():
     # both routes at 400 ns bits (26,864 slots on alpha_ge_0.5, 14,025 on
     # exp_alpha_0.1575) and quadrature alone at 1 ns bits (2,244,000 slots on
@@ -886,7 +903,7 @@ def test_closed_form_reads_only_the_requested_windows():
 @pytest.mark.parametrize("snr", [1.0, 10.0, 1000.0])
 def test_success_prob_matches_the_sweep_table(modulation, snr):
     inr = 10.0 ** (np.arange(-10.0, 40.1, 10.0) / 10.0)
-    table = _success_table(modulation, snr, inr, np.arange(2688))
+    table = 1.0 - _failure_table(modulation, snr, inr, np.arange(2688))
     for bits in (1, 8, 9, 12, 16, 561, 2687):
         single = [success_prob(modulation, snr, g, bits, HYBRID) for g in inr]
         np.testing.assert_allclose(single, table[:, bits], rtol=0.0, atol=1e-15)
@@ -895,8 +912,8 @@ def test_success_prob_matches_the_sweep_table(modulation, snr):
 # -- the Gumbel/Gamma part against the bodies it replaced
 
 def test_gamma_shape_rises_with_the_window():
-    # so `_gumbel_gamma_array` cuts ascending windows into a kve block and a
-    # Debye block at one column
+    # so `_gumbel_gamma_failures` cuts ascending windows into a low-order block
+    # and a Debye block at one column
     for modulation in GUMBEL_MODULATIONS:
         shape, _ = gumbel_gamma_match(modulation, np.arange(ELL_SWITCH + 1, 100_001))
         assert np.all(np.diff(shape) > 0.0)
@@ -908,7 +925,7 @@ def test_gumbel_blocks_match_one_log_bessel_k_call(modulation):
     bits = np.arange(ELL_SWITCH + 1, 3000)
     for snr_db in (0.0, 10.0, 20.0, 30.0):
         snr = 10.0 ** (snr_db / 10.0)
-        np.testing.assert_allclose(_gumbel_gamma_array(modulation, snr, inr, bits),
+        np.testing.assert_allclose(gumbel_gamma_success(modulation, snr, inr, bits),
                                    gumbel_gamma_one_call(modulation, snr, inr, bits),
                                    rtol=0.0, atol=1e-15)
 
@@ -919,22 +936,26 @@ def test_gumbel_success_matches_kve_oracle(modulation, snr_db):
     snr = 10.0 ** (snr_db / 10.0)
     inr = 10.0 ** (np.arange(-30.0, 40.1, 5.0) / 10.0)
     bits = np.unique(np.geomspace(ELL_SWITCH + 1, 30000, 200).astype(int))
-    np.testing.assert_allclose(_gumbel_gamma_array(modulation, snr, inr, bits),
+    np.testing.assert_allclose(gumbel_gamma_success(modulation, snr, inr, bits),
                                gumbel_gamma_kve(modulation, snr, inr, bits),
                                rtol=0.0, atol=5e-13)
 
 
 @pytest.mark.parametrize("name", ALL_PRESET_NAMES)
 def test_per_curve_hybrid_matches_kve_oracle(name, monkeypatch):
+    # the oracle takes log K and log Gamma from scipy (AMOS kve, Cephes
+    # gammaln), the route from specfun's numpy kernels; each is within a few
+    # 1e-14 of mpmath, which moves the PER by up to 2.2e-15 (measured)
     scenario = preset_scenario(name)
     inr = 10.0 ** (np.linspace(-10.0, 30.0, 17) / 10.0)
     for snr_db in (0.0, 10.0, 30.0):
         snr = 10.0 ** (snr_db / 10.0)
         hybrid = per_curve(scenario, BPSK, snr, inr).values["hybrid"]
         with monkeypatch.context() as patch:
-            patch.setattr(per_module, "_gumbel_gamma_array", gumbel_gamma_kve)
+            patch.setattr(per_module, "_gumbel_gamma_failures",
+                          lambda *args: 1.0 - gumbel_gamma_kve(*args))
             oracle = per_curve(scenario, BPSK, snr, inr).values["hybrid"]
-        np.testing.assert_allclose(hybrid, oracle, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(hybrid, oracle, rtol=0.0, atol=5e-15)
 
 
 @pytest.mark.parametrize("inr_db", [30.0, 40.0])
@@ -953,14 +974,32 @@ def test_gumbel_extreme_window_matches_mpmath(inr_db):
         nu = mpmath.mpf(shape[0])
         z = mpmath.mpf(1.0 / (inr * theta[0]))
         expected = 1 - 2 * z ** (nu / 2) * mpmath.besselk(nu, 2 * mpmath.sqrt(z)) / mpmath.gamma(nu)
-    got = _gumbel_gamma_array(BPSK, 1.0, np.array([inr]), bits)[0, 0]
+    got = gumbel_gamma_success(BPSK, 1.0, np.array([inr]), bits)[0, 0]
     assert got == pytest.approx(float(expected), rel=0.0, abs=1e-13)
+
+
+def test_gumbel_failures_keep_relative_precision():
+    # each failure is exp of its log, not 1 - success, so small ones keep
+    # their digits (SNR 20 dB, INR 0 dB: failures 4.7e-9 to 1.4e-6)
+    import mpmath
+
+    bits = np.array([16.0, 64.0, 561.0, 2687.0])
+    shape, theta = gumbel_gamma_match(BPSK, bits)
+    got = _gumbel_gamma_failures(BPSK, 100.0, np.array([1.0]), bits)[0]
+    with mpmath.workdps(60):
+        expected = []
+        for nu, th in zip(shape, theta):
+            nu, z = mpmath.mpf(nu), 100 / mpmath.mpf(th)
+            expected.append(float(2 * z ** (nu / 2) * mpmath.besselk(nu, 2 * mpmath.sqrt(z))
+                                  / mpmath.gamma(nu)))
+    assert np.all(got < 1e-5)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 def test_gumbel_overflow_raises():
     # below the Debye orders kve still overflows at a vanishing argument
     with pytest.raises(FloatRangeError, match="quadrature"):
-        _gumbel_gamma_array(BPSK, 1e-30, np.array([1.0, 1e30]), np.array([ELL_SWITCH + 1, 200]))
+        gumbel_gamma_success(BPSK, 1e-30, np.array([1.0, 1e30]), np.array([ELL_SWITCH + 1, 200]))
 
 
 def test_fit_qn_table_script_matches_frozen_coefficients():
