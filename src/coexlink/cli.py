@@ -160,9 +160,7 @@ def cmd_per(scenario_file, preset, output, method, snr_db) -> None:
     snr_db_val = snr_db if snr_db is not None else job.snr_db
     snr = db_to_ratio(snr_db_val, "--snr-db" if snr_db is not None else "job.snr_db")
 
-    steps = int(round((job.inr_stop_db - job.inr_start_db) / job.inr_step_db))
-    inr_db = job.inr_start_db + job.inr_step_db * np.arange(steps + 1)
-    inr_db = inr_db[inr_db <= job.inr_stop_db + 1e-9]
+    inr_db = job.inr_grid_db()
     inr = 10.0 ** (inr_db / 10.0)
 
     methods = [PerMethod.QUADRATURE]

@@ -23,10 +23,11 @@ ell_max, not 1 - F formed by a subtraction.  Unless given, ell_max is read
 off the same tail (`resolve_ell_max`): the first slot whose tail is at most
 tail_cut, so the reported tail mass never exceeds the cut.
 `per_curve` is the one PER front; one INR is a one-point sweep.  A sweep's
-memory does not grow with ell_max: beyond the tail's runs it holds
-INR x (band nodes + HYBRID_BLOCK) floats and one float per INR and block of
-the hybrid, since the hybrid sums its slots HYBRID_BLOCK windows at a time
-(`_per_hybrid`) and the quadrature's final fading sum goes row by row.  The
+memory does not grow with ell_max: beyond the tail's runs it holds a few
+INR x band-node and INR x HYBRID_BLOCK arrays and one float per INR and
+block of the hybrid, since the hybrid sums its slots HYBRID_BLOCK windows at
+a time (`_per_hybrid`, whose Gumbel part computes in arrays allocated once
+per sweep) and the quadrature's final fading sum goes row by row.  The
 hybrid's time still grows with ell_max, one Bessel K per window and INR.
 
 Two routes evaluate success(l) (`PerMethod`); `success_prob` reads one
@@ -214,6 +215,16 @@ def _half_order_kve(x: np.ndarray, count: int) -> np.ndarray:
     return out.reshape((2 * pairs,) + x.shape)[:count]
 
 
+def _range_error(part: str, snr: float, mean_inr: float) -> FloatRangeError:
+    """The error of a hybrid part whose terms leave the float range."""
+    return FloatRangeError(
+        f"{part} (hybrid) success terms leave the float range at snr "
+        f"{10.0 * math.log10(snr):.6g} dB, mean INR {10.0 * math.log10(mean_inr):.6g} dB; "
+        "the hybrid route cannot evaluate this link, use the quadrature method "
+        "(--method quadrature)"
+    )
+
+
 def _closed_form_failures(modulation: Modulation, snr: float, mean_inr: np.ndarray,
                           windows: np.ndarray) -> np.ndarray:
     """Closed-form failure 1 - success(bits) for each of ``windows`` (at most
@@ -243,8 +254,12 @@ def _closed_form_failures(modulation: Modulation, snr: float, mean_inr: np.ndarr
     j = np.arange(7 * top + 1)
     delta = (2.0 - j) / 4.0
     inr = mean_inr[:, None, None]
+    arg = np.sqrt(2.0 * r * base / mean_inr[:, None])
+    vanishing = ~arg.all(axis=1)
+    if vanishing.any():
+        # the argument underflowed to 0, where every K diverges
+        raise _range_error("closed-form", snr, mean_inr[vanishing][0])
     with np.errstate(over="ignore", invalid="ignore"):
-        arg = np.sqrt(2.0 * r * base / mean_inr[:, None])
         bessel = _half_order_kve(arg, 7 * top - 1) * np.exp(-arg)
         # Axes (INR, order r, term j); order r has terms j <= 7r.
         terms = (
@@ -258,13 +273,7 @@ def _closed_form_failures(modulation: Modulation, snr: float, mean_inr: np.ndarr
     terms = terms[:, j <= 7 * r[:, None]]
     finite = np.isfinite(terms).all(axis=1)
     if not finite.all():
-        raise FloatRangeError(
-            f"closed-form (hybrid) success terms leave the float range at snr "
-            f"{10.0 * math.log10(snr):.6g} dB, mean INR "
-            f"{10.0 * math.log10(mean_inr[~finite][0]):.6g} dB; the hybrid route "
-            "cannot evaluate this link, use the quadrature method "
-            "(--method quadrature)"
-        )
+        raise _range_error("closed-form", snr, mean_inr[~finite][0])
     # Order r's terms start at offset sum_(k<r) (7k+1) of each INR row.
     offsets = [0] + np.cumsum(7 * r + 1).tolist()
     orders = np.ones((mean_inr.size, top + 1))
@@ -296,13 +305,26 @@ def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
     return 1.0 - _closed_form_failures(modulation, snr, mean_inr, windows)
 
 
+def _slabs(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Each slab of ``work`` cut down to a contiguous rows x cols array."""
+    return work.reshape(work.shape[0], -1)[:, : rows * cols].reshape(-1, rows, cols)
+
+
+# INR x window arrays `_gumbel_gamma_failures` computes in: its log failure
+# (returned as the failure), the Bessel K argument and the Debye expansion's
+# three (`specfun.log_bessel_k`).
+_GUMBEL_SLABS = 5
+
+
 def _gumbel_gamma_failures(modulation: Modulation, snr: float, mean_inr: np.ndarray,
-                           bits: np.ndarray) -> np.ndarray:
+                           bits: np.ndarray, work=None) -> np.ndarray:
     """Gumbel-Gamma failure probabilities 1 - success, shape
     (mean_inr.size, bits.size), each as exp of its log, to full relative
     precision.
 
-    `_failure_table` checks the domain.
+    ``work``, if given, is a (_GUMBEL_SLABS, mean_inr.size, bits.size) float
+    array to compute in instead of allocating; the result is then its first
+    slab.  `_failure_table` checks the domain.
     """
     coeff, gain = modulation.coeff, modulation.gain
     bits = np.asarray(bits, dtype=float)
@@ -314,9 +336,11 @@ def _gumbel_gamma_failures(modulation: Modulation, snr: float, mean_inr: np.ndar
     if snr == 0.0:
         # z -> 0 limit of the matched-Gamma average.
         return np.ones((mean_inr.size, bits.size))
-    z = mean_inr[:, None] * theta
+    size = (mean_inr.size, bits.size)
+    z, root = (np.empty(size), np.empty(size)) if work is None else work[:2]
+    np.multiply(mean_inr[:, None], theta, out=z)
     np.divide(snr, z, out=z)
-    root = np.sqrt(z)
+    np.sqrt(z, out=root)
     root *= 2.0
     # The shape rises with the window, so ascending windows split into a
     # block below the Debye order and a Debye block; log_bessel_k takes each
@@ -328,28 +352,25 @@ def _gumbel_gamma_failures(modulation: Modulation, snr: float, mean_inr: np.ndar
     z += _LOG2 - log_gamma(shape)
     for cols in (slice(None, split), slice(split, None)):
         if shape[cols].size:
-            z[:, cols] += log_bessel_k(shape[cols], root[:, cols])
+            debye = None if work is None else _slabs(work[2:], mean_inr.size, shape[cols].size)
+            z[:, cols] += log_bessel_k(shape[cols], root[:, cols], debye)
     finite = np.isfinite(z).all(axis=1)
     if not finite.all():
-        raise FloatRangeError(
-            f"Gumbel/Gamma (hybrid) success terms leave the float range at snr "
-            f"{10.0 * math.log10(snr):.6g} dB, mean INR "
-            f"{10.0 * math.log10(mean_inr[~finite][0]):.6g} dB; the hybrid route "
-            "cannot evaluate this link, use the quadrature method "
-            "(--method quadrature)"
-        )
+        raise _range_error("Gumbel/Gamma", snr, mean_inr[~finite][0])
     np.exp(z, out=z)
     return np.clip(z, 0.0, 1.0, out=z)
 
 
 def _failure_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
-                   windows: np.ndarray) -> np.ndarray:
+                   windows: np.ndarray, work=None) -> np.ndarray:
     """Hybrid failure 1 - success(l) for each of the ascending bit counts
     ``windows`` at every mean INR, shape (mean_inr.size, windows.size).
 
     The one place that decides which part covers which window: the closed
     form up to ELL_SWITCH and the Gumbel/Gamma match beyond, whose domain
-    starts past 2 / coeff bits.
+    starts past 2 / coeff bits.  ``work``, if given, holds at least
+    _GUMBEL_SLABS x mean_inr.size x windows.size floats for the Gumbel part
+    to compute in; the table may then be a view of it.
     """
     windows = np.asarray(windows)
     split = int(np.searchsorted(windows, ELL_SWITCH, side="right"))
@@ -362,7 +383,9 @@ def _failure_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
             f"bits * coeff > 2, got coeff={modulation.coeff}; use the quadrature "
             "method, which covers every slot"
         )
-    tail = _gumbel_gamma_failures(modulation, snr, mean_inr, windows[split:])
+    if work is not None:
+        work = _slabs(work, mean_inr.size, windows.size - split)
+    tail = _gumbel_gamma_failures(modulation, snr, mean_inr, windows[split:], work)
     return np.hstack([head, tail]) if split else tail
 
 
@@ -641,10 +664,12 @@ def _per_hybrid(modulation: Modulation, snr: float, noise_bits: int | None,
     """
     blocks = range(0, ell_max + 1, HYBRID_BLOCK)
     block_sums = np.empty((mean_inr.size, len(blocks) + 1))
+    # every block's Gumbel part computes in these, allocated once
+    work = np.empty((_GUMBEL_SLABS, mean_inr.size, min(HYBRID_BLOCK, ell_max + 1)))
     above = 1.0
     for col, first in enumerate(blocks):
         windows = np.arange(first, min(first + HYBRID_BLOCK, ell_max + 1))
-        table = _failure_table(modulation, snr, mean_inr, windows)
+        table = _failure_table(modulation, snr, mean_inr, windows, work)
         log_weights = _slot_log_weights(modulation, snr, noise_bits, windows)
         if log_weights is not None:
             # 1 - (1 - fail) w = fail w + (1 - w)

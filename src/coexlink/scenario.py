@@ -40,6 +40,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 
+import numpy as np
 import yaml
 
 from .dist import (
@@ -128,13 +129,24 @@ class JobParams:
             raise ScenarioFormatError("job.inr_stop_db must be >= job.inr_start_db")
         for name in ("snr_db", "inr_start_db", "inr_stop_db"):
             db_to_ratio(getattr(self, name), f"job.{name}")
-        steps = (self.inr_stop_db - self.inr_start_db) / self.inr_step_db
-        if steps > MAX_INR_POINTS - 1:
+        if self.inr_points > MAX_INR_POINTS:
             raise ScenarioFormatError(
-                f"job.inr_step_db {self.inr_step_db!r} sweeps {steps + 1:.4g} INR points "
+                f"job.inr_step_db {self.inr_step_db!r} sweeps {self.inr_points} INR points "
                 f"from {self.inr_start_db!r} to {self.inr_stop_db!r} dB, more than "
                 f"{MAX_INR_POINTS}"
             )
+
+    @property
+    def inr_points(self) -> int | float:
+        """Points of the PER sweep's INR grid, from inr_start_db in steps of
+        inr_step_db to inr_stop_db (inf if the step count leaves the float range)."""
+        steps = (self.inr_stop_db - self.inr_start_db) / self.inr_step_db
+        return round(steps) + 1 if math.isfinite(steps) else math.inf
+
+    def inr_grid_db(self) -> np.ndarray:
+        """The PER sweep's mean INR levels in dB."""
+        inr_db = self.inr_start_db + self.inr_step_db * np.arange(self.inr_points)
+        return inr_db[inr_db <= self.inr_stop_db + 1e-9]
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ modified Bessel function of the second kind) and the scaled K_0 and K_1.
     asymptotic (Debye) expansion.  Against 60-digit mpmath over orders 0-300
     and arguments 1e-3 to 1e3, log K stays within 1e-12 absolute, and
     within 1e-15 of max(1, |log K|) below order 12.
+  * The scaled K_0 and K_1 take Temme's series at order 0 for x <= 1 and
+    the trapezoid rule on an integral over a Gaussian weight above; both
+    within 1e-15 relative.
 
 Every kernel is elementwise: a value does not depend on the other values of
 the call.  The independent routes that cross-check these functions live in
@@ -62,18 +65,20 @@ def _horner_pieces(powers, pieces: int, z, rows=None):
     against z, it may add leading axes).  One coefficient per point is
     gathered at a time, so no points x (degree + 1) array is held.
     """
-    with np.errstate(invalid="ignore"):
-        k = np.asarray(z).astype(np.intp)
-    np.clip(k, 0, pieces - 1, out=k)
+    k = np.floor(z, out=np.empty(np.shape(z)))
+    np.minimum(k, pieces - 1, out=k)
+    np.maximum(k, 0.0, out=k)
     u = z - k
     u -= 0.5
     if rows is not None:
         k = k + rows * pieces
+    with np.errstate(invalid="ignore"):
+        k = k.astype(np.intp)  # a NaN gives a wild index, which "clip" takes in
     powers = iter(powers)
-    out = next(powers).take(k)
+    out = next(powers).take(k, mode="clip")
     for coef in powers:
         out *= u
-        out += coef.take(k)
+        out += coef.take(k, mode="clip")
     return out
 
 
@@ -99,11 +104,8 @@ def gaussian_q(x):
 
     Accepts scalars or arrays; defined for all real x.  Exactly 0.0 past
     Q_ZERO, where e^(-x^2/2) underflows; only the other values are evaluated.
-    A scalar takes math.erfc, which saves the array route's ~40 numpy calls.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return np.float64(0.5 * math.erfc(float(x) * _SQRT_HALF))
     t = x * _SQRT_HALF
     negative = t < 0.0
     if negative.any():
@@ -118,7 +120,7 @@ def gaussian_q(x):
         q[live] = _erfc_scaled(t[live]) * np.exp(-t2[live])
     if negative.any():
         q = np.where(negative, 1.0 - q, q)
-    return q
+    return q if x.ndim else q[()]
 
 
 def _erfc_scaled(t):
@@ -136,7 +138,7 @@ def erf_inv(y):
     """
     arr = np.asarray(y, dtype=float)
     w = (1.0 - arr) * (1.0 + arr)
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ValueError("erf_inv requires |y| < 1")
     s = np.sqrt(-np.log(w))
     s *= _ERF_INV_Z_PER_S
@@ -161,7 +163,7 @@ def log_gamma(x):
         ValueError: if any x <= 0.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         raise ValueError("log_gamma requires x > 0")
     small = x < _STIRLING_MIN
     shift = bool(small.any())
@@ -209,7 +211,7 @@ def _debye_polynomials(terms: int) -> np.ndarray:
 _DEBYE_U = _debye_polynomials(DEBYE_TERMS)
 
 
-def _log_bessel_k_debye(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _log_bessel_k_debye(nu: np.ndarray, x: np.ndarray, work=None) -> np.ndarray:
     """log K_nu(x) by the DEBYE_TERMS-term Debye expansion (DLMF 10.41.4):
 
         K_nu(nu z) ~ sqrt(pi / (2 nu)) e^(-nu eta) (1 + z^2)^(-1/4)
@@ -218,13 +220,14 @@ def _log_bessel_k_debye(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     with p = 1 / sqrt(1 + z^2) and eta = sqrt(1 + z^2) + log(z / (1 + sqrt(1 + z^2))).
     The series is one polynomial in p whose coefficients depend on the order
     alone, so they are formed once per order and broadcast over ``x``.
+    ``work`` is as for `log_bessel_k`.
     """
     powers = np.vander(-1.0 / nu.ravel(), DEBYE_TERMS, increasing=True).T
     shape = np.broadcast_shapes(nu.shape, x.shape)
-    r = np.hypot(nu, x, out=np.empty(shape))
-    p = np.divide(nu, r, out=np.empty(shape))
+    r, p, out = (np.empty(shape) for _ in range(3)) if work is None else work
+    np.hypot(nu, x, out=r)
+    np.divide(nu, r, out=p)
     # Horner in p; the coefficient of p^j is sum_k (-1)^k u_(k,j) / nu^k.
-    out = np.empty(shape)
     out[...] = (_DEBYE_U[:, -1] @ powers).reshape(nu.shape)
     for column in _DEBYE_U.T[-2::-1]:
         out *= p
@@ -341,18 +344,11 @@ def _temme_columns(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return series[::-1], scalars
 
 
-def _temme(columns: tuple[np.ndarray, np.ndarray], slot, x: np.ndarray):
+def _temme(columns: tuple[np.ndarray, np.ndarray], slot: np.ndarray, x: np.ndarray):
     """(K_mu(x), K_(mu+1)(x)) at 0 < x <= _BK_X_MIN, the order of each point
-    column ``slot`` of `_temme_columns`, or its one column when ``slot`` is
-    None (NR 6.7, `bessik`)."""
+    column ``slot`` of `_temme_columns` (NR 6.7, `bessik`)."""
     series, scalars = columns
-
-    def per_point(rows: np.ndarray) -> np.ndarray:
-        if slot is None:
-            return rows.reshape(rows.shape[:1] + (1,) * x.ndim)
-        return rows.take(slot, axis=1)
-
-    mu, fact_g1, fact_g2, half_gampl, half_gammi = per_point(scalars)
+    mu, fact_g1, fact_g2, half_gampl, half_gammi = scalars.take(slot, axis=1)
     log_2_x = np.log(2.0 / x)
     e = mu * log_2_x
     sinh_ratio = np.divide(np.sinh(e), e, out=np.ones_like(e), where=e != 0.0)
@@ -362,40 +358,33 @@ def _temme(columns: tuple[np.ndarray, np.ndarray], slot, x: np.ndarray):
     p0 = half_gampl * exp_e
     q0 = half_gammi / exp_e
     d = 0.25 * x * x
-    acc = np.empty((6,) + x.shape)
-    acc[...] = per_point(series[0])
+    acc = series[0].take(slot, axis=1)
     for power in series[1:]:
         acc *= d
-        acc += per_point(power)
+        acc += power.take(slot, axis=1)
     k_mu = f0 * acc[0] + p0 * acc[1] + q0 * acc[2]
     k_mu1 = p0 * acc[3] - f0 * acc[4] - q0 * acc[5]
     k_mu1 *= 2.0 / x
     return k_mu, k_mu1
 
 
-def _k_mu_pair(mu: np.ndarray, slot, x: np.ndarray, columns=None):
+def _k_mu_pair(mu: np.ndarray, slot: np.ndarray, x: np.ndarray):
     """K_mu(x) and K_(mu+1)(x) for the 1-d orders ``mu`` at each point, whose
-    order is mu[slot] (mu's one order when ``slot`` is None).  Points past
-    _BK_X_MIN (the mask returned third) carry the factor sqrt(x) e^x.
-    ``columns`` may hold the orders' (`_table_columns`, `_temme_columns`),
-    formed ahead."""
+    order is mu[slot].  Points past _BK_X_MIN (the mask returned third) carry
+    the factor sqrt(x) e^x."""
     table = x > _BK_X_MIN
     k_mu, k_mu1 = np.empty(x.shape), np.empty(x.shape)
     if table.any():
         at = ... if table.all() else table
         xt = x[at]
-        if slot is None:
-            rows = np.array([0, 1]).reshape((2,) + (1,) * xt.ndim)
-        else:
-            rows = np.stack([slot[at], slot[at] + mu.size])
-        powers = _table_columns(mu) if columns is None else columns[0]
-        log_g = _horner_pieces(powers, _BK_PIECES, (2.0 / xt) * (_BK_PIECES / 2.0), rows)
+        rows = np.stack([slot[at], slot[at] + mu.size])
+        log_g = _horner_pieces(_table_columns(mu), _BK_PIECES, (2.0 / xt) * (_BK_PIECES / 2.0),
+                               rows)
         np.exp(log_g, out=log_g)
         k_mu[at], k_mu1[at] = log_g
     if not table.all():
         at = ... if not table.any() else ~table
-        temme = _temme_columns(mu) if columns is None else columns[1]
-        k_mu[at], k_mu1[at] = _temme(temme, None if slot is None else slot[at], x[at])
+        k_mu[at], k_mu1[at] = _temme(_temme_columns(mu), slot[at], x[at])
     return k_mu, k_mu1, table
 
 
@@ -428,13 +417,15 @@ def _log_bessel_k_low(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_bessel_k(nu, x):
+def log_bessel_k(nu, x, work=None):
     """log K_nu(x) for orders nu >= 0 and arguments x > 0, broadcast together.
 
     Orders below DEBYE_MIN_ORDER recur upward from Temme's series or the
     Chebyshev table; larger orders sum the Debye expansion in log space.
     Neither overflows where K_nu(x) itself would, except a low order at a
-    vanishing argument, which gives inf.
+    vanishing argument, which gives inf.  ``work``, if given, is a
+    (3,) + broadcast-shape float array the Debye expansion computes in instead
+    of allocating three arrays; the result may then be its last row.
 
     Raises:
         ValueError: if any nu < 0 or x <= 0.
@@ -445,19 +436,48 @@ def log_bessel_k(nu, x):
         raise ValueError("log_bessel_k requires nu >= 0 and x > 0")
     low = nu < DEBYE_MIN_ORDER
     if not low.any():
-        return _log_bessel_k_debye(nu, x)
+        return _log_bessel_k_debye(nu, x, work)
     if low.all():
         return _log_bessel_k_low(nu, x)
-    out = _log_bessel_k_debye(np.where(low, DEBYE_MIN_ORDER, nu), x)
+    out = _log_bessel_k_debye(np.where(low, DEBYE_MIN_ORDER, nu), x, work)
     mask = np.broadcast_to(low, out.shape)
     out[mask] = _log_bessel_k_low(np.broadcast_to(nu, out.shape)[mask],
                                   np.broadcast_to(x, out.shape)[mask])
     return out
 
 
-# Order 0's data, formed once: K_0 and K_1 are its K_mu and K_(mu+1).
-_MU0 = np.zeros(1)
-_MU0_COLUMNS = (tuple(_table_columns(_MU0)), _temme_columns(_MU0))
+def _temme_k01_series() -> np.ndarray:
+    """Temme's series at order 0 as four power series in d = x^2/4, shape
+    (_TEMME_TERMS, 4), lowest power first: U, V, W and Y with
+    K_0 = L U + V and (x/2) K_1 = W - L Y, L = log(2/x).
+
+    At mu = 0, f_0 = fact Gamma_1 + fact Gamma_2 L and p_0, q_0 are the
+    constants 1/(2 Gamma(1 +- mu)), so each K is linear in L.
+    """
+    series, scalars = _temme_columns(np.zeros(1))
+    _, fact_g1, fact_g2, half_gampl, half_gammi = scalars[:, 0]
+    a, b, c, b1, a1, c1 = series[::-1, :, 0].T
+    return np.stack([fact_g2 * a, fact_g1 * a + half_gampl * b + half_gammi * c,
+                     half_gampl * b1 - fact_g1 * a1 - half_gammi * c1, fact_g2 * a1], axis=1)
+
+
+# scaled_bessel_k01 sums Temme's series at x <= _BK_X_MIN and above it takes
+# the trapezoid rule on
+#   e^x K_0(x) = x^(-1/2) int_0^inf e^(-v^2/2) s^(-1/2) dv,
+#   e^x K_1(x) = x^(-1/2) int_0^inf e^(-v^2/2) (2 s - 1) s^(-1/2) dv,
+# s = 1 + v^2/(4x), which v = 2 sqrt(x) sinh(t/2) makes of
+# e^x K_nu(x) = int_0^inf e^(-x (cosh t - 1)) cosh(nu t) dt.  The integrands
+# are even and analytic for |Im v| < 2 sqrt(x), so at x > 1 the step 0.3
+# leaves about e^(-40) of the integral, as do the nodes' end at v = 9.
+# Against 40-digit mpmath on 401 points of 1e-3..1e3 both stay within 1e-15
+# relative.
+_K01_TEMME = _temme_k01_series()
+_K01_POWERS = np.arange(_TEMME_TERMS, dtype=float)
+_K01_STEP = 0.3
+_K01_NODES = _K01_STEP * np.arange(31)
+_K01_QUARTER_V2 = 0.25 * _K01_NODES**2
+_K01_WEIGHTS = _K01_STEP * np.exp(-0.5 * _K01_NODES**2)
+_K01_WEIGHTS[0] *= 0.5
 
 
 def scaled_bessel_k01(x) -> tuple[np.ndarray, np.ndarray]:
@@ -467,11 +487,27 @@ def scaled_bessel_k01(x) -> tuple[np.ndarray, np.ndarray]:
         ValueError: if any x <= 0.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         raise ValueError("scaled_bessel_k01 requires x > 0")
-    k0, k1, table = _k_mu_pair(_MU0, None, x, _MU0_COLUMNS)
-    # table points carry sqrt(x) e^x, Temme's (x <= _BK_X_MIN) carry nothing
-    scale = np.where(table, 1.0 / np.sqrt(x), np.exp(np.minimum(x, _BK_X_MIN)))
-    k0 *= scale
-    k1 *= scale
+    k0, k1 = np.empty(x.shape), np.empty(x.shape)
+    near = x <= _BK_X_MIN
+    if near.any():
+        xn = x[near]
+        u, v, w, y = (np.power.outer(0.25 * xn * xn, _K01_POWERS) @ _K01_TEMME).T
+        log_2_x = np.log(2.0 / xn)
+        scale = np.exp(xn)
+        k0[near] = (log_2_x * u + v) * scale
+        k1[near] = (w - log_2_x * y) * (2.0 * scale / xn)
+    if not near.all():
+        far = ~near
+        xf = x[far]
+        root = np.multiply.outer(1.0 / xf, _K01_QUARTER_V2)
+        root += 1.0
+        np.sqrt(root, out=root)
+        inverse = 1.0 / root
+        scale = 1.0 / np.sqrt(xf)
+        k0[far] = (inverse @ _K01_WEIGHTS) * scale
+        root *= 2.0
+        root -= inverse
+        k1[far] = (root @ _K01_WEIGHTS) * scale
     return k0, k1

@@ -306,9 +306,11 @@ class TestPerCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("job", ["{snr_db: 150}", "{snr_db: -400}",
-                                     "{inr_start_db: 400, inr_stop_db: 400}"])
+                                     "{inr_start_db: 400, inr_stop_db: 400}",
+                                     "{snr_db: -300, inr_start_db: 3000, inr_stop_db: 3000}"])
     def test_closed_form_overflow_is_a_numerical_failure(self, runner, tmp_path, job):
-        # the hybrid's closed-form terms overflow to inf * 0 on these links
+        # the hybrid's closed-form terms overflow to inf * 0 on these links; on
+        # the last its Bessel K arguments underflow to 0
         path = tmp_path / "extreme.yaml"
         path.write_text(LINK_TEXT + f"job: {job}\n")
         out = tmp_path / "per.csv"
@@ -332,10 +334,14 @@ class TestPerCommand:
         assert result.exit_code == cli.EXIT_CONFIG, result.output
         assert "job.inr_step_db" in result.output and f"more than {MAX_INR_POINTS}" in result.output
         assert not out.exists()
-        # the limit itself passes
-        assert JobParams(inr_start_db=0.0, inr_stop_db=10.0, inr_step_db=0.01)
-        with pytest.raises(ScenarioFormatError, match="job.inr_step_db"):
-            JobParams(inr_start_db=0.0, inr_stop_db=10.0, inr_step_db=0.0099)
+        # the limit itself passes, counted as the sweep's grid counts it
+        for step in (0.01, 10.0 / 1000.4):
+            job = JobParams(inr_start_db=0.0, inr_stop_db=10.0, inr_step_db=step)
+            assert job.inr_points == job.inr_grid_db().size == MAX_INR_POINTS
+        with pytest.raises(ScenarioFormatError, match="sweeps 1002 INR points"):
+            JobParams(inr_start_db=0.0, inr_stop_db=10.0, inr_step_db=10.0 / 1000.6)
+        with pytest.raises(ScenarioFormatError, match="sweeps inf INR points"):
+            JobParams(inr_start_db=0.0, inr_stop_db=10.0, inr_step_db=1e-320)
 
     def test_method_choices_are_the_per_methods(self):
         # job.method rejects every other value (tests/test_scenario.py)
