@@ -20,6 +20,7 @@ from .dist import activity_factor
 from .per import Modulation, PerMethod, per_curve
 from .presets import describe_presets, preset_scenario
 from .scenario import (
+    MAX_GRID_POINTS,
     JobParams,
     ScenarioDoc,
     ScenarioFormatError,
@@ -88,7 +89,7 @@ def main() -> None:
 @click.option("--preset", default=None, help="Built-in scenario name (see `presets`).")
 @click.option("--output", "-o", required=True, type=click.Path(dir_okay=False),
               help="CSV output path.")
-@click.option("--grid", "grid_points", type=int, default=None,
+@click.option("--grid", "grid_points", type=click.IntRange(2, MAX_GRID_POINTS), default=None,
               help="Number of grid points (default from the job section).")
 @_guarded
 def cmd_ctd(scenario_file, preset, output, grid_points) -> None:

@@ -17,11 +17,15 @@ transforms at s, Hn the CDF of n full on-times and HnR the CDF of a residual
 on-time plus n-1 full ones.  The 1 - e^(-s*x) terms carry the probability
 that the packet itself ends within the collision budget x.
 
-Both supported busy laws sum the mixture exactly, so nothing is truncated:
+Both supported busy laws sum the mixture exactly, so nothing is truncated,
+and in one form (`_runs`): x >= 0 lies in a run of the busy law, on which
 
-    constant d:  S(x)  = 1 - g^k,  k = #{n >= 1 : x >= n*d}
-                 SR(x) = 1 - g^k + (1-g) * g^k * clip(x/d - k, 0, 1)
-    Exp(r):      S(x)  = SR(x) = 1 - e^(-r*(1-g)*x)
+    1 - S(x)  = e^(-decay*x) * tail
+    1 - SR(x) = (1 - S(x)) * (1 - (1-g) * frac)
+
+    constant d:  runs are busy periods, k = #{n >= 1 : x >= n*d}:
+                 decay 0, tail g^k, frac clip(x/d - k, 0, 1)
+    Exp(r):      one run: decay r*(1-g), tail 1, frac 0
 
 (a geometric number of Exp(r) periods is Exp(r*(1-g)), and the residual of
 an exponential period is the period itself).
@@ -63,35 +67,54 @@ def _jump_counts(x: np.ndarray, d: float) -> np.ndarray:
     return np.where(x >= (k + 1.0) * d, k + 1.0, k)
 
 
-def _start_cdfs(scenario: CoexistenceScenario, x) -> tuple[np.ndarray, np.ndarray]:
-    """(F0, F1): the idle-start and busy-start CDFs at x, from one jump count.
+def _runs(scenario: CoexistenceScenario, x=None, slots: int = 0):
+    """(starts, decay, tail, frac, period): the run of the busy law's mixture
+    that holds each x >= 0, in the module docstring's form.  frac rises by
+    1/period per unit of x within a run; no law's run has both a decay and a
+    frac.  This is the one place that tells the busy laws apart.
 
-    S and SR share k and g^k; for an exponential busy time they coincide.
+    With x None, x is the first slot l*bit_time of each run that starts
+    below ``slots`` and starts holds those l; a constant law's starts come
+    from `_run_starts`, an exponential law's one run starts at slot 0 for any
+    ``slots``.  An exponential law gives tail and frac as scalars, so its CDF
+    does no per-point work for them.
+    """
+    s, busy, idle = scenario.packet_rate, scenario.busy, scenario.idle
+    if isinstance(busy, ExponentialOnTime):
+        return np.zeros(1, np.int64), busy.rate * idle.one_minus_laplace(s), 1.0, 0.0, math.inf
+    d, starts = busy.duration, None
+    if x is None:
+        starts = _run_starts(d, scenario.bit_time, slots)
+        x = starts * scenario.bit_time
+    k = _jump_counts(x, d)
+    return starts, 0.0, idle.laplace(s) ** k, np.clip(x / d - k, 0.0, 1.0), d
+
+
+def _start_cdfs(scenario: CoexistenceScenario, x) -> tuple[np.ndarray, np.ndarray]:
+    """(F0, F1): the idle-start and busy-start CDFs at x, both read from the
+    run of `_runs` that holds x.
+
     1 - g comes from the idle law directly: as g -> 1 the subtraction would
     leave it only ~1e-16/(1 - g) relative precision.
     """
-    s, busy, idle = scenario.packet_rate, scenario.busy, scenario.idle
-    g_comp = idle.one_minus_laplace(s)
+    s, idle = scenario.packet_rate, scenario.idle
     xa = np.asarray(x, dtype=float)
     xc = np.maximum(xa, 0.0)
+    _, decay, tail, frac, _ = _runs(scenario, xc)
+    full = 1.0 - tail
+    if decay:
+        full -= tail * np.expm1(-decay * xc)
+    mixed = full + idle.one_minus_laplace(s) * tail * frac
     damp = np.exp(-s * xc)
-    if isinstance(busy, ExponentialOnTime):
-        full = mixed = -np.expm1(-busy.rate * g_comp * xc)
-    else:
-        d = busy.duration
-        k = _jump_counts(xc, d)
-        tail = idle.laplace(s) ** k
-        full = 1.0 - tail
-        mixed = full + g_comp * tail * np.clip(xc / d - k, 0.0, 1.0)
     both = np.empty((2,) + xa.shape)
     np.subtract(1.0, damp * idle.residual_laplace(s) * (1.0 - full), out=both[0, ...])
     np.add(1.0 - damp, damp * mixed, out=both[1, ...])
     np.copyto(both, 0.0, where=xa < 0.0)
-    worst = max(float(np.max(both, initial=1.0)) - 1.0, -float(np.min(both, initial=0.0)))
-    if worst > _CLAMP_SLACK:
-        logger.debug("collision-time CDF exceeded [0,1] by %.3e before clamping", worst)
-    off, on = np.clip(both, 0.0, 1.0, out=both)
-    return off, on
+    if logger.isEnabledFor(logging.DEBUG):
+        worst = max(float(np.max(both, initial=1.0)) - 1.0, -float(np.min(both, initial=0.0)))
+        if worst > _CLAMP_SLACK:
+            logger.debug("collision-time CDF exceeded [0,1] by %.3e before clamping", worst)
+    return tuple(np.clip(both, 0.0, 1.0, out=both))
 
 
 def _mix(scenario: CoexistenceScenario, off, on):
@@ -123,13 +146,12 @@ class SlotTail:
 
         1 - F(l*bit_time) = exp(log_decay*l) * (heads[i] - slopes[i]*(l - starts[i])).
 
-    A constant busy time d makes each run one busy period (or several, when
-    busy periods shorter than a bit end within one slot), with jump count k
-    taken as the CDF takes it: heads = g^k*(c0 - c1*(x/d - k))
-    at the run's first slot x, slopes = g^k*c1*bit_time/d, where
-    c0 = (1-alpha)*gR + alpha, c1 = alpha*(1-g) and log_decay = -rate*bit_time.
-    An exponential busy time gives one flat run with
-    log_decay = -(rate + r*(1-g))*bit_time.
+    `slot_tail` reads each run from `_runs` at its first slot x:
+    heads = tail*(c0 - c1*frac), slopes = tail*c1*bit_time/period and
+    log_decay = -(rate + decay)*bit_time, where c0 = (1-alpha)*gR + alpha and
+    c1 = alpha*(1-g).  A constant busy time d makes each run one busy period
+    (or several, when busy periods shorter than a bit end within one slot);
+    an exponential busy time gives one flat run.
     """
 
     starts: np.ndarray
@@ -183,22 +205,17 @@ def slot_tail(scenario: CoexistenceScenario, slots: int) -> SlotTail:
 
     A constant busy time costs O(runs), not O(slots): the runs start where
     the busy-period boundaries fall on the slot grid (`_run_starts`), and
-    the jump count is evaluated at those slots alone.
+    `_runs` is evaluated at those slots alone.
     """
-    s, bit, busy = scenario.packet_rate, scenario.bit_time, scenario.busy
+    s, bit = scenario.packet_rate, scenario.bit_time
     alpha = activity_factor(scenario)
-    g_comp = scenario.idle.one_minus_laplace(s)
     c0 = (1.0 - alpha) * scenario.idle.residual_laplace(s) + alpha
-    if isinstance(busy, ExponentialOnTime):
-        return SlotTail(np.zeros(1, dtype=np.int64), np.array([c0]), np.zeros(1),
-                        -(s + busy.rate * g_comp) * bit)
-    d = busy.duration
-    starts = _run_starts(d, bit, slots)
-    k = _jump_counts(starts * bit, d)
-    tail = scenario.idle.laplace(s) ** k
-    c1 = alpha * g_comp
-    heads = tail * (c0 - c1 * np.clip(starts * bit / d - k, 0.0, 1.0))
-    return SlotTail(starts, heads, tail * (c1 * bit / d), -s * bit)
+    c1 = alpha * scenario.idle.one_minus_laplace(s)
+    starts, decay, tail, frac, period = _runs(scenario, slots=slots)
+    # out= gives an exponential law's scalar tail and frac its one run's shape
+    heads = np.multiply(tail, c0 - c1 * frac, out=np.empty(starts.shape))
+    slopes = np.multiply(tail, c1 * bit / period, out=np.empty(starts.shape))
+    return SlotTail(starts, heads, slopes, -(s + decay) * bit)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ INR x band-node and INR x HYBRID_BLOCK arrays and one float per INR and
 block of the hybrid, since the hybrid sums its slots HYBRID_BLOCK windows at
 a time (`_per_hybrid`, whose Gumbel part computes in arrays allocated once
 per sweep) and the quadrature's final fading sum goes row by row.  The
-hybrid's time still grows with ell_max, one Bessel K per window and INR.
+hybrid's time still grows with ell_max, one Bessel K per window and INR
+(about 3 us per window at 17 INRs; README has the measurements).
 
 Two routes evaluate success(l) (`PerMethod`); `success_prob` reads one
 window by either:
@@ -45,8 +46,10 @@ window by either:
     is geometric times linear within each busy period (`ctd.slot_tail`), so
     each node costs one geometric and one arithmetic-geometric sum per busy
     period, for the whole INR sweep at once.  The tests check both against adaptive quadrature, and the PER
-    against one Horner step per slot, to 1e-12; the adaptive integral is the
-    oracle of the hybrid;
+    against one Horner step per slot, to 1e-12, at 4 us bits (at most 2,687
+    slots); the fixed step drifts as the slot count grows (README gives its
+    error up to 2.2e10 slots).  The adaptive integral is the oracle of the
+    hybrid;
   * hybrid - a closed form (the qn head) up to ELL_SWITCH bits, and beyond
     them a Gumbel/Gamma match.  The closed form: an 8-term
     exponential-polynomial fit of the Gaussian Q-function turns the average
@@ -297,12 +300,6 @@ def _closed_form_failures(modulation: Modulation, snr: float, mean_inr: np.ndarr
             stacklevel=3,
         )
     return np.clip(table, 0.0, 1.0)
-
-
-def _closed_form_table(modulation: Modulation, snr: float, mean_inr: np.ndarray,
-                       windows: np.ndarray) -> np.ndarray:
-    """Closed-form success(bits), 1 - `_closed_form_failures`."""
-    return 1.0 - _closed_form_failures(modulation, snr, mean_inr, windows)
 
 
 def _slabs(work: np.ndarray, rows: int, cols: int) -> np.ndarray:

@@ -100,6 +100,11 @@ def db_to_ratio(value: float, where: str) -> float:
 # this bounds it near 120 MiB; 1001 points are 0.01 dB steps over 10 dB.
 MAX_INR_POINTS = 1001
 
+# Most points a `ctd` grid may hold.  A `ctd` run keeps about 0.43 KiB per
+# point (the three CDF columns and their CSV text), so this bounds it near
+# 110 MiB: 250,000 points peaked at 145 MiB RSS, imports included.
+MAX_GRID_POINTS = 250_000
+
 
 @dataclass(frozen=True)
 class JobParams:
@@ -119,6 +124,8 @@ class JobParams:
             raise ScenarioFormatError("job.trials must be >= 1")
         if self.grid_points < 2:
             raise ScenarioFormatError("job.grid_points must be >= 2")
+        if self.grid_points > MAX_GRID_POINTS:
+            raise ScenarioFormatError(f"job.grid_points must be <= {MAX_GRID_POINTS}")
         if self.method not in {m.value for m in PerMethod}:
             raise ScenarioFormatError(
                 f"job.method must be one of {sorted(m.value for m in PerMethod)}"

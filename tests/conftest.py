@@ -17,14 +17,17 @@ _PACKET_RATE = 1.0 / 1.984e-3
 # Scenarios beyond the presets, 4 us bits and 1.984 ms packets throughout:
 # the benchmark's saturated channel (374 us frames, 42 us idle gaps, g ~ 0.98)
 # and exponential busy periods (374 us and 2 ms means), idle gaps far shorter
-# than the packet (0.1 ns, g -> 1), and busy periods shorter than one bit, so
-# every bit slot starts a new busy period.
+# than the packet (0.1 ns, g -> 1) after constant and after exponential busy
+# periods, and busy periods shorter than one bit, so every bit slot starts a
+# new busy period.
 EXTRA_SCENARIOS = {
     "saturated": CoexistenceScenario(ConstantOnTime(374e-6), ExponentialIdle(1.0 / 42e-6),
                                      _PACKET_RATE),
     "exp_busy": CoexistenceScenario(ExponentialOnTime(1.0 / 374e-6),
                                     ExponentialIdle(1.0 / 2e-3), _PACKET_RATE),
     "g_to_1": CoexistenceScenario(ConstantOnTime(374e-6), ExponentialIdle(1e10), _PACKET_RATE),
+    "exp_busy_g_to_1": CoexistenceScenario(ExponentialOnTime(1.0 / 374e-6), ExponentialIdle(1e10),
+                                           _PACKET_RATE),
     "busy_below_bit": CoexistenceScenario(ConstantOnTime(2.5e-6), ExponentialIdle(1.0 / 40e-6),
                                           _PACKET_RATE),
 }

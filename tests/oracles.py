@@ -32,6 +32,7 @@ from coexlink.per import (
     FloatRangeError,
     ber_awgn,
     _bit_failure,
+    _closed_form_failures,
     _ratio_sums,
     _failure_table,
     _gumbel_gamma_failures,
@@ -164,11 +165,19 @@ def bessel_k_integral(nu: float, x: float) -> float:
     return val
 
 
+def closed_form_table(modulation, snr: float, mean_inr: np.ndarray,
+                      windows: np.ndarray) -> np.ndarray:
+    """Closed-form success(bits), 1 - `per._closed_form_failures`: not an
+    independent route but the success view of the hybrid's head that the
+    closed-form tests compare with their oracles."""
+    return 1.0 - _closed_form_failures(modulation, snr, mean_inr, windows)
+
+
 def closed_form_table_kv(modulation, snr: float, mean_inr: np.ndarray, top: int) -> np.ndarray:
     """Closed-form success(bits) for bits 0..top at every mean INR, shape
     (mean_inr.size, top + 1), with one scipy `kv` call per order.
 
-    The body `per._closed_form_table` had before it took every Bessel K from
+    The body `closed_form_table`'s route had before it took every Bessel K from
     one upward recurrence, kept as the reference of that route: it forms the
     fit polynomial's r-th power and each order's Bessel K afresh per order r.
     """

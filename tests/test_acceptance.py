@@ -37,7 +37,6 @@ from coexlink.dist import activity_factor
 from coexlink.per import (
     Modulation,
     PerMethod,
-    _closed_form_table,
     per_curve,
     success_prob,
 )
@@ -46,6 +45,7 @@ from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 from coexlink.simcore import McConfig, empirical_renewal_counts, run_trials
 from conftest import SUITE_SEED, record_criterion
 from oracles import (
+    closed_form_table,
     bessel_k_integral,
     empirical_ctd,
     gamma_lower_reg,
@@ -218,7 +218,7 @@ def test_criterion_4_window_success_approximations():
             for bits in (1, 2, 4, 8):
                 oracle = success_prob_adaptive(BPSK, snr, inr, bits)
                 # the hybrid's closed-form head, which covers these windows
-                closed = _closed_form_table(BPSK, snr, np.array([inr]), np.array([bits]))[0, 0]
+                closed = closed_form_table(BPSK, snr, np.array([inr]), np.array([bits]))[0, 0]
                 qn_worst = max(qn_worst, abs(closed - oracle) / oracle)
 
     gg_ells = (16, 32, 64, 128)

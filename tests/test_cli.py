@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import coexlink.cli as cli
 from coexlink.per import PerMethod
-from coexlink.scenario import MAX_INR_POINTS, JobParams, ScenarioFormatError
+from coexlink.scenario import MAX_GRID_POINTS, MAX_INR_POINTS, JobParams, ScenarioFormatError
 from coexlink.validation import ValidationReport
 
 SCENARIO_TEXT = textwrap.dedent(
@@ -138,6 +138,25 @@ class TestCtdCommand:
         assert result.exit_code == cli.EXIT_CONFIG
         assert "config error" in result.output
         assert not out.exists()
+
+    def test_rejects_a_grid_over_the_point_limit(self, runner, tmp_path):
+        # 1e11 points once died allocating 745 GiB in np.linspace (exit 1)
+        out = tmp_path / "ctd.csv"
+        result = runner.invoke(cli.main, ["ctd", "--preset", "alpha_lt_0.1", "-o", str(out),
+                                          "--grid", "100000000000"])
+        assert result.exit_code == cli.EXIT_CONFIG, result.output
+        assert "'--grid'" in result.output and str(MAX_GRID_POINTS) in result.output
+        assert not out.exists()
+        path = tmp_path / "fine.yaml"
+        path.write_text(LINK_TEXT + "job: {grid_points: 100000000000}\n")
+        result = runner.invoke(cli.main, ["ctd", str(path), "-o", str(out)])
+        assert result.exit_code == cli.EXIT_CONFIG, result.output
+        assert f"job.grid_points must be <= {MAX_GRID_POINTS}" in result.output
+        assert not out.exists()
+        # the limit itself passes, from either source
+        assert JobParams(grid_points=MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+        (option,) = [p for p in cli.cmd_ctd.params if p.name == "grid_points"]
+        assert option.type.convert(MAX_GRID_POINTS, option, None) == MAX_GRID_POINTS
 
     def test_rejects_missing_source(self, runner, tmp_path):
         result = runner.invoke(cli.main, ["ctd", "-o", str(tmp_path / "x.csv")])

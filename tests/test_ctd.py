@@ -297,8 +297,9 @@ def test_slot_tail_runs_equal_the_per_slot_oracle(name, bit_time):
 
 # sha256 of both conditional CDFs and their mixture on the first 3000 bit
 # slots and on the default grid, then of the coverage points at 1e-4, 1e-6
-# and 1e-9, recorded while each start state had its own jump count: the
-# shared evaluation must reproduce every float.
+# and 1e-9, recorded while each start state had its own jump count
+# (exp_busy_g_to_1 while each busy law had its own mixture code): the shared
+# evaluation must reproduce every float.
 @pytest.mark.parametrize("name,expected", [
     ("alpha_0.1_0.3", "1422319ff1f3a054d99044c100405cd6e1288514f781ca1bdd4a86634275018c"),
     ("alpha_0.3_0.5", "2115104466035347741e16208e11471f201f5ef9a1ded40626207fa90500e6e9"),
@@ -308,6 +309,7 @@ def test_slot_tail_runs_equal_the_per_slot_oracle(name, bit_time):
     ("exp_alpha_0.1575", "c1431bde1f4fa2060cc08b75cb46bed4f1893d9a7be2a5948391ecdc029be3c1"),
     ("busy_below_bit", "265b50f39264120680e9c6969c8a26d2c633097fff2d762a93620c46ee329db1"),
     ("exp_busy", "ede35707702f4a4950916c36f3ad5c13df9d8e5bdb4b6c440f53c1d128b74e74"),
+    ("exp_busy_g_to_1", "554489dbd9251c1383fa63b48626083657446aed86cbfd85fee2ba8f6d83c5d1"),
     ("g_to_1", "987a35a026511aee273bb9c864075f2b348accbbfcd2c9dbc6c94d800881ec6f"),
     ("saturated", "2b256674a9efcd6a1a308e28cf2b3436178e7d8429a1eb5972730e33bc519385"),
 ])

@@ -29,7 +29,6 @@ from coexlink.per import (
 )
 from coexlink.per import (
     _bit_failure,
-    _closed_form_table,
     _failure_table,
     _gumbel_gamma_failures,
     _half_order_kve,
@@ -41,6 +40,7 @@ from coexlink.per import (
 from coexlink.presets import preset_names, preset_scenario
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
 from oracles import (
+    closed_form_table,
     closed_form_table_kv,
     gumbel_gamma_kve,
     gumbel_gamma_match,
@@ -217,7 +217,7 @@ class TestSuccessProbRoutes:
     def test_closed_form_tracks_quadrature(self, snr, mean_inr):
         # fit-limited agreement; the underlying fit is good to ~1e-5
         windows = np.arange(1, ELL_SWITCH + 1)
-        table = _closed_form_table(BPSK, snr, np.array([mean_inr]), windows)
+        table = closed_form_table(BPSK, snr, np.array([mean_inr]), windows)
         for bits, c in zip(windows.tolist(), table[0].tolist()):
             q = success_prob_adaptive(BPSK, snr, mean_inr, bits)
             assert c == pytest.approx(q, abs=2e-5)
@@ -227,7 +227,7 @@ class TestSuccessProbRoutes:
         worst = 0.0
         windows = np.arange(1, ELL_SWITCH + 1)
         for snr in CRITERION_4_SNR:
-            table = _closed_form_table(BPSK, snr, np.array(CRITERION_4_INR), windows)
+            table = closed_form_table(BPSK, snr, np.array(CRITERION_4_INR), windows)
             for inr, row in zip(CRITERION_4_INR, table.tolist()):
                 for bits, fast in zip(windows.tolist(), row):
                     worst = max(worst, abs(fast - closed_form_multiset(BPSK, snr, inr, bits)))
@@ -272,7 +272,7 @@ class TestSuccessProbRoutes:
         # the closed form up to ELL_SWITCH bits, the gumbel match beyond
         args = (BPSK, 10.0, 2.0)
         for bits in (1, 5, ELL_SWITCH):
-            closed = _closed_form_table(BPSK, 10.0, np.array([2.0]), np.array([bits]))
+            closed = closed_form_table(BPSK, 10.0, np.array([2.0]), np.array([bits]))
             assert success_prob(*args, bits, HYBRID) == closed[0, 0]
         for bits in (ELL_SWITCH + 1, 64):
             gumbel = gumbel_gamma_success(BPSK, 10.0, np.array([2.0]), np.array([bits]))
@@ -885,16 +885,16 @@ def test_closed_form_matches_kv_oracle(modulation, snr_db):
     # measured 9.7e-14 up to ELL_SWITCH bits
     snr = 10.0 ** (snr_db / 10.0)
     inr = 10.0 ** (np.arange(-10.0, 40.1, 2.5) / 10.0)
-    table = _closed_form_table(modulation, snr, inr, np.arange(ELL_SWITCH + 1))
+    table = closed_form_table(modulation, snr, inr, np.arange(ELL_SWITCH + 1))
     oracle = closed_form_table_kv(modulation, snr, inr, ELL_SWITCH)
     np.testing.assert_allclose(table, oracle, rtol=0.0, atol=2e-13)
 
 
 def test_closed_form_reads_only_the_requested_windows():
     inr = 10.0 ** (np.arange(-10.0, 40.1, 10.0) / 10.0)
-    full = _closed_form_table(BPSK, 10.0, inr, np.arange(ELL_SWITCH + 1))
+    full = closed_form_table(BPSK, 10.0, inr, np.arange(ELL_SWITCH + 1))
     for windows in ([0], [3], [2, 5, ELL_SWITCH]):
-        np.testing.assert_array_equal(_closed_form_table(BPSK, 10.0, inr, windows),
+        np.testing.assert_array_equal(closed_form_table(BPSK, 10.0, inr, windows),
                                       full[:, windows])
 
 
