@@ -21,6 +21,7 @@ from .per import Modulation, PerMethod, per_curve
 from .presets import describe_presets, preset_scenario
 from .scenario import (
     MAX_GRID_POINTS,
+    MAX_TRIALS,
     JobParams,
     ScenarioDoc,
     ScenarioFormatError,
@@ -121,7 +122,8 @@ def cmd_ctd(scenario_file, preset, output, grid_points) -> None:
 @click.argument("scenario_file", required=False,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--preset", default=None, help="Built-in scenario name (see `presets`).")
-@click.option("--trials", type=int, default=None, help="Monte Carlo trials (>= 10000).")
+@click.option("--trials", type=click.IntRange(max=MAX_TRIALS), default=None,
+              help=f"Monte Carlo trials (10000 to {MAX_TRIALS}).")
 @click.option("--seed", type=int, default=None, help="RNG seed.")
 @click.option("--report", "-o", "report_path", type=click.Path(dir_okay=False),
               default=None, help="Also write the JSON report here.")

@@ -42,12 +42,10 @@ class ConstantOnTime:
     def mean(self) -> float:
         return self.duration
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.duration
+    def sample(self, rng: np.random.Generator, size: int):
         return np.full(size, self.duration)
 
-    def residual_sample(self, rng: np.random.Generator, size=None):
+    def residual_sample(self, rng: np.random.Generator, size: int):
         return rng.uniform(0.0, self.duration, size)
 
 
@@ -64,10 +62,10 @@ class ExponentialOnTime:
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int):
         return rng.exponential(self.mean, size)
 
-    def residual_sample(self, rng: np.random.Generator, size=None):
+    def residual_sample(self, rng: np.random.Generator, size: int):
         return rng.exponential(self.mean, size)
 
 
@@ -106,10 +104,10 @@ class ExponentialIdle:
         """
         return self.laplace(s)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int):
         return rng.exponential(self.mean, size)
 
-    def residual_sample(self, rng: np.random.Generator, size=None):
+    def residual_sample(self, rng: np.random.Generator, size: int):
         return rng.exponential(self.mean, size)
 
 
@@ -180,10 +178,10 @@ class HyperexponentialIdle:
         )
         return _phase_table(self.means, probs / probs.sum())
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int):
         return _phase_sample(rng, *self._phases, size)
 
-    def residual_sample(self, rng: np.random.Generator, size=None):
+    def residual_sample(self, rng: np.random.Generator, size: int):
         return _phase_sample(rng, *self._residual_phases, size)
 
 
@@ -193,7 +191,7 @@ def _phase_table(means, probs) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(means, dtype=float), cdf / cdf[-1]
 
 
-def _phase_sample(rng: np.random.Generator, means: np.ndarray, cdf: np.ndarray, size):
+def _phase_sample(rng: np.random.Generator, means: np.ndarray, cdf: np.ndarray, size: int):
     """Exponential draws whose mean is a phase picked with CDF ``cdf``.
 
     One uniform per draw is compared with the CDF, then one standard
@@ -204,8 +202,6 @@ def _phase_sample(rng: np.random.Generator, means: np.ndarray, cdf: np.ndarray, 
     """
     u = rng.random(size)
     phase = sum(u >= c for c in cdf[:-1].tolist())
-    if size is None:
-        return float(means[phase] * rng.standard_exponential())
     draws = rng.standard_exponential(size)
     draws *= means.take(phase)
     return draws

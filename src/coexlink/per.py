@@ -57,9 +57,10 @@ window by either:
     (1 - coeff*Q)^l needs the 7r+1 coefficients of the fit polynomial's
     r-th power (formed once, at import), and the per-order sums serve every
     l.  Their Bessel K have the orders |2 - j|/2, integer and half-integer,
-    and all of them, for every r and INR, come from one upward recurrence
-    started at `specfun.scaled_bessel_k01` and at the elementary K_(1/2)
-    and K_(3/2); the tests hold it within 2e-13 of per-order scipy kv calls.
+    and all of them, for every r and INR, come from one call of
+    `specfun.scaled_bessel_k_half_orders` (an upward recurrence from K_0,
+    K_1 and the elementary K_(1/2) and K_(3/2)); the tests hold the closed
+    form within 2e-13 of per-order scipy kv calls.
     A window's failure is the fsum of its binomial terms past the first.
     The Gumbel/Gamma match: the window success (1 - ber(x))^l, as a
     function of the linear SIR x = snr/g, is approximated by a Gumbel CDF
@@ -99,7 +100,7 @@ import numpy as np
 from .ctd import SlotTail, slot_tail
 from .dist import CoexistenceScenario
 from .specfun import (DEBYE_MIN_ORDER, Q_ZERO, erf_inv, gaussian_q, log_bessel_k, log_gamma,
-                      scaled_bessel_k01)
+                      scaled_bessel_k_half_orders)
 
 # Coefficients of the Q-function fit Q(x) ~ exp(-x^2/2) * sum_j b_j x^j on
 # x >= 0, degree 7, b_0 pinned to Q(0) = 0.5.  Regenerate with
@@ -197,27 +198,6 @@ _QN_POWERS = np.array([
 ])
 
 
-def _half_order_kve(x: np.ndarray, count: int) -> np.ndarray:
-    """Scaled Bessel K, e^x * K_(m/2)(x) for m = 0..count-1, on a new first axis.
-
-    Integer orders start from `specfun.scaled_bessel_k01`, half-integer ones from
-    K_(1/2) = sqrt(pi / 2x) e^-x and K_(3/2) = K_(1/2) (1 + 1/x); both go up
-    together by K_(nu+1) = K_(nu-1) + (2 nu / x) K_nu, which is stable upward.
-    """
-    pairs = -(-count // 2)
-    # out[k, p] holds order k + p/2
-    out = np.empty((pairs, 2) + x.shape)
-    out[0, 0], out[1, 0] = scaled_bessel_k01(x)
-    out[0, 1] = np.sqrt(0.5 * math.pi / x)
-    out[1, 1] = out[0, 1] * (1.0 + 1.0 / x)
-    two_nu = 2.0 * np.arange(1, pairs - 1)[:, None] + np.arange(2.0)
-    ratio = two_nu.reshape(two_nu.shape + (1,) * x.ndim) / x
-    for k in range(2, pairs):
-        np.multiply(ratio[k - 2], out[k - 1], out=out[k])
-        out[k] += out[k - 2]
-    return out.reshape((2 * pairs,) + x.shape)[:count]
-
-
 def _range_error(part: str, snr: float, mean_inr: float) -> FloatRangeError:
     """The error of a hybrid part whose terms leave the float range."""
     return FloatRangeError(
@@ -238,9 +218,10 @@ def _closed_form_failures(modulation: Modulation, snr: float, mean_inr: np.ndarr
     polynomial power of the b_j (7r+1 coefficients), and each of its terms
     averages over the fading to one power-weighted Bessel K of order
     |2 - j|/2.  Every K of every order r comes from one upward recurrence
-    (`_half_order_kve`), and the per-order sums are formed once and shared by
-    every window.  The failure is the fsum of the binomial terms r >= 1, so a
-    small one keeps its relative precision.  Values are clamped to [0, 1].
+    (`specfun.scaled_bessel_k_half_orders`), and the per-order sums are
+    formed once and shared by every window.  The failure is the fsum of the
+    binomial terms r >= 1, so a small one keeps its relative precision.
+    Values are clamped to [0, 1].
     """
     coeff, gain = modulation.coeff, modulation.gain
     windows = [int(w) for w in windows]
@@ -263,7 +244,7 @@ def _closed_form_failures(modulation: Modulation, snr: float, mean_inr: np.ndarr
         # the argument underflowed to 0, where every K diverges
         raise _range_error("closed-form", snr, mean_inr[vanishing][0])
     with np.errstate(over="ignore", invalid="ignore"):
-        bessel = _half_order_kve(arg, 7 * top - 1) * np.exp(-arg)
+        bessel = scaled_bessel_k_half_orders(arg, 7 * top - 1) * np.exp(-arg)
         # Axes (INR, order r, term j); order r has terms j <= 7r.
         terms = (
             _QN_POWERS[1 : top + 1, : 7 * top + 1]

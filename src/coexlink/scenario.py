@@ -105,6 +105,12 @@ MAX_INR_POINTS = 1001
 # 110 MiB: 250,000 points peaked at 145 MiB RSS, imports included.
 MAX_GRID_POINTS = 250_000
 
+# Most Monte Carlo trials a `validate` run may walk.  A run keeps about 35
+# bytes per trial at its peak: `validate` on alpha_ge_0.5 peaked at 64.5 MiB
+# RSS with 200k trials and 125.1 MiB with 2M, imports included, so this
+# bounds it near 390 MiB.
+MAX_TRIALS = 10_000_000
+
 
 @dataclass(frozen=True)
 class JobParams:
@@ -122,6 +128,8 @@ class JobParams:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ScenarioFormatError("job.trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ScenarioFormatError(f"job.trials must be <= {MAX_TRIALS}")
         if self.grid_points < 2:
             raise ScenarioFormatError("job.grid_points must be >= 2")
         if self.grid_points > MAX_GRID_POINTS:

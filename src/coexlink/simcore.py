@@ -25,6 +25,7 @@ stored.  The renewal-count walk carries its live trials the same way.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -194,8 +195,8 @@ def empirical_renewal_counts(scenario: CoexistenceScenario, config: McConfig,
     Pure renewal counting: busy periods are not part of this window, matching
     the counting convention the analytic PMFs use.
     """
-    if offset < 0.0:
-        raise ValueError("offset must be nonnegative")
+    if not (math.isfinite(offset) and offset >= 0.0):
+        raise ValueError("offset must be finite and nonnegative")
     parts = [_count_chunk(scenario, rng, size, offset, equilibrium)
              for rng, size in _chunks(config)]
     counts = np.zeros(max(p.size for p in parts), dtype=np.int64)

@@ -2,7 +2,8 @@
 
 Domain-checked numpy kernels, with no scipy: the Gaussian tail Q(x), the
 inverse error function, log Gamma, log K_nu(x) (the logarithm of the
-modified Bessel function of the second kind) and the scaled K_0 and K_1.
+modified Bessel function of the second kind) and the scaled K of every
+half-integer order up to a count.
 
   * Q and erf_inv read piecewise polynomials (`_erf_tables`, refitted from
     mpmath by scripts/fit_erf_tables.py): Q(x) = e^(-x^2/2) h(y) with h
@@ -21,9 +22,9 @@ modified Bessel function of the second kind) and the scaled K_0 and K_1.
     asymptotic (Debye) expansion.  Against 60-digit mpmath over orders 0-300
     and arguments 1e-3 to 1e3, log K stays within 1e-12 absolute, and
     within 1e-15 of max(1, |log K|) below order 12.
-  * The scaled K_0 and K_1 take Temme's series at order 0 for x <= 1 and
-    the trapezoid rule on an integral over a Gaussian weight above; both
-    within 1e-15 relative.
+  * The scaled half-integer orders run the same recurrence from log K's
+    seeds at order 0 (K_0 and K_1) and from the elementary K_(1/2) and
+    K_(3/2).
 
 Every kernel is elementwise: a value does not depend on the other values of
 the call.  The independent routes that cross-check these functions live in
@@ -38,7 +39,8 @@ import numpy as np
 
 from . import _bessel_k_table, _erf_tables
 
-__all__ = ["gaussian_q", "erf_inv", "log_gamma", "log_bessel_k", "scaled_bessel_k01"]
+__all__ = ["gaussian_q", "erf_inv", "log_gamma", "log_bessel_k",
+           "scaled_bessel_k_half_orders"]
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -368,24 +370,46 @@ def _temme(columns: tuple[np.ndarray, np.ndarray], slot: np.ndarray, x: np.ndarr
     return k_mu, k_mu1
 
 
-def _k_mu_pair(mu: np.ndarray, slot: np.ndarray, x: np.ndarray):
-    """K_mu(x) and K_(mu+1)(x) for the 1-d orders ``mu`` at each point, whose
-    order is mu[slot].  Points past _BK_X_MIN (the mask returned third) carry
-    the factor sqrt(x) e^x."""
+def _k_mu_pair(seeds: tuple, slot: np.ndarray, x: np.ndarray):
+    """K_mu(x) and K_(mu+1)(x) for the 1-d orders mu at each point, whose
+    order is mu[slot].  ``seeds`` is (mu, table data, Temme data), the data
+    of the two routes as `_table_columns` and `_temme_columns` give them, or
+    None to form them here from mu, only for a route some point takes.
+    Points past _BK_X_MIN (the mask returned third) carry the factor
+    sqrt(x) e^x."""
+    mu, table_columns, temme_columns = seeds
     table = x > _BK_X_MIN
+    some, every = table.any(), table.all()
     k_mu, k_mu1 = np.empty(x.shape), np.empty(x.shape)
-    if table.any():
-        at = ... if table.all() else table
+    if some:
+        at = ... if every else table
         xt = x[at]
         rows = np.stack([slot[at], slot[at] + mu.size])
-        log_g = _horner_pieces(_table_columns(mu), _BK_PIECES, (2.0 / xt) * (_BK_PIECES / 2.0),
-                               rows)
+        if table_columns is None:
+            table_columns = _table_columns(mu)
+        log_g = _horner_pieces(table_columns, _BK_PIECES, (2.0 / xt) * (_BK_PIECES / 2.0), rows)
         np.exp(log_g, out=log_g)
         k_mu[at], k_mu1[at] = log_g
-    if not table.all():
-        at = ... if not table.any() else ~table
-        k_mu[at], k_mu1[at] = _temme(_temme_columns(mu), slot[at], x[at])
+    if not every:
+        at = ~table if some else ...
+        if temme_columns is None:
+            temme_columns = _temme_columns(mu)
+        k_mu[at], k_mu1[at] = _temme(temme_columns, slot[at], x[at])
     return k_mu, k_mu1, table
+
+
+def _recur_up(mu, x, k_mu: np.ndarray, k_mu1: np.ndarray, out: np.ndarray) -> None:
+    """K_(mu+k+1)(x) into out[k-1] for k = 1..len(out), from K_mu and
+    K_(mu+1), by K_(mu+k+1) = K_(mu+k-1) + (2 (mu + k) / x) K_(mu+k), which is
+    stable upward; a factor common to both seeds carries through."""
+    k = np.arange(1, len(out) + 1).reshape((-1,) + (1,) * (out.ndim - 1))
+    np.divide(2.0 * (mu + k), x, out=out)
+    prev, cur = k_mu, k_mu1
+    for step in range(len(out)):
+        nxt = out[step, ...]  # a view, also where out is 1-d
+        nxt *= cur
+        nxt += prev
+        prev, cur = cur, nxt
 
 
 def _log_bessel_k_low(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -395,20 +419,15 @@ def _log_bessel_k_low(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     xb = np.broadcast_to(x, shape)
     slot = np.broadcast_to(slot.reshape(nu.shape), shape)
     steps = np.rint(nu)
-    top = int(steps.max())
-    mu = nu - steps
-    # K_(mu+k+1) = K_(mu+k-1) + (2 (mu + k) / x) K_(mu+k), stable upward; an
+    # higher[k - 2] holds K_(mu+k) for k = 2 up to the highest order; an
     # order whose K exceeds the float range at a vanishing x gives inf
     with np.errstate(over="ignore", invalid="ignore"):
-        k_mu, k_mu1, table = _k_mu_pair(orders - np.rint(orders), slot, xb)
-        out = np.where(steps == 0.0, k_mu, k_mu1) if steps.min() == 0.0 else k_mu1.copy()
-        prev, cur = k_mu, k_mu1
-        for k in range(1, top):
-            nxt = 2.0 * (mu + k) / xb
-            nxt *= cur
-            nxt += prev
-            np.copyto(out, nxt, where=steps == k + 1)
-            prev, cur = cur, nxt
+        k_mu, k_mu1, table = _k_mu_pair((orders - np.rint(orders), None, None), slot, xb)
+        higher = np.empty((max(int(steps.max()) - 1, 0),) + shape)
+        _recur_up(nu - steps, xb, k_mu, k_mu1, higher)
+        out = np.where(steps == 0.0, k_mu, k_mu1) if steps.min() == 0.0 else k_mu1
+        for k, k_nu in enumerate(higher, start=2):
+            np.copyto(out, k_nu, where=steps == k)
         out = np.log(out)
     if table.any():
         scale = 0.5 * np.log(xb)
@@ -446,68 +465,34 @@ def log_bessel_k(nu, x, work=None):
     return out
 
 
-def _temme_k01_series() -> np.ndarray:
-    """Temme's series at order 0 as four power series in d = x^2/4, shape
-    (_TEMME_TERMS, 4), lowest power first: U, V, W and Y with
-    K_0 = L U + V and (x/2) K_1 = W - L Y, L = log(2/x).
-
-    At mu = 0, f_0 = fact Gamma_1 + fact Gamma_2 L and p_0, q_0 are the
-    constants 1/(2 Gamma(1 +- mu)), so each K is linear in L.
-    """
-    series, scalars = _temme_columns(np.zeros(1))
-    _, fact_g1, fact_g2, half_gampl, half_gammi = scalars[:, 0]
-    a, b, c, b1, a1, c1 = series[::-1, :, 0].T
-    return np.stack([fact_g2 * a, fact_g1 * a + half_gampl * b + half_gammi * c,
-                     half_gampl * b1 - fact_g1 * a1 - half_gammi * c1, fact_g2 * a1], axis=1)
+# the seeds of scaled_bessel_k_half_orders, K_0 and K_1: order 0 and its
+# data on both routes, formed once
+_ORDER_0 = (np.zeros(1), list(_table_columns(np.zeros(1))), _temme_columns(np.zeros(1)))
 
 
-# scaled_bessel_k01 sums Temme's series at x <= _BK_X_MIN and above it takes
-# the trapezoid rule on
-#   e^x K_0(x) = x^(-1/2) int_0^inf e^(-v^2/2) s^(-1/2) dv,
-#   e^x K_1(x) = x^(-1/2) int_0^inf e^(-v^2/2) (2 s - 1) s^(-1/2) dv,
-# s = 1 + v^2/(4x), which v = 2 sqrt(x) sinh(t/2) makes of
-# e^x K_nu(x) = int_0^inf e^(-x (cosh t - 1)) cosh(nu t) dt.  The integrands
-# are even and analytic for |Im v| < 2 sqrt(x), so at x > 1 the step 0.3
-# leaves about e^(-40) of the integral, as do the nodes' end at v = 9.
-# Against 40-digit mpmath on 401 points of 1e-3..1e3 both stay within 1e-15
-# relative.
-_K01_TEMME = _temme_k01_series()
-_K01_POWERS = np.arange(_TEMME_TERMS, dtype=float)
-_K01_STEP = 0.3
-_K01_NODES = _K01_STEP * np.arange(31)
-_K01_QUARTER_V2 = 0.25 * _K01_NODES**2
-_K01_WEIGHTS = _K01_STEP * np.exp(-0.5 * _K01_NODES**2)
-_K01_WEIGHTS[0] *= 0.5
+def scaled_bessel_k_half_orders(x, count: int) -> np.ndarray:
+    """e^x K_(m/2)(x) for m = 0..count-1 on a new first axis, for x > 0.
 
-
-def scaled_bessel_k01(x) -> tuple[np.ndarray, np.ndarray]:
-    """e^x K_0(x) and e^x K_1(x) for x > 0 (scipy's k0e and k1e).
+    K_0 and K_1 come from Temme's series or the Chebyshev table, as
+    `log_bessel_k`'s seeds do; K_(1/2) = sqrt(pi / 2x) e^-x and
+    K_(3/2) = K_(1/2) (1 + 1/x) are elementary.  Both pairs go up together by
+    `log_bessel_k`'s upward recurrence.
 
     Raises:
         ValueError: if any x <= 0.
     """
     x = np.asarray(x, dtype=float)
     if (x <= 0.0).any():
-        raise ValueError("scaled_bessel_k01 requires x > 0")
-    k0, k1 = np.empty(x.shape), np.empty(x.shape)
-    near = x <= _BK_X_MIN
-    if near.any():
-        xn = x[near]
-        u, v, w, y = (np.power.outer(0.25 * xn * xn, _K01_POWERS) @ _K01_TEMME).T
-        log_2_x = np.log(2.0 / xn)
-        scale = np.exp(xn)
-        k0[near] = (log_2_x * u + v) * scale
-        k1[near] = (w - log_2_x * y) * (2.0 * scale / xn)
-    if not near.all():
-        far = ~near
-        xf = x[far]
-        root = np.multiply.outer(1.0 / xf, _K01_QUARTER_V2)
-        root += 1.0
-        np.sqrt(root, out=root)
-        inverse = 1.0 / root
-        scale = 1.0 / np.sqrt(xf)
-        k0[far] = (inverse @ _K01_WEIGHTS) * scale
-        root *= 2.0
-        root -= inverse
-        k1[far] = (root @ _K01_WEIGHTS) * scale
-    return k0, k1
+        raise ValueError("scaled_bessel_k_half_orders requires x > 0")
+    pairs = max(-(-count // 2), 2)
+    # out[k, p] holds order k + p/2
+    out = np.empty((pairs, 2) + x.shape)
+    k0, k1, table = _k_mu_pair(_ORDER_0, np.zeros(x.shape, dtype=np.intp), x)
+    # table points carry sqrt(x) e^x, Temme points (x <= 1) no factor
+    scale = np.where(table, 1.0 / np.sqrt(x), np.exp(np.minimum(x, _BK_X_MIN)))
+    out[0, 0], out[1, 0] = k0 * scale, k1 * scale
+    out[0, 1] = np.sqrt(0.5 * math.pi / x)
+    out[1, 1] = out[0, 1] * (1.0 + 1.0 / x)
+    mu = np.array([0.0, 0.5]).reshape((2,) + (1,) * x.ndim)
+    _recur_up(mu, x, out[0], out[1], out[2:])
+    return out.reshape((2 * pairs,) + x.shape)[:count]

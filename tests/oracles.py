@@ -477,11 +477,11 @@ class ChoiceHyperexponentialIdle(HyperexponentialIdle):
     the same way and return the same floats.
     """
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int):
         idx = rng.choice(len(self.weights), size=size, p=np.asarray(self.weights))
         return rng.exponential(self._phase_means()[idx])
 
-    def residual_sample(self, rng: np.random.Generator, size=None):
+    def residual_sample(self, rng: np.random.Generator, size: int):
         # Stationary residual of a mixture: phase i is picked proportionally
         # to the time spent in it (w_i * m_i), then the residual within an
         # exponential phase is again exponential.
@@ -585,7 +585,7 @@ def sample_stationary_start(scenario: CoexistenceScenario,
     """Equilibrium snapshot: (state, residual time left in that state)."""
     on = bool(rng.random() < activity_factor(scenario))
     model = scenario.busy if on else scenario.idle
-    return on, float(model.residual_sample(rng))
+    return on, float(model.residual_sample(rng, 1)[0])
 
 
 def run_trial(scenario: CoexistenceScenario, rng: np.random.Generator) -> TrialResult:
@@ -604,7 +604,7 @@ def run_trial(scenario: CoexistenceScenario, rng: np.random.Generator) -> TrialR
         remaining -= duration
         state = not state
         model = scenario.busy if state else scenario.idle
-        duration = float(model.sample(rng))
+        duration = float(model.sample(rng, 1)[0])
     if state:
         collision += remaining
     return TrialResult(on, packet, min(collision, packet), renewals)

@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 import coexlink.cli as cli
 from coexlink.per import PerMethod
-from coexlink.scenario import MAX_GRID_POINTS, MAX_INR_POINTS, JobParams, ScenarioFormatError
+from coexlink.scenario import (MAX_GRID_POINTS, MAX_INR_POINTS, MAX_TRIALS, JobParams,
+                               ScenarioFormatError)
 from coexlink.validation import ValidationReport
 
 SCENARIO_TEXT = textwrap.dedent(
@@ -217,6 +218,27 @@ class TestValidateCommand:
         )
         assert result.exit_code == cli.EXIT_CONFIG
         assert "at least 10000" in result.output
+
+    def test_rejects_trials_over_the_limit(self, runner, tmp_path, monkeypatch):
+        # 1e11 trials once walked for 26 s and died allocating (exit 1); the
+        # limit is checked before any walk starts
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(cli, "validate_scenario", no_walk)
+        result = runner.invoke(cli.main, ["validate", "--preset", "alpha_lt_0.1",
+                                          "--trials", str(MAX_TRIALS + 1)])
+        assert result.exit_code == cli.EXIT_CONFIG, result.output
+        assert "'--trials'" in result.output and str(MAX_TRIALS) in result.output
+        path = tmp_path / "many.yaml"
+        path.write_text(LINK_TEXT + f"job: {{trials: {MAX_TRIALS + 1}}}\n")
+        result = runner.invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == cli.EXIT_CONFIG, result.output
+        assert f"job.trials must be <= {MAX_TRIALS}" in result.output
+        # the limit itself passes, from either source
+        assert JobParams(trials=MAX_TRIALS).trials == MAX_TRIALS
+        (option,) = [p for p in cli.cmd_validate.params if p.name == "trials"]
+        assert option.type.convert(MAX_TRIALS, option, None) == MAX_TRIALS
 
     def test_rejects_negative_seed(self, runner, scenario_file):
         result = runner.invoke(cli.main, ["validate", scenario_file, "--seed", "-1"])

@@ -1,8 +1,11 @@
-"""The README's library examples run, its CLI examples parse, and the package
-exports what it lists."""
+"""The README's library examples run, its CLI examples parse, the package
+exports what it lists, and every backticked `module.name` of coexlink in the
+README and the sources resolves."""
 
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -56,3 +59,42 @@ def test_cli_parse_check_catches_unknown_flags():
 def test_every_export_resolves():
     missing = [name for name in coexlink.__all__ if not hasattr(coexlink, name)]
     assert missing == []
+
+
+SOURCE = Path(coexlink.__file__).resolve().parent
+MODULES = {info.name for info in pkgutil.iter_modules([str(SOURCE)])}
+
+
+def _dotted_names(text):
+    """Backticked dotted names whose head is coexlink or one of its modules,
+    e.g. `ctd.slot_tail` or `coexlink.per.QN_COEFFS`."""
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+    return [name.removeprefix("coexlink.") for name in names
+            if name.split(".")[0] in MODULES | {"coexlink"}]
+
+
+def _unresolved(names):
+    missing = []
+    for name in names:
+        module, *attributes = name.split(".")
+        target = importlib.import_module(f"coexlink.{module}")
+        for attribute in attributes:
+            target = getattr(target, attribute, None)
+        if target is None:
+            missing.append(name)
+    return missing
+
+
+@pytest.mark.parametrize("path", [README, *sorted(SOURCE.glob("*.py"))], ids=lambda p: p.name)
+def test_dotted_names_resolve(path):
+    # README and every module's docstrings and comments name code as
+    # `module.name`; a rename or deletion must take the name along
+    names = _dotted_names(path.read_text(encoding="utf-8"))
+    assert _unresolved(names) == []
+
+
+def test_dotted_name_check_catches_a_stale_name():
+    names = _dotted_names("see `specfun.scaled_bessel_k01`, `ctd.slot_tail`, `math.fsum`, "
+                          "`coexlink.per.QN_COEFFS` and `job.snr_db`")
+    assert names == ["specfun.scaled_bessel_k01", "ctd.slot_tail", "per.QN_COEFFS"]
+    assert _unresolved(names) == ["specfun.scaled_bessel_k01"]

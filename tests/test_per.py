@@ -31,7 +31,6 @@ from coexlink.per import (
     _bit_failure,
     _failure_table,
     _gumbel_gamma_failures,
-    _half_order_kve,
     _nodes_before_band,
     _per_hybrid,
     _per_quadrature,
@@ -705,8 +704,9 @@ def test_per_sweep_memory_holds_the_failing_band():
     # both routes on the benchmark's per_sweep links (17 INRs, SNR 10 dB):
     # the quadrature's INR x node arrays span the failing band (300 of 877
     # nodes here) instead of every node; summed on every node these sweeps
-    # traced 1.94-2.28 MiB, on the band 0.93-1.25 MiB (with the hybrid's
-    # five INR x block arrays held across its blocks)
+    # traced 1.94-2.28 MiB, on the band 0.95-1.28 MiB (with the hybrid's
+    # five INR x block arrays held across its blocks and the low-order
+    # log K's recurrence rows)
     inr = 10.0 ** (np.arange(-10.0, 30.1, 2.5) / 10.0)
     for name in ("alpha_lt_0.1", "exp_alpha_0.1575", "alpha_ge_0.5"):
         scenario = preset_scenario(name)
@@ -868,16 +868,6 @@ GUMBEL_MODULATIONS = [Modulation(1.0, 2.0), Modulation(2.0, 1.0), Modulation(0.5
 
 
 # -- the closed form against the one-kv-call-per-order body it replaced
-
-def test_half_order_kve_matches_scipy():
-    # the upward recurrence over every order the closed form reaches (m/2 for
-    # m <= 7 * ELL_SWITCH - 2), measured within 1.9e-14 relative of kve
-    x = np.geomspace(1e-3, 1e3, 61)
-    count = 7 * ELL_SWITCH - 1
-    expected = special.kve(np.arange(count)[:, None] / 2.0, x)
-    assert np.isfinite(expected).all()
-    np.testing.assert_allclose(_half_order_kve(x, count), expected, rtol=5e-14, atol=0.0)
-
 
 @pytest.mark.parametrize("modulation", GUMBEL_MODULATIONS)
 @pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0])

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -277,15 +278,12 @@ class TestAgainstGatherOracle:
     def test_phase_samplers(self, law):
         oracle = ChoiceHyperexponentialIdle(law.weights, law.means)
         for residual in (False, True):
-            for size in (None, 0, 1, 7, CHUNK):
+            for size in (0, 1, 7, CHUNK):
                 rng, rng_oracle = _twin_streams(SUITE_SEED)
                 name = "residual_sample" if residual else "sample"
                 got = getattr(law, name)(rng, size)
                 want = getattr(oracle, name)(rng_oracle, size)
-                if size is None:
-                    assert type(got) is float and got == want
-                else:
-                    assert got.shape == (size,) and np.array_equal(got, want)
+                assert got.shape == (size,) and np.array_equal(got, want)
                 assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     def test_ks_uniques_from_the_sorted_sample(self, rng):
@@ -331,6 +329,10 @@ class TestRenewalCounting:
     def test_offset_validation(self, scenario_exp_0p1575):
         with pytest.raises(ValueError):
             empirical_renewal_pmf(scenario_exp_0p1575, McConfig(trials=10), offset=-1.0)
+        # a non-finite offset once gave every window zero gaps, silently
+        for offset in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="offset must be finite and nonnegative"):
+                empirical_renewal_counts(scenario_exp_0p1575, McConfig(trials=10), offset)
 
 
 def test_long_run_busy_fraction(any_scenario, rng):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import special
 
 from coexlink import specfun
+from coexlink.per import ELL_SWITCH
 from oracles import bessel_k_integral, gamma_lower_reg, gamma_lower_reg_quad
 
 
@@ -229,17 +230,28 @@ def test_scaled_bessel_k01_matches_mpmath():
     import mpmath
 
     x = np.geomspace(1e-3, 1e3, 41)
-    k0, k1 = specfun.scaled_bessel_k01(x)
+    k0, k1 = specfun.scaled_bessel_k_half_orders(x, 3)[::2]
     with mpmath.workdps(40):
         r0 = np.array([float(mpmath.besselk(0, v) * mpmath.exp(v)) for v in x])
         r1 = np.array([float(mpmath.besselk(1, v) * mpmath.exp(v)) for v in x])
-    # measured 5.6e-16 and 4.4e-16; scipy's k0e and k1e 1.1e-15 and 7.8e-16
+    # measured 8.9e-16 and 1.4e-15; scipy's k0e and k1e 1.1e-15 and 7.8e-16
     np.testing.assert_allclose(k0, r0, rtol=3e-15, atol=0.0)
     np.testing.assert_allclose(k1, r1, rtol=3e-15, atol=0.0)
     np.testing.assert_allclose(k0, special.k0e(x), rtol=4e-15, atol=0.0)
     np.testing.assert_allclose(k1, special.k1e(x), rtol=4e-15, atol=0.0)
-    with pytest.raises(ValueError, match="scaled_bessel_k01"):
-        specfun.scaled_bessel_k01(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="scaled_bessel_k_half_orders"):
+        specfun.scaled_bessel_k_half_orders(np.array([1.0, 0.0]), 3)
+
+
+def test_half_order_kve_matches_scipy():
+    # the upward recurrence over every order the qn head reaches (m/2 for
+    # m <= 7 * ELL_SWITCH - 2), measured within 9.0e-15 relative of kve
+    x = np.geomspace(1e-3, 1e3, 61)
+    count = 7 * ELL_SWITCH - 1
+    expected = special.kve(np.arange(count)[:, None] / 2.0, x)
+    assert np.isfinite(expected).all()
+    np.testing.assert_allclose(specfun.scaled_bessel_k_half_orders(x, count), expected,
+                               rtol=5e-14, atol=0.0)
 
 
 def test_gaussian_q_matches_mpmath():
