@@ -346,11 +346,18 @@ def _temme_columns(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return series[::-1], scalars
 
 
-def _temme(columns: tuple[np.ndarray, np.ndarray], slot: np.ndarray, x: np.ndarray):
+def _temme(columns: tuple[np.ndarray, np.ndarray], slot, x: np.ndarray):
     """(K_mu(x), K_(mu+1)(x)) at 0 < x <= _BK_X_MIN, the order of each point
-    column ``slot`` of `_temme_columns` (NR 6.7, `bessik`)."""
+    column ``slot`` of `_temme_columns`, or its one column when ``slot`` is
+    None (NR 6.7, `bessik`)."""
     series, scalars = columns
-    mu, fact_g1, fact_g2, half_gampl, half_gammi = scalars.take(slot, axis=1)
+    if slot is None:
+        series = series.reshape(series.shape[:2] + (1,) * x.ndim)
+        scalars = scalars.reshape(scalars.shape[:1] + (1,) * x.ndim)
+    else:
+        series = (power.take(slot, axis=1) for power in series)
+        scalars = scalars.take(slot, axis=1)
+    mu, fact_g1, fact_g2, half_gampl, half_gammi = scalars
     log_2_x = np.log(2.0 / x)
     e = mu * log_2_x
     sinh_ratio = np.divide(np.sinh(e), e, out=np.ones_like(e), where=e != 0.0)
@@ -360,10 +367,12 @@ def _temme(columns: tuple[np.ndarray, np.ndarray], slot: np.ndarray, x: np.ndarr
     p0 = half_gampl * exp_e
     q0 = half_gammi / exp_e
     d = 0.25 * x * x
-    acc = series[0].take(slot, axis=1)
-    for power in series[1:]:
+    series = iter(series)
+    acc = next(series) * d
+    acc += next(series)
+    for power in series:
         acc *= d
-        acc += power.take(slot, axis=1)
+        acc += power
     k_mu = f0 * acc[0] + p0 * acc[1] + q0 * acc[2]
     k_mu1 = p0 * acc[3] - f0 * acc[4] - q0 * acc[5]
     k_mu1 *= 2.0 / x
@@ -374,17 +383,23 @@ def _k_mu_pair(seeds: tuple, slot: np.ndarray, x: np.ndarray):
     """K_mu(x) and K_(mu+1)(x) for the 1-d orders mu at each point, whose
     order is mu[slot].  ``seeds`` is (mu, table data, Temme data), the data
     of the two routes as `_table_columns` and `_temme_columns` give them, or
-    None to form them here from mu, only for a route some point takes.
+    None to form them here from mu, only for a route some point takes.  A
+    single order's data broadcast against the points, with no gather, and
+    its ``slot`` may be None.
     Points past _BK_X_MIN (the mask returned third) carry the factor
     sqrt(x) e^x."""
     mu, table_columns, temme_columns = seeds
+    one = mu.size == 1
     table = x > _BK_X_MIN
     some, every = table.any(), table.all()
     k_mu, k_mu1 = np.empty(x.shape), np.empty(x.shape)
     if some:
         at = ... if every else table
         xt = x[at]
-        rows = np.stack([slot[at], slot[at] + mu.size])
+        if one:  # tables 0 and 1, broadcast against the points
+            rows = np.arange(2).reshape((2,) + (1,) * xt.ndim)
+        else:
+            rows = np.stack([slot[at], slot[at] + mu.size])
         if table_columns is None:
             table_columns = _table_columns(mu)
         log_g = _horner_pieces(table_columns, _BK_PIECES, (2.0 / xt) * (_BK_PIECES / 2.0), rows)
@@ -394,7 +409,7 @@ def _k_mu_pair(seeds: tuple, slot: np.ndarray, x: np.ndarray):
         at = ~table if some else ...
         if temme_columns is None:
             temme_columns = _temme_columns(mu)
-        k_mu[at], k_mu1[at] = _temme(temme_columns, slot[at], x[at])
+        k_mu[at], k_mu1[at] = _temme(temme_columns, None if one else slot[at], x[at])
     return k_mu, k_mu1, table
 
 
@@ -487,7 +502,7 @@ def scaled_bessel_k_half_orders(x, count: int) -> np.ndarray:
     pairs = max(-(-count // 2), 2)
     # out[k, p] holds order k + p/2
     out = np.empty((pairs, 2) + x.shape)
-    k0, k1, table = _k_mu_pair(_ORDER_0, np.zeros(x.shape, dtype=np.intp), x)
+    k0, k1, table = _k_mu_pair(_ORDER_0, None, x)
     # table points carry sqrt(x) e^x, Temme points (x <= 1) no factor
     scale = np.where(table, 1.0 / np.sqrt(x), np.exp(np.minimum(x, _BK_X_MIN)))
     out[0, 0], out[1, 0] = k0 * scale, k1 * scale

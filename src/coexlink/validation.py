@@ -70,12 +70,49 @@ class ValidationReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _chi2_sf(dof: int, statistic: float) -> float:
+    """P(chi-square with ``dof`` degrees of freedom > ``statistic``), dof >= 1.
+
+    With h = statistic/2, an even dof 2m gives the Poisson sum
+    e^-h sum_(j<m) h^j / j! (A&S 26.4.4), and an odd dof 2m + 1 gives
+    erfc(sqrt(h)) + e^-h sum_(j<m) h^(j+1/2) / Gamma(j + 3/2) (A&S 26.4.5).
+    Each term is formed as exp(a log h - h - lgamma(a + 1)), so h^a / a!
+    never overflows before e^-h damps it: any dof and any finite statistic
+    give a value in [0, 1].  On dof 1-59 and statistics 1e-3 to 400 the
+    value is within 1e-13 relative of Cephes' ``chdtrc`` wherever that
+    exceeds 1e-300 (measured 4.8e-14).  Beyond that range both carry the
+    rounding of the exponent, which grows with its size: against 40-digit
+    mpmath this sum kept 9.3e-14 up to statistic 1585 on dof 1-59, 1.5e-13
+    on dof 60-400 and 4.6e-12 on dof 1000-10000, where ``chdtrc`` itself
+    was off by 1.1e-13, 1.9e-13 and 7.9e-12.
+
+    Raises:
+        ValueError: if the statistic is NaN or negative.
+    """
+    if not statistic >= 0.0:
+        raise ValueError(f"chi-square statistic must be >= 0, got {statistic!r}")
+    if statistic == math.inf:
+        return 0.0
+    half = 0.5 * statistic
+    if half == 0.0:  # also the least subnormal, where 1 - p rounds to 1
+        return 1.0
+    log_half = math.log(half)
+    odd = dof % 2
+    total = math.erfc(math.sqrt(half)) if odd else 0.0
+    for j in range(dof // 2):
+        a = j + 0.5 * odd
+        total += math.exp(a * log_half - half - math.lgamma(a + 1.0))
+    return min(total, 1.0)
+
+
 def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int) -> dict[str, float]:
     """Pearson test of an observed count histogram against an analytic PMF.
 
     ``observed`` holds per-count totals; ``expected_pmf`` maps n to its
     probability.  Bins with expected count below ``MIN_EXPECTED`` are pooled
     into the tail, which also absorbs the PMF mass beyond the histogram.
+    The p-value is the chi-square tail at the integer dof, in closed form
+    (`_chi2_sf`, Abramowitz & Stegun 26.4.4 and 26.4.5).
     """
     top = observed.size
     probs = np.asarray([expected_pmf(n) for n in range(top)], dtype=float)
@@ -95,13 +132,10 @@ def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int) -> dict[s
     obs_arr, exp_arr = obs_arr[keep], exp_arr[keep]
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     dof = max(obs_arr.size - 1, 1)
-    # Imported here, so that only a validation run loads scipy.special.
-    from scipy import special
-
     return {
         "statistic": stat,
         "dof": float(dof),
-        "pvalue": float(special.chdtrc(dof, stat)),
+        "pvalue": _chi2_sf(dof, stat),
         "bins": float(obs_arr.size),
     }
 

@@ -496,10 +496,11 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     ["ctd", "--preset", "alpha_lt_0.1"],
     ["per", "--preset", "alpha_lt_0.1"],
     ["per", "--preset", "alpha_lt_0.1", "--method", "quadrature"],
-], ids=["import", "ctd", "per", "per-quadrature"])
+    ["validate", "--preset", "alpha_lt_0.1", "--trials", "10000"],
+], ids=["import", "ctd", "per", "per-quadrature", "validate"])
 def test_commands_load_no_scipy(tmp_path, argv):
-    # the ctd and per paths run on numpy kernels (coexlink.specfun); only
-    # validate's chi-square p-value imports scipy.special, inside the call
+    # the ctd and per paths run on numpy kernels (coexlink.specfun), and
+    # validate's chi-square p-value is a finite sum on math (validation._chi2_sf)
     run = "" if argv is None else (
         f"main.main({argv + ['-o', str(tmp_path / 'out.csv')]!r}, standalone_mode=False); "
     )

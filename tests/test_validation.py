@@ -9,13 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import coexlink
 from coexlink.ctd import ctd_mixture
 from coexlink.presets import preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
-from coexlink.validation import chi_square_counts, validate_scenario
+from coexlink.validation import CHI2_PVALUE_MIN, _chi2_sf, chi_square_counts, validate_scenario
 from conftest import SUITE_SEED, scenario_named
 
 
@@ -38,7 +38,8 @@ class TestChiSquareCounts:
     def test_pvalue_is_the_chi2_survival_function(self, rng):
         draws = rng.geometric(0.4, 5_000) - 1
         cell = chi_square_counts(np.bincount(draws), lambda n: 0.4 * 0.6**n, 5_000)
-        assert cell["pvalue"] == float(stats.chi2.sf(cell["statistic"], cell["dof"]))
+        expected = float(stats.chi2.sf(cell["statistic"], cell["dof"]))
+        assert abs(cell["pvalue"] - expected) <= 1e-13 * expected
 
     def test_sparse_bins_are_pooled(self):
         observed = np.array([900, 90, 9, 1, 0, 0])
@@ -47,6 +48,57 @@ class TestChiSquareCounts:
         # off-histogram tail must be merged
         assert cell["bins"] <= 4.0
         assert cell["pvalue"] > 1e-3
+
+
+class TestChiSquareTail:
+    def test_within_chdtrc_on_the_validation_range(self):
+        # measured 4.8e-14 relative; 5389 of the 11918 points are bitwise
+        stats_grid = np.logspace(-3, np.log10(400.0), 202)
+        for dof in range(1, 60):
+            got = np.array([_chi2_sf(dof, float(x)) for x in stats_grid])
+            expected = special.chdtrc(dof, stats_grid)
+            assert np.all(expected > 1e-300)
+            assert np.all(np.abs(got - expected) <= 1e-13 * expected), dof
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 59, 10_000])
+    def test_zero_statistic_gives_one(self, dof):
+        assert _chi2_sf(dof, 0.0) == 1.0
+        assert _chi2_sf(dof, 5e-324) == 1.0
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 59, 10_000])
+    def test_infinite_statistic_fails_the_test(self, dof):
+        assert _chi2_sf(dof, float("inf")) == 0.0 < CHI2_PVALUE_MIN
+
+    @pytest.mark.parametrize("statistic", [float("nan"), -1.0, float("-inf")])
+    def test_nan_or_negative_statistic_is_named(self, statistic):
+        with pytest.raises(ValueError,
+                           match=f"chi-square statistic must be >= 0, got {statistic!r}"):
+            _chi2_sf(3, statistic)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 58, 59, 60, 999, 1000, 9999, 10_000])
+    def test_extreme_inputs_stay_in_the_unit_interval(self, dof):
+        # h^a / a! alone would overflow long before these; RuntimeWarnings are
+        # errors under the suite's filter
+        for x in [1e-323, 1e-300, 1e-3, 1.0, float(dof), 1e3, 1e4, 1e5, 1e300, 1.7976931348623157e308]:
+            p = _chi2_sf(dof, x)
+            assert 0.0 <= p <= 1.0, (x, p)
+
+    @pytest.mark.parametrize("dof", [58, 59, 60])
+    def test_small_statistics_do_not_round_above_one(self, dof):
+        # near x = 0 the terms add up to 1 + 1 ulp at 200-300 of these points
+        assert max(_chi2_sf(dof, float(x)) for x in np.logspace(-6, 1, 1000)) == 1.0
+
+
+def _digest_at_chdtrc(report) -> str:
+    """sha256 of the JSON report with each chi-square p-value put back to
+    scipy's chdtrc, once it is checked within 1e-13 relative of it.  The
+    digests were recorded when the p-values came from chdtrc; the substitution
+    keeps every KS and chi-square statistic, dof and bin count pinned bitwise."""
+    for cell in report.chi2.values():
+        expected = float(special.chdtrc(cell["dof"], cell["statistic"]))
+        assert abs(cell["pvalue"] - expected) <= 1e-13 * expected, cell
+        cell["pvalue"] = expected
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
 class TestValidateScenario:
@@ -108,7 +160,7 @@ class TestValidateScenario:
     ])
     def test_report_frozen(self, name, seed, expected):
         report = validate_scenario(preset_scenario(name), trials=20_000, seed=seed)
-        assert hashlib.sha256(report.to_json().encode()).hexdigest() == expected
+        assert _digest_at_chdtrc(report) == expected
 
     # The same at 200k trials, recorded before the KS passes walked their
     # uniques in blocks: the joint pass of alpha_ge_0.5 then spans 11 blocks
@@ -119,7 +171,7 @@ class TestValidateScenario:
     ])
     def test_report_frozen_at_200k_trials(self, name, seed, expected):
         report = validate_scenario(scenario_named(name), trials=200_000, seed=seed)
-        assert hashlib.sha256(report.to_json().encode()).hexdigest() == expected
+        assert _digest_at_chdtrc(report) == expected
 
     @pytest.mark.parametrize("name", ["alpha_ge_0.5", "exp_busy"])
     def test_traced_peak_is_bounded(self, name):
@@ -174,17 +226,29 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert _loaded_after_cli_import(["scipy.integrate", "scipy.optimize", "scipy.sparse"]) == []
 
 
-def test_no_module_imports_scipy_integrate():
-    # the adaptive quadratures are test oracles (tests/oracles.py), never runtime code
-    offenders = []
-    for path in sorted(Path(coexlink.__file__).parent.glob("*.py")):
+def _package_imports(package_dir: Path) -> list[tuple[str, str]]:
+    """(file, dotted name) of every import in the package's modules, at any
+    depth of the syntax tree; ``from a import b`` gives ``a.b``."""
+    found = []
+    for path in sorted(package_dir.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                found += [(path.name, alias.name) for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            offenders += [f"{path.name}: {n}" for n in names
-                          if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
+                found += [(path.name, f"{node.module}.{alias.name}") for alias in node.names]
+    return found
+
+
+def test_no_module_imports_scipy_integrate():
+    # the adaptive quadratures are test oracles (tests/oracles.py), never runtime code
+    offenders = [f"{f}: {n}" for f, n in _package_imports(Path(coexlink.__file__).parent)
+                 if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
+    assert offenders == []
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test-only dependency: the special functions are coexlink.specfun's
+    # numpy kernels and the chi-square tail is validation._chi2_sf
+    offenders = [f"{f}: {n}" for f, n in _package_imports(Path(coexlink.__file__).parent)
+                 if n.split(".")[0] == "scipy"]
     assert offenders == []
