@@ -279,12 +279,12 @@ def coverage_point(scenario: CoexistenceScenario, coverage: float = 1e-4) -> flo
     return hi
 
 
-def default_grid(scenario: CoexistenceScenario, points: int = 512,
-                 coverage: float = 1e-4) -> np.ndarray:
-    """Uniform grid on [0, min(8 packet means, the coverage point)]."""
+def default_grid(scenario: CoexistenceScenario, points: int = 512) -> np.ndarray:
+    """Uniform grid on [0, min(8 packet means, the 1e-4 coverage point)], or
+    on [0, one packet mean] where the atom at 0 alone covers 1 - 1e-4."""
     if points < 2:
         raise ValueError("grid needs at least 2 points")
-    x_hi = min(8.0 * scenario.packet_mean, coverage_point(scenario, coverage))
+    x_hi = min(8.0 * scenario.packet_mean, coverage_point(scenario, 1e-4))
     if x_hi <= 0.0:
         x_hi = scenario.packet_mean
     return np.linspace(0.0, x_hi, points)

@@ -37,10 +37,11 @@ window by either:
     t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
     (877 nodes).  On the first nodes (deep fades) no bit can fail at any
     INR: Q underflows to 0, on 577 of them at snr 10 dB and INR -10..30 dB.
-    Both fronts evaluate Q from where the largest INR's argument drops
-    below specfun.Q_ZERO (`_zero_nodes`), work on the failing band that
-    follows and let the nodes before it contribute what q = 1 gives,
-    bitwise as if every node were summed (`_nodes_before_band`).  A single
+    One rule (`_failing_band`) gives both fronts the nodes they sum: the
+    failing band, where some INR's bit can fail, and the all-zero node
+    before it, with Q evaluated from about where the largest INR's argument
+    drops below specfun.Q_ZERO.  The nodes before them contribute what
+    q = 1 gives, bitwise as if every node were summed.  A single
     window sums q(g)^bits over the nodes; for the PER the slot sum is
     taken first and summed by parts against the collision-time tail, which
     is geometric times linear within each busy period (`ctd.slot_tail`), so
@@ -103,8 +104,8 @@ from .specfun import (DEBYE_MIN_ORDER, Q_ZERO, erf_inv, gaussian_q, log_bessel_k
                       scaled_bessel_k_half_orders)
 
 # Coefficients of the Q-function fit Q(x) ~ exp(-x^2/2) * sum_j b_j x^j on
-# x >= 0, degree 7, b_0 pinned to Q(0) = 0.5.  Regenerate with
-# scripts/fit_qn_table.py; max |fit - Q| is 8.5e-6 on [0, 8].
+# x >= 0, degree 7, b_0 pinned to Q(0) = 0.5.  scripts/fit_tables.py refits,
+# checks and prints them; max |fit - Q| is 8.5e-6 on [0, 8].
 QN_COEFFS = (
     0.5,
     -0.39868966149686474,
@@ -198,6 +199,18 @@ _QN_POWERS = np.array([
 ])
 
 
+def _clamped(values: np.ndarray, quantity: str, stacklevel: int) -> np.ndarray:
+    """``values`` clipped to [0, 1], with a NumericsWarning naming ``quantity``
+    if one lies beyond 1e-4 of it (``stacklevel`` counts from the caller):
+    the closed form's fit bias allows overshoot of order 1e-5 near
+    saturation, and anything beyond that means the evaluation misbehaved."""
+    wild = ~((values >= -1e-4) & (values <= 1.0 + 1e-4))
+    if np.any(wild):
+        warnings.warn(f"{quantity} {values[wild]!r} clamped to [0, 1]", NumericsWarning,
+                      stacklevel=stacklevel + 1)
+    return np.clip(values, 0.0, 1.0)
+
+
 def _range_error(part: str, snr: float, mean_inr: float) -> FloatRangeError:
     """The error of a hybrid part whose terms leave the float range."""
     return FloatRangeError(
@@ -271,16 +284,7 @@ def _closed_form_failures(modulation: Modulation, snr: float, mean_inr: np.ndarr
         scale = [-math.comb(bits, k) * (-coeff) ** k for k in range(1, bits + 1)]
         mix = orders[:, 1 : bits + 1] * scale
         table[:, col] = [math.fsum(row) for row in mix.tolist()]
-    # The fit bias allows overshoot of order 1e-5 near saturation; anything
-    # beyond that means the expansion itself misbehaved.
-    wild = ~((table >= -1e-4) & (table <= 1.0 + 1e-4))
-    if np.any(wild):
-        warnings.warn(
-            f"closed-form failure probabilities {table[wild]!r} clamped to [0, 1]",
-            NumericsWarning,
-            stacklevel=3,
-        )
-    return np.clip(table, 0.0, 1.0)
+    return _clamped(table, "closed-form failure probabilities", stacklevel=3)
 
 
 def _slabs(work: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -383,13 +387,11 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     if bits == 0:
         return 1.0
     if method is PerMethod.QUADRATURE:
-        # q = 1 exactly before the failing band, so those nodes add their weights.
-        inr = np.array([mean_inr])
-        first = _zero_nodes(modulation, snr, inr)
-        fail = _bit_failure(modulation, snr, inr, first)
-        lead = first + _nodes_before_band(fail)
-        q = 1.0 - fail[0, lead - first:]
-        terms = _FADE_WEIGHTS[:lead].tolist() + (q**bits * _FADE_WEIGHTS[lead:]).tolist()
+        # q = 1 exactly up to the failing band: the nodes before skip add
+        # their weights, and skip's own term 1.0**bits * w is w.
+        skip, fail = _failing_band(modulation, snr, np.array([mean_inr]))
+        q = 1.0 - fail[0]
+        terms = _FADE_WEIGHTS[:skip].tolist() + (q**bits * _FADE_WEIGHTS[skip:]).tolist()
         return min(max(math.fsum(terms), 0.0), 1.0)
     return 1.0 - float(_failure_table(modulation, snr, np.array([mean_inr]),
                                       np.array([bits]))[0, 0])
@@ -459,25 +461,28 @@ def _bit_failure(modulation: Modulation, snr: float, mean_inr: np.ndarray,
     return modulation.coeff * gaussian_q(x)
 
 
-def _zero_nodes(modulation: Modulation, snr: float, mean_inr: np.ndarray) -> int:
-    """How many leading fading nodes no INR row's bit can fail at because
-    its Q argument exceeds specfun.Q_ZERO, where Q is exactly 0.0.  Read off
-    the largest mean INR, whose argument is the smallest at every node; the
-    failing band starts at most a node or two later."""
-    x = math.sqrt(modulation.gain * snr / float(np.max(mean_inr))) * _FADE_ROOT
-    return int(np.count_nonzero(x > Q_ZERO))
-
-
-def _nodes_before_band(fail: np.ndarray) -> int:
-    """How many leading fading nodes no INR row's bit can fail at.
+def _failing_band(modulation: Modulation, snr: float,
+                  mean_inr: np.ndarray) -> tuple[int, np.ndarray]:
+    """(skip, fail): the first fading node the quadrature sums and the
+    per-bit failure on the nodes from it on, shape (mean_inr.size, nodes - skip).
 
     The failure rises along the nodes (its argument falls with t), so the
-    nodes where some row's failure is nonzero form one suffix, the failing
-    band; before it every row's failure is exactly 0.0.  With no failing
-    node this is the node count, and at snr 0 it is 0.
+    nodes where some INR row's failure is nonzero form one suffix, the
+    failing band; before it every row's failure is exactly 0.0.  Q is
+    evaluated from the node before the largest mean INR's argument (the
+    smallest at every node) drops to specfun.Q_ZERO, past which Q is exactly
+    0.0; the band starts at most a node or two later.  ``skip`` is the
+    all-zero node just before the band: node 0 if the band starts there (at
+    snr 0 it does), the last node if no node fails.  No bit fails at
+    ``skip`` or before it, so each of those nodes has q = 1.
     """
+    x = math.sqrt(modulation.gain * snr / float(np.max(mean_inr))) * _FADE_ROOT
+    first = max(int(np.count_nonzero(x > Q_ZERO)) - 1, 0)
+    fail = _bit_failure(modulation, snr, mean_inr, first)
     failing = fail.any(axis=0)
-    return int(np.argmax(failing)) if failing.any() else failing.size
+    band = int(np.argmax(failing)) if failing.any() else failing.size
+    skip = max(first + band - 1, 0)
+    return skip, fail[:, skip - first:]
 
 
 # Floor of log q and log clear: exp of anything below it is 0.0, and it keeps
@@ -546,17 +551,13 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
     from whichever end its terms are largest at.  G_L is the ignored tail,
     which counts as errors.
 
-    Only the failing band (`_nodes_before_band`) and the one all-zero node
-    before it are summed, and Q is evaluated from a node or two before the
-    band on (`_zero_nodes`).  At a node where no bit can fail every
-    row's per-node PER comes from q = 1 alone, so that node's value stands
-    for the skipped ones in each row's final fsum, which is correctly
-    rounded: the PER is bitwise that of summing every node.
+    Only the failing band and the one all-zero node before it are summed
+    (`_failing_band`).  At a node where no bit can fail every row's
+    per-node PER comes from q = 1 alone, so that node's value stands for the
+    skipped ones in each row's final fsum, which is correctly rounded: the
+    PER is bitwise that of summing every node.
     """
-    first = max(_zero_nodes(modulation, snr, mean_inr) - 1, 0)
-    fail = _bit_failure(modulation, snr, mean_inr, first)
-    skip = max(first + _nodes_before_band(fail) - 1, 0)
-    fail = fail[:, skip - first:]
+    skip, fail = _failing_band(modulation, snr, mean_inr)
     clear_fail = float(ber_awgn(modulation, snr))
     with np.errstate(divide="ignore"):
         log_q = np.maximum(np.log1p(-fail), _LOG_FLOOR)
@@ -711,8 +712,5 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
             per = _per_quadrature(modulation, snr, noise_bits, grid, tail, slots, tail_mass)
         else:
             per = _per_hybrid(modulation, snr, noise_bits, grid, tail, slots)
-        wild = ~((per >= -1e-4) & (per <= 1.0 + 1e-4))
-        if np.any(wild):
-            warnings.warn(f"PER {per[wild]!r} clamped to [0, 1]", NumericsWarning, stacklevel=2)
-        values[method.value] = np.clip(per, 0.0, 1.0)
+        values[method.value] = _clamped(per, "PER", stacklevel=2)
     return PerCurve(scenario, modulation, snr, grid, values, tail_mass, slots)

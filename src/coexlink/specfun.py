@@ -6,7 +6,7 @@ modified Bessel function of the second kind) and the scaled K of every
 half-integer order up to a count.
 
   * Q and erf_inv read piecewise polynomials (`_erf_tables`, refitted from
-    mpmath by scripts/fit_erf_tables.py): Q(x) = e^(-x^2/2) h(y) with h
+    mpmath by scripts/fit_tables.py): Q(x) = e^(-x^2/2) h(y) with h
     tabulated in y = 2 / (2 + x/sqrt(2)), and erf_inv(y) = y g(s) with g
     tabulated in s = sqrt(-log(1 - y^2)).  Q keeps 7e-16 relative of
     mpmath times 1 + x^2/2, the rounding of x^2/2 in e^(-x^2/2), which
@@ -18,7 +18,7 @@ half-integer order up to a count.
     series (Temme 1975, J. Comput. Phys. 19) at x <= 1 and, above, from a
     14 x 34 Chebyshev table of log(sqrt(x) e^x K_nu(x)) over orders 0-1.5
     (in nu^2) and s = 2/x - 1 (`_bessel_k_table`, refitted by
-    scripts/fit_bessel_k_table.py).  Larger orders take the uniform
+    scripts/fit_tables.py).  Larger orders take the uniform
     asymptotic (Debye) expansion.  Against 60-digit mpmath over orders 0-300
     and arguments 1e-3 to 1e3, log K stays within 1e-12 absolute, and
     within 1e-15 of max(1, |log K|) below order 12.

@@ -197,18 +197,11 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
         ks_conditional_limit=ks_conditional_limit,
     )
 
-    if report.ks_joint > ks_joint_limit:
-        report.failures.append(
-            f"joint KS {report.ks_joint:.5f} exceeds {ks_joint_limit:.5f}"
-        )
-    if report.ks_off > ks_conditional_limit:
-        report.failures.append(
-            f"off-start KS {report.ks_off:.5f} exceeds {ks_conditional_limit:.5f}"
-        )
-    if report.ks_on > ks_conditional_limit:
-        report.failures.append(
-            f"on-start KS {report.ks_on:.5f} exceeds {ks_conditional_limit:.5f}"
-        )
+    for label, ks, limit in (("joint", ks_joint, ks_joint_limit),
+                             ("off-start", ks_off, ks_conditional_limit),
+                             ("on-start", ks_on, ks_conditional_limit)):
+        if ks > limit:
+            report.failures.append(f"{label} KS {ks:.5f} exceeds {limit:.5f}")
 
     for label, equilibrium, kind in (
         ("equilibrium", True, renewal.CountKind.EQUILIBRIUM),

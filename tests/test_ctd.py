@@ -331,6 +331,18 @@ class TestCurve:
         assert grid[0] == 0.0
         assert grid[-1] <= 8.0 * scenario_exp_0p1575.packet_mean + 1e-15
 
+    def test_default_grid_needs_two_points(self, scenario_exp_0p1575):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            default_grid(scenario_exp_0p1575, points=1)
+
+    def test_default_grid_spans_a_packet_mean_when_the_atom_covers(self):
+        # at alpha 1e-5 the atom at 0 is 0.99994 >= 1 - 1e-4, so the coverage
+        # point is 0.0 and the grid falls back to one packet mean, 1.984 ms
+        scenario = preset_scenario("exp_alpha_0.00001")
+        assert coverage_point(scenario) == 0.0
+        grid = default_grid(scenario, points=5)
+        assert grid.tolist() == np.linspace(0.0, 1.984e-3, 5).tolist()
+
     def test_curve_consistency(self, scenario_exp_0p1575):
         curve = ctd_curve(scenario_exp_0p1575, points=64)
         np.testing.assert_allclose(

@@ -1,10 +1,9 @@
 import dataclasses
-import importlib.util
 import math
 import tracemalloc
+import warnings
 from functools import lru_cache
 from itertools import combinations_with_replacement, cycle
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from coexlink.per import (
     FloatRangeError,
     GumbelDomainError,
     Modulation,
+    NumericsWarning,
     PerCurve,
     PerMethod,
     ber_awgn,
@@ -28,10 +28,10 @@ from coexlink.per import (
     success_prob,
 )
 from coexlink.per import (
-    _bit_failure,
+    _clamped,
+    _failing_band,
     _failure_table,
     _gumbel_gamma_failures,
-    _nodes_before_band,
     _per_hybrid,
     _per_quadrature,
     _ratio_sums,
@@ -571,9 +571,9 @@ def test_quadrature_band_matches_the_full_grid_bitwise(name):
         band = _per_quadrature(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
         oracle = per_quadrature_full_grid(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
         assert band.tolist() == oracle.tolist(), (mod, snr, noise_bits, inr, ell_max)
-        leads.add(_nodes_before_band(_bit_failure(mod, snr, inr)))
+        leads.add(_failing_band(mod, snr, inr)[0])
     nodes = per_module._FADE_WEIGHTS.size
-    assert {0, nodes} <= leads and len(leads) > 2
+    assert {0, nodes - 1} <= leads and len(leads) > 2
 
 
 def test_quadrature_window_band_matches_the_full_grid_bitwise():
@@ -582,11 +582,11 @@ def test_quadrature_window_band_matches_the_full_grid_bitwise():
     for mod in BAND_MODULATIONS:
         for snr in [0.0] + CRITERION_4_SNR:
             for inr in CRITERION_4_INR + [1e-30]:
-                leads.add(_nodes_before_band(_bit_failure(mod, snr, np.array([inr]))))
+                leads.add(_failing_band(mod, snr, np.array([inr]))[0])
                 for bits in (1, 16, 32, 64, 128, 2687):
                     assert (success_prob(mod, snr, inr, bits, QUAD)
                             == success_prob_full_grid(mod, snr, inr, bits)), (mod, snr, inr, bits)
-    assert {0, per_module._FADE_WEIGHTS.size} <= leads
+    assert {0, per_module._FADE_WEIGHTS.size - 1} <= leads
 
 
 @pytest.mark.parametrize("name", PIECE_SCENARIOS)
@@ -995,10 +995,20 @@ def test_gumbel_overflow_raises():
         gumbel_gamma_success(BPSK, 1e-30, np.array([1.0, 1e30]), np.array([ELL_SWITCH + 1, 200]))
 
 
-def test_fit_qn_table_script_matches_frozen_coefficients():
-    # the script refits QN_COEFFS and exits 1 when the fit drifts from them
-    path = Path(__file__).resolve().parents[1] / "scripts" / "fit_qn_table.py"
-    spec = importlib.util.spec_from_file_location("fit_qn_table", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main([]) == 0
+def test_clamp_beyond_the_slack_warns_and_clips():
+    # the closed form's failures and every route's PER pass through one
+    # clamp; past 1e-4 outside [0, 1] it names the quantity, at the caller
+    values = np.array([-2e-4, 0.5, 1.0 + 2e-4])
+    with pytest.warns(NumericsWarning, match=r"^PER array\(.+\) clamped to \[0, 1\]$") as record:
+        clamped = _clamped(values, "PER", stacklevel=1)
+    assert clamped.tolist() == [0.0, 0.5, 1.0]
+    assert len(record) == 1 and record[0].filename == __file__
+    assert repr(values[[0, 2]]) in str(record[0].message)
+
+
+def test_clamp_within_the_slack_is_silent():
+    values = np.array([-1e-4, -1e-9, 0.25, 1.0 + 1e-9, 1.0 + 1e-4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clamped = _clamped(values, "closed-form failure probabilities", stacklevel=1)
+    assert clamped.tolist() == [0.0, 0.0, 0.25, 1.0, 1.0]

@@ -310,15 +310,34 @@ def test_log_gamma_matches_mpmath():
         specfun.log_gamma(np.array([1.0, 0.0]))
 
 
-@pytest.mark.parametrize("script", ["fit_erf_tables.py", "fit_bessel_k_table.py"])
-def test_fit_table_scripts_match_frozen_tables(script):
-    # each script refits its tables from mpmath and exits 1 when they drift
-    # from the generated modules the kernels read (1.1 s and 1.5 s here)
+def _fit_tables_script():
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fit_tables.py"
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main([]) == 0
+    return module
+
+
+def test_fit_tables_script_matches_frozen_tables():
+    # the script refits the erf and Bessel K tables from mpmath and QN_COEFFS
+    # by lstsq, and exits 1 when any drifts from its committed copy (2 s here)
+    assert _fit_tables_script().main([]) == 0
+
+
+@pytest.mark.parametrize("name", ["_erf_tables", "_bessel_k_table"])
+def test_module_writer_reproduces_the_generated_modules(name):
+    # what --write would write for the committed tables is the committed
+    # module, byte for byte: the header, constants and float reprs
+    import importlib
+    from pathlib import Path
+
+    script = _fit_tables_script()
+    module = next(m for m in script.MODULES if m.name == f"{name}.py")
+    committed = importlib.import_module(f"coexlink.{name}")
+    tables = {key: np.array(value) for key, value in vars(committed).items()
+              if key.endswith("_TABLE")}
+    text = Path(committed.__file__).read_text(encoding="utf-8")
+    assert script.module_text(module, tables) == text

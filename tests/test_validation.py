@@ -122,6 +122,36 @@ class TestValidateScenario:
         assert not report.passed
         assert any("joint KS" in f for f in report.failures)
 
+    @pytest.mark.parametrize("start", ["off", "on"])
+    def test_negative_control_fails_each_conditional(self, scenario_exp_0p1575, monkeypatch,
+                                                     start):
+        # a shifted idle-start or busy-start CDF trips its own KS gate alone
+        from coexlink import validation
+
+        exact = getattr(validation, f"ctd_{start}_start")
+        monkeypatch.setattr(validation, f"ctd_{start}_start",
+                            lambda scenario, x: exact(scenario, np.asarray(x) - 2e-4))
+        report = validate_scenario(scenario_exp_0p1575, trials=100_000, seed=SUITE_SEED)
+        ks = report.ks_off if start == "off" else report.ks_on
+        assert report.failures == [
+            f"{start}-start KS {ks:.5f} exceeds {report.ks_conditional_limit:.5f}"
+        ]
+
+    def test_negative_control_fails_the_count_chi_square(self, scenario_exp_0p1575,
+                                                          monkeypatch):
+        # moving 3% of the zero-count mass into the tail trips both
+        # renewal-count chi-squares and nothing else
+        import coexlink.renewal
+
+        exact = coexlink.renewal.pmf
+        monkeypatch.setattr(coexlink.renewal, "pmf",
+                            lambda spec, n: 0.97 * exact(spec, n) if n == 0 else exact(spec, n))
+        report = validate_scenario(scenario_exp_0p1575, trials=100_000, seed=SUITE_SEED)
+        assert [f.split(" p=")[0] for f in report.failures] == [
+            "equilibrium count chi-square", "ordinary count chi-square"]
+        assert report.failures[0] == (f"equilibrium count chi-square p="
+                                      f"{report.chi2['equilibrium']['pvalue']:.2e} below 1e-03")
+
     def test_limits_widen_for_small_runs(self, scenario_exp_0p1575):
         tight = validate_scenario(scenario_exp_0p1575, trials=400_000, seed=SUITE_SEED)
         loose = validate_scenario(scenario_exp_0p1575, trials=25_000, seed=SUITE_SEED)
