@@ -225,6 +225,12 @@ def fit_qn() -> np.ndarray:
     return table
 
 
+def qn_drift(table: np.ndarray) -> float:
+    """Largest |QN_COEFFS - refit| coefficient."""
+    frozen = np.array(QN_COEFFS)
+    return float(np.max(np.abs(frozen - table))) if frozen.shape == table.shape else np.inf
+
+
 def checked(name: str, worst: float, bound: float) -> bool:
     print(f"{name}: max drift vs frozen {worst:.3e}")
     if worst > bound:
@@ -249,9 +255,7 @@ def main(argv=None) -> int:
             ok &= checked(module.name, drift(module, tables), DRIFT)
     table = fit_qn()
     print("QN_COEFFS = (\n" + "".join(f"    {float(v)!r},\n" for v in table) + ")")
-    frozen = np.array(QN_COEFFS)
-    worst = float(np.max(np.abs(frozen - table))) if frozen.shape == table.shape else np.inf
-    ok &= checked("coexlink.per.QN_COEFFS", worst, QN_DRIFT)
+    ok &= checked("coexlink.per.QN_COEFFS", qn_drift(table), QN_DRIFT)
     return 0 if ok else 1
 
 

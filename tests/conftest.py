@@ -1,3 +1,7 @@
+import importlib.util
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +40,16 @@ EXTRA_SCENARIOS = {
 def scenario_named(name: str) -> CoexistenceScenario:
     """A preset or one of EXTRA_SCENARIOS."""
     return EXTRA_SCENARIOS[name] if name in EXTRA_SCENARIOS else preset_scenario(name)
+
+
+@lru_cache(maxsize=None)
+def fit_tables_script():
+    """scripts/fit_tables.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "fit_tables.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 _acceptance_lines: list[tuple[int, str, bool, str]] = []
 

@@ -37,7 +37,7 @@ from coexlink.per import (
     _ratio_sums,
 )
 from coexlink.presets import preset_names, preset_scenario
-from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
+from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, fit_tables_script, scenario_named
 from oracles import (
     closed_form_table,
     closed_form_table_kv,
@@ -993,6 +993,12 @@ def test_gumbel_overflow_raises():
     # below the Debye orders kve still overflows at a vanishing argument
     with pytest.raises(FloatRangeError, match="quadrature"):
         gumbel_gamma_success(BPSK, 1e-30, np.array([1.0, 1e30]), np.array([ELL_SWITCH + 1, 200]))
+
+
+def test_fit_qn_table_script_matches_frozen_coefficients():
+    # scripts/fit_tables.py refits QN_COEFFS by lstsq; LAPACK builds differ by ~1e-15
+    script = fit_tables_script()
+    assert script.qn_drift(script.fit_qn()) <= script.QN_DRIFT
 
 
 def test_clamp_beyond_the_slack_warns_and_clips():

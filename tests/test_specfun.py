@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, strategies as st
 from scipy import special
 
 from coexlink import specfun
-from coexlink.per import ELL_SWITCH
+from coexlink.per import ELL_SWITCH, QN_COEFFS
+from conftest import fit_tables_script
 from oracles import bessel_k_integral, gamma_lower_reg, gamma_lower_reg_quad
 
 
@@ -310,21 +312,36 @@ def test_log_gamma_matches_mpmath():
         specfun.log_gamma(np.array([1.0, 0.0]))
 
 
-def _fit_tables_script():
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "fit_tables.py"
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@lru_cache(maxsize=None)
+def _refit(name: str) -> dict:
+    module = next(m for m in fit_tables_script().MODULES if m.name == name)
+    return module.fit()
 
 
-def test_fit_tables_script_matches_frozen_tables():
-    # the script refits the erf and Bessel K tables from mpmath and QN_COEFFS
-    # by lstsq, and exits 1 when any drifts from its committed copy (2 s here)
-    assert _fit_tables_script().main([]) == 0
+@pytest.mark.parametrize("name", ["_erf_tables.py", "_bessel_k_table.py"], ids=lambda n: f"fit{n}")
+def test_fit_table_scripts_match_frozen_tables(name):
+    # each generated module's tables, refitted from mpmath, are the committed
+    # ones to 1e-15 of a piece's or table's largest coefficient
+    script = fit_tables_script()
+    module = next(m for m in script.MODULES if m.name == name)
+    assert script.drift(module, _refit(name)) <= script.DRIFT
+
+
+def test_fit_tables_script_matches_frozen_tables(monkeypatch):
+    # the script exits 0 on those refits and QN_COEFFS' own, and 1 once any
+    # one table is off its committed copy
+    script = fit_tables_script()
+    modules = tuple(m._replace(fit=partial(_refit, m.name)) for m in script.MODULES)
+    monkeypatch.setattr(script, "MODULES", modules)
+    assert script.main([]) == 0
+    for moved in modules:
+        tables = {key: value * (1.0 + 1e-12) for key, value in _refit(moved.name).items()}
+        monkeypatch.setattr(script, "MODULES", tuple(
+            m._replace(fit=lambda: tables) if m is moved else m for m in modules))
+        assert script.main([]) == 1, moved.name
+    monkeypatch.setattr(script, "MODULES", modules)
+    monkeypatch.setattr(script, "fit_qn", lambda: np.array(QN_COEFFS) + 1e-11)
+    assert script.main([]) == 1
 
 
 @pytest.mark.parametrize("name", ["_erf_tables", "_bessel_k_table"])
@@ -334,7 +351,7 @@ def test_module_writer_reproduces_the_generated_modules(name):
     import importlib
     from pathlib import Path
 
-    script = _fit_tables_script()
+    script = fit_tables_script()
     module = next(m for m in script.MODULES if m.name == f"{name}.py")
     committed = importlib.import_module(f"coexlink.{name}")
     tables = {key: np.array(value) for key, value in vars(committed).items()
