@@ -8,6 +8,11 @@ failure, 4 validation failure.
 
 from __future__ import annotations
 
+# click's parser tries every option as a long one first and, for a short
+# option such as -o, builds a NoSuchOption whose close-match hint imports
+# difflib; importing it with the CLI keeps that one-off cost out of the first
+# command a process runs, so every command of a session costs the same.
+import difflib  # noqa: F401
 import functools
 import json
 import sys

@@ -429,17 +429,23 @@ def resolve_ell_max(scenario: CoexistenceScenario, tail_cut: float) -> int:
     return top
 
 
+def _awgn_clear(modulation: Modulation, snr: float) -> tuple[float, float]:
+    """(clear_fail, log_clear): the AWGN-only bit failure ber_awgn(snr) and
+    log(1 - clear_fail), floored at _LOG_FLOOR, so a clear of 0 gives factors
+    clear^k of 0 and, at k = 0, 1.  Both routes weigh noise bits by it."""
+    clear_fail = float(ber_awgn(modulation, snr))
+    with np.errstate(divide="ignore"):
+        return clear_fail, max(float(np.log1p(-clear_fail)), _LOG_FLOOR)
+
+
 def _slot_log_weights(modulation: Modulation, snr: float, noise_bits: int | None,
                       windows: np.ndarray) -> np.ndarray | None:
     """log of the AWGN success factor clear^(noise_bits - l) of each of the
     slots ``windows`` (0 from noise_bits on), or None in the
-    interference-limited model.  log clear is floored at _LOG_FLOOR, so a
-    clear of 0 gives factors 0 and, from noise_bits on, 1."""
+    interference-limited model."""
     if noise_bits is None:
         return None
-    clear_fail = float(ber_awgn(modulation, snr))
-    log_clear = max(math.log1p(-clear_fail), _LOG_FLOOR) if clear_fail < 1.0 else _LOG_FLOOR
-    return np.maximum(noise_bits - windows, 0) * log_clear
+    return np.maximum(noise_bits - windows, 0) * _awgn_clear(modulation, snr)[1]
 
 
 # Fading average on fixed nodes in t = log(g / mean_inr), where the
@@ -495,6 +501,20 @@ _SERIES_CUT = 0.05
 _SERIES_TERMS = 12
 
 
+def _power_sums(n: int, count: int) -> list[int]:
+    """The exact sums S_p = sum_(j<n) j^p for p < count, in integers.
+
+    Summing (j + 1)^(p+1) - j^(p+1) over j < n telescopes to n^(p+1), so
+    S_p = (n^(p+1) - sum_(k<p) C(p+1, k) S_k) / (p + 1), at any n in count^2
+    integer steps.
+    """
+    sums = []
+    for p in range(count):
+        total = n ** (p + 1) - sum(math.comb(p + 1, k) * s for k, s in enumerate(sums))
+        sums.append(total // (p + 1))
+    return sums
+
+
 def _ratio_sums(rho: np.ndarray, one_minus_y: np.ndarray,
                 n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sum_{j<n} y^j, sum_{j<n} j*y^j, y^n) with y = e^rho, rho <= 0, elementwise.
@@ -515,8 +535,7 @@ def _ratio_sums(rho: np.ndarray, one_minus_y: np.ndarray,
         s1 -= (n - 1) * y_n
         s1 /= one_minus_y
     if np.any(small):
-        j = np.arange(n, dtype=float)
-        powers = [math.fsum((j**p).tolist()) for p in range(_SERIES_TERMS + 2)]
+        powers = [float(power) for power in _power_sums(n, _SERIES_TERMS + 2)]
         r = rho[small]
         s0[small] = n
         s1[small] = powers[1]
@@ -558,10 +577,9 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
     PER is bitwise that of summing every node.
     """
     skip, fail = _failing_band(modulation, snr, mean_inr)
-    clear_fail = float(ber_awgn(modulation, snr))
+    clear_fail, log_clear = _awgn_clear(modulation, snr)
     with np.errstate(divide="ignore"):
         log_q = np.maximum(np.log1p(-fail), _LOG_FLOOR)
-        log_clear = max(float(np.log1p(-clear_fail)), _LOG_FLOOR)
     n_bits = noise_bits or 0
     split = min(n_bits, ell_max)
     starts = tail.starts[tail.starts < ell_max]
@@ -688,6 +706,12 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
     the packet bit count, adds AWGN-only errors on the non-colliding bits.
     Each of ``methods`` is a `PerMethod` or its value.  The collision-time
     tail does not depend on the INR and is built once.
+
+    Without ``noise_bits`` both routes read ``snr`` and the mean INRs only
+    through their ratio, the SIR: scaling both by a power of 4 leaves every
+    value bitwise unchanged (a factor that rounds, such as 100, can move the
+    last bit).  ``noise_bits`` breaks this, since the AWGN errors on the
+    non-colliding bits depend on the SNR alone.
     """
     methods = [PerMethod(method) for method in methods]
     if not methods:

@@ -23,8 +23,8 @@ half-integer order up to a count.
     and arguments 1e-3 to 1e3, log K stays within 1e-12 absolute, and
     within 1e-15 of max(1, |log K|) below order 12.
   * The scaled half-integer orders run the same recurrence from log K's
-    seeds at order 0 (K_0 and K_1) and from the elementary K_(1/2) and
-    K_(3/2).
+    seeds at order 0 (K_0 and K_1, by the same route, with no order-0 data
+    formed at import) and from the elementary K_(1/2) and K_(3/2).
 
 Every kernel is elementwise: a value does not depend on the other values of
 the call.  The independent routes that cross-check these functions live in
@@ -104,24 +104,19 @@ Q_ZERO = math.sqrt(2.0 * _T2_ZERO)
 def gaussian_q(x):
     """Gaussian tail probability Q(x) = Pr{N(0,1) > x} = erfc(x / sqrt(2)) / 2.
 
-    Accepts scalars or arrays; defined for all real x.  Exactly 0.0 past
-    Q_ZERO, where e^(-x^2/2) underflows; only the other values are evaluated.
+    Accepts scalars or arrays; defined for all real x.  Evaluated at |x|,
+    and 1 - Q(|x|) for negative x.  Exactly 0.0 past Q_ZERO, where
+    e^(-x^2/2) underflows; only the other values are evaluated.
     """
     x = np.asarray(x, dtype=float)
     t = x * _SQRT_HALF
     negative = t < 0.0
-    if negative.any():
-        t = np.abs(t)
+    t = np.abs(t)
     t2 = t * t
     live = ~(t2 >= _T2_ZERO)  # NaN stays live, so it propagates
-    if live.all():
-        q = _erfc_scaled(t)
-        q *= np.exp(-t2)
-    else:
-        q = np.zeros(x.shape)
-        q[live] = _erfc_scaled(t[live]) * np.exp(-t2[live])
-    if negative.any():
-        q = np.where(negative, 1.0 - q, q)
+    q = np.zeros(x.shape)
+    q[live] = _erfc_scaled(t[live]) * np.exp(-t2[live])
+    q = np.where(negative, 1.0 - q, q)
     return q if x.ndim else q[()]
 
 
@@ -346,18 +341,12 @@ def _temme_columns(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return series[::-1], scalars
 
 
-def _temme(columns: tuple[np.ndarray, np.ndarray], slot, x: np.ndarray):
+def _temme(columns: tuple[np.ndarray, np.ndarray], slot: np.ndarray, x: np.ndarray):
     """(K_mu(x), K_(mu+1)(x)) at 0 < x <= _BK_X_MIN, the order of each point
-    column ``slot`` of `_temme_columns`, or its one column when ``slot`` is
-    None (NR 6.7, `bessik`)."""
+    column ``slot`` of `_temme_columns` (NR 6.7, `bessik`)."""
     series, scalars = columns
-    if slot is None:
-        series = series.reshape(series.shape[:2] + (1,) * x.ndim)
-        scalars = scalars.reshape(scalars.shape[:1] + (1,) * x.ndim)
-    else:
-        series = (power.take(slot, axis=1) for power in series)
-        scalars = scalars.take(slot, axis=1)
-    mu, fact_g1, fact_g2, half_gampl, half_gammi = scalars
+    series = (power.take(slot, axis=1) for power in series)
+    mu, fact_g1, fact_g2, half_gampl, half_gammi = scalars.take(slot, axis=1)
     log_2_x = np.log(2.0 / x)
     e = mu * log_2_x
     sinh_ratio = np.divide(np.sinh(e), e, out=np.ones_like(e), where=e != 0.0)
@@ -367,7 +356,6 @@ def _temme(columns: tuple[np.ndarray, np.ndarray], slot, x: np.ndarray):
     p0 = half_gampl * exp_e
     q0 = half_gammi / exp_e
     d = 0.25 * x * x
-    series = iter(series)
     acc = next(series) * d
     acc += next(series)
     for power in series:
@@ -379,37 +367,23 @@ def _temme(columns: tuple[np.ndarray, np.ndarray], slot, x: np.ndarray):
     return k_mu, k_mu1
 
 
-def _k_mu_pair(seeds: tuple, slot: np.ndarray, x: np.ndarray):
-    """K_mu(x) and K_(mu+1)(x) for the 1-d orders mu at each point, whose
-    order is mu[slot].  ``seeds`` is (mu, table data, Temme data), the data
-    of the two routes as `_table_columns` and `_temme_columns` give them, or
-    None to form them here from mu, only for a route some point takes.  A
-    single order's data broadcast against the points, with no gather, and
-    its ``slot`` may be None.
+def _k_mu_pair(mu: np.ndarray, slot: np.ndarray, x: np.ndarray):
+    """K_mu(x) and K_(mu+1)(x) for the 1-d orders ``mu`` at each point, whose
+    order is mu[slot].  A route forms its data of the orders
+    (`_table_columns`, `_temme_columns`) only if some point takes it.
     Points past _BK_X_MIN (the mask returned third) carry the factor
     sqrt(x) e^x."""
-    mu, table_columns, temme_columns = seeds
-    one = mu.size == 1
     table = x > _BK_X_MIN
-    some, every = table.any(), table.all()
+    near = ~table
     k_mu, k_mu1 = np.empty(x.shape), np.empty(x.shape)
-    if some:
-        at = ... if every else table
-        xt = x[at]
-        if one:  # tables 0 and 1, broadcast against the points
-            rows = np.arange(2).reshape((2,) + (1,) * xt.ndim)
-        else:
-            rows = np.stack([slot[at], slot[at] + mu.size])
-        if table_columns is None:
-            table_columns = _table_columns(mu)
-        log_g = _horner_pieces(table_columns, _BK_PIECES, (2.0 / xt) * (_BK_PIECES / 2.0), rows)
+    if table.any():
+        rows = np.stack([slot[table], slot[table] + mu.size])
+        log_g = _horner_pieces(_table_columns(mu), _BK_PIECES,
+                               (2.0 / x[table]) * (_BK_PIECES / 2.0), rows)
         np.exp(log_g, out=log_g)
-        k_mu[at], k_mu1[at] = log_g
-    if not every:
-        at = ~table if some else ...
-        if temme_columns is None:
-            temme_columns = _temme_columns(mu)
-        k_mu[at], k_mu1[at] = _temme(temme_columns, None if one else slot[at], x[at])
+        k_mu[table], k_mu1[table] = log_g
+    if near.any():
+        k_mu[near], k_mu1[near] = _temme(_temme_columns(mu), slot[near], x[near])
     return k_mu, k_mu1, table
 
 
@@ -437,7 +411,7 @@ def _log_bessel_k_low(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     # higher[k - 2] holds K_(mu+k) for k = 2 up to the highest order; an
     # order whose K exceeds the float range at a vanishing x gives inf
     with np.errstate(over="ignore", invalid="ignore"):
-        k_mu, k_mu1, table = _k_mu_pair((orders - np.rint(orders), None, None), slot, xb)
+        k_mu, k_mu1, table = _k_mu_pair(orders - np.rint(orders), slot, xb)
         higher = np.empty((max(int(steps.max()) - 1, 0),) + shape)
         _recur_up(nu - steps, xb, k_mu, k_mu1, higher)
         out = np.where(steps == 0.0, k_mu, k_mu1) if steps.min() == 0.0 else k_mu1
@@ -480,16 +454,12 @@ def log_bessel_k(nu, x, work=None):
     return out
 
 
-# the seeds of scaled_bessel_k_half_orders, K_0 and K_1: order 0 and its
-# data on both routes, formed once
-_ORDER_0 = (np.zeros(1), list(_table_columns(np.zeros(1))), _temme_columns(np.zeros(1)))
-
-
 def scaled_bessel_k_half_orders(x, count: int) -> np.ndarray:
     """e^x K_(m/2)(x) for m = 0..count-1 on a new first axis, for x > 0.
 
-    K_0 and K_1 come from Temme's series or the Chebyshev table, as
-    `log_bessel_k`'s seeds do; K_(1/2) = sqrt(pi / 2x) e^-x and
+    K_0 and K_1 are `log_bessel_k`'s seeds at order 0, from Temme's series
+    or the Chebyshev table by the same route, whose order-0 data each call
+    forms (none at import); K_(1/2) = sqrt(pi / 2x) e^-x and
     K_(3/2) = K_(1/2) (1 + 1/x) are elementary.  Both pairs go up together by
     `log_bessel_k`'s upward recurrence.
 
@@ -502,7 +472,7 @@ def scaled_bessel_k_half_orders(x, count: int) -> np.ndarray:
     pairs = max(-(-count // 2), 2)
     # out[k, p] holds order k + p/2
     out = np.empty((pairs, 2) + x.shape)
-    k0, k1, table = _k_mu_pair(_ORDER_0, None, x)
+    k0, k1, table = _k_mu_pair(np.zeros(1), np.zeros(x.shape, dtype=np.intp), x)
     # table points carry sqrt(x) e^x, Temme points (x <= 1) no factor
     scale = np.where(table, 1.0 / np.sqrt(x), np.exp(np.minimum(x, _BK_X_MIN)))
     out[0, 0], out[1, 0] = k0 * scale, k1 * scale

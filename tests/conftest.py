@@ -4,9 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coexlink.dist import CoexistenceScenario, ConstantOnTime, ExponentialIdle, ExponentialOnTime
 from coexlink.presets import IDLE_MIXTURES, exponential_scenario, preset_scenario
+
+# The property tests draw the same examples on every run (each test keeps its
+# own max_examples) and write no example database into the checkout.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # Seed shared by the statistical tests.  KS/chi-square/3-sigma checks are
 # exact-tolerance assertions on a fixed stream, so any seed that is not a

@@ -510,3 +510,17 @@ def test_commands_load_no_scipy(tmp_path, argv):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_first_command_imports_no_module(tmp_path):
+    # click imports difflib when it parses the first short option (-o); the
+    # CLI imports it up front, so a process's first command costs what the
+    # next ones do
+    argv = ["ctd", "--preset", "alpha_lt_0.1", "-o", str(tmp_path / "out.csv")]
+    probe = ("import sys; from coexlink.cli import main; before = set(sys.modules); "
+             f"main.main({argv!r}, standalone_mode=False); "
+             "print(sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -37,6 +38,7 @@ from coexlink.per import (
     _ratio_sums,
 )
 from coexlink.presets import preset_names, preset_scenario
+from coexlink.scenario import JobParams, db_to_ratio
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, fit_tables_script, scenario_named
 from oracles import (
     closed_form_table,
@@ -749,20 +751,53 @@ def test_quadrature_extreme_links_match_horner_oracle(per_setup, modulation, snr
     assert per == pytest.approx(float(oracle[0]), abs=1e-12)
 
 
+def _ratio_sums_mp(rho: float, n: int) -> tuple[float, float]:
+    """(sum_(j<n) y^j, sum_(j<n) j y^j), y = e^rho, by their closed forms in
+    50-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        if rho == 0.0:
+            return float(n), float(mpmath.mpf(n) * (n - 1) / 2)
+        y = mpmath.exp(mpmath.mpf(rho))
+        s0 = (1 - y**n) / (1 - y)
+        s1 = y * (1 - n * y ** (n - 1) + (n - 1) * y**n) / (1 - y) ** 2
+        return float(s0), float(s1)
+
+
 @pytest.mark.parametrize("rho", [0.0, -1e-12, -1e-7, -1e-6, -1e-4, -0.002, -0.5, -30.0, -1000.0])
-@pytest.mark.parametrize("n", [1, 2, 93, 94, 1000, 300_000])
+@pytest.mark.parametrize("n", [1, 2, 93, 94, 1000, 300_000, 5_000_000])
 def test_ratio_sums_against_direct_sums(rho, n):
     # the closed forms near y = 1 (n*|rho| above the series cut, e.g.
     # rho = -1e-6 at n = 3e5) need 1 - y and 1 - y^n from expm1
     # s1 meets the head term of a run through slope <= head/(n-1), so an
     # error below eps*n*s0 is round-off of the run's sum
-    terms = np.exp(rho * np.arange(n))
     s0, s1, y_n = _ratio_sums(np.array([rho]), -np.expm1(np.array([rho])), n)
-    exact_s0 = math.fsum(terms.tolist())
-    assert s0[0] == pytest.approx(exact_s0, rel=1e-13)
-    assert s1[0] == pytest.approx(math.fsum((terms * np.arange(n)).tolist()),
-                                  rel=1e-13, abs=1e-15 * n * exact_s0)
+    exact = [_ratio_sums_mp(rho, n)]
+    if n <= 300_000:
+        terms = np.exp(rho * np.arange(n))
+        exact.append((math.fsum(terms.tolist()), math.fsum((terms * np.arange(n)).tolist())))
+    for exact_s0, exact_s1 in exact:
+        assert s0[0] == pytest.approx(exact_s0, rel=1e-13)
+        assert s1[0] == pytest.approx(exact_s1, rel=1e-13, abs=1e-15 * n * exact_s0)
     assert y_n[0] == pytest.approx(math.exp(rho * n), rel=1e-13, abs=1e-300)
+
+
+def test_quadrature_sweep_with_short_busy_periods_at_10_ps_bits():
+    # 50 us busy periods at 10 ps bits are 5e6 slots per run, which take
+    # the series branch of `_ratio_sums` at the deepest fades; its power
+    # sums must not cost one float per slot (38 s for this sweep)
+    base = preset_scenario("alpha_ge_0.5")
+    scenario = CoexistenceScenario(ConstantOnTime(50e-6), base.idle, base.packet_rate,
+                                   bit_time=10e-12)
+    inr = 10.0 ** (np.arange(-10.0, 30.01, 2.5) / 10.0)
+    start = time.perf_counter()
+    curve = per_curve(scenario, BPSK, 10.0, inr, [QUAD])
+    elapsed = time.perf_counter() - start
+    per = curve.values["quadrature"]
+    assert curve.ell_max > 2e8
+    assert elapsed < 2.0
+    assert np.all((per > 0.0) & (per < 1.0)) and np.all(np.diff(per) > 0.0)
 
 
 @pytest.mark.parametrize("name", PIECE_SCENARIOS)
@@ -1018,3 +1053,49 @@ def test_clamp_within_the_slack_is_silent():
         warnings.simplefilter("error")
         clamped = _clamped(values, "closed-form failure probabilities", stacklevel=1)
     assert clamped.tolist() == [0.0, 0.0, 0.25, 1.0, 1.0]
+
+
+# The CLI's default sweep: SNR 10 dB, mean INR -10..30 dB in 2.5 dB steps.
+CLI_JOB = JobParams()
+CLI_SNR = db_to_ratio(CLI_JOB.snr_db, "job.snr_db")
+CLI_INR = 10.0 ** (CLI_JOB.inr_grid_db() / 10.0)
+
+
+@pytest.mark.parametrize("name", ALL_PRESET_NAMES)
+@pytest.mark.parametrize("scale", [4.0**-5, 4.0, 4.0**10])
+def test_per_reads_snr_and_inr_through_their_ratio(name, scale):
+    # Without noise bits, SNR and mean INR scaled by one power of 4 give the
+    # same PER bitwise on both routes: every float ratio and product scales
+    # exactly, as do the closed form's powers (r base INR)^delta and
+    # base^(1 - 2 delta) with delta in quarters.  AWGN errors on the
+    # non-colliding bits depend on the SNR alone, so noise bits break it.
+    scenario = preset_scenario(name)
+    methods = [QUAD, HYBRID]
+    for noise_bits in (None, 496):
+        base = per_curve(scenario, BPSK, CLI_SNR, CLI_INR, methods, noise_bits=noise_bits)
+        scaled = per_curve(scenario, BPSK, scale * CLI_SNR, scale * CLI_INR, methods,
+                           noise_bits=noise_bits)
+        for method in methods:
+            same = np.array_equal(base.values[method.value], scaled.values[method.value])
+            assert same == (noise_bits is None), (method, noise_bits)
+
+
+@pytest.mark.parametrize("method", [QUAD, HYBRID])
+def test_success_prob_reads_snr_and_inr_through_their_ratio(method):
+    for inr in CLI_INR:
+        for bits in (1, 16, 128, 2000):
+            assert success_prob(BPSK, CLI_SNR, inr, bits, method) == success_prob(
+                BPSK, 4.0 * CLI_SNR, 4.0 * inr, bits, method)
+
+
+@pytest.mark.parametrize("modulation,snr", [(BPSK, 10.0**0.25), (Modulation(0.5, 1.0), 10.0)])
+def test_both_routes_weigh_noise_bits_by_one_awgn_factor(modulation, snr):
+    # the hybrid's slot weights take the quadrature's log clear, on
+    # np.log1p; at these links math.log1p of -ber rounds to the next float
+    # (glibc), so weights from it would differ in the last bit
+    clear_fail = float(ber_awgn(modulation, snr))
+    log_clear = float(np.log1p(-clear_fail))
+    windows = np.arange(0, 600, 7)
+    weights = per_module._slot_log_weights(modulation, snr, 496, windows)
+    assert np.array_equal(weights, np.maximum(496 - windows, 0) * log_clear)
+    assert per_module._awgn_clear(modulation, snr) == (clear_fail, log_clear)
