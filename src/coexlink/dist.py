@@ -201,7 +201,10 @@ def _phase_sample(rng: np.random.Generator, means: np.ndarray, cdf: np.ndarray, 
     uniform, and every draw comes out the same float.
     """
     u = rng.random(size)
-    phase = sum(u >= c for c in cdf[:-1].tolist())
+    phase = np.zeros(size, dtype=np.min_scalar_type(cdf.size - 1))
+    for c in cdf[:-1].tolist():
+        phase += u >= c
+    del u
     draws = rng.standard_exponential(size)
     draws *= means.take(phase)
     return draws

@@ -105,10 +105,10 @@ MAX_INR_POINTS = 1001
 # 110 MiB: 250,000 points peaked at 145 MiB RSS, imports included.
 MAX_GRID_POINTS = 250_000
 
-# Most Monte Carlo trials a `validate` run may walk.  A run keeps about 35
-# bytes per trial at its peak: `validate` on alpha_ge_0.5 peaked at 64.5 MiB
-# RSS with 200k trials and 125.1 MiB with 2M, imports included, so this
-# bounds it near 390 MiB.
+# Most Monte Carlo trials a `validate` run may walk.  A run keeps about 20
+# bytes per trial at its peak: `validate` on alpha_ge_0.5 peaked at 45.5 MiB
+# RSS with 200k trials, 78.8 MiB with 2M and 231.9 MiB with 10M, imports
+# included, so this bounds it near 230 MiB.
 MAX_TRIALS = 10_000_000
 
 

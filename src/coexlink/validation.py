@@ -149,11 +149,16 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
     A run in which no trial starts idle, or none starts busy, is a ValueError.
 
     The stages run one after another and hold only their own arrays.  The
-    collision walk holds its chunks and then the joined batch; the three KS
-    passes hold that batch, the three sorted samples and one block of probes
-    at a time (`simcore.KS_BLOCK`), and all of it is released when they are
-    done.  Each renewal-count walk then holds one chunk's windows and its
-    histogram.
+    collision walk fills the batch, 9 bytes per trial, one chunk at a time
+    (`simcore.run_trials`).  The two conditional samples are copied out of it
+    and sorted in place, 8 bytes per trial, and checked; once they are freed
+    the batch's own collision times are sorted in place as the joint sample.
+    Each KS pass adds a mask and the bounds of its sample's uniques, up to
+    9 bytes per value, and one block of probes at a time
+    (`simcore.KS_BLOCK`).  So the walk's chunk sets the traced peak at 200k
+    trials, 6.4-7.4 MiB, and the KS passes set it from 1M trials on, 18-22
+    bytes per trial.  All of it is released before each renewal-count walk,
+    which holds one chunk's windows and its histogram.
 
     Both renewal-count conventions walk ``seed + 1``, so the equilibrium and
     ordinary counts come from the same packet windows and their chi-squares
@@ -171,16 +176,19 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
                 f"{activity_factor(scenario):.6g} in {trials} trials, so its conditional "
                 "CDF cannot be checked; raise --trials"
             )
-    joint = simcore.EmpiricalCdf.from_samples(batch.collision_time)
     off_cdf, on_cdf = simcore.split_by_start(batch)
-
+    ks_off = off_cdf.ks_distance(lambda x: ctd_off_start(scenario, x))
+    ks_on = on_cdf.ks_distance(lambda x: ctd_on_start(scenario, x))
+    del off_cdf, on_cdf
+    # The batch is this run's own, so its collision times become the joint
+    # sample, sorted in place.
+    joint = simcore.EmpiricalCdf.sorted_in_place(batch.collision_time)
+    del batch
     if mixture_cdf is None:
         mixture_cdf = lambda x: ctd_mixture(scenario, x)  # noqa: E731
     ks_joint = joint.ks_distance(mixture_cdf)
-    ks_off = off_cdf.ks_distance(lambda x: ctd_off_start(scenario, x))
-    ks_on = on_cdf.ks_distance(lambda x: ctd_on_start(scenario, x))
     # Nothing below reads the walk: free it before the count walks allocate.
-    del batch, joint, off_cdf, on_cdf
+    del joint
 
     widen = math.sqrt(max(REFERENCE_TRIALS / trials, 1.0))
     ks_joint_limit = KS_JOINT * widen

@@ -245,6 +245,17 @@ class TestValidateCommand:
         assert result.exit_code == cli.EXIT_CONFIG
         assert "config error: seed must be an integer >= 0, got -1" in result.output
 
+    def test_nan_reference_cdf_is_a_numerical_failure(self, runner, monkeypatch):
+        # a NaN conditional CDF once read as KS 0.0 and the run passed
+        from coexlink import validation
+
+        monkeypatch.setattr(validation, "ctd_off_start",
+                            lambda scenario, x: np.full(np.shape(x), np.nan))
+        result = runner.invoke(cli.main, ["validate", "--preset", "exp_alpha_0.1575",
+                                          "--trials", "10000"])
+        assert result.exit_code == cli.EXIT_NUMERIC, result.output
+        assert "numerical failure: reference CDF is NaN or infinite" in result.output
+
     def test_failure_exit_code(self, runner, scenario_file, monkeypatch):
         failing = ValidationReport(
             alpha=0.1, trials=20000, seed=1, ks_joint=0.5, ks_off=0.5, ks_on=0.5,

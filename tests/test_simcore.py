@@ -13,6 +13,7 @@ from coexlink.simcore import (
     KS_BLOCK,
     EmpiricalCdf,
     McConfig,
+    TrialBatch,
     _count_chunk,
     _walk_chunk,
     empirical_renewal_counts,
@@ -78,6 +79,33 @@ class TestEmpiricalCdf:
         d = cdf.ks_distance(lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
         assert d < 0.02  # 5% KS point at n=1e4 is ~0.0136
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            EmpiricalCdf.from_samples([0.5, bad, 0.0])
+
+    @pytest.mark.parametrize("nan_share", [1.0, 0.5, 1e-4])
+    def test_nan_reference_is_a_numerical_failure(self, rng, nan_share):
+        # max() passes a NaN over, so a reference that is NaN on all, half or
+        # a few of the probes once gave KS 0.0; the sample spans three blocks
+        ecdf = EmpiricalCdf.from_samples(rng.random(3 * KS_BLOCK))
+        assert ecdf.samples[-1] > 1.0 - nan_share
+
+        def partly_nan(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 1.0 - nan_share, np.nan, np.clip(x, 0.0, 1.0))
+
+        with pytest.raises(FloatingPointError, match="reference CDF is NaN or infinite"):
+            ecdf.ks_distance(partly_nan)
+
+    def test_from_samples_leaves_its_input_as_it_was(self, rng):
+        values = rng.random(1000)
+        kept = values.copy()
+        ecdf = EmpiricalCdf.from_samples(values)
+        assert np.array_equal(values, kept)
+        assert not np.shares_memory(ecdf.samples, values)
+        assert np.array_equal(ecdf.samples, np.sort(kept))
+
 
 class TestEngine:
     def test_deterministic_for_seed(self, scenario_exp_0p1575):
@@ -124,6 +152,23 @@ class TestEngine:
         off, on = split_by_start(batch)
         assert off.samples.size + on.samples.size == batch.collision_time.size
         assert np.all(on.samples > 0.0)
+
+    def test_split_by_start_leaves_the_batch_as_it_was(self, scenario_exp_0p1575):
+        # the conditional samples are sorted in place, on copies of their own
+        batch = run_trials(scenario_exp_0p1575, McConfig(trials=20_000, seed=7))
+        initial_on, collision = batch.initial_on.copy(), batch.collision_time.copy()
+        off, on = split_by_start(batch)
+        assert np.array_equal(batch.initial_on, initial_on)
+        assert np.array_equal(batch.collision_time, collision)
+        assert np.array_equal(off.samples, np.sort(collision[~initial_on]))
+        assert np.array_equal(on.samples, np.sort(collision[initial_on]))
+
+    def test_run_trials_owns_its_arrays(self, scenario_exp_0p1575):
+        # so the validator may sort the collision times in place
+        batch = run_trials(scenario_exp_0p1575, McConfig(trials=2 * CHUNK + 5, seed=7))
+        for array in (batch.initial_on, batch.collision_time):
+            assert array.flags.owndata and array.flags.writeable and array.size == 2 * CHUNK + 5
+        assert not np.shares_memory(batch.initial_on, batch.collision_time)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -250,7 +295,8 @@ class TestAgainstGatherOracle:
         scenario = scenario_named(name)
         for n in ORACLE_SIZES:
             rng, rng_oracle = _twin_streams(SUITE_SEED + n)
-            batch = _walk_chunk(scenario, rng, n)
+            batch = TrialBatch(np.empty(n, dtype=bool), np.empty(n))
+            _walk_chunk(scenario, rng, batch)
             oracle = walk_chunk_gather(with_choice_sampler(scenario), rng_oracle, n)
             for field in ("initial_on", "collision_time"):
                 got, want = getattr(batch, field), getattr(oracle, field)
