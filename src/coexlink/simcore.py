@@ -205,9 +205,11 @@ def run_trials(scenario: CoexistenceScenario, config: McConfig) -> TrialBatch:
 
     The batch owns its two arrays, 9 bytes per trial, and each chunk walks
     into its own slice of them.  Beside the batch, a 131,072-trial chunk
-    peaks at 4.7-5.0 MiB traced on the seven benchmarked laws, at its first
-    step: 36 bytes a trial for the packet lengths and each live trial's id,
-    time left, busy time and period.
+    peaks at 4.7-5.4 MiB traced on the seven benchmarked laws, at its first
+    step: 38-44 bytes a trial for the packet lengths, each live trial's id,
+    time left, busy time and period, and the intp copy of the ids that each
+    scatter into the batch makes.  The int32 ids cost that copy yet keep the
+    peak 0.6-0.8 MiB below intp ids.
     """
     batch = TrialBatch(np.empty(config.trials, dtype=bool), np.empty(config.trials))
     start = 0
@@ -227,9 +229,8 @@ def split_by_start(batch: TrialBatch) -> tuple[EmpiricalCdf, EmpiricalCdf]:
 def _count_chunk(scenario, rng, n: int, offset: float, equilibrium: bool) -> np.ndarray:
     """Histogram of the completed idle gaps of one chunk's trials."""
     window = rng.exponential(scenario.packet_mean, n)
-    if offset:
-        window -= offset
-        np.maximum(window, 0.0, out=window)
+    window -= offset
+    np.maximum(window, 0.0, out=window)
     idle = scenario.idle
     elapsed = idle.residual_sample(rng, n) if equilibrium else idle.sample(rng, n)
     live = np.flatnonzero(elapsed <= window)
