@@ -5,7 +5,7 @@
   * src/coexlink/_bessel_k_table.py: Chebyshev series of log(sqrt(x) e^x
     K_nu(x)) in nu^2 and 2 / x - 1, and of Temme's Gamma_1 and Gamma_2
     (Temme 1975, J. Comput. Phys. 19), node values at 20 digits, sums at 30;
-  * coexlink.per.QN_COEFFS: Q(x) ~ exp(-x^2/2) p(x), p of degree 7 with
+  * `coexlink.per.QN_COEFFS`: Q(x) ~ exp(-x^2/2) p(x), p of degree 7 with
     p(0) = Q(0) = 0.5, by least squares on Q(x) e^(x^2/2) weighted by
     exp(-x^2/2) over [0, 6] (past 6, erfc round-off would steer the fit).
 

@@ -24,12 +24,18 @@ off the same tail (`resolve_ell_max`): the first slot whose tail is at most
 tail_cut, so the reported tail mass never exceeds the cut.
 `per_curve` is the one PER front; one INR is a one-point sweep.  A sweep's
 memory does not grow with ell_max: beyond the tail's runs it holds a few
-INR x band-node and INR x HYBRID_BLOCK arrays and one float per INR and
-block of the hybrid, since the hybrid sums its slots HYBRID_BLOCK windows at
-a time (`_per_hybrid`, whose Gumbel part computes in arrays allocated once
-per sweep) and the quadrature's final fading sum goes row by row.  The
-hybrid's time still grows with ell_max, one Bessel K per window and INR
-(about 3 us per window at 17 INRs; README has the measurements).
+INR x node and INR x HYBRID_BLOCK arrays and one float per INR, since the
+hybrid sums its slots HYBRID_BLOCK windows at a time into one running sum
+per INR (`_per_hybrid`, whose Gumbel part computes in arrays allocated once
+per sweep).  The hybrid's time still grows with ell_max, one Bessel K per
+window and INR (about 3 us per window at 17 INRs; README has the
+measurements).
+
+Precision contract: every sum of nonnegative terms (the fading average on
+the nodes, the hybrid's slot sum) is one numpy reduction, a pairwise sum,
+within 5.0e-16 relative (4 ulps) of the correctly rounded sum on the
+presets; the tests hold it to 1e-15.  Only the closed form's
+fit-polynomial and binomial terms, which cancel, are summed by math.fsum.
 
 Two routes evaluate success(l) (`PerMethod`); `success_prob` reads one
 window by either:
@@ -37,12 +43,11 @@ window by either:
     t = log g with step 0.05 over [log mean_inr - 40, log mean_inr + log 45]
     (877 nodes).  On the first nodes (deep fades) no bit can fail at any
     INR: Q underflows to 0, on 577 of them at snr 10 dB and INR -10..30 dB.
-    One rule (`_failing_band`) gives both fronts the nodes they sum: the
-    failing band, where some INR's bit can fail, and the all-zero node
-    before it, with Q evaluated from about where the largest INR's argument
-    drops below specfun.Q_ZERO.  The nodes before them contribute what
-    q = 1 gives, bitwise as if every node were summed.  A single
-    window sums q(g)^bits over the nodes; for the PER the slot sum is
+    The PER works on the failing band, where some INR's bit can fail, and
+    the all-zero node before it (`_failing_band`); in the final fading sum
+    that node's value repeats over the skipped nodes, so the PER is bitwise
+    that of working on every node.  A single window sums q(g)^bits over
+    every node; for the PER the slot sum is
     taken first and summed by parts against the collision-time tail, which
     is geometric times linear within each busy period (`ctd.slot_tail`), so
     each node costs one geometric and one arithmetic-geometric sum per busy
@@ -100,7 +105,7 @@ import numpy as np
 
 from .ctd import SlotTail, slot_tail
 from .dist import CoexistenceScenario
-from .specfun import (DEBYE_MIN_ORDER, Q_ZERO, erf_inv, gaussian_q, log_bessel_k, log_gamma,
+from .specfun import (DEBYE_MIN_ORDER, erf_inv, gaussian_q, log_bessel_k, log_gamma,
                       scaled_bessel_k_half_orders)
 
 # Coefficients of the Q-function fit Q(x) ~ exp(-x^2/2) * sum_j b_j x^j on
@@ -125,10 +130,10 @@ QN_COEFFS = (
 ELL_SWITCH = 8
 
 # Windows per block of the hybrid PER's slot sum (`_per_hybrid`).  Its
-# arrays are INR x block, so a sweep holds 1024 * 8 bytes per INR and array
-# (136 KiB at 17 INRs) however many slots it spans, while each block's fixed
-# cost (one `_failure_table` call, ~0.3 ms) stays small next to its INR x
-# 1024 Bessel K evaluations.
+# arrays are INR x block and its sum one float per INR, so a sweep holds
+# 1024 * 8 bytes per INR and array (136 KiB at 17 INRs) however many slots
+# it spans, while each block's fixed cost (one `_failure_table` call,
+# ~0.3 ms) stays small next to its INR x 1024 Bessel K evaluations.
 HYBRID_BLOCK = 1024
 
 # Gumbel mean offset used by the moment match (Euler-Mascheroni, 4 places).
@@ -387,12 +392,8 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     if bits == 0:
         return 1.0
     if method is PerMethod.QUADRATURE:
-        # q = 1 exactly up to the failing band: the nodes before skip add
-        # their weights, and skip's own term 1.0**bits * w is w.
-        skip, fail = _failing_band(modulation, snr, np.array([mean_inr]))
-        q = 1.0 - fail[0]
-        terms = _FADE_WEIGHTS[:skip].tolist() + (q**bits * _FADE_WEIGHTS[skip:]).tolist()
-        return min(max(math.fsum(terms), 0.0), 1.0)
+        q = 1.0 - _bit_failure(modulation, snr, np.array([mean_inr]))[0]
+        return min(max(float((q**bits * _FADE_WEIGHTS).sum()), 0.0), 1.0)
     return 1.0 - float(_failure_table(modulation, snr, np.array([mean_inr]),
                                       np.array([bits]))[0, 0])
 
@@ -459,36 +460,32 @@ _FADE_WEIGHTS[[0, -1]] *= 0.5
 _FADE_ROOT = np.exp(-0.5 * _FADE_T)
 
 
-def _bit_failure(modulation: Modulation, snr: float, mean_inr: np.ndarray,
-                 first: int = 0) -> np.ndarray:
-    """Per-bit failure coeff * Q(sqrt(gain * snr / g)) on the fading nodes
-    from ``first`` on, shape (mean_inr.size, nodes - first)."""
-    x = np.sqrt(modulation.gain * snr / mean_inr)[:, None] * _FADE_ROOT[first:]
+def _bit_failure(modulation: Modulation, snr: float, mean_inr: np.ndarray) -> np.ndarray:
+    """Per-bit failure coeff * Q(sqrt(gain * snr / g)) on the fading nodes,
+    shape (mean_inr.size, nodes)."""
+    x = np.sqrt(modulation.gain * snr / mean_inr)[:, None] * _FADE_ROOT
     return modulation.coeff * gaussian_q(x)
 
 
 def _failing_band(modulation: Modulation, snr: float,
                   mean_inr: np.ndarray) -> tuple[int, np.ndarray]:
-    """(skip, fail): the first fading node the quadrature sums and the
-    per-bit failure on the nodes from it on, shape (mean_inr.size, nodes - skip).
+    """(skip, fail): the first fading node the PER quadrature works on and
+    the per-bit failure on the nodes from it on, shape (mean_inr.size,
+    nodes - skip).
 
     The failure rises along the nodes (its argument falls with t), so the
     nodes where some INR row's failure is nonzero form one suffix, the
-    failing band; before it every row's failure is exactly 0.0.  Q is
-    evaluated from the node before the largest mean INR's argument (the
-    smallest at every node) drops to specfun.Q_ZERO, past which Q is exactly
-    0.0; the band starts at most a node or two later.  ``skip`` is the
-    all-zero node just before the band: node 0 if the band starts there (at
-    snr 0 it does), the last node if no node fails.  No bit fails at
-    ``skip`` or before it, so each of those nodes has q = 1.
+    failing band; before it Q underflows and every row's failure is exactly
+    0.0 (`specfun.gaussian_q` returns it there without evaluating the node).
+    ``skip`` is the all-zero node just before the band: node 0 if the band
+    starts there (at snr 0 it does), the last node if no node fails.  No bit
+    fails at ``skip`` or before it, so each of those nodes has q = 1.
     """
-    x = math.sqrt(modulation.gain * snr / float(np.max(mean_inr))) * _FADE_ROOT
-    first = max(int(np.count_nonzero(x > Q_ZERO)) - 1, 0)
-    fail = _bit_failure(modulation, snr, mean_inr, first)
+    fail = _bit_failure(modulation, snr, mean_inr)
     failing = fail.any(axis=0)
     band = int(np.argmax(failing)) if failing.any() else failing.size
-    skip = max(first + band - 1, 0)
-    return skip, fail[:, skip - first:]
+    skip = max(band - 1, 0)
+    return skip, fail[:, skip:]
 
 
 # Floor of log q and log clear: exp of anything below it is 0.0, and it keeps
@@ -570,11 +567,11 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
     from whichever end its terms are largest at.  G_L is the ignored tail,
     which counts as errors.
 
-    Only the failing band and the one all-zero node before it are summed
+    Only the failing band and the one all-zero node before it are worked on
     (`_failing_band`).  At a node where no bit can fail every row's
-    per-node PER comes from q = 1 alone, so that node's value stands for the
-    skipped ones in each row's final fsum, which is correctly rounded: the
-    PER is bitwise that of summing every node.
+    per-node PER comes from q = 1 alone, so the final fading sum repeats
+    that node's value over the skipped ones and reduces each row once, on
+    every node: the PER is bitwise that of working on every node.
     """
     skip, fail = _failing_band(modulation, snr, mean_inr)
     clear_fail, log_clear = _awgn_clear(modulation, snr)
@@ -641,9 +638,8 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
         fail -= clear_fail
         fail *= noisy
         per += fail
-    weights, skipped = _FADE_WEIGHTS[skip:], _FADE_WEIGHTS[:skip]
-    return np.array([math.fsum((row[0] * skipped).tolist() + (row * weights).tolist())
-                     for row in per])
+    per = np.pad(per, ((0, 0), (skip, 0)), mode="edge")
+    return (per * _FADE_WEIGHTS).sum(axis=1)
 
 
 def _per_hybrid(modulation: Modulation, snr: float, noise_bits: int | None,
@@ -657,14 +653,14 @@ def _per_hybrid(modulation: Modulation, snr: float, noise_bits: int | None,
     ignored tail 1 - F(ell_max*bit_time), as the quadrature route forms it,
     so a small PER keeps its relative precision.  Each block reads the tail
     at its own slots and carries the last value into the next block's first
-    increment.  Every INR row's block is fsummed as soon as it is formed.
+    increment.  Each block's rows are summed into one float per INR as soon
+    as they are formed, and the ignored tail is added last.
     """
-    blocks = range(0, ell_max + 1, HYBRID_BLOCK)
-    block_sums = np.empty((mean_inr.size, len(blocks) + 1))
+    per = np.zeros(mean_inr.size)
     # every block's Gumbel part computes in these, allocated once
     work = np.empty((_GUMBEL_SLABS, mean_inr.size, min(HYBRID_BLOCK, ell_max + 1)))
     above = 1.0
-    for col, first in enumerate(blocks):
+    for first in range(0, ell_max + 1, HYBRID_BLOCK):
         windows = np.arange(first, min(first + HYBRID_BLOCK, ell_max + 1))
         table = _failure_table(modulation, snr, mean_inr, windows, work)
         log_weights = _slot_log_weights(modulation, snr, noise_bits, windows)
@@ -675,9 +671,8 @@ def _per_hybrid(modulation: Modulation, snr: float, noise_bits: int | None,
         values = tail.at(windows)
         table *= -np.diff(values, prepend=above)
         above = values[-1]
-        block_sums[:, col] = [math.fsum(row.tolist()) for row in table]
-    block_sums[:, -1] = above
-    return np.array([math.fsum(row.tolist()) for row in block_sums])
+        per += table.sum(axis=1)
+    return per + above
 
 
 @dataclass(frozen=True)

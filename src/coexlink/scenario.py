@@ -130,6 +130,8 @@ class JobParams:
             raise ScenarioFormatError("job.trials must be >= 1")
         if self.trials > MAX_TRIALS:
             raise ScenarioFormatError(f"job.trials must be <= {MAX_TRIALS}")
+        if self.seed < 0:
+            raise ScenarioFormatError(f"job.seed must be >= 0, got {self.seed!r}")
         if self.grid_points < 2:
             raise ScenarioFormatError("job.grid_points must be >= 2")
         if self.grid_points > MAX_GRID_POINTS:
@@ -183,15 +185,17 @@ def _require_keys(node: dict, allowed: set[str], required: set[str], where: str)
         raise ScenarioFormatError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(node: dict, key: str, where: str, default=None):
-    if key not in node:
-        return default
-    value = node[key]
+def _real(value, where: str):
+    """``value`` if it is a finite int or float (not a bool or a string)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFormatError(f"{where}.{key}: expected a number, got {value!r}")
+        raise ScenarioFormatError(f"{where}: expected a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ScenarioFormatError(f"{where}.{key}: expected a finite number")
+        raise ScenarioFormatError(f"{where}: expected a finite number")
     return value
+
+
+def _number(node: dict, key: str, where: str, default=None):
+    return _real(node[key], f"{where}.{key}") if key in node else default
 
 
 def _parse_busy(node, where: str):
@@ -218,11 +222,10 @@ def _parse_idle(node, where: str):
         means = node["means"]
         if not isinstance(weights, list) or not isinstance(means, list):
             raise ScenarioFormatError(f"{where}: weights and means must be lists")
+        weights = tuple(float(_real(w, f"{where}.weights[{i}]")) for i, w in enumerate(weights))
+        means = tuple(parse_duration(m, f"{where}.means[{i}]") for i, m in enumerate(means))
         try:
-            return HyperexponentialIdle(
-                weights=tuple(float(w) for w in weights),
-                means=tuple(parse_duration(m, f"{where}.means[{i}]") for i, m in enumerate(means)),
-            )
+            return HyperexponentialIdle(weights=weights, means=means)
         except ValueError as exc:
             raise ScenarioFormatError(f"{where}: {exc}") from exc
     if kind == "preset":

@@ -341,15 +341,24 @@ def success_prob_full_grid(modulation, snr: float, mean_inr: float, bits: int) -
     """Quadrature `per.success_prob` summed over every fading node, q = 1 ones
     included."""
     q = _bit_success(modulation, snr, np.array([mean_inr]))[0]
-    return min(max(math.fsum((q**bits * _FADE_WEIGHTS).tolist()), 0.0), 1.0)
+    return min(max(float((q**bits * _FADE_WEIGHTS).sum()), 0.0), 1.0)
 
 
 def per_quadrature_full_grid(modulation, snr: float, noise_bits, mean_inr: np.ndarray,
                              tail: SlotTail, ell_max: int, tail_mass: float) -> np.ndarray:
     """`per._per_quadrature` summed by parts on every fading node, the
     failing band and the nodes before it alike: the body the band replaced,
-    which it must reproduce bitwise.
+    which it must reproduce bitwise.  Each row ends in the route's own
+    numpy sum of its weighted per-node values.
     """
+    per = per_quadrature_nodes(modulation, snr, noise_bits, mean_inr, tail, ell_max, tail_mass)
+    return (per * _FADE_WEIGHTS).sum(axis=1)
+
+
+def per_quadrature_nodes(modulation, snr: float, noise_bits, mean_inr: np.ndarray,
+                         tail: SlotTail, ell_max: int, tail_mass: float) -> np.ndarray:
+    """The PER at every mean INR and fading node, shape (mean_inr.size,
+    nodes): the values `per_quadrature_full_grid` weighs and sums."""
     fail = _bit_failure(modulation, snr, mean_inr)
     clear_fail = float(ber_awgn(modulation, snr))
     with np.errstate(divide="ignore"):
@@ -401,7 +410,7 @@ def per_quadrature_full_grid(modulation, snr: float, noise_bits, mean_inr: np.nd
             log_start = (n_bits - 1 - m) * log_clear + m * log_y
             noisy += np.exp(log_start + shift) * (head * s0 - slope * s1)
         per += (fail - clear_fail) * noisy
-    return np.array([math.fsum((row * _FADE_WEIGHTS).tolist()) for row in per])
+    return per
 
 
 def slot_increments(scenario, ell_max: int) -> np.ndarray:

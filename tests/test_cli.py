@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -404,6 +405,86 @@ class TestPerCommand:
             assert JobParams(method=value).method == value
 
 
+# sha256 of the column and data lines of `coexlink per --preset <name> --method
+# <method> --snr-db <0|10|30>` (the header comments carry the config hash):
+# a faster PER must write every digit as before.
+FROZEN_PER_CSV = {
+    ("alpha_0.1_0.3", "hybrid"): (
+        "232163fa93e60b3f28a7be50d9350bf065cf9725e970f01ff6b4763c39c56071",
+        "dabc73aa462698a4576ac4560d9ebfe1d52eff7a29a17d9c3d18af90cab0a9ad",
+        "caa56fd5544f3bdb841005cd428122e25d943f6d0ef6fb8272b0cdacc41ec9a3",
+    ),
+    ("alpha_0.1_0.3", "quadrature"): (
+        "3f26a2be140dafb689da7b297ac78649b415ab3e202d2994c59116cd6531be58",
+        "7a5cec0cf1a6209a08cf43294d2b87e76d9a28a79cfe35392bb6c16c43aa67d6",
+        "2375ed6fac16653d917891d49bcb069bdccab11a40b03531793271fdfc0453c2",
+    ),
+    ("alpha_0.3_0.5", "hybrid"): (
+        "879a6600f99a1446bdb51ff63f88f5b7c1d95b18eed09220dbc3a8d64244c308",
+        "5619540d0043bc92ff18707c5d638e7e0a063f7f2377dfcffd8d1fec0dbead6e",
+        "fd450913d33a8139317b203426aef48482741c313be5e99a71ed97417dcf08ea",
+    ),
+    ("alpha_0.3_0.5", "quadrature"): (
+        "9778c69d00cad7aa36becc8c6e7d5e0d29670590394a3d58056bf2b89a109362",
+        "342a6c1f142b71b14273d429c225b8f499911822102bcaf17e757b0af22abffb",
+        "d68c3a7ea57898c0eb6d449175f3e3eb7bcfbef8e8f8f3515da70f25bec3ddf8",
+    ),
+    ("alpha_ge_0.5", "hybrid"): (
+        "44f6636a476309af7dfc3f744956ded9d0a6e21a849e1a74bdf73bf4cbed6631",
+        "9676a9dcbd115ea119e80bec636844023adda70dba817d7b9046800fd45b3ce2",
+        "68422f534b0550827d44cc02bbc9e70cb409dd6e108cba04ece1f3beeb9d6fa3",
+    ),
+    ("alpha_ge_0.5", "quadrature"): (
+        "a8e1d7a84543f2eda5987edef8ee644436b8e6d7daa1c464984f018cbde9cb7a",
+        "8ae1fff0c00f8743073bfce8cc021759bd84ffd887856af2d3f25ea0a5699e5c",
+        "edb81ea2e880b0fe91304f7738803d14b126751e20dd853dceb459ba4edcc3ac",
+    ),
+    ("alpha_lt_0.1", "hybrid"): (
+        "c8b1269b1e657e161890f1dba0d0f76ce8d206abb5cec59a9f59106c348b882d",
+        "d6ab4d0153d75c88ccb65cfe0daa35dc95aeacb65741b990f00de1ab78144f8f",
+        "b32e97ae0dd93fb71d79a0d654cb4dc9df2dabf90c57dd868fb0885bad15baf9",
+    ),
+    ("alpha_lt_0.1", "quadrature"): (
+        "ad90d7356e86de96710007c40174ad11b428cdc39a53f1d12a453d1f90d98611",
+        "7a57b8552e595e3df60d54cacff029c3506183ad996acd0c6839016c15e61055",
+        "c32c8245133b7fe23760c7a4609e6a9afae64cc5fbdddfb7ce49f98bef410526",
+    ),
+    ("exp_alpha_0.0361", "hybrid"): (
+        "bc06b1150907cbbc34f9442bab73a012c60aee12e30b1ce009bcb59a0ca58c3f",
+        "1ab09a7c3d3cc334a39db171f0cbee25f3420a8423b30a93f721143d033ae9c8",
+        "3d8c53ad22ac069b139eb55a5b9e0251b13759dae9f1f7b9ebe3ed8b61cd0a5a",
+    ),
+    ("exp_alpha_0.0361", "quadrature"): (
+        "7c6c2712c32ce8d0e06123bc115077f3656dd2e733e30b27407103e0b52f4914",
+        "5c0ffff83341ddabf5f6abf1dd79cb32c2ffcdf32924dd1c5d70f0e18d4fa33e",
+        "0d7e34960bea7d230e604530dd67a45fad875893e94365defc662fdeea71ac9a",
+    ),
+    ("exp_alpha_0.1575", "hybrid"): (
+        "4e50747735fbdb743eea718c2279c4bbdce07f9ef7738da81435fac9119b85e9",
+        "d193a7b66ee9c0db6eec3bc32c177d0c361867f52a14a6073c7975c01bc09dd0",
+        "3e96692167f60c32c4cd6b9770f287a86b801540589f6192337445149a32b4de",
+    ),
+    ("exp_alpha_0.1575", "quadrature"): (
+        "44f7b860b0b92b8bcab6c3217116edc6ea1afd38d6a0b2601b407e59e32ed410",
+        "ab89f869112e8370c1dc30652ef0af1eab01da082ea06a223090c255667f0b18",
+        "7ceb1f8f14c70bba80c45a368826ffb211c32cb264c240161877f0ec43769e40",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,method", sorted(FROZEN_PER_CSV))
+@pytest.mark.parametrize("snr_db", ["0", "10", "30"])
+def test_per_csv_frozen(runner, tmp_path, name, method, snr_db):
+    out = tmp_path / "per.csv"
+    result = runner.invoke(cli.main, ["per", "--preset", name, "-o", str(out),
+                                      "--method", method, "--snr-db", snr_db])
+    assert result.exit_code == 0, result.output
+    lines = [line for line in out.read_text(encoding="utf-8").splitlines(keepends=True)
+             if not line.startswith("#")]
+    digest = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+    assert digest == FROZEN_PER_CSV[name, method][["0", "10", "30"].index(snr_db)]
+
+
 _NUMERIC_KEYS = [("job", key) for key in ("trials", "seed", "grid_points", "snr_db",
                                           "inr_start_db", "inr_stop_db", "inr_step_db")]
 _NUMERIC_KEYS += [("modulation", key) for key in ("coeff", "gain")]
@@ -422,6 +503,28 @@ def test_rejects_non_finite_numbers(runner, tmp_path, section, key, value):
     result = runner.invoke(cli.main, ["per", str(path), "-o", str(out)])
     assert result.exit_code == cli.EXIT_CONFIG
     assert f"{section}.{key}: expected a finite number" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("idle,job,message", [
+    ('{kind: hyperexponential, weights: [true], means: ["2 ms"]}', "{}",
+     "{path}.interferer.idle.weights[0]: expected a number, got True"),
+    ('{kind: hyperexponential, weights: ["1"], means: ["2 ms"]}', "{}",
+     "{path}.interferer.idle.weights[0]: expected a number, got '1'"),
+    ('{kind: hyperexponential, weights: [0.5, null], means: ["2 ms", "1 ms"]}', "{}",
+     "{path}.interferer.idle.weights[1]: expected a number, got None"),
+    ('{kind: exponential, mean: "2 ms"}', "{seed: -1}", "job.seed must be >= 0, got -1"),
+], ids=["bool-weight", "string-weight", "null-weight", "negative-seed"])
+def test_scenario_numbers_are_checked_with_their_key(runner, tmp_path, idle, job, message):
+    # a bool or string weight once parsed as a number, a null one raised a
+    # bare TypeError, and a negative seed failed only when validate ran
+    path = tmp_path / "scenario.yaml"
+    path.write_text('interferer:\n  busy: {kind: constant, duration: "374 us"}\n'
+                    f'  idle: {idle}\nlink:\n  packet_mean: "1.984 ms"\njob: {job}\n')
+    out = tmp_path / "ctd.csv"
+    result = runner.invoke(cli.main, ["ctd", str(path), "-o", str(out)])
+    assert result.exit_code == cli.EXIT_CONFIG, result.output
+    assert f"config error: {message.format(path=path)}" in result.output
     assert not out.exists()
 
 

@@ -1,6 +1,6 @@
 """The README's library examples run, its CLI examples parse, the package
 exports what it lists, and every backticked `module.name` of coexlink in the
-README and the sources resolves."""
+README, the sources and the scripts resolves."""
 
 import contextlib
 import importlib
@@ -17,6 +17,7 @@ import coexlink
 from coexlink import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SCRIPTS = README.parent / "scripts"
 
 
 def test_readme_python_blocks_run():
@@ -85,10 +86,11 @@ def _unresolved(names):
     return missing
 
 
-@pytest.mark.parametrize("path", [README, *sorted(SOURCE.glob("*.py"))], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [README, *sorted(SOURCE.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))],
+                         ids=lambda p: p.name)
 def test_dotted_names_resolve(path):
-    # README and every module's docstrings and comments name code as
-    # `module.name`; a rename or deletion must take the name along
+    # README, every module's and script's docstrings and comments name code
+    # as `module.name`; a rename or deletion must take the name along
     names = _dotted_names(path.read_text(encoding="utf-8"))
     assert _unresolved(names) == []
 

@@ -8,11 +8,13 @@ from itertools import combinations_with_replacement, cycle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 from coexlink import per as per_module
 from coexlink.ctd import SlotTail, ctd_mixture, slot_tail
-from coexlink.dist import CoexistenceScenario, ConstantOnTime, ExponentialIdle
+from coexlink.dist import (CoexistenceScenario, ConstantOnTime, ExponentialIdle,
+                           ExponentialOnTime, HyperexponentialIdle)
 from coexlink.per import (
     ELL_SWITCH,
     HYBRID_BLOCK,
@@ -51,8 +53,10 @@ from oracles import (
     per_horner,
     per_hybrid_one_table,
     per_quadrature_full_grid,
+    per_quadrature_nodes,
     resolve_ell_max_bisect,
     slot_increments,
+    slot_tail_per_slot,
     slot_weights,
     success_prob_adaptive,
     success_prob_full_grid,
@@ -546,18 +550,63 @@ def test_quadrature_matches_horner_oracle(name):
     assert worst <= 1e-12
 
 
+def _log_uniform(low, high):
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
+
+
+@st.composite
+def per_links(draw):
+    """A generated link: exponential or 1-4-phase hyperexponential idle gaps
+    (means 0.1-100 ms), constant or exponential busy periods of 0.1-1000
+    bits, packets of 1-3000 bits of 1-100 us, a modulation with coeff 0.3-2
+    and gain 0.5-4, snr 0-30 dB, two INRs in -30..40 dB, noise_bits None or
+    0-2000 and ell_max 1-3000."""
+    bit_time = draw(_log_uniform(1e-6, 1e-4))
+    phases = draw(st.integers(0, 4))
+    if phases:
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=phases, max_size=phases))
+        means = draw(st.lists(_log_uniform(1e-4, 0.1), min_size=phases, max_size=phases))
+        idle = HyperexponentialIdle(tuple(w / math.fsum(raw) for w in raw), tuple(means))
+    else:
+        idle = ExponentialIdle(1.0 / draw(_log_uniform(1e-4, 0.1)))
+    busy_time = draw(_log_uniform(0.1, 1000.0)) * bit_time
+    busy = ConstantOnTime(busy_time) if draw(st.booleans()) else ExponentialOnTime(1.0 / busy_time)
+    packet_time = draw(_log_uniform(1.0, 3000.0)) * bit_time
+    scenario = CoexistenceScenario(busy, idle, 1.0 / packet_time, bit_time)
+    modulation = Modulation(draw(st.floats(0.3, 2.0)), draw(st.floats(0.5, 4.0)))
+    snr = 10.0 ** (draw(st.floats(0.0, 30.0)) / 10.0)
+    inr = 10.0 ** (np.array(draw(st.lists(st.floats(-30.0, 40.0), min_size=2, max_size=2)))
+                   / 10.0)
+    noise_bits = draw(st.none() | st.integers(0, 2000))
+    return scenario, modulation, snr, inr, noise_bits, draw(st.integers(1, 3000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(link=per_links())
+def test_quadrature_matches_horner_oracle_on_generated_links(link):
+    # the busy-period runs and the summation by parts against the per-slot
+    # tail and one Horner step per slot, away from the presets' 4 us bits
+    scenario, modulation, snr, inr, noise_bits, ell_max = link
+    tail, oracle = slot_tail(scenario, ell_max + 1), slot_tail_per_slot(scenario, ell_max + 1)
+    for field in ("starts", "heads", "slopes"):
+        assert np.array_equal(getattr(tail, field), getattr(oracle, field)), field
+    assert tail.log_decay == oracle.log_decay
+    curve = per_curve(scenario, modulation, snr, inr, [QUAD], ell_max=ell_max,
+                      noise_bits=noise_bits)
+    horner = per_horner(scenario, modulation, snr, inr, ell_max=ell_max, noise_bits=noise_bits)
+    assert float(np.max(np.abs(curve.values["quadrature"] - horner))) <= 1e-12
+
+
 BAND_MODULATIONS = [Modulation(1.0, 2.0), Modulation(2.0, 1.0), Modulation(0.5, 1.0)]
 # the mixed sweep, one row whose bits never fail at snr >= 1 (no failing
 # node) and rows at the ends of the float range
 BAND_INR = [PIECE_INR, np.array([1e-30]), np.array([1e-30, 1e30])]
 
 
-@pytest.mark.parametrize("name", PIECE_SCENARIOS)
-def test_quadrature_band_matches_the_full_grid_bitwise(name):
-    # summing the failing band plus one all-zero node reproduces the sum over
-    # every node bit for bit; at snr 0 no node is skipped.  The noise bit
-    # counts take turns, so each meets every modulation and snr.
-    scenario = scenario_named(name)
+def _band_cases(scenario):
+    """(modulation, snr, noise_bits, inr, tail, ell_max, tail_mass) of the
+    band tests.  The noise bit counts take turns, so each meets every
+    modulation and snr."""
     natural = resolve_ell_max(scenario, 1e-6)
     links = [(mod, snr, inr) for mod in BAND_MODULATIONS
              for snr in (0.0, 1e-3, 1.0, 10.0, 1e3, 1e15) for inr in BAND_INR]
@@ -566,10 +615,18 @@ def test_quadrature_band_matches_the_full_grid_bitwise(name):
     modulations = cycle(BAND_MODULATIONS)
     cases += [(next(modulations), 10.0, noise_bits, PIECE_INR, ell_max)
               for noise_bits in (None, 496) for ell_max in (1, 7, 5000)]
-    leads = set()
     for mod, snr, noise_bits, inr, ell_max in cases:
         tail = slot_tail(scenario, ell_max + 1)
-        tail_mass = float(tail.at(ell_max))
+        yield mod, snr, noise_bits, inr, tail, ell_max, float(tail.at(ell_max))
+
+
+@pytest.mark.parametrize("name", PIECE_SCENARIOS)
+def test_quadrature_band_matches_the_full_grid_bitwise(name):
+    # the failing band plus one all-zero node, that node's value standing
+    # for the skipped ones in the final sum, reproduces the sum over every
+    # node bit for bit; at snr 0 no node is skipped
+    leads = set()
+    for mod, snr, noise_bits, inr, tail, ell_max, tail_mass in _band_cases(scenario_named(name)):
         band = _per_quadrature(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
         oracle = per_quadrature_full_grid(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
         assert band.tolist() == oracle.tolist(), (mod, snr, noise_bits, inr, ell_max)
@@ -578,8 +635,23 @@ def test_quadrature_band_matches_the_full_grid_bitwise(name):
     assert {0, nodes - 1} <= leads and len(leads) > 2
 
 
+@pytest.mark.parametrize("name", PIECE_SCENARIOS)
+def test_quadrature_sum_is_within_1e_15_of_the_correctly_rounded_sum(name):
+    # the precision contract of the final fading sum: one numpy pairwise sum
+    # of nonnegative weighted per-node values stays within a few ulps of
+    # their correctly rounded sum (math.fsum over every node)
+    weights = per_module._FADE_WEIGHTS
+    for mod, snr, noise_bits, inr, tail, ell_max, tail_mass in _band_cases(scenario_named(name)):
+        per = _per_quadrature(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
+        nodes = per_quadrature_nodes(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
+        exact = np.array([math.fsum(row) for row in (nodes * weights).tolist()])
+        np.testing.assert_allclose(per, exact, rtol=1e-15, atol=0.0,
+                                   err_msg=str((mod, snr, noise_bits, inr, ell_max)))
+
+
 def test_quadrature_window_band_matches_the_full_grid_bitwise():
-    # success_prob skips the same nodes, whose terms 1.0**bits * w are w
+    # success_prob sums every node, as its oracle does; the failing band
+    # starts at the first node and past the last across these links
     leads = set()
     for mod in BAND_MODULATIONS:
         for snr in [0.0] + CRITERION_4_SNR:
@@ -589,6 +661,18 @@ def test_quadrature_window_band_matches_the_full_grid_bitwise():
                     assert (success_prob(mod, snr, inr, bits, QUAD)
                             == success_prob_full_grid(mod, snr, inr, bits)), (mod, snr, inr, bits)
     assert {0, per_module._FADE_WEIGHTS.size - 1} <= leads
+
+
+def test_quadrature_window_sum_is_within_1e_15_of_the_correctly_rounded_sum():
+    weights = per_module._FADE_WEIGHTS
+    for mod in BAND_MODULATIONS:
+        for snr in [0.0] + CRITERION_4_SNR:
+            for inr in CRITERION_4_INR + [1e-30]:
+                q = 1.0 - per_module._bit_failure(mod, snr, np.array([inr]))[0]
+                for bits in (1, 16, 32, 64, 128, 2687):
+                    exact = math.fsum((q**bits * weights).tolist())
+                    assert success_prob(mod, snr, inr, bits, QUAD) == pytest.approx(
+                        exact, rel=1e-15, abs=0.0), (mod, snr, inr, bits)
 
 
 @pytest.mark.parametrize("name", PIECE_SCENARIOS)
@@ -647,8 +731,9 @@ def test_quadrature_alone_skips_the_increments(name, monkeypatch):
 # bits put the last AWGN-weighted slot at the end of the second block
 @pytest.mark.parametrize("name", ALL_PRESET_NAMES + ["busy_below_bit"])
 def test_hybrid_blocks_match_the_one_table_sum(name):
-    # summing block by block regroups the fsum of each INR row: one rounding
-    # per block sum, never more than an ulp or so of the PER
+    # one numpy row sum per block, added into one float per INR, regroups
+    # the fsum of each whole INR row: a few roundings per block, within
+    # 1e-15 of the PER
     scenario = scenario_named(name)
     inr = 10.0 ** (np.linspace(-10.0, 30.0, 9) / 10.0)
     ell_max = 3 * HYBRID_BLOCK + 5
