@@ -72,7 +72,10 @@ def preset_scenario(name: str) -> CoexistenceScenario:
             alpha = float(name.removeprefix("exp_alpha_"))
         except ValueError:
             raise KeyError(f"malformed exponential preset name: {name!r}") from None
-        return exponential_scenario(alpha)
+        try:
+            return exponential_scenario(alpha)
+        except ValueError as exc:
+            raise type(exc)(f"preset {name!r}: {exc}") from exc
     raise KeyError(
         f"unknown preset {name!r}; choose one of {sorted(IDLE_MIXTURES)} "
         "or exp_alpha_<value>"

@@ -2,11 +2,11 @@
 
 Every duration is a string "NUMBER UNIT" (units ns/us/ms/s) so a file can
 never be misread by a factor of a thousand.  Unknown keys anywhere are an
-error; the raw tree is kept on the parsed document for lossless round-trips
-and for hashing the full resolved configuration into output headers.  Files
-are read by libyaml's C parser where PyYAML has it, and by PyYAML's
-pure-Python parser otherwise; both build the same tree with the same safe
-constructor.
+error, and so is a key given twice in one mapping.  The raw tree is kept on
+the parsed document for lossless round-trips and for hashing the full
+resolved configuration into output headers.  Files are read by libyaml's C
+parser where PyYAML has it, and by PyYAML's pure-Python parser otherwise;
+both build the same tree with the same safe constructor.
 
 Schema (YAML):
 
@@ -262,12 +262,41 @@ def _parse_job(node, where: str) -> JobParams:
     return JobParams(**kwargs)
 
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _UniqueKeys:
+    """Loader mixin: a mapping that gives a key twice is an error, where
+    PyYAML alone would keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        lines = {}
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == _MERGE_TAG:
+                continue
+            key = self.construct_object(key_node)
+            line = key_node.start_mark.line + 1
+            if key in lines:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"duplicate key {key!r} on line {line}, first given on line "
+                    f"{lines[key]}")
+            lines[key] = line
+        return super().construct_mapping(node, deep)
+
+
+class _SafeLoader(_UniqueKeys, yaml.SafeLoader):
+    """safe_load's loader on PyYAML's pure-Python parser."""
+
+
+# libyaml's C parser under safe_load's constructor and resolver: the same
+# tree at a tenth of the cost; PyYAML built without libyaml lacks it.
+_LOADER = (type("_CSafeLoader", (_UniqueKeys, yaml.CSafeLoader), {})
+           if hasattr(yaml, "CSafeLoader") else _SafeLoader)
+
+
 def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioDoc:
-    # libyaml's C parser under safe_load's constructor and resolver: the same
-    # tree at a tenth of the cost; PyYAML built without libyaml lacks it.
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        tree = yaml.load(text, Loader=loader)
+        tree = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioFormatError(f"{source}: not valid YAML: {exc}") from exc
     if not isinstance(tree, dict):

@@ -70,11 +70,6 @@ class EmpiricalCdf:
     samples: np.ndarray
 
     @classmethod
-    def from_samples(cls, values) -> "EmpiricalCdf":
-        """The CDF of a sorted copy of ``values``, which are left as they were."""
-        return cls.sorted_in_place(np.array(values, dtype=float))
-
-    @classmethod
     def sorted_in_place(cls, values: np.ndarray) -> "EmpiricalCdf":
         """The CDF of ``values``, a float array the caller gives up: it is
         sorted in place and becomes ``samples``.

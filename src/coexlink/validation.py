@@ -9,13 +9,18 @@ A validation run simulates one scenario, then compares
 
 The limits are module constants, stated at ``REFERENCE_TRIALS`` and widened
 with 1/sqrt(trials) when a run is smaller, so quick runs stay meaningful.
+
+`validate_scenario` returns a `ValidationReport` whose fields are the JSON
+report's keys: each KS distance and limit is one entry of ``report.ks`` and
+each chi-square cell one entry of ``report.chi2``, so a new number in the
+report is one new entry.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,14 +41,19 @@ MIN_EXPECTED = 5.0
 
 @dataclass
 class ValidationReport:
+    """One run's checks, held as the JSON report prints them.
+
+    ``ks`` maps ``joint``, ``off_start`` and ``on_start`` to their KS
+    distances and ``joint_limit`` and ``conditional_limit`` to the limits
+    they are held to; ``chi2`` maps ``equilibrium`` and ``ordinary`` to the
+    cells of `chi_square_counts`; ``failures`` lists each check that failed.
+    `to_json` writes these fields under their own names, plus ``passed``.
+    """
+
     alpha: float
     trials: int
     seed: int
-    ks_joint: float
-    ks_off: float
-    ks_on: float
-    ks_joint_limit: float
-    ks_conditional_limit: float
+    ks: dict[str, float] = field(default_factory=dict)
     chi2: dict[str, dict[str, float]] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 
@@ -52,22 +62,7 @@ class ValidationReport:
         return not self.failures
 
     def to_json(self) -> str:
-        payload = {
-            "alpha": self.alpha,
-            "trials": self.trials,
-            "seed": self.seed,
-            "ks": {
-                "joint": self.ks_joint,
-                "off_start": self.ks_off,
-                "on_start": self.ks_on,
-                "joint_limit": self.ks_joint_limit,
-                "conditional_limit": self.ks_conditional_limit,
-            },
-            "chi2": self.chi2,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps({**asdict(self), "passed": self.passed}, indent=2, sort_keys=True)
 
 
 def _chi2_sf(dof: int, statistic: float) -> float:
@@ -176,9 +171,11 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
                 f"{activity_factor(scenario):.6g} in {trials} trials, so its conditional "
                 "CDF cannot be checked; raise --trials"
             )
+    report = ValidationReport(alpha=activity_factor(scenario), trials=trials, seed=seed)
+    ks = report.ks
     off_cdf, on_cdf = simcore.split_by_start(batch)
-    ks_off = off_cdf.ks_distance(lambda x: ctd_off_start(scenario, x))
-    ks_on = on_cdf.ks_distance(lambda x: ctd_on_start(scenario, x))
+    ks["off_start"] = off_cdf.ks_distance(lambda x: ctd_off_start(scenario, x))
+    ks["on_start"] = on_cdf.ks_distance(lambda x: ctd_on_start(scenario, x))
     del off_cdf, on_cdf
     # The batch is this run's own, so its collision times become the joint
     # sample, sorted in place.
@@ -186,30 +183,18 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
     del batch
     if mixture_cdf is None:
         mixture_cdf = lambda x: ctd_mixture(scenario, x)  # noqa: E731
-    ks_joint = joint.ks_distance(mixture_cdf)
+    ks["joint"] = joint.ks_distance(mixture_cdf)
     # Nothing below reads the walk: free it before the count walks allocate.
     del joint
 
     widen = math.sqrt(max(REFERENCE_TRIALS / trials, 1.0))
-    ks_joint_limit = KS_JOINT * widen
-    ks_conditional_limit = KS_CONDITIONAL * widen
-
-    report = ValidationReport(
-        alpha=activity_factor(scenario),
-        trials=trials,
-        seed=seed,
-        ks_joint=ks_joint,
-        ks_off=ks_off,
-        ks_on=ks_on,
-        ks_joint_limit=ks_joint_limit,
-        ks_conditional_limit=ks_conditional_limit,
-    )
-
-    for label, ks, limit in (("joint", ks_joint, ks_joint_limit),
-                             ("off-start", ks_off, ks_conditional_limit),
-                             ("on-start", ks_on, ks_conditional_limit)):
-        if ks > limit:
-            report.failures.append(f"{label} KS {ks:.5f} exceeds {limit:.5f}")
+    ks["joint_limit"] = KS_JOINT * widen
+    ks["conditional_limit"] = KS_CONDITIONAL * widen
+    for label, key, limit_key in (("joint", "joint", "joint_limit"),
+                                  ("off-start", "off_start", "conditional_limit"),
+                                  ("on-start", "on_start", "conditional_limit")):
+        if ks[key] > ks[limit_key]:
+            report.failures.append(f"{label} KS {ks[key]:.5f} exceeds {ks[limit_key]:.5f}")
 
     for label, equilibrium, kind in (
         ("equilibrium", True, renewal.CountKind.EQUILIBRIUM),

@@ -337,13 +337,6 @@ def _bit_success(modulation, snr: float, mean_inr: np.ndarray) -> np.ndarray:
     return 1.0 - _bit_failure(modulation, snr, mean_inr)
 
 
-def success_prob_full_grid(modulation, snr: float, mean_inr: float, bits: int) -> float:
-    """Quadrature `per.success_prob` summed over every fading node, q = 1 ones
-    included."""
-    q = _bit_success(modulation, snr, np.array([mean_inr]))[0]
-    return min(max(float((q**bits * _FADE_WEIGHTS).sum()), 0.0), 1.0)
-
-
 def per_quadrature_full_grid(modulation, snr: float, noise_bits, mean_inr: np.ndarray,
                              tail: SlotTail, ell_max: int, tail_mass: float) -> np.ndarray:
     """`per._per_quadrature` summed by parts on every fading node, the
@@ -619,8 +612,14 @@ def run_trial(scenario: CoexistenceScenario, rng: np.random.Generator) -> TrialR
     return TrialResult(on, packet, min(collision, packet), renewals)
 
 
+def empirical_cdf(values) -> EmpiricalCdf:
+    """The CDF of a sorted float copy of ``values``, which are left as they
+    were (`simcore.EmpiricalCdf.sorted_in_place` sorts its own argument)."""
+    return EmpiricalCdf.sorted_in_place(np.array(values, dtype=float))
+
+
 def empirical_ctd(scenario: CoexistenceScenario, config: McConfig) -> EmpiricalCdf:
-    return EmpiricalCdf.from_samples(run_trials(scenario, config).collision_time)
+    return EmpiricalCdf.sorted_in_place(run_trials(scenario, config).collision_time)
 
 
 def ks_distance_unique(ecdf, cdf) -> float:

@@ -259,8 +259,9 @@ class TestValidateCommand:
 
     def test_failure_exit_code(self, runner, scenario_file, monkeypatch):
         failing = ValidationReport(
-            alpha=0.1, trials=20000, seed=1, ks_joint=0.5, ks_off=0.5, ks_on=0.5,
-            ks_joint_limit=0.005, ks_conditional_limit=0.01,
+            alpha=0.1, trials=20000, seed=1,
+            ks={"joint": 0.5, "off_start": 0.5, "on_start": 0.5,
+                "joint_limit": 0.005, "conditional_limit": 0.01},
             failures=["joint KS 0.50000 exceeds 0.00500"],
         )
         monkeypatch.setattr(cli, "validate_scenario", lambda *a, **k: failing)
@@ -514,10 +515,13 @@ def test_rejects_non_finite_numbers(runner, tmp_path, section, key, value):
     ('{kind: hyperexponential, weights: [0.5, null], means: ["2 ms", "1 ms"]}', "{}",
      "{path}.interferer.idle.weights[1]: expected a number, got None"),
     ('{kind: exponential, mean: "2 ms"}', "{seed: -1}", "job.seed must be >= 0, got -1"),
-], ids=["bool-weight", "string-weight", "null-weight", "negative-seed"])
+    ('{kind: exponential, mean: "2 ms"}', "{seed: 1, seed: 2}",
+     "{path}: not valid YAML: duplicate key 'seed' on line 6, first given on line 6"),
+], ids=["bool-weight", "string-weight", "null-weight", "negative-seed", "duplicate-seed"])
 def test_scenario_numbers_are_checked_with_their_key(runner, tmp_path, idle, job, message):
     # a bool or string weight once parsed as a number, a null one raised a
-    # bare TypeError, and a negative seed failed only when validate ran
+    # bare TypeError, a negative seed failed only when validate ran, and a
+    # seed given twice parsed as its last value
     path = tmp_path / "scenario.yaml"
     path.write_text('interferer:\n  busy: {kind: constant, duration: "374 us"}\n'
                     f'  idle: {idle}\nlink:\n  packet_mean: "1.984 ms"\njob: {job}\n')

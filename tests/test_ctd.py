@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from coexlink.dist import (
     activity_factor,
 )
 from coexlink.per import resolve_ell_max
-from coexlink.presets import preset_scenario
+from coexlink.presets import preset_names, preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
@@ -363,6 +364,31 @@ class TestCurve:
             ctd_curve(scenario_exp_0p1575, grid=np.array([0.0, np.inf]))
         with pytest.raises(ValueError):
             ctd_curve(scenario_exp_0p1575, grid=np.zeros((2, 2)))
+
+    def test_clamp_diagnostic(self, caplog, monkeypatch):
+        # `ctd._start_cdfs` logs at DEBUG when a CDF leaves [0, 1] by more
+        # than `ctd._CLAMP_SLACK` before its clamp: on no preset does one, and
+        # turning the log on leaves every curve as it was, bit for bit
+        quiet = {name: ctd_curve(preset_scenario(name)) for name in preset_names()}
+        with caplog.at_level(logging.DEBUG, logger="coexlink.ctd"):
+            for name, expected in quiet.items():
+                curve = ctd_curve(preset_scenario(name))
+                for column in ("omega0", "omega1", "omega"):
+                    assert (getattr(curve, column).tobytes()
+                            == getattr(expected, column).tobytes()), (name, column)
+        assert caplog.records == []
+
+        # with a negative slack every evaluation logs, once, its overshoot:
+        # how far the CDFs reach past 1 or below 0, and 0 when they stay inside
+        monkeypatch.setattr(ctd, "_CLAMP_SLACK", -1.0)
+        with caplog.at_level(logging.DEBUG, logger="coexlink.ctd"):
+            curve = ctd_curve(preset_scenario("alpha_ge_0.5"), grid=[1e-3, 1.0])
+        values = np.concatenate([curve.omega0, curve.omega1])
+        overshoot = max(values.max() - 1.0, -values.min(), 0.0)
+        (record,) = caplog.records
+        assert record.args == (overshoot,)
+        assert record.getMessage() == (
+            f"collision-time CDF exceeded [0,1] by {overshoot:.3e} before clamping")
 
 
 class TestSeriesOracle:

@@ -59,7 +59,6 @@ from oracles import (
     slot_tail_per_slot,
     slot_weights,
     success_prob_adaptive,
-    success_prob_full_grid,
 )
 
 BPSK = Modulation()
@@ -647,20 +646,6 @@ def test_quadrature_sum_is_within_1e_15_of_the_correctly_rounded_sum(name):
         exact = np.array([math.fsum(row) for row in (nodes * weights).tolist()])
         np.testing.assert_allclose(per, exact, rtol=1e-15, atol=0.0,
                                    err_msg=str((mod, snr, noise_bits, inr, ell_max)))
-
-
-def test_quadrature_window_band_matches_the_full_grid_bitwise():
-    # success_prob sums every node, as its oracle does; the failing band
-    # starts at the first node and past the last across these links
-    leads = set()
-    for mod in BAND_MODULATIONS:
-        for snr in [0.0] + CRITERION_4_SNR:
-            for inr in CRITERION_4_INR + [1e-30]:
-                leads.add(_failing_band(mod, snr, np.array([inr]))[0])
-                for bits in (1, 16, 32, 64, 128, 2687):
-                    assert (success_prob(mod, snr, inr, bits, QUAD)
-                            == success_prob_full_grid(mod, snr, inr, bits)), (mod, snr, inr, bits)
-    assert {0, per_module._FADE_WEIGHTS.size - 1} <= leads
 
 
 def test_quadrature_window_sum_is_within_1e_15_of_the_correctly_rounded_sum():

@@ -65,6 +65,19 @@ def test_preset_scenario_unknown_name():
         preset_scenario("exp_alpha_2.0")
 
 
+@pytest.mark.parametrize("name, cause", [
+    ("exp_alpha_1e-320", "rate must be finite and positive, got 0.0"),
+    ("exp_alpha_0.999999999999999999", "alpha must lie in (0, 1)"),
+    ("exp_alpha_2.0", "alpha must lie in (0, 1)"),
+])
+def test_preset_value_errors_name_the_preset(name, cause):
+    # an alpha that parses but cannot build a scenario: 1e-320 makes an
+    # infinite idle mean, and 0.999999999999999999 rounds to 1.0
+    with pytest.raises(ValueError) as info:
+        preset_scenario(name)
+    assert str(info.value) == f"preset {name!r}: {cause}"
+
+
 def test_preset_names_cover_everything():
     names = preset_names()
     assert set(IDLE_MIXTURES) < set(names)

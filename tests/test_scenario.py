@@ -6,6 +6,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+from coexlink import scenario
 from coexlink.dist import (
     ConstantOnTime,
     ExponentialIdle,
@@ -249,9 +250,9 @@ REPO_YAML = {
 
 
 def _parse_with(text: str, monkeypatch, libyaml: bool, source: str = "<scenario>"):
-    """parse_scenario_text with libyaml's loader present or, as where PyYAML
-    was built without it, removed; returns the document and the loader
-    classes it used."""
+    """parse_scenario_text with libyaml's loader or, as where PyYAML was
+    built without it, the pure-Python one; returns the document and the
+    loader classes it used."""
     used = []
     load = yaml.load
 
@@ -262,7 +263,7 @@ def _parse_with(text: str, monkeypatch, libyaml: bool, source: str = "<scenario>
     with monkeypatch.context() as patch:
         patch.setattr(yaml, "load", spy)
         if not libyaml:
-            patch.delattr(yaml, "CSafeLoader", raising=False)
+            patch.setattr(scenario, "_LOADER", scenario._SafeLoader)
         return parse_scenario_text(text, source), used
 
 
@@ -280,14 +281,14 @@ def test_loaders_build_equal_trees_for_repo_yaml(text):
 @pytest.mark.parametrize("text", REPO_YAML.values(), ids=list(REPO_YAML))
 def test_pure_python_loader_gives_an_equal_document(text, monkeypatch):
     doc, used = _parse_with(text, monkeypatch, libyaml=False)
-    assert used == [yaml.SafeLoader]
+    assert used == [scenario._SafeLoader]
     assert doc == parse_scenario_text(text)
 
 
 @needs_libyaml
 def test_libyaml_parses_when_present(monkeypatch):
     _, used = _parse_with(FULL_DOC, monkeypatch, libyaml=True)
-    assert used == [yaml.CSafeLoader]
+    assert len(used) == 1 and issubclass(used[0], yaml.CSafeLoader)
 
 
 _COMMENTS = st.sampled_from(["", "  # comment", " #units: us", "   # 374 us: one frame"])
@@ -395,3 +396,33 @@ BAD_YAML = {
 def test_malformed_yaml_names_the_source(text, libyaml, monkeypatch):
     with pytest.raises(ScenarioFormatError, match=r"^bad\.yaml: not valid YAML"):
         _parse_with(text, monkeypatch, libyaml, source="bad.yaml")
+
+
+# A key given twice once parsed silently as its last value: packet_mean 9 ms
+# and seed 2 here.
+DUPLICATE_KEYS = FULL_DOC.replace('packet_mean: "1.984 ms"\n',
+                                  'packet_mean: "1.984 ms"\n  packet_mean: "9 ms"\n')
+
+
+@pytest.mark.parametrize("text, key, line, first", [
+    (DUPLICATE_KEYS, "packet_mean", 7, 6),
+    (FULL_DOC.replace("seed: 7\n", "seed: 1\n  seed: 2\n"), "seed", 14, 13),
+    (FULL_DOC.replace('{kind: constant, duration: "374 us"}',
+                      '{kind: constant, duration: "374 us", kind: constant}'), "kind", 3, 3),
+    ("interferer: {}\nlink: {}\ninterferer: {}\n", "interferer", 3, 1),
+], ids=["link", "job", "flow map", "top level"])
+@pytest.mark.parametrize("libyaml", [pytest.param(True, marks=needs_libyaml), False],
+                         ids=["CSafeLoader", "SafeLoader"])
+def test_duplicate_keys_are_rejected(text, key, line, first, libyaml, monkeypatch):
+    message = (rf"^dup\.yaml: not valid YAML: duplicate key '{key}' on line {line}, "
+               rf"first given on line {first}$")
+    with pytest.raises(ScenarioFormatError, match=message):
+        _parse_with(text, monkeypatch, libyaml, source="dup.yaml")
+
+
+def test_merge_keys_may_be_overridden():
+    # a merged key that the mapping gives again is YAML's override, not a
+    # duplicate
+    text = FULL_DOC.replace("link:\n", "base: &base {packet_mean: '9 ms'}\nlink:\n  <<: *base\n")
+    tree = yaml.load(text, Loader=scenario._LOADER)
+    assert tree["link"] == {"packet_mean": "1.984 ms", "bit_time": "4 us"}

@@ -24,6 +24,7 @@ from conftest import ALL_PRESET_NAMES, SUITE_SEED, scenario_named
 from oracles import (
     ChoiceHyperexponentialIdle,
     count_chunk_gather,
+    empirical_cdf,
     ks_distance_unique,
     run_trial,
     walk_chunk_gather,
@@ -55,12 +56,12 @@ def _digest(*arrays) -> str:
 class TestEmpiricalCdf:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            EmpiricalCdf.from_samples([])
+            empirical_cdf([])
 
     def test_ks_handles_atoms_exactly(self):
         # three-point sample with a tie at 0; KS against a two-atom law is
         # computable by hand
-        cdf = EmpiricalCdf.from_samples([0.0, 0.0, 1.0])
+        cdf = empirical_cdf([0.0, 0.0, 1.0])
 
         def matching(x):
             x = np.asarray(x, dtype=float)
@@ -75,20 +76,20 @@ class TestEmpiricalCdf:
 
     def test_ks_continuous_case(self, rng):
         samples = rng.uniform(0.0, 1.0, 10_000)
-        cdf = EmpiricalCdf.from_samples(samples)
+        cdf = empirical_cdf(samples)
         d = cdf.ks_distance(lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
         assert d < 0.02  # 5% KS point at n=1e4 is ~0.0136
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_samples(self, bad):
         with pytest.raises(ValueError, match="samples must be finite"):
-            EmpiricalCdf.from_samples([0.5, bad, 0.0])
+            empirical_cdf([0.5, bad, 0.0])
 
     @pytest.mark.parametrize("nan_share", [1.0, 0.5, 1e-4])
     def test_nan_reference_is_a_numerical_failure(self, rng, nan_share):
         # max() passes a NaN over, so a reference that is NaN on all, half or
         # a few of the probes once gave KS 0.0; the sample spans three blocks
-        ecdf = EmpiricalCdf.from_samples(rng.random(3 * KS_BLOCK))
+        ecdf = empirical_cdf(rng.random(3 * KS_BLOCK))
         assert ecdf.samples[-1] > 1.0 - nan_share
 
         def partly_nan(x):
@@ -98,13 +99,12 @@ class TestEmpiricalCdf:
         with pytest.raises(FloatingPointError, match="reference CDF is NaN or infinite"):
             ecdf.ks_distance(partly_nan)
 
-    def test_from_samples_leaves_its_input_as_it_was(self, rng):
+    def test_sorted_in_place_takes_the_callers_array(self, rng):
         values = rng.random(1000)
         kept = values.copy()
-        ecdf = EmpiricalCdf.from_samples(values)
-        assert np.array_equal(values, kept)
-        assert not np.shares_memory(ecdf.samples, values)
-        assert np.array_equal(ecdf.samples, np.sort(kept))
+        ecdf = EmpiricalCdf.sorted_in_place(values)
+        assert ecdf.samples is values
+        assert np.array_equal(values, np.sort(kept))
 
 
 class TestEngine:
@@ -356,7 +356,7 @@ class TestAgainstGatherOracle:
         steep = lambda x: np.clip(np.asarray(x, dtype=float) * 1e5, 0.0, 1.0)  # noqa: E731
         samples.append((np.append(np.arange(KS_BLOCK) * 1e-9, 1e3), steep))
         for values, cdf in samples:
-            ecdf = EmpiricalCdf.from_samples(values)
+            ecdf = empirical_cdf(values)
             assert ecdf.ks_distance(cdf) == ks_distance_unique(ecdf, cdf)
 
 

@@ -117,7 +117,7 @@ class TestValidateScenario:
         assert report.passed, report.failures
         assert report.alpha == pytest.approx(0.1575, rel=1e-12)
         assert report.trials == 100_000
-        assert report.ks_joint < report.ks_joint_limit
+        assert report.ks["joint"] < report.ks["joint_limit"]
         assert set(report.chi2) == {"equilibrium", "ordinary"}
 
     def test_negative_control_fails(self, scenario_exp_0p1575):
@@ -142,9 +142,9 @@ class TestValidateScenario:
         monkeypatch.setattr(validation, f"ctd_{start}_start",
                             lambda scenario, x: exact(scenario, np.asarray(x) - 2e-4))
         report = validate_scenario(scenario_exp_0p1575, trials=100_000, seed=SUITE_SEED)
-        ks = report.ks_off if start == "off" else report.ks_on
+        ks = report.ks[f"{start}_start"]
         assert report.failures == [
-            f"{start}-start KS {ks:.5f} exceeds {report.ks_conditional_limit:.5f}"
+            f"{start}-start KS {ks:.5f} exceeds {report.ks['conditional_limit']:.5f}"
         ]
 
     def test_negative_control_fails_the_count_chi_square(self, scenario_exp_0p1575,
@@ -174,14 +174,14 @@ class TestValidateScenario:
     def test_limits_widen_for_small_runs(self, scenario_exp_0p1575):
         tight = validate_scenario(scenario_exp_0p1575, trials=400_000, seed=SUITE_SEED)
         loose = validate_scenario(scenario_exp_0p1575, trials=25_000, seed=SUITE_SEED)
-        assert loose.ks_joint_limit == pytest.approx(4.0 * tight.ks_joint_limit)
+        assert loose.ks["joint_limit"] == pytest.approx(4.0 * tight.ks["joint_limit"])
         assert loose.passed, loose.failures
 
     def test_report_json_round_trip(self, scenario_exp_0p1575):
         report = validate_scenario(scenario_exp_0p1575, trials=50_000, seed=SUITE_SEED)
         payload = json.loads(report.to_json())
         assert payload["passed"] is report.passed
-        assert payload["ks"]["joint"] == report.ks_joint
+        assert payload["ks"] == report.ks
         assert payload["trials"] == 50_000
         assert "equilibrium" in payload["chi2"]
 
