@@ -90,9 +90,10 @@ def _runs(scenario: CoexistenceScenario, x=None, slots: int = 0):
     return starts, 0.0, idle.laplace(s) ** k, np.clip(x / d - k, 0.0, 1.0), d
 
 
-def _start_cdfs(scenario: CoexistenceScenario, x) -> tuple[np.ndarray, np.ndarray]:
-    """(F0, F1): the idle-start and busy-start CDFs at x, both read from the
-    run of `_runs` that holds x.
+def _start_cdfs(scenario: CoexistenceScenario, x, off: bool = True,
+                on: bool = True) -> np.ndarray:
+    """The idle-start and busy-start CDFs at x, one row each for the states
+    asked for (F0 first), each read from the run of `_runs` that holds x.
 
     1 - g comes from the idle law directly: as g -> 1 the subtraction would
     leave it only ~1e-16/(1 - g) relative precision.
@@ -104,17 +105,19 @@ def _start_cdfs(scenario: CoexistenceScenario, x) -> tuple[np.ndarray, np.ndarra
     full = 1.0 - tail
     if decay:
         full -= tail * np.expm1(-decay * xc)
-    mixed = full + idle.one_minus_laplace(s) * tail * frac
     damp = np.exp(-s * xc)
-    both = np.empty((2,) + xa.shape)
-    np.subtract(1.0, damp * idle.residual_laplace(s) * (1.0 - full), out=both[0, ...])
-    np.add(1.0 - damp, damp * mixed, out=both[1, ...])
-    np.copyto(both, 0.0, where=xa < 0.0)
+    rows = np.empty((off + on,) + xa.shape)
+    if off:
+        np.subtract(1.0, damp * idle.residual_laplace(s) * (1.0 - full), out=rows[0, ...])
+    if on:
+        mixed = full + idle.one_minus_laplace(s) * tail * frac
+        np.add(1.0 - damp, damp * mixed, out=rows[-1, ...])
+    np.copyto(rows, 0.0, where=xa < 0.0)
     if logger.isEnabledFor(logging.DEBUG):
-        worst = max(float(np.max(both, initial=1.0)) - 1.0, -float(np.min(both, initial=0.0)))
+        worst = max(float(np.max(rows, initial=1.0)) - 1.0, -float(np.min(rows, initial=0.0)))
         if worst > _CLAMP_SLACK:
             logger.debug("collision-time CDF exceeded [0,1] by %.3e before clamping", worst)
-    return tuple(np.clip(both, 0.0, 1.0, out=both))
+    return np.clip(rows, 0.0, 1.0, out=rows)
 
 
 def _mix(scenario: CoexistenceScenario, off, on):
@@ -124,12 +127,12 @@ def _mix(scenario: CoexistenceScenario, off, on):
 
 def ctd_off_start(scenario: CoexistenceScenario, x):
     """CDF of the collision time given the packet starts in an idle period."""
-    return _start_cdfs(scenario, x)[0]
+    return _start_cdfs(scenario, x, on=False)[0]
 
 
 def ctd_on_start(scenario: CoexistenceScenario, x):
     """CDF of the collision time given the packet starts in a busy period."""
-    return _start_cdfs(scenario, x)[1]
+    return _start_cdfs(scenario, x, off=False)[0]
 
 
 def ctd_mixture(scenario: CoexistenceScenario, x):

@@ -6,7 +6,9 @@ parameter and mean: ``coexlink.ctd`` sums their geometric mixtures of
 n-fold convolutions in closed form, so no per-n CDF is exposed.  The idle
 models expose Laplace transforms, which is all the analytic machinery
 downstream needs.  Every model also knows how to sample itself and its
-stationary residual so the Monte Carlo engine stays in lockstep with the math.
+stationary residual so the Monte Carlo engine stays in lockstep with the math,
+and an idle model draws both first gaps of a renewal count at once
+(`first_gaps`).
 
 All durations are in seconds.
 """
@@ -110,6 +112,13 @@ class ExponentialIdle:
     def residual_sample(self, rng: np.random.Generator, size: int):
         return rng.exponential(self.mean, size)
 
+    def first_gaps(self, rng: np.random.Generator, size: int):
+        """(residual, full): ``size`` first gaps of each kind, drawn as
+        `residual_sample` or `sample` would draw them.  The law is
+        memoryless, so one draw is both and the two are one array."""
+        gaps = rng.exponential(self.mean, size)
+        return gaps, gaps
+
 
 @dataclass(frozen=True)
 class HyperexponentialIdle:
@@ -184,6 +193,21 @@ class HyperexponentialIdle:
     def residual_sample(self, rng: np.random.Generator, size: int):
         return _phase_sample(rng, *self._residual_phases, size)
 
+    def first_gaps(self, rng: np.random.Generator, size: int):
+        """(residual, full): ``size`` first gaps of each kind, drawn as
+        `residual_sample` or `sample` would draw them.  Both consume one
+        uniform and one standard exponential per gap, so one pair of draws
+        mapped through both phase tables gives each the floats it would
+        have drawn alone."""
+        (residual_means, residual_cdf), (means, cdf) = self._residual_phases, self._phases
+        u = rng.random(size)
+        residual_phase, phase = _phase_of(u, residual_cdf), _phase_of(u, cdf)
+        del u
+        full = rng.standard_exponential(size)
+        residual = full * residual_means.take(residual_phase)
+        full *= means.take(phase)
+        return residual, full
+
 
 def _phase_table(means, probs) -> tuple[np.ndarray, np.ndarray]:
     # The CDF as `Generator.choice(p=probs)` forms it.
@@ -200,14 +224,18 @@ def _phase_sample(rng: np.random.Generator, means: np.ndarray, cdf: np.ndarray, 
     which picks the phase by the same count of CDF entries at or below the
     uniform, and every draw comes out the same float.
     """
-    u = rng.random(size)
-    phase = np.zeros(size, dtype=np.min_scalar_type(cdf.size - 1))
-    for c in cdf[:-1].tolist():
-        phase += u >= c
-    del u
+    phase = _phase_of(rng.random(size), cdf)
     draws = rng.standard_exponential(size)
     draws *= means.take(phase)
     return draws
+
+
+def _phase_of(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The phase of each uniform ``u``: its count of CDF entries at or below it."""
+    phase = np.zeros(u.size, dtype=np.min_scalar_type(cdf.size - 1))
+    for c in cdf[:-1].tolist():
+        phase += u >= c
+    return phase
 
 
 OnTimeModel = ConstantOnTime | ExponentialOnTime

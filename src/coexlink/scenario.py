@@ -106,8 +106,8 @@ MAX_INR_POINTS = 1001
 MAX_GRID_POINTS = 250_000
 
 # Most Monte Carlo trials a `validate` run may walk.  A run keeps about 20
-# bytes per trial at its peak: `validate` on alpha_ge_0.5 peaked at 45.5 MiB
-# RSS with 200k trials, 78.8 MiB with 2M and 231.9 MiB with 10M, imports
+# bytes per trial at its peak: `validate` on alpha_ge_0.5 peaked at 46.2 MiB
+# RSS with 200k trials, 79.4 MiB with 2M and 231.9 MiB with 10M, imports
 # included, so this bounds it near 230 MiB.
 MAX_TRIALS = 10_000_000
 

@@ -24,8 +24,14 @@ between busy and idle in lockstep, so each step draws the busy group's next
 periods and then the idle group's, one sampler call each.  That is the same
 sequence of calls, with the same sizes, as drawing for every live trial at
 once with the busy ones first, so a seed gives the same generator stream and
-the same floats whichever way the live trials are stored.  The renewal-count
-walk carries its live trials the same way.
+the same floats whichever way the live trials are stored.
+
+The renewal-count walk carries its live trials the same way, and one walk
+gives both counting conventions: they share each chunk's packet windows and
+first-gap draws (`first_gaps`) and differ only in which first gap they add,
+so each convention's later draws start from the generator state after the
+first gaps, and an exponential idle law, whose two first gaps coincide,
+walks once for both.
 """
 
 from __future__ import annotations
@@ -150,12 +156,19 @@ def _walk_chunk(scenario: CoexistenceScenario, rng: np.random.Generator,
     # Group 0 started busy and group 1 idle, so group g is busy on the steps
     # of g's parity.  Per live trial of a group: its id (below CHUNK), time
     # left and busy time so far; `periods` holds the current period lengths.
-    trial = np.arange(n, dtype=np.int32)
-    start_ids = (trial[start_on], trial[~start_on])
-    del trial
-    periods = [busy.residual_sample(rng, start_ids[0].size),
-               idle.residual_sample(rng, start_ids[1].size)]
-    groups = [(ids, packet.take(ids), np.zeros(ids.size)) for ids in start_ids]
+    # The first periods are drawn before the groups exist, so the samplers'
+    # temporaries never sit on top of them, and each group's intp ids from
+    # `flatnonzero` gather its packets and are freed for their int32 copy.
+    started_busy = int(np.count_nonzero(start_on))
+    periods = [busy.residual_sample(rng, started_busy),
+               idle.residual_sample(rng, n - started_busy)]
+    groups = []
+    for started in (start_on, ~start_on):
+        ids = np.flatnonzero(started)
+        left = packet.take(ids)
+        ids = ids.astype(np.int32)
+        groups.append((ids, left, np.zeros(ids.size)))
+    del started, ids, left
     step = 0
     while True:
         for g in (0, 1):
@@ -200,8 +213,8 @@ def run_trials(scenario: CoexistenceScenario, config: McConfig) -> TrialBatch:
 
     The batch owns its two arrays, 9 bytes per trial, and each chunk walks
     into its own slice of them.  Beside the batch, a 131,072-trial chunk
-    peaks at 4.7-5.4 MiB traced on the seven benchmarked laws, at its first
-    step: 38-44 bytes a trial for the packet lengths, each live trial's id,
+    peaks at 4.7-5.3 MiB traced on the seven benchmarked laws, at its first
+    step: 38-43 bytes a trial for the packet lengths, each live trial's id,
     time left, busy time and period, and the intp copy of the ids that each
     scatter into the batch makes.  The int32 ids cost that copy yet keep the
     peak 0.6-0.8 MiB below intp ids.
@@ -221,36 +234,69 @@ def split_by_start(batch: TrialBatch) -> tuple[EmpiricalCdf, EmpiricalCdf]:
             EmpiricalCdf.sorted_in_place(batch.collision_time[batch.initial_on]))
 
 
-def _count_chunk(scenario, rng, n: int, offset: float, equilibrium: bool) -> np.ndarray:
-    """Histogram of the completed idle gaps of one chunk's trials."""
+def _walk_start(window: np.ndarray, first: np.ndarray):
+    """A count walk's first step: the histogram so far (the trials whose
+    first gap outlasts their window), then the window and elapsed time of
+    each trial the first gap fits."""
+    live = np.flatnonzero(first <= window)
+    return [window.size - live.size], window.take(live), first.take(live)
+
+
+def _count_chunk(scenario, rng, n: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """(equilibrium, ordinary) histograms of the completed idle gaps of one
+    chunk's trials.
+
+    The conventions differ only in the first gap, so the chunk's windows and
+    first gaps are drawn once (`first_gaps`), and each walk starts from the
+    generator state after them: the equilibrium walk, then the ordinary
+    walk from that state again, each drawing what a walk of its own would.
+    An idle law whose two first gaps are one array walks once for both.
+    """
     window = rng.exponential(scenario.packet_mean, n)
     window -= offset
     np.maximum(window, 0.0, out=window)
     idle = scenario.idle
-    elapsed = idle.residual_sample(rng, n) if equilibrium else idle.sample(rng, n)
-    live = np.flatnonzero(elapsed <= window)
-    histogram = [n - live.size]
-    window, elapsed = window.take(live), elapsed.take(live)
-    while window.size:
-        elapsed += idle.sample(rng, window.size)
-        live = np.flatnonzero(elapsed <= window)
-        histogram.append(window.size - live.size)
-        window, elapsed = window.take(live), elapsed.take(live)
-    return np.array(histogram, dtype=np.int64)
+    residual, full = idle.first_gaps(rng, n)
+    shared = residual is full
+    starts = [_walk_start(window, residual)]
+    del residual
+    if not shared:
+        starts.append(_walk_start(window, full))
+    del window, full
+    resume = rng.bit_generator.state
+    histograms = []
+    while starts:
+        rng.bit_generator.state = resume
+        histogram, window, elapsed = starts.pop(0)
+        while window.size:
+            elapsed += idle.sample(rng, window.size)
+            live = np.flatnonzero(elapsed <= window)
+            histogram.append(window.size - live.size)
+            window, elapsed = window.take(live), elapsed.take(live)
+        histograms.append(np.array(histogram, dtype=np.int64))
+    return histograms[0], histograms[-1]
 
 
 def empirical_renewal_counts(scenario: CoexistenceScenario, config: McConfig,
-                             offset: float = 0.0, equilibrium: bool = True) -> np.ndarray:
-    """Histogram of completed idle gaps within the window max(T - offset, 0).
+                             offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(equilibrium, ordinary) histograms of completed idle gaps within the
+    window max(T - offset, 0), from one walk of the chunks.
 
     Pure renewal counting: busy periods are not part of this window, matching
-    the counting convention the analytic PMFs use.
+    the counting convention the analytic PMFs use.  The equilibrium
+    convention's first gap is a stationary residual and the ordinary one's a
+    full gap.  Both see the same windows and first-gap draws, so they are
+    correlated, and each histogram is the one a walk of its convention alone
+    would give on the same stream.  For an exponential idle law the two
+    first gaps coincide and so do the histograms.
     """
     if not (math.isfinite(offset) and offset >= 0.0):
         raise ValueError("offset must be finite and nonnegative")
-    parts = [_count_chunk(scenario, rng, size, offset, equilibrium)
-             for rng, size in _chunks(config)]
-    counts = np.zeros(max(p.size for p in parts), dtype=np.int64)
-    for part in parts:
-        counts[:part.size] += part
-    return counts
+    parts = [_count_chunk(scenario, rng, size, offset) for rng, size in _chunks(config)]
+    totals = []
+    for convention in (0, 1):
+        counts = np.zeros(max(p[convention].size for p in parts), dtype=np.int64)
+        for part in parts:
+            counts[:part[convention].size] += part[convention]
+        totals.append(counts)
+    return totals[0], totals[1]

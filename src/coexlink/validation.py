@@ -146,20 +146,27 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
     The stages run one after another and hold only their own arrays.  The
     collision walk fills the batch, 9 bytes per trial, one chunk at a time
     (`simcore.run_trials`).  The two conditional samples are copied out of it
-    and sorted in place, 8 bytes per trial, and checked; once they are freed
-    the batch's own collision times are sorted in place as the joint sample.
-    Each KS pass adds a mask and the bounds of its sample's uniques, up to
-    9 bytes per value, and one block of probes at a time
-    (`simcore.KS_BLOCK`).  So the walk's chunk sets the traced peak at 200k
-    trials, 6.4-7.4 MiB, and the KS passes set it from 1M trials on, 18-22
-    bytes per trial.  All of it is released before each renewal-count walk,
-    which holds one chunk's windows and its histogram.
+    and sorted in place, 8 bytes per trial, and each is checked against its
+    own start state's CDF alone (`ctd.ctd_off_start`, `ctd.ctd_on_start`);
+    once they are freed the batch's own collision times are sorted in place
+    as the joint sample.  Each KS pass adds a mask and the bounds of its
+    sample's uniques, up to 9 bytes per value, and one block of probes at a
+    time (`simcore.KS_BLOCK`).  So the walk's chunk sets the traced peak at
+    200k trials, 6.4-6.8 MiB on the seven benchmarked laws, and the KS passes
+    set it from 1M trials on, 18-22 bytes per trial.  All of it is released
+    before the renewal-count walk (`simcore.empirical_renewal_counts`), which
+    gives both conventions' histograms at once and holds one chunk's windows
+    and first gaps, then each convention's live trials: 2.5-3.5 MiB traced
+    per 131,072-trial chunk for an exponential idle law, which walks once,
+    and 5.3 MiB for a hyperexponential one.
 
-    Both renewal-count conventions walk ``seed + 1``, so the equilibrium and
-    ordinary counts come from the same packet windows and their chi-squares
-    are correlated, not two independent tests, and a run at ``seed + 1``
-    walks its collisions on this run's count stream; the fix is one
-    `SeedSequence` child per test.
+    Both renewal-count conventions walk ``seed + 1`` and share its packet
+    windows and first-gap draws, so their chi-squares are correlated, not
+    two independent tests, and a run at ``seed + 1`` walks its collisions on
+    this run's count stream; one `SeedSequence` child per test would make
+    them independent and walk each convention on its own.  The count walk
+    takes a step per completed idle gap, so it slows like 1/(1 - g) as the
+    idle gaps become far shorter than the packet.
     """
     config = simcore.McConfig(trials=trials, seed=seed)
     batch = simcore.run_trials(scenario, config)
@@ -196,13 +203,12 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
         if ks[key] > ks[limit_key]:
             report.failures.append(f"{label} KS {ks[key]:.5f} exceeds {ks[limit_key]:.5f}")
 
-    for label, equilibrium, kind in (
-        ("equilibrium", True, renewal.CountKind.EQUILIBRIUM),
-        ("ordinary", False, renewal.CountKind.ORDINARY),
+    counts = simcore.empirical_renewal_counts(
+        scenario, simcore.McConfig(trials=trials, seed=seed + 1))
+    for label, observed, kind in zip(
+        ("equilibrium", "ordinary"), counts,
+        (renewal.CountKind.EQUILIBRIUM, renewal.CountKind.ORDINARY),
     ):
-        observed = simcore.empirical_renewal_counts(
-            scenario, simcore.McConfig(trials=trials, seed=seed + 1), equilibrium=equilibrium
-        )
         spec = renewal.RenewalPmfSpec(scenario.idle, scenario.packet_rate, 0.0, kind)
         cell = chi_square_counts(observed, lambda n: renewal.pmf(spec, n), trials)
         report.chi2[label] = cell

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from coexlink.ctd import SlotTail, _jump_counts, ctd_mixture
+from coexlink.ctd import SlotTail, _jump_counts, _runs, ctd_mixture
 from coexlink.dist import (
     CoexistenceScenario,
     ExponentialIdle,
@@ -634,6 +634,26 @@ def ks_distance_unique(ecdf, cdf) -> float:
     return float(
         max(np.max(np.abs(ref_right - ecdf_right)), np.max(np.abs(ref_left - ecdf_left)))
     )
+
+
+def start_cdfs_two_rows(scenario, x) -> tuple[np.ndarray, np.ndarray]:
+    """(F0, F1): both start-state CDFs at x formed together, as
+    `ctd._start_cdfs` formed them for every caller before each start state
+    formed only its own row."""
+    s, idle = scenario.packet_rate, scenario.idle
+    xa = np.asarray(x, dtype=float)
+    xc = np.maximum(xa, 0.0)
+    _, decay, tail, frac, _ = _runs(scenario, xc)
+    full = 1.0 - tail
+    if decay:
+        full -= tail * np.expm1(-decay * xc)
+    mixed = full + idle.one_minus_laplace(s) * tail * frac
+    damp = np.exp(-s * xc)
+    both = np.empty((2,) + xa.shape)
+    np.subtract(1.0, damp * idle.residual_laplace(s) * (1.0 - full), out=both[0, ...])
+    np.add(1.0 - damp, damp * mixed, out=both[1, ...])
+    np.copyto(both, 0.0, where=xa < 0.0)
+    return tuple(np.clip(both, 0.0, 1.0, out=both))
 
 
 def mixture_tail_mp(scenario, slot: int, dps: int = 40):

@@ -182,10 +182,8 @@ def test_criterion_3_renewal_pmf_correctness():
 
     worst_z = 0.0
     for _, scenario in scenarios:
-        for equilibrium, kind in ((True, CountKind.EQUILIBRIUM), (False, CountKind.ORDINARY)):
-            observed = empirical_renewal_counts(
-                scenario, McConfig(trials=TRIALS, seed=SUITE_SEED), equilibrium=equilibrium
-            )
+        counts = empirical_renewal_counts(scenario, McConfig(trials=TRIALS, seed=SUITE_SEED))
+        for observed, kind in zip(counts, (CountKind.EQUILIBRIUM, CountKind.ORDINARY)):
             spec = RenewalPmfSpec(scenario.idle, scenario.packet_rate, 0.0, kind)
             probs = np.asarray([pmf(spec, n) for n in range(observed.size)])
             expected = probs * TRIALS

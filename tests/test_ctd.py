@@ -23,6 +23,7 @@ from coexlink.dist import (
     ConstantOnTime,
     ExponentialIdle,
     ExponentialOnTime,
+    HyperexponentialIdle,
     activity_factor,
 )
 from coexlink.per import resolve_ell_max
@@ -30,7 +31,13 @@ from coexlink.presets import preset_names, preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 
 from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
-from oracles import coverage_point_bisect, gamma_lower_reg, pmf_tail_index, slot_tail_per_slot
+from oracles import (
+    coverage_point_bisect,
+    gamma_lower_reg,
+    pmf_tail_index,
+    slot_tail_per_slot,
+    start_cdfs_two_rows,
+)
 
 PACKET_RATE = 1.0 / 1.984e-3
 
@@ -494,3 +501,50 @@ def test_cdf_monotone_property(busy_mean, idle_mean, x_lo, x_step):
     hi = float(ctd_mixture(sc, x_lo + x_step))
     assert 0.0 <= lo <= hi + 1e-12
     assert hi <= 1.0
+
+
+def _log_uniform(low, high):
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
+
+
+@st.composite
+def start_state_cases(draw):
+    """A generated scenario and CDF probes: constant or exponential busy
+    times of 1 us to 10 ms, exponential or 1-4-phase hyperexponential idle
+    gaps with means of 100 ns to 100 ms, packets of 0.1 to 10 ms, and probes
+    below 0, at 0, across ten packets, and on busy multiples and one ulp
+    either side of them."""
+    busy_time = draw(_log_uniform(1e-6, 1e-2))
+    busy = ConstantOnTime(busy_time) if draw(st.booleans()) else ExponentialOnTime(1.0 / busy_time)
+    phases = draw(st.integers(0, 4))
+    if phases:
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=phases, max_size=phases))
+        means = draw(st.lists(_log_uniform(1e-7, 0.1), min_size=phases, max_size=phases))
+        idle = HyperexponentialIdle(tuple(w / math.fsum(raw) for w in raw), tuple(means))
+    else:
+        idle = ExponentialIdle(1.0 / draw(_log_uniform(1e-7, 0.1)))
+    packet_time = draw(_log_uniform(1e-4, 1e-2))
+    scenario = CoexistenceScenario(busy, idle, 1.0 / packet_time)
+    multiples = busy_time * np.array(draw(st.lists(st.integers(0, 50), min_size=1, max_size=6)),
+                                     dtype=float)
+    spread = packet_time * np.array(draw(st.lists(st.floats(-1.0, 10.0), min_size=1,
+                                                  max_size=6)))
+    probes = np.concatenate([[-busy_time, -0.0, 0.0, 5e-324], spread, multiples,
+                             np.nextafter(multiples, -np.inf), np.nextafter(multiples, np.inf)])
+    return scenario, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=start_state_cases())
+def test_start_states_equal_the_two_row_reference(case):
+    # each start state forms only its own row, the mixture both, and every
+    # float is the one the two rows formed together give
+    scenario, probes = case
+    alpha = activity_factor(scenario)
+    for x in (probes, float(probes[-1])):
+        off, on = start_cdfs_two_rows(scenario, x)
+        for got, want in ((ctd_off_start(scenario, x), off), (ctd_on_start(scenario, x), on),
+                          (ctd_mixture(scenario, x), alpha * on + (1.0 - alpha) * off)):
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+            assert np.all((got >= 0.0) & (got <= 1.0))

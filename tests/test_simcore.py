@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coexlink.ctd import ctd_mixture
-from coexlink.dist import HyperexponentialIdle, activity_factor
+from coexlink.dist import ExponentialIdle, HyperexponentialIdle, activity_factor
 from coexlink.presets import IDLE_MIXTURES, preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
 from coexlink.simcore import (
@@ -20,7 +20,7 @@ from coexlink.simcore import (
     run_trials,
     split_by_start,
 )
-from conftest import ALL_PRESET_NAMES, SUITE_SEED, scenario_named
+from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, SUITE_SEED, scenario_named
 from oracles import (
     ChoiceHyperexponentialIdle,
     count_chunk_gather,
@@ -34,7 +34,7 @@ from oracles import (
 
 def empirical_renewal_pmf(scenario, config: McConfig, offset: float = 0.0,
                           equilibrium: bool = True) -> np.ndarray:
-    counts = empirical_renewal_counts(scenario, config, offset, equilibrium)
+    counts = empirical_renewal_counts(scenario, config, offset)[0 if equilibrium else 1]
     return counts / config.trials
 
 
@@ -216,7 +216,7 @@ class TestEngine:
         config = McConfig(trials=trials, seed=seed)
         batch = run_trials(scenario, config)
         assert _digest(batch.initial_on, batch.collision_time) == walk
-        assert _digest(empirical_renewal_counts(scenario, config, 374e-6)) == counts
+        assert _digest(empirical_renewal_counts(scenario, config, 374e-6)[0]) == counts
 
     # sha256 of the walk and of all four count conventions (equilibrium and
     # ordinary, offsets 0 and 374 us) on a hyperexponential, an exponential
@@ -260,8 +260,8 @@ class TestEngine:
         config = McConfig(trials=trials, seed=seed)
         batch = run_trials(scenario, config)
         assert _digest(batch.initial_on, batch.collision_time) == walk
-        parts = [empirical_renewal_counts(scenario, config, offset, equilibrium)
-                 for equilibrium in (True, False) for offset in (0.0, 374e-6)]
+        by_offset = [empirical_renewal_counts(scenario, config, offset) for offset in (0.0, 374e-6)]
+        parts = [counts[convention] for convention in (0, 1) for counts in by_offset]
         assert _digest(np.array([p.size for p in parts]), *parts) == counts
 
     def test_scalar_walk_frozen(self):
@@ -305,16 +305,37 @@ class TestAgainstGatherOracle:
 
     @pytest.mark.parametrize("name", ORACLE_SCENARIOS)
     def test_count_chunk(self, name):
+        # one walk gives both conventions, each the histogram of the gather
+        # loop run for that convention alone on a twin stream
         scenario = scenario_named(name)
         for n in ORACLE_SIZES:
-            for offset, equilibrium in ((0.0, True), (374e-6, False)):
-                rng, rng_oracle = _twin_streams(SUITE_SEED + n)
-                histogram = _count_chunk(scenario, rng, n, offset, equilibrium)
-                counts = count_chunk_gather(with_choice_sampler(scenario), rng_oracle, n,
-                                            offset, equilibrium)
-                assert np.array_equal(histogram, np.bincount(counts)), (n, offset)
-                assert histogram.dtype == np.int64 and histogram[-1] > 0
-                assert rng.bit_generator.state == rng_oracle.bit_generator.state
+            for offset in (0.0, 374e-6):
+                rng, rng_equilibrium = _twin_streams(SUITE_SEED + n)
+                rng_ordinary = np.random.default_rng(SUITE_SEED + n)
+                histograms = _count_chunk(scenario, rng, n, offset)
+                for histogram, equilibrium, rng_oracle in zip(
+                        histograms, (True, False), (rng_equilibrium, rng_ordinary)):
+                    counts = count_chunk_gather(with_choice_sampler(scenario), rng_oracle, n,
+                                                offset, equilibrium)
+                    assert np.array_equal(histogram, np.bincount(counts)), (n, offset)
+                    assert histogram.dtype == np.int64 and histogram[-1] > 0
+                assert rng.bit_generator.state == rng_ordinary.bit_generator.state
+
+    @pytest.mark.parametrize("name", ALL_PRESET_NAMES + sorted(EXTRA_SCENARIOS))
+    def test_first_gaps(self, name):
+        # both first gaps of a count walk from one stream, each the floats its
+        # own sampler draws there; the generator ends where either leaves it
+        law = scenario_named(name).idle
+        for size in (0, 1, 7, CHUNK):
+            rng, rng_residual = _twin_streams(SUITE_SEED + size)
+            rng_full = np.random.default_rng(SUITE_SEED + size)
+            residual, full = law.first_gaps(rng, size)
+            assert np.array_equal(residual, law.residual_sample(rng_residual, size))
+            assert np.array_equal(full, law.sample(rng_full, size))
+            assert residual.shape == full.shape == (size,)
+            assert (residual is full) == isinstance(law, ExponentialIdle)
+            for rng_sampler in (rng_residual, rng_full):
+                assert rng.bit_generator.state == rng_sampler.bit_generator.state
 
     @pytest.mark.parametrize("law", [
         *(preset_scenario(name).idle for name in sorted(IDLE_MIXTURES)),

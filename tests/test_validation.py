@@ -260,9 +260,7 @@ def test_renewal_chi2_catches_wrong_convention(scenario_exp_0p1575, rng):
     from coexlink.simcore import McConfig, empirical_renewal_counts
 
     scenario = preset_scenario("alpha_ge_0.5")
-    observed = empirical_renewal_counts(
-        scenario, McConfig(trials=200_000, seed=SUITE_SEED), equilibrium=False
-    )
+    _, observed = empirical_renewal_counts(scenario, McConfig(trials=200_000, seed=SUITE_SEED))
     wrong = RenewalPmfSpec(
         scenario.idle, scenario.packet_rate, 0.0, CountKind.EQUILIBRIUM
     )
