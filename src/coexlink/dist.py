@@ -67,8 +67,8 @@ class ExponentialOnTime:
     def sample(self, rng: np.random.Generator, size: int):
         return rng.exponential(self.mean, size)
 
-    def residual_sample(self, rng: np.random.Generator, size: int):
-        return rng.exponential(self.mean, size)
+    # memoryless: the residual is the law itself
+    residual_sample = sample
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ class ExponentialIdle:
     def sample(self, rng: np.random.Generator, size: int):
         return rng.exponential(self.mean, size)
 
-    def residual_sample(self, rng: np.random.Generator, size: int):
-        return rng.exponential(self.mean, size)
+    # memoryless: the residual is the law itself
+    residual_sample = sample
 
     def first_gaps(self, rng: np.random.Generator, size: int):
         """(residual, full): ``size`` first gaps of each kind, drawn as
@@ -188,25 +188,16 @@ class HyperexponentialIdle:
         return _phase_table(self.means, probs / probs.sum())
 
     def sample(self, rng: np.random.Generator, size: int):
-        return _phase_sample(rng, *self._phases, size)
+        return _phase_sample(rng, size, self._phases)[0]
 
     def residual_sample(self, rng: np.random.Generator, size: int):
-        return _phase_sample(rng, *self._residual_phases, size)
+        return _phase_sample(rng, size, self._residual_phases)[0]
 
     def first_gaps(self, rng: np.random.Generator, size: int):
         """(residual, full): ``size`` first gaps of each kind, drawn as
-        `residual_sample` or `sample` would draw them.  Both consume one
-        uniform and one standard exponential per gap, so one pair of draws
-        mapped through both phase tables gives each the floats it would
-        have drawn alone."""
-        (residual_means, residual_cdf), (means, cdf) = self._residual_phases, self._phases
-        u = rng.random(size)
-        residual_phase, phase = _phase_of(u, residual_cdf), _phase_of(u, cdf)
-        del u
-        full = rng.standard_exponential(size)
-        residual = full * residual_means.take(residual_phase)
-        full *= means.take(phase)
-        return residual, full
+        `residual_sample` or `sample` would draw them: one pair of draws
+        mapped through both phase tables (`_phase_sample`)."""
+        return tuple(_phase_sample(rng, size, self._residual_phases, self._phases))
 
 
 def _phase_table(means, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -215,19 +206,26 @@ def _phase_table(means, probs) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(means, dtype=float), cdf / cdf[-1]
 
 
-def _phase_sample(rng: np.random.Generator, means: np.ndarray, cdf: np.ndarray, size: int):
-    """Exponential draws whose mean is a phase picked with CDF ``cdf``.
+def _phase_sample(rng: np.random.Generator, size: int, *tables) -> list[np.ndarray]:
+    """Exponential draws whose mean is a phase picked with a CDF, one array
+    per (means, CDF) table.
 
-    One uniform per draw is compared with the CDF, then one standard
-    exponential per draw is scaled by its phase mean: the generator is
-    consumed as by ``rng.exponential(means[rng.choice(len(means), size, p=probs)])``,
-    which picks the phase by the same count of CDF entries at or below the
+    One uniform per draw is compared with each table's CDF, then one
+    standard exponential per draw is scaled by each table's phase mean, so
+    every table's draws come out as it alone would have drawn them.  One
+    table consumes the generator as
+    ``rng.exponential(means[rng.choice(len(means), size, p=probs)])``, which
+    picks the phase by the same count of CDF entries at or below the
     uniform, and every draw comes out the same float.
     """
-    phase = _phase_of(rng.random(size), cdf)
+    u = rng.random(size)
+    phases = [_phase_of(u, cdf) for _, cdf in tables]
+    del u
     draws = rng.standard_exponential(size)
-    draws *= means.take(phase)
-    return draws
+    gaps = [draws * means.take(phase) for (means, _), phase in zip(tables[:-1], phases)]
+    draws *= tables[-1][0].take(phases[-1])
+    gaps.append(draws)
+    return gaps
 
 
 def _phase_of(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:

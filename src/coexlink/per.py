@@ -44,9 +44,10 @@ window by either:
     (877 nodes).  On the first nodes (deep fades) no bit can fail at any
     INR: Q underflows to 0, on 577 of them at snr 10 dB and INR -10..30 dB.
     The PER works on the failing band, where some INR's bit can fail, and
-    the all-zero node before it (`_failing_band`); in the final fading sum
-    that node's value repeats over the skipped nodes, so the PER is bitwise
-    that of working on every node.  A single window sums q(g)^bits over
+    the all-zero node before it (`_failing_band`); that node's value
+    repeats over the skipped nodes, so every per-node PER is bitwise that
+    of working on every node, and `per_curve` sums the weighted per-node
+    values of each INR in one reduction.  A single window sums q(g)^bits over
     every node; for the PER the slot sum is
     taken first and summed by parts against the collision-time tail, which
     is geometric times linear within each busy period (`ctd.slot_tail`), so
@@ -547,7 +548,8 @@ def _ratio_sums(rho: np.ndarray, one_minus_y: np.ndarray,
 def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
                     mean_inr: np.ndarray, tail: SlotTail, ell_max: int,
                     tail_mass: float) -> np.ndarray:
-    """PER at every mean INR by the fading average on fixed nodes.
+    """PER at every mean INR and fading node, shape (mean_inr.size, nodes);
+    `per_curve` weighs each row by the fading rule and sums it.
 
     At each node, a packet whose first l bits collide succeeds with
     u_l = clear^(N-l) * q^l below N = noise_bits and q^l from N on (q^l
@@ -569,9 +571,9 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
 
     Only the failing band and the one all-zero node before it are worked on
     (`_failing_band`).  At a node where no bit can fail every row's
-    per-node PER comes from q = 1 alone, so the final fading sum repeats
-    that node's value over the skipped ones and reduces each row once, on
-    every node: the PER is bitwise that of working on every node.
+    per-node PER comes from q = 1 alone, so that node's value is repeated
+    over the skipped ones: every node's value is bitwise that of working on
+    every node.
     """
     skip, fail = _failing_band(modulation, snr, mean_inr)
     clear_fail, log_clear = _awgn_clear(modulation, snr)
@@ -638,8 +640,7 @@ def _per_quadrature(modulation: Modulation, snr: float, noise_bits: int | None,
         fail -= clear_fail
         fail *= noisy
         per += fail
-    per = np.pad(per, ((0, 0), (skip, 0)), mode="edge")
-    return (per * _FADE_WEIGHTS).sum(axis=1)
+    return np.pad(per, ((0, 0), (skip, 0)), mode="edge")
 
 
 def _per_hybrid(modulation: Modulation, snr: float, noise_bits: int | None,
@@ -728,7 +729,8 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
     values = {}
     for method in methods:
         if method is PerMethod.QUADRATURE:
-            per = _per_quadrature(modulation, snr, noise_bits, grid, tail, slots, tail_mass)
+            per = (_per_quadrature(modulation, snr, noise_bits, grid, tail, slots, tail_mass)
+                   * _FADE_WEIGHTS).sum(axis=1)
         else:
             per = _per_hybrid(modulation, snr, noise_bits, grid, tail, slots)
         values[method.value] = _clamped(per, "PER", stacklevel=2)

@@ -135,13 +135,12 @@ def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int) -> dict[s
     }
 
 
-def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
-                      mixture_cdf=None) -> ValidationReport:
+def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int) -> ValidationReport:
     """Full MC-vs-analytic comparison for one scenario.
 
-    ``mixture_cdf`` substitutes the analytic joint CDF (negative-control
-    hook for the test suite); conditionals always use the analytic curves.
-    A run in which no trial starts idle, or none starts busy, is a ValueError.
+    The joint sample is checked against `ctd.ctd_mixture` and each start
+    state's sample against its own analytic curve.  A run in which no trial
+    starts idle, or none starts busy, is a ValueError.
 
     The stages run one after another and hold only their own arrays.  The
     collision walk fills the batch, 9 bytes per trial, one chunk at a time
@@ -188,9 +187,7 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int,
     # sample, sorted in place.
     joint = simcore.EmpiricalCdf.sorted_in_place(batch.collision_time)
     del batch
-    if mixture_cdf is None:
-        mixture_cdf = lambda x: ctd_mixture(scenario, x)  # noqa: E731
-    ks["joint"] = joint.ks_distance(mixture_cdf)
+    ks["joint"] = joint.ks_distance(lambda x: ctd_mixture(scenario, x))
     # Nothing below reads the walk: free it before the count walks allocate.
     del joint
 

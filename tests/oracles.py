@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from coexlink.ctd import SlotTail, _jump_counts, _runs, ctd_mixture
+from coexlink.ctd import SlotTail, _jump_counts, ctd_mixture
 from coexlink.dist import (
     CoexistenceScenario,
     ExponentialIdle,
@@ -26,14 +26,11 @@ from coexlink.dist import (
 from coexlink.per import (
     _FADE_WEIGHTS,
     _LOG2,
-    _LOG_FLOOR,
     E0,
     QN_COEFFS,
     FloatRangeError,
-    ber_awgn,
     _bit_failure,
     _closed_form_failures,
-    _ratio_sums,
     _failure_table,
     _gumbel_gamma_failures,
     _slot_log_weights,
@@ -337,75 +334,6 @@ def _bit_success(modulation, snr: float, mean_inr: np.ndarray) -> np.ndarray:
     return 1.0 - _bit_failure(modulation, snr, mean_inr)
 
 
-def per_quadrature_full_grid(modulation, snr: float, noise_bits, mean_inr: np.ndarray,
-                             tail: SlotTail, ell_max: int, tail_mass: float) -> np.ndarray:
-    """`per._per_quadrature` summed by parts on every fading node, the
-    failing band and the nodes before it alike: the body the band replaced,
-    which it must reproduce bitwise.  Each row ends in the route's own
-    numpy sum of its weighted per-node values.
-    """
-    per = per_quadrature_nodes(modulation, snr, noise_bits, mean_inr, tail, ell_max, tail_mass)
-    return (per * _FADE_WEIGHTS).sum(axis=1)
-
-
-def per_quadrature_nodes(modulation, snr: float, noise_bits, mean_inr: np.ndarray,
-                         tail: SlotTail, ell_max: int, tail_mass: float) -> np.ndarray:
-    """The PER at every mean INR and fading node, shape (mean_inr.size,
-    nodes): the values `per_quadrature_full_grid` weighs and sums."""
-    fail = _bit_failure(modulation, snr, mean_inr)
-    clear_fail = float(ber_awgn(modulation, snr))
-    with np.errstate(divide="ignore"):
-        log_q = np.maximum(np.log1p(-fail), _LOG_FLOOR)
-        log_clear = max(float(np.log1p(-clear_fail)), _LOG_FLOOR)
-    log_y = tail.log_decay + log_q
-    n_bits = noise_bits or 0
-    split = min(n_bits, ell_max)
-    starts = tail.starts[tail.starts < ell_max]
-    if 0 < split < ell_max:
-        starts = np.union1d(starts, [split])
-    runs = np.searchsorted(tail.starts, starts, side="right") - 1
-    slopes = tail.slopes[runs]
-    heads = tail.heads[runs] - slopes * (starts - tail.starts[runs])
-    pieces = list(zip(starts.tolist(), np.diff(starts, append=ell_max).tolist(),
-                      heads.tolist(), slopes.tolist()))
-    below = int(np.searchsorted(starts, split))
-
-    per = -np.expm1(n_bits * log_clear) + tail_mass * np.exp(
-        max(n_bits - ell_max, 0) * log_clear + ell_max * log_q)
-
-    one_minus_y = -np.expm1(log_y)
-    sums = {}
-    plain = np.zeros_like(fail)
-    y_m = np.exp(split * log_y)
-    for _, n, head, slope in pieces[below:]:
-        if n not in sums:
-            sums[n] = _ratio_sums(log_y, one_minus_y, n)
-        s0, s1, y_n = sums[n]
-        plain += y_m * (head * s0 - slope * s1)
-        y_m *= y_n
-    per += fail * plain
-
-    if below:
-        log_ratio = log_y - log_clear
-        backward = log_ratio > 0.0
-        rho = -np.abs(log_ratio)
-        one_minus_z = -np.expm1(rho)
-        sums = {}
-        noisy = np.zeros_like(fail)
-        for m, n, head, slope in pieces[:below]:
-            if n not in sums:
-                # Where the ratio exceeds 1 the run is summed from its last
-                # slot back, so no partial power overflows.
-                s0, s1, _ = _ratio_sums(rho, one_minus_z, n)
-                sums[n] = (s0, np.where(backward, (n - 1) * s0 - s1, s1),
-                           np.where(backward, (n - 1) * log_ratio, 0.0))
-            s0, s1, shift = sums[n]
-            log_start = (n_bits - 1 - m) * log_clear + m * log_y
-            noisy += np.exp(log_start + shift) * (head * s0 - slope * s1)
-        per += (fail - clear_fail) * noisy
-    return per
-
-
 def slot_increments(scenario, ell_max: int) -> np.ndarray:
     """F(l*bit_time) - F((l-1)*bit_time) for slots 0..ell_max, slot 0 holding
     the no-collision atom F(0), from `ctd_mixture`."""
@@ -634,26 +562,6 @@ def ks_distance_unique(ecdf, cdf) -> float:
     return float(
         max(np.max(np.abs(ref_right - ecdf_right)), np.max(np.abs(ref_left - ecdf_left)))
     )
-
-
-def start_cdfs_two_rows(scenario, x) -> tuple[np.ndarray, np.ndarray]:
-    """(F0, F1): both start-state CDFs at x formed together, as
-    `ctd._start_cdfs` formed them for every caller before each start state
-    formed only its own row."""
-    s, idle = scenario.packet_rate, scenario.idle
-    xa = np.asarray(x, dtype=float)
-    xc = np.maximum(xa, 0.0)
-    _, decay, tail, frac, _ = _runs(scenario, xc)
-    full = 1.0 - tail
-    if decay:
-        full -= tail * np.expm1(-decay * xc)
-    mixed = full + idle.one_minus_laplace(s) * tail * frac
-    damp = np.exp(-s * xc)
-    both = np.empty((2,) + xa.shape)
-    np.subtract(1.0, damp * idle.residual_laplace(s) * (1.0 - full), out=both[0, ...])
-    np.add(1.0 - damp, damp * mixed, out=both[1, ...])
-    np.copyto(both, 0.0, where=xa < 0.0)
-    return tuple(np.clip(both, 0.0, 1.0, out=both))
 
 
 def mixture_tail_mp(scenario, slot: int, dps: int = 40):

@@ -36,7 +36,6 @@ from oracles import (
     gamma_lower_reg,
     pmf_tail_index,
     slot_tail_per_slot,
-    start_cdfs_two_rows,
 )
 
 PACKET_RATE = 1.0 / 1.984e-3
@@ -542,7 +541,7 @@ def test_start_states_equal_the_two_row_reference(case):
     scenario, probes = case
     alpha = activity_factor(scenario)
     for x in (probes, float(probes[-1])):
-        off, on = start_cdfs_two_rows(scenario, x)
+        off, on = ctd._start_cdfs(scenario, x)
         for got, want in ((ctd_off_start(scenario, x), off), (ctd_on_start(scenario, x), on),
                           (ctd_mixture(scenario, x), alpha * on + (1.0 - alpha) * off)):
             assert np.shape(got) == np.shape(want)

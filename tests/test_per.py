@@ -52,8 +52,6 @@ from oracles import (
     mixture_tail_mp,
     per_horner,
     per_hybrid_one_table,
-    per_quadrature_full_grid,
-    per_quadrature_nodes,
     resolve_ell_max_bisect,
     slot_increments,
     slot_tail_per_slot,
@@ -620,15 +618,23 @@ def _band_cases(scenario):
 
 
 @pytest.mark.parametrize("name", PIECE_SCENARIOS)
-def test_quadrature_band_matches_the_full_grid_bitwise(name):
+def test_quadrature_band_matches_the_full_grid_bitwise(name, monkeypatch):
     # the failing band plus one all-zero node, that node's value standing
-    # for the skipped ones in the final sum, reproduces the sum over every
-    # node bit for bit; at snr 0 no node is skipped
+    # for the skipped ones, reproduces every node's PER bit for bit; the
+    # full grid is the same body with the band forced to start at node 0
+    # (at snr 0 no node is skipped)
+    def full_grid(mod, snr, inr):
+        return 0, per_module._bit_failure(mod, snr, inr)
+
     leads = set()
-    for mod, snr, noise_bits, inr, tail, ell_max, tail_mass in _band_cases(scenario_named(name)):
-        band = _per_quadrature(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
-        oracle = per_quadrature_full_grid(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
-        assert band.tolist() == oracle.tolist(), (mod, snr, noise_bits, inr, ell_max)
+    for case in _band_cases(scenario_named(name)):
+        mod, snr, noise_bits, inr, _, ell_max, _ = case
+        band = _per_quadrature(*case)
+        with monkeypatch.context() as patch:
+            patch.setattr(per_module, "_failing_band", full_grid)
+            full = _per_quadrature(*case)
+        assert band.shape == (inr.size, per_module._FADE_WEIGHTS.size)
+        assert band.tolist() == full.tolist(), (mod, snr, noise_bits, inr, ell_max)
         leads.add(_failing_band(mod, snr, inr)[0])
     nodes = per_module._FADE_WEIGHTS.size
     assert {0, nodes - 1} <= leads and len(leads) > 2
@@ -639,10 +645,13 @@ def test_quadrature_sum_is_within_1e_15_of_the_correctly_rounded_sum(name):
     # the precision contract of the final fading sum: one numpy pairwise sum
     # of nonnegative weighted per-node values stays within a few ulps of
     # their correctly rounded sum (math.fsum over every node)
+    scenario = scenario_named(name)
     weights = per_module._FADE_WEIGHTS
-    for mod, snr, noise_bits, inr, tail, ell_max, tail_mass in _band_cases(scenario_named(name)):
-        per = _per_quadrature(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
-        nodes = per_quadrature_nodes(mod, snr, noise_bits, inr, tail, ell_max, tail_mass)
+    for case in _band_cases(scenario):
+        mod, snr, noise_bits, inr, _, ell_max, _ = case
+        per = per_curve(scenario, mod, snr, inr, [QUAD], ell_max=ell_max,
+                        noise_bits=noise_bits).values["quadrature"]
+        nodes = _per_quadrature(*case)
         exact = np.array([math.fsum(row) for row in (nodes * weights).tolist()])
         np.testing.assert_allclose(per, exact, rtol=1e-15, atol=0.0,
                                    err_msg=str((mod, snr, noise_bits, inr, ell_max)))

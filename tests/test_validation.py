@@ -120,15 +120,14 @@ class TestValidateScenario:
         assert report.ks["joint"] < report.ks["joint_limit"]
         assert set(report.chi2) == {"equilibrium", "ordinary"}
 
-    def test_negative_control_fails(self, scenario_exp_0p1575):
+    def test_negative_control_fails(self, scenario_exp_0p1575, monkeypatch):
         # feeding a deliberately shifted joint CDF must trip the KS gate;
         # this proves the harness can actually fail
-        def shifted(x):
-            return ctd_mixture(scenario_exp_0p1575, np.asarray(x) - 2e-4)
+        from coexlink import validation
 
-        report = validate_scenario(
-            scenario_exp_0p1575, trials=100_000, seed=SUITE_SEED, mixture_cdf=shifted
-        )
+        monkeypatch.setattr(validation, "ctd_mixture",
+                            lambda scenario, x: ctd_mixture(scenario, np.asarray(x) - 2e-4))
+        report = validate_scenario(scenario_exp_0p1575, trials=100_000, seed=SUITE_SEED)
         assert not report.passed
         assert any("joint KS" in f for f in report.failures)
 
@@ -162,14 +161,15 @@ class TestValidateScenario:
         assert report.failures[0] == (f"equilibrium count chi-square p="
                                       f"{report.chi2['equilibrium']['pvalue']:.2e} below 1e-03")
 
-    def test_nan_joint_reference_is_a_numerical_failure(self, scenario_exp_0p1575):
+    def test_nan_joint_reference_is_a_numerical_failure(self, scenario_exp_0p1575,
+                                                         monkeypatch):
         # a NaN CDF once read as a perfect fit, joint KS 0.0
-        def nan_cdf(x):
-            return np.full(np.shape(x), np.nan)
+        from coexlink import validation
 
+        monkeypatch.setattr(validation, "ctd_mixture",
+                            lambda scenario, x: np.full(np.shape(x), np.nan))
         with pytest.raises(FloatingPointError, match="reference CDF is NaN or infinite"):
-            validate_scenario(scenario_exp_0p1575, trials=20_000, seed=SUITE_SEED,
-                              mixture_cdf=nan_cdf)
+            validate_scenario(scenario_exp_0p1575, trials=20_000, seed=SUITE_SEED)
 
     def test_limits_widen_for_small_runs(self, scenario_exp_0p1575):
         tight = validate_scenario(scenario_exp_0p1575, trials=400_000, seed=SUITE_SEED)
