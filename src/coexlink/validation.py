@@ -35,7 +35,7 @@ KS_JOINT = 0.005
 KS_CONDITIONAL = 0.01
 CHI2_PVALUE_MIN = 1e-3
 REFERENCE_TRIALS = 1_000_000
-# Chi-square bins expecting fewer counts than this are pooled into the tail.
+# Chi-square bins are pooled until each expects at least this many counts.
 MIN_EXPECTED = 5.0
 
 
@@ -104,27 +104,37 @@ def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int) -> dict[s
     """Pearson test of an observed count histogram against an analytic PMF.
 
     ``observed`` holds per-count totals; ``expected_pmf`` maps n to its
-    probability.  Bins with expected count below ``MIN_EXPECTED`` are pooled
-    into the tail, which also absorbs the PMF mass beyond the histogram.
-    The p-value is the chi-square tail at the integer dof, in closed form
-    (`_chi2_sf`, Abramowitz & Stegun 26.4.4 and 26.4.5).
+    probability.  A last bin holds the PMF mass beyond the histogram.  Bins
+    are pooled from the high end so that every bin expects at least
+    ``MIN_EXPECTED`` counts: a bin closes once it does, and a short
+    remainder at the low end joins the bin above it.  A histogram whose
+    bins all expect that many keeps them apart, except the tail, pooled
+    down to the first bin that closes.  The p-value is the chi-square tail
+    at the integer dof, in closed form (`_chi2_sf`, Abramowitz & Stegun
+    26.4.4 and 26.4.5).
     """
     top = observed.size
     probs = np.asarray([expected_pmf(n) for n in range(top)], dtype=float)
     tail_prob = max(1.0 - probs.sum(), 0.0)
-    obs = list(observed.astype(float))
-    exp = list(probs * trials)
-    obs.append(0.0)
-    exp.append(tail_prob * trials)
-    # Pool from the high end until every kept bin is well populated.
-    while len(obs) > 2 and exp[-1] < MIN_EXPECTED:
-        exp[-2] += exp[-1]
-        obs[-2] += obs[-1]
-        del obs[-1], exp[-1]
-    obs_arr = np.asarray(obs)
-    exp_arr = np.asarray(exp)
-    keep = exp_arr > 0.0
-    obs_arr, exp_arr = obs_arr[keep], exp_arr[keep]
+    obs = observed.astype(float).tolist() + [0.0]
+    exp = (probs * trials).tolist() + [tail_prob * trials]
+    # Scan from the high end, closing a bin once it is well populated.
+    pooled_obs, pooled_exp = [], []
+    acc_obs = acc_exp = 0.0
+    for o, e in zip(reversed(obs), reversed(exp)):
+        acc_obs += o
+        acc_exp += e
+        if acc_exp >= MIN_EXPECTED:
+            pooled_obs.append(acc_obs)
+            pooled_exp.append(acc_exp)
+            acc_obs = acc_exp = 0.0
+    if pooled_exp:
+        pooled_obs[-1] += acc_obs
+        pooled_exp[-1] += acc_exp
+    else:
+        pooled_obs, pooled_exp = [acc_obs], [acc_exp]
+    obs_arr = np.asarray(pooled_obs[::-1])
+    exp_arr = np.asarray(pooled_exp[::-1])
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     dof = max(obs_arr.size - 1, 1)
     return {

@@ -15,7 +15,13 @@ import coexlink
 from coexlink.ctd import ctd_mixture
 from coexlink.presets import preset_scenario
 from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
-from coexlink.validation import CHI2_PVALUE_MIN, _chi2_sf, chi_square_counts, validate_scenario
+from coexlink.validation import (
+    CHI2_PVALUE_MIN,
+    MIN_EXPECTED,
+    _chi2_sf,
+    chi_square_counts,
+    validate_scenario,
+)
 from conftest import SUITE_SEED, scenario_named
 
 
@@ -48,6 +54,26 @@ class TestChiSquareCounts:
         # off-histogram tail must be merged
         assert cell["bins"] <= 4.0
         assert cell["pvalue"] > 1e-3
+
+    def test_every_bin_meets_the_floor_on_a_slow_geometric(self):
+        # ratio 0.999: the tail beyond 3,000 counts alone expects ~497, while
+        # every bin from n = 693 on expects fewer than 5; pooling from the
+        # top only until the last bin is populated kept all 3,001 bins
+        ratio, trials = 0.999, 10_000
+        probs = (1.0 - ratio) * ratio ** np.arange(3000)
+        observed = np.random.default_rng(7).multinomial(trials, np.append(probs, 0.0) / probs.sum())
+        cell = chi_square_counts(observed[:-1], lambda n: (1.0 - ratio) * ratio**n, trials)
+        assert cell["bins"] <= trials / MIN_EXPECTED
+        assert cell["dof"] == cell["bins"] - 1.0
+
+    def test_a_steep_geometric_keeps_its_floats(self):
+        # every bin already expects MIN_EXPECTED once the tail is pooled, so
+        # the cell is bit for bit the one recorded before the pooling held
+        # every bin to the floor
+        draws = np.random.default_rng(7).geometric(0.6, 50_000) - 1
+        cell = chi_square_counts(np.bincount(draws), lambda n: 0.6 * 0.4**n, 50_000)
+        assert cell == {"statistic": 11.326583854169925, "dof": 10.0,
+                        "pvalue": 0.33264653808130273, "bins": 11.0}
 
 
 class TestChiSquareTail:
@@ -201,17 +227,20 @@ class TestValidateScenario:
     # must leave every digit of every statistic as it was.  The rows after
     # the first four, one per other law the benchmark validates, were
     # recorded while each chunk still returned its own batch and the KS
-    # passes sorted copies of the sample.
+    # passes sorted copies of the sample.  The alpha_ge_0.5 rows and
+    # alpha_0.3_0.5 were re-recorded when the chi-square pooling began to
+    # hold every bin to MIN_EXPECTED; their reports moved inside ``chi2``
+    # alone.
     @pytest.mark.parametrize("name,seed,expected", [
-        ("alpha_ge_0.5", 11, "d9c1bdcda781015501eb0a97803067c35bb60c143b76a0590333e7e80a8e12af"),
-        ("alpha_ge_0.5", 12, "2aa258c97a2c44dcdd36c79e81c3757d5219ec8d369b86e878cf1231426f957b"),
+        ("alpha_ge_0.5", 11, "ece4da83c04826cd592e183f7b940157624eec3f1c80c89bdc16c594635eba22"),
+        ("alpha_ge_0.5", 12, "8b8622bd5f6cc081fc0a9c2c3d380c748a00f76d89ee63046e3b023f91c364d2"),
         ("exp_alpha_0.1575", 11,
          "35ab7cb81e76d8dbc53245daaffdf24634a414cfa630db3c0972349950d08a60"),
         ("exp_alpha_0.1575", 12,
          "26eac2284e25e2140c7ec8216d8ba7416f8bbf8e1bae6c5f8df8a325ff1146a1"),
         ("alpha_lt_0.1", 11, "aae603f2f9fe9de922164c11c6d0526a64106156d9674a37d2569cd72b386051"),
         ("alpha_0.1_0.3", 11, "b7227be1c5aa7bb9b74f668d967c84884c38555989307c8c4eed8cd4e8ea7d2e"),
-        ("alpha_0.3_0.5", 11, "78c927aa189b2d17dea987d493adc9827229f6e7403baf7b46ec5e1e00c9f9e5"),
+        ("alpha_0.3_0.5", 11, "9a4d747c1a7cce697177d0e2080439835e16da2bb6abae6baff2a88d41f59185"),
         ("exp_alpha_0.0361", 11,
          "2342219821476d6109927c299ca99c0361f0a12eb6b16dc5a12101f558aed25f"),
         ("exp_busy", 11, "ba92adac406a6db4b2b129bba117e11f9f07bd2f6fa8d6bda66713f0631a1a12"),
@@ -222,9 +251,10 @@ class TestValidateScenario:
 
     # The same at 200k trials, recorded before the KS passes walked their
     # uniques in blocks: the joint pass of alpha_ge_0.5 then spans 11 blocks
-    # of `simcore.KS_BLOCK`, where 20k trials span one or two.
+    # of `simcore.KS_BLOCK`, where 20k trials span one or two.  alpha_ge_0.5
+    # was re-recorded with the 20k rows above.
     @pytest.mark.parametrize("name,seed,expected", [
-        ("alpha_ge_0.5", 11, "18ddc6df06e831715b9dd4f333d2ad9b6a85c755702b08dfb2dc43fdcaf16678"),
+        ("alpha_ge_0.5", 11, "d0eaac362a59cab74aadde48313ef57ddd6efac89c901461d33a7402c256a8bd"),
         ("exp_busy", 11, "4b9497520913e75aac723371ca933553bde3200dd6457f02a56d1792288c6aca"),
     ])
     def test_report_frozen_at_200k_trials(self, name, seed, expected):
