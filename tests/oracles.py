@@ -304,7 +304,15 @@ def coverage_point_bisect(scenario, coverage: float = 1e-4) -> float:
 
 
 def resolve_ell_max_bisect(scenario, tail_cut: float) -> int:
-    """`per.resolve_ell_max` on top of `coverage_point_bisect`."""
+    """`per.resolve_ell_max` on top of `coverage_point_bisect`.
+
+    Held to it on the presets at cuts 1e-3 to 1e-9
+    (`test_resolve_ell_max_matches_bisection_oracle`) and nowhere else.
+    Where a busy period is a whole number of bits, a CDF jump sits on a slot
+    boundary and ``ceil`` of the float crossing can land one slot past it;
+    near cuts of 1e-9, 1 - F from `ctd_mixture` also carries up to 1.3e-7
+    relative error (on the presets, against `mixture_tail_mp`).  Generated links are judged by `mixture_tail_mp`.
+    """
     x_tail = coverage_point_bisect(scenario, tail_cut)
     ell = max(1, math.ceil(x_tail / scenario.bit_time))
     while ell * scenario.bit_time < x_tail:

@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement, cycle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate, special
 
 from coexlink import per as per_module
@@ -886,6 +886,23 @@ def test_resolve_ell_max_matches_bisection_oracle(name):
         assert resolve_ell_max(scenario, tail_cut) == resolve_ell_max_bisect(scenario, tail_cut)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(link=per_links(), log_cut=st.floats(-9.0, -1.0))
+def test_resolve_ell_max_against_the_40_digit_tail_on_generated_links(link, log_cut):
+    # the first slot whose tail is at most the cut, judged by the tail in
+    # 40-digit arithmetic; away from the presets the bisection oracle can
+    # land one slot high (a CDF jump on a slot boundary)
+    scenario = link[0]
+    cut = 10.0**log_cut
+    ell = resolve_ell_max(scenario, cut)
+    if isinstance(scenario.busy, ConstantOnTime):
+        # `mixture_tail_mp` counts the busy periods before the slot one by one
+        assume(ell * scenario.bit_time / scenario.busy.duration < 1e4)
+    assert mixture_tail_mp(scenario, ell) <= cut
+    if ell > 1:
+        assert cut < mixture_tail_mp(scenario, ell - 1)
+
+
 # bit times 1 ns to 1 ms around the 4 us of the presets; cuts 0.5 to 1e-15
 ELL_BIT_TIMES = [1e-9, 40e-9, 1e-6, 4e-6, 100e-6, 1e-3]
 ELL_TAIL_CUTS = [0.5] + [10.0**-k for k in range(1, 16)]
@@ -1157,6 +1174,19 @@ def test_per_reads_snr_and_inr_through_their_ratio(name, scale):
         for method in methods:
             same = np.array_equal(base.values[method.value], scaled.values[method.value])
             assert same == (noise_bits is None), (method, noise_bits)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(link=per_links())
+def test_quadrature_reads_snr_and_inr_through_their_ratio_on_generated_links(link):
+    # the same invariance away from the presets, without noise bits: SNR and
+    # mean INR scaled by 4^k, k in -3..3, give the quadrature PER bit for bit
+    scenario, modulation, snr, inr, _, ell_max = link
+    base = per_curve(scenario, modulation, snr, inr, [QUAD], ell_max=ell_max)
+    for k in range(-3, 4):
+        scaled = per_curve(scenario, modulation, 4.0**k * snr, 4.0**k * inr, [QUAD],
+                           ell_max=ell_max)
+        assert scaled.values["quadrature"].tolist() == base.values["quadrature"].tolist(), k
 
 
 @pytest.mark.parametrize("method", [QUAD, HYBRID])
