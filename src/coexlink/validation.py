@@ -107,11 +107,9 @@ def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int) -> dict[s
     probability.  A last bin holds the PMF mass beyond the histogram.  Bins
     are pooled from the high end so that every bin expects at least
     ``MIN_EXPECTED`` counts: a bin closes once it does, and a short
-    remainder at the low end joins the bin above it.  A histogram whose
-    bins all expect that many keeps them apart, except the tail, pooled
-    down to the first bin that closes.  The p-value is the chi-square tail
-    at the integer dof, in closed form (`_chi2_sf`, Abramowitz & Stegun
-    26.4.4 and 26.4.5).
+    remainder at the low end joins the bin above it.  The p-value is the
+    chi-square tail at the integer dof, in closed form (`_chi2_sf`,
+    Abramowitz & Stegun 26.4.4 and 26.4.5).
     """
     top = observed.size
     probs = np.asarray([expected_pmf(n) for n in range(top)], dtype=float)
@@ -119,22 +117,20 @@ def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int) -> dict[s
     obs = observed.astype(float).tolist() + [0.0]
     exp = (probs * trials).tolist() + [tail_prob * trials]
     # Scan from the high end, closing a bin once it is well populated.
-    pooled_obs, pooled_exp = [], []
+    pooled = []
     acc_obs = acc_exp = 0.0
     for o, e in zip(reversed(obs), reversed(exp)):
         acc_obs += o
         acc_exp += e
         if acc_exp >= MIN_EXPECTED:
-            pooled_obs.append(acc_obs)
-            pooled_exp.append(acc_exp)
+            pooled.append((acc_obs, acc_exp))
             acc_obs = acc_exp = 0.0
-    if pooled_exp:
-        pooled_obs[-1] += acc_obs
-        pooled_exp[-1] += acc_exp
-    else:
-        pooled_obs, pooled_exp = [acc_obs], [acc_exp]
-    obs_arr = np.asarray(pooled_obs[::-1])
-    exp_arr = np.asarray(pooled_exp[::-1])
+    if pooled:  # the remainder at the low end joins the bin above it
+        o, e = pooled.pop()
+        acc_obs += o
+        acc_exp += e
+    pooled.append((acc_obs, acc_exp))
+    obs_arr, exp_arr = np.array(pooled[::-1]).T
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     dof = max(obs_arr.size - 1, 1)
     return {
