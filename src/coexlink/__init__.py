@@ -19,7 +19,7 @@ from .per import (
     success_prob,
 )
 from .presets import exponential_scenario, preset_names, preset_scenario
-from .renewal import CountKind, RenewalPmfSpec, pmf
+from .renewal import pmf
 from .scenario import ScenarioDoc, ScenarioFormatError, parse_scenario_file, parse_scenario_text
 from .simcore import EmpiricalCdf, McConfig, TrialBatch, run_trials
 from .validation import ValidationReport, validate_scenario
@@ -46,8 +46,6 @@ __all__ = [
     "exponential_scenario",
     "preset_names",
     "preset_scenario",
-    "CountKind",
-    "RenewalPmfSpec",
     "pmf",
     "ScenarioDoc",
     "ScenarioFormatError",

@@ -15,73 +15,44 @@ the packet rate, damped by exp(-rate * offset):
 
 with g the idle Laplace transform at the packet rate, gR the residual-life
 one, and d the damping factor.  For an exponential idle law g == gR and the
-two conventions coincide.
+two conventions coincide.  `pmf` forms both from one set of factors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+
+import numpy as np
 
 from .dist import IdleTimeModel
+from .per import _validate_count
 
 # PMF mass below this is indistinguishable from 0 at double precision and
 # only adds subnormal noise to tail sums.
 _PMF_FLOOR = 1e-300
 
 
-class CountKind(Enum):
-    EQUILIBRIUM = "equilibrium"
-    ORDINARY = "ordinary"
-
-
-@dataclass(frozen=True)
-class RenewalPmfSpec:
-    """Frozen inputs for one counting distribution.
+def pmf(idle: IdleTimeModel, packet_rate: float, offset: float,
+        size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(equilibrium, ordinary): P(N = n) for n = 0..size - 1 in each convention.
 
     ``packet_rate`` is the exponential rate of the window length and
-    ``offset`` the busy-time budget subtracted from it (seconds).
+    ``offset`` the busy-time budget subtracted from it (seconds).  1 - g comes
+    from the idle law, not a subtraction, and each power of g is a float
+    power, not a repeated product.  Entries from n = 1 on below 1e-300 are 0.
     """
-
-    idle: IdleTimeModel
-    packet_rate: float
-    offset: float
-    kind: CountKind
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.packet_rate) and self.packet_rate > 0.0):
-            raise ValueError("packet_rate must be finite and positive")
-        if not (math.isfinite(self.offset) and self.offset >= 0.0):
-            raise ValueError("offset must be finite and nonnegative")
-        if not isinstance(self.kind, CountKind):
-            raise TypeError("kind must be a CountKind")
-
-
-def _factors(spec: RenewalPmfSpec) -> tuple[float, float, float, float]:
-    """(g, 1 - g, gR, damping); 1 - g comes from the idle law, not a subtraction."""
-    g = spec.idle.laplace(spec.packet_rate)
-    g_comp = spec.idle.one_minus_laplace(spec.packet_rate)
-    g_res = spec.idle.residual_laplace(spec.packet_rate)
-    damp = math.exp(-spec.packet_rate * spec.offset)
-    return g, g_comp, g_res, damp
-
-
-def _clean(p: float) -> float:
-    if p < _PMF_FLOOR:
-        return 0.0
-    return p
-
-
-def pmf(spec: RenewalPmfSpec, n: int) -> float:
-    """Probability of exactly ``n`` completed idle gaps in the window."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"count must be a nonnegative integer, got {n!r}")
-    g, g_comp, g_res, damp = _factors(spec)
-    if spec.kind is CountKind.EQUILIBRIUM:
-        if n == 0:
-            return 1.0 - g_res * damp
-        return _clean(damp * g_res * g_comp * g ** (n - 1))
-    if n == 0:
-        return 1.0 - g * damp
-    return _clean(damp * g_comp * g**n)
+    if not (math.isfinite(packet_rate) and packet_rate > 0.0):
+        raise ValueError("packet_rate must be finite and positive")
+    if not (math.isfinite(offset) and offset >= 0.0):
+        raise ValueError("offset must be finite and nonnegative")
+    _validate_count("size", size, 1)
+    g = idle.laplace(packet_rate)
+    g_comp = idle.one_minus_laplace(packet_rate)
+    g_res = idle.residual_laplace(packet_rate)
+    damp = math.exp(-packet_rate * offset)
+    powers = np.fromiter((g ** k for k in range(size)), float, size)
+    equilibrium = np.concatenate(([1.0 - g_res * damp], damp * g_res * g_comp * powers[:-1]))
+    ordinary = np.concatenate(([1.0 - g * damp], damp * g_comp * powers[1:]))
+    for probs in (equilibrium, ordinary):
+        probs[1:][probs[1:] < _PMF_FLOOR] = 0.0
+    return equilibrium, ordinary

@@ -100,19 +100,17 @@ def _chi2_sf(dof: int, statistic: float) -> float:
     return min(total, 1.0)
 
 
-def chi_square_counts(observed: np.ndarray, expected_pmf, trials: int) -> dict[str, float]:
+def chi_square_counts(observed: np.ndarray, probs: np.ndarray, trials: int) -> dict[str, float]:
     """Pearson test of an observed count histogram against an analytic PMF.
 
-    ``observed`` holds per-count totals; ``expected_pmf`` maps n to its
-    probability.  A last bin holds the PMF mass beyond the histogram.  Bins
-    are pooled from the high end so that every bin expects at least
-    ``MIN_EXPECTED`` counts: a bin closes once it does, and a short
+    ``observed`` holds per-count totals and ``probs`` the PMF of the same
+    counts, 0..observed.size - 1.  A last bin holds the PMF mass beyond the
+    histogram.  Bins are pooled from the high end so that every bin expects
+    at least ``MIN_EXPECTED`` counts: a bin closes once it does, and a short
     remainder at the low end joins the bin above it.  The p-value is the
     chi-square tail at the integer dof, in closed form (`_chi2_sf`,
     Abramowitz & Stegun 26.4.4 and 26.4.5).
     """
-    top = observed.size
-    probs = np.asarray([expected_pmf(n) for n in range(top)], dtype=float)
     tail_prob = max(1.0 - probs.sum(), 0.0)
     obs = observed.astype(float).tolist() + [0.0]
     exp = (probs * trials).tolist() + [tail_prob * trials]
@@ -171,7 +169,9 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int) -> 
     this run's count stream; one `SeedSequence` child per test would make
     them independent and walk each convention on its own.  The count walk
     takes a step per completed idle gap, so it slows like 1/(1 - g) as the
-    idle gaps become far shorter than the packet.
+    idle gaps become far shorter than the packet.  One `renewal.pmf` call
+    forms both conventions' PMFs to the longer histogram's length, and each
+    chi-square reads its own histogram's leading slice.
     """
     config = simcore.McConfig(trials=trials, seed=seed)
     batch = simcore.run_trials(scenario, config)
@@ -208,12 +208,9 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int) -> 
 
     counts = simcore.empirical_renewal_counts(
         scenario, simcore.McConfig(trials=trials, seed=seed + 1))
-    for label, observed, kind in zip(
-        ("equilibrium", "ordinary"), counts,
-        (renewal.CountKind.EQUILIBRIUM, renewal.CountKind.ORDINARY),
-    ):
-        spec = renewal.RenewalPmfSpec(scenario.idle, scenario.packet_rate, 0.0, kind)
-        cell = chi_square_counts(observed, lambda n: renewal.pmf(spec, n), trials)
+    pmfs = renewal.pmf(scenario.idle, scenario.packet_rate, 0.0, max(c.size for c in counts))
+    for label, observed, probs in zip(("equilibrium", "ordinary"), counts, pmfs):
+        cell = chi_square_counts(observed, probs[:observed.size], trials)
         report.chi2[label] = cell
         if cell["pvalue"] < CHI2_PVALUE_MIN:
             report.failures.append(

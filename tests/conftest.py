@@ -1,12 +1,15 @@
 import importlib.util
+import math
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from coexlink.dist import CoexistenceScenario, ConstantOnTime, ExponentialIdle, ExponentialOnTime
+from coexlink.dist import (CoexistenceScenario, ConstantOnTime, ExponentialIdle,
+                           ExponentialOnTime, HyperexponentialIdle)
+from coexlink.per import Modulation
 from coexlink.presets import IDLE_MIXTURES, exponential_scenario, preset_scenario
 
 # The property tests draw the same examples on every run (each test keeps its
@@ -46,6 +49,38 @@ EXTRA_SCENARIOS = {
 def scenario_named(name: str) -> CoexistenceScenario:
     """A preset or one of EXTRA_SCENARIOS."""
     return EXTRA_SCENARIOS[name] if name in EXTRA_SCENARIOS else preset_scenario(name)
+
+
+def log_uniform(low, high):
+    """Floats spread evenly in log between ``low`` and ``high``."""
+    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
+
+
+@st.composite
+def per_links(draw):
+    """A generated link: exponential or 1-4-phase hyperexponential idle gaps
+    (means 0.1-100 ms), constant or exponential busy periods of 0.1-1000
+    bits, packets of 1-3000 bits of 1-100 us, a modulation with coeff 0.3-2
+    and gain 0.5-4, snr 0-30 dB, two INRs in -30..40 dB, noise_bits None or
+    0-2000 and ell_max 1-3000."""
+    bit_time = draw(log_uniform(1e-6, 1e-4))
+    phases = draw(st.integers(0, 4))
+    if phases:
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=phases, max_size=phases))
+        means = draw(st.lists(log_uniform(1e-4, 0.1), min_size=phases, max_size=phases))
+        idle = HyperexponentialIdle(tuple(w / math.fsum(raw) for w in raw), tuple(means))
+    else:
+        idle = ExponentialIdle(1.0 / draw(log_uniform(1e-4, 0.1)))
+    busy_time = draw(log_uniform(0.1, 1000.0)) * bit_time
+    busy = ConstantOnTime(busy_time) if draw(st.booleans()) else ExponentialOnTime(1.0 / busy_time)
+    packet_time = draw(log_uniform(1.0, 3000.0)) * bit_time
+    scenario = CoexistenceScenario(busy, idle, 1.0 / packet_time, bit_time)
+    modulation = Modulation(draw(st.floats(0.3, 2.0)), draw(st.floats(0.5, 4.0)))
+    snr = 10.0 ** (draw(st.floats(0.0, 30.0)) / 10.0)
+    inr = 10.0 ** (np.array(draw(st.lists(st.floats(-30.0, 40.0), min_size=2, max_size=2)))
+                   / 10.0)
+    noise_bits = draw(st.none() | st.integers(0, 2000))
+    return scenario, modulation, snr, inr, noise_bits, draw(st.integers(1, 3000))
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,6 @@ from coexlink.per import (
     _slot_log_weights,
     resolve_ell_max,
 )
-from coexlink.renewal import CountKind, RenewalPmfSpec
 from coexlink.simcore import EmpiricalCdf, McConfig, TrialBatch, run_trials
 from coexlink.specfun import erf_inv, log_bessel_k, log_gamma
 
@@ -572,6 +571,22 @@ def ks_distance_unique(ecdf, cdf) -> float:
     )
 
 
+def idle_transforms_mp(idle, s):
+    """(mean, g, 1 - g, gR) of an idle law at the mpmath rate ``s``, summed at
+    the working precision from the law's float parameters, taken as exact."""
+    import mpmath
+
+    mpf = mpmath.mpf
+    if isinstance(idle, HyperexponentialIdle):
+        phases = [(mpf(w), mpf(m)) for w, m in zip(idle.weights, idle.means)]
+    else:
+        phases = [(mpf(1), 1 / mpf(idle.rate))]
+    mean = sum(w * m for w, m in phases)
+    g = sum(w / (1 + s * m) for w, m in phases)
+    g_comp = sum(w * s * m / (1 + s * m) for w, m in phases)
+    return mean, g, g_comp, sum(w * m / (1 + s * m) for w, m in phases) / mean
+
+
 def mixture_tail_mp(scenario, slot: int, dps: int = 40):
     """1 - F at x = slot*bit_time in ``dps``-digit arithmetic (an mpmath number).
 
@@ -586,15 +601,8 @@ def mixture_tail_mp(scenario, slot: int, dps: int = 40):
         mpf = mpmath.mpf
         s = mpf(scenario.packet_rate)
         x = mpf(slot) * mpf(scenario.bit_time)
-        idle, busy = scenario.idle, scenario.busy
-        if isinstance(idle, HyperexponentialIdle):
-            phases = [(mpf(w), mpf(m)) for w, m in zip(idle.weights, idle.means)]
-        else:
-            phases = [(mpf(1), 1 / mpf(idle.rate))]
-        idle_mean = sum(w * m for w, m in phases)
-        g = sum(w / (1 + s * m) for w, m in phases)
-        g_res = sum(w * m / (1 + s * m) for w, m in phases) / idle_mean
-        g_comp = sum(w * s * m / (1 + s * m) for w, m in phases)
+        busy = scenario.busy
+        idle_mean, g, g_comp, g_res = idle_transforms_mp(scenario.idle, s)
         if isinstance(busy, ExponentialOnTime):
             busy_mean = 1 / mpf(busy.rate)
         else:
@@ -610,11 +618,13 @@ def mixture_tail_mp(scenario, slot: int, dps: int = 40):
         return mpmath.exp(-s * x) * g**k * (head - alpha * g_comp * frac)
 
 
-def pmf_tail_index(spec: RenewalPmfSpec, epsilon: float) -> int:
+def pmf_tail_index(idle, packet_rate: float, offset: float, equilibrium: bool,
+                   epsilon: float) -> int:
     """Smallest n_max whose cumulative `renewal.pmf` reaches 1 - epsilon.
 
-    The truncation index of the series the closed forms replaced.  The
-    left-out tail is a plain geometric series, head * g^n beyond n >= 1
+    The truncation index of the series the closed forms replaced, in the
+    equilibrium convention if ``equilibrium`` is true, else the ordinary one.
+    The left-out tail is a plain geometric series, head * g^n beyond n >= 1
     terms (head alone beyond the n = 0 term), so the index solves
     n * log(g) <= log(epsilon / head) directly.  g, 1 - g, gR and the damping
     come from the idle law as `renewal.pmf` takes them.  For g near 1, log g
@@ -622,12 +632,10 @@ def pmf_tail_index(spec: RenewalPmfSpec, epsilon: float) -> int:
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    rate = spec.packet_rate
-    g = spec.idle.laplace(rate)
-    g_comp = spec.idle.one_minus_laplace(rate)
-    g_res = spec.idle.residual_laplace(rate)
-    damp = math.exp(-rate * spec.offset)
-    head = g_res * damp if spec.kind is CountKind.EQUILIBRIUM else g * damp
+    g = idle.laplace(packet_rate)
+    g_comp = idle.one_minus_laplace(packet_rate)
+    damp = math.exp(-packet_rate * offset)
+    head = (idle.residual_laplace(packet_rate) if equilibrium else g) * damp
     if head <= epsilon:
         return 0
     if g <= 0.0:

@@ -41,7 +41,7 @@ from coexlink.per import (
     success_prob,
 )
 from coexlink.presets import exponential_scenario, preset_names, preset_scenario
-from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
+from coexlink.renewal import pmf
 from coexlink.simcore import McConfig, empirical_renewal_counts, run_trials
 from conftest import SUITE_SEED, record_criterion
 from oracles import (
@@ -151,14 +151,12 @@ def test_criterion_3_renewal_pmf_correctness():
 
     worst_norm = 0.0
     for _, scenario in scenarios:
-        for kind in CountKind:
+        for equilibrium in (True, False):
             for offset in offsets:
-                spec = RenewalPmfSpec(
-                    scenario.idle, scenario.packet_rate, float(offset), kind
-                )
-                n_max = pmf_tail_index(spec, 1e-12)
-                total = math.fsum(pmf(spec, n) for n in range(n_max + 1))
-                worst_norm = max(worst_norm, abs(total - 1.0))
+                args = (scenario.idle, scenario.packet_rate, float(offset))
+                n_max = pmf_tail_index(*args, equilibrium, 1e-12)
+                probs = pmf(*args, n_max + 1)[0 if equilibrium else 1]
+                worst_norm = max(worst_norm, abs(math.fsum(probs) - 1.0))
 
     # equilibrium counting with a memoryless gap collapses to the plain
     # geometric form; compare against that form built from scratch
@@ -167,11 +165,8 @@ def test_criterion_3_renewal_pmf_correctness():
     rho = scenario.idle.rate
     s = scenario.packet_rate
     for offset in offsets:
-        spec = RenewalPmfSpec(
-            scenario.idle, s, float(offset), CountKind.EQUILIBRIUM
-        )
         damp = math.exp(-s * float(offset))
-        values = [pmf(spec, n) for n in range(41)]
+        values = pmf(scenario.idle, s, float(offset), 41)[0]
         direct = [1.0 - damp * rho / (s + rho)] + [
             damp * s * rho**n / (s + rho) ** (n + 1) for n in range(1, 41)
         ]
@@ -183,9 +178,8 @@ def test_criterion_3_renewal_pmf_correctness():
     worst_z = 0.0
     for _, scenario in scenarios:
         counts = empirical_renewal_counts(scenario, McConfig(trials=TRIALS, seed=SUITE_SEED))
-        for observed, kind in zip(counts, (CountKind.EQUILIBRIUM, CountKind.ORDINARY)):
-            spec = RenewalPmfSpec(scenario.idle, scenario.packet_rate, 0.0, kind)
-            probs = np.asarray([pmf(spec, n) for n in range(observed.size)])
+        for convention, observed in enumerate(counts):
+            probs = pmf(scenario.idle, scenario.packet_rate, 0.0, observed.size)[convention]
             expected = probs * TRIALS
             keep = expected >= 10.0
             z = np.abs(observed[keep] - expected[keep]) / np.sqrt(

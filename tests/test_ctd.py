@@ -28,9 +28,9 @@ from coexlink.dist import (
 )
 from coexlink.per import resolve_ell_max
 from coexlink.presets import preset_names, preset_scenario
-from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
+from coexlink.renewal import pmf
 
-from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, scenario_named
+from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, log_uniform, per_links, scenario_named
 from oracles import (
     coverage_point_bisect,
     gamma_lower_reg,
@@ -67,10 +67,9 @@ def _series_sum(scenario, x, epsilon: float, residual: bool) -> np.ndarray:
     """sum_{n=1..N} (1-g) g^(n-1) * CDF_n(x), with g^N <= epsilon."""
     s = scenario.packet_rate
     g = scenario.idle.laplace(s)
-    spec = RenewalPmfSpec(scenario.idle, s, 0.0, CountKind.ORDINARY)
     acc = np.zeros_like(x)
     weight = 1.0 - g
-    for n in range(1, pmf_tail_index(spec, epsilon) + 2):
+    for n in range(1, pmf_tail_index(scenario.idle, s, 0.0, False, epsilon) + 2):
         acc += weight * on_time_sum_cdf(scenario.busy, n, x, residual)
         weight *= g
     return acc
@@ -206,7 +205,7 @@ def test_constant_busy_jumps_match_renewal_pmf(any_scenario):
     for n in (1, 2, 3):
         left = float(ctd_off_start(any_scenario, n * t_w - delta))
         right = float(ctd_off_start(any_scenario, n * t_w + delta))
-        expected = pmf(RenewalPmfSpec(any_scenario.idle, s, n * t_w, CountKind.EQUILIBRIUM), n)
+        expected = pmf(any_scenario.idle, s, n * t_w, n + 1)[0][n]
         assert right - left == pytest.approx(expected, rel=1e-6)
 
 
@@ -502,10 +501,6 @@ def test_cdf_monotone_property(busy_mean, idle_mean, x_lo, x_step):
     assert hi <= 1.0
 
 
-def _log_uniform(low, high):
-    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
-
-
 @st.composite
 def start_state_cases(draw):
     """A generated scenario and CDF probes: constant or exponential busy
@@ -513,16 +508,16 @@ def start_state_cases(draw):
     gaps with means of 100 ns to 100 ms, packets of 0.1 to 10 ms, and probes
     below 0, at 0, across ten packets, and on busy multiples and one ulp
     either side of them."""
-    busy_time = draw(_log_uniform(1e-6, 1e-2))
+    busy_time = draw(log_uniform(1e-6, 1e-2))
     busy = ConstantOnTime(busy_time) if draw(st.booleans()) else ExponentialOnTime(1.0 / busy_time)
     phases = draw(st.integers(0, 4))
     if phases:
         raw = draw(st.lists(st.floats(0.01, 1.0), min_size=phases, max_size=phases))
-        means = draw(st.lists(_log_uniform(1e-7, 0.1), min_size=phases, max_size=phases))
+        means = draw(st.lists(log_uniform(1e-7, 0.1), min_size=phases, max_size=phases))
         idle = HyperexponentialIdle(tuple(w / math.fsum(raw) for w in raw), tuple(means))
     else:
-        idle = ExponentialIdle(1.0 / draw(_log_uniform(1e-7, 0.1)))
-    packet_time = draw(_log_uniform(1e-4, 1e-2))
+        idle = ExponentialIdle(1.0 / draw(log_uniform(1e-7, 0.1)))
+    packet_time = draw(log_uniform(1e-4, 1e-2))
     scenario = CoexistenceScenario(busy, idle, 1.0 / packet_time)
     multiples = busy_time * np.array(draw(st.lists(st.integers(0, 50), min_size=1, max_size=6)),
                                      dtype=float)
@@ -547,3 +542,22 @@ def test_start_states_equal_the_two_row_reference(case):
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
             assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(link=per_links())
+def test_start_rows_are_cdfs_on_generated_links(link):
+    # on 2,001 points up to the 1e-9 coverage point, plus one negative x,
+    # both start-state rows and the mixture lie in [0, 1], never decrease and
+    # are 0 below 0; the non-monotonicity `coverage_point` documents lives
+    # between adjacent floats near a crossing, far below this grid's spacing
+    scenario = link[0]
+    x = np.concatenate([[-1e-9], np.linspace(0.0, coverage_point(scenario, 1e-9), 2001)])
+    rows = ctd._start_cdfs(scenario, x)
+    mixture = ctd_mixture(scenario, x)
+    alpha = activity_factor(scenario)
+    assert np.array_equal(mixture, alpha * rows[1] + (1.0 - alpha) * rows[0])
+    for cdf in (*rows, mixture):
+        assert cdf[0] == 0.0
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= 0.0)

@@ -13,8 +13,7 @@ from scipy import integrate, special
 
 from coexlink import per as per_module
 from coexlink.ctd import SlotTail, ctd_mixture, slot_tail
-from coexlink.dist import (CoexistenceScenario, ConstantOnTime, ExponentialIdle,
-                           ExponentialOnTime, HyperexponentialIdle)
+from coexlink.dist import CoexistenceScenario, ConstantOnTime, ExponentialIdle
 from coexlink.per import (
     ELL_SWITCH,
     HYBRID_BLOCK,
@@ -41,7 +40,8 @@ from coexlink.per import (
 )
 from coexlink.presets import preset_names, preset_scenario
 from coexlink.scenario import JobParams, db_to_ratio
-from conftest import ALL_PRESET_NAMES, EXTRA_SCENARIOS, fit_tables_script, scenario_named
+from conftest import (ALL_PRESET_NAMES, EXTRA_SCENARIOS, fit_tables_script, per_links,
+                      scenario_named)
 from oracles import (
     closed_form_table,
     closed_form_table_kv,
@@ -545,37 +545,6 @@ def test_quadrature_matches_horner_oracle(name):
         oracle = per_horner(scenario, BPSK, snr, PIECE_INR, ell_max=ell_max, noise_bits=noise_bits)
         worst = max(worst, float(np.max(np.abs(curve.values["quadrature"] - oracle))))
     assert worst <= 1e-12
-
-
-def _log_uniform(low, high):
-    return st.floats(min_value=math.log(low), max_value=math.log(high)).map(math.exp)
-
-
-@st.composite
-def per_links(draw):
-    """A generated link: exponential or 1-4-phase hyperexponential idle gaps
-    (means 0.1-100 ms), constant or exponential busy periods of 0.1-1000
-    bits, packets of 1-3000 bits of 1-100 us, a modulation with coeff 0.3-2
-    and gain 0.5-4, snr 0-30 dB, two INRs in -30..40 dB, noise_bits None or
-    0-2000 and ell_max 1-3000."""
-    bit_time = draw(_log_uniform(1e-6, 1e-4))
-    phases = draw(st.integers(0, 4))
-    if phases:
-        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=phases, max_size=phases))
-        means = draw(st.lists(_log_uniform(1e-4, 0.1), min_size=phases, max_size=phases))
-        idle = HyperexponentialIdle(tuple(w / math.fsum(raw) for w in raw), tuple(means))
-    else:
-        idle = ExponentialIdle(1.0 / draw(_log_uniform(1e-4, 0.1)))
-    busy_time = draw(_log_uniform(0.1, 1000.0)) * bit_time
-    busy = ConstantOnTime(busy_time) if draw(st.booleans()) else ExponentialOnTime(1.0 / busy_time)
-    packet_time = draw(_log_uniform(1.0, 3000.0)) * bit_time
-    scenario = CoexistenceScenario(busy, idle, 1.0 / packet_time, bit_time)
-    modulation = Modulation(draw(st.floats(0.3, 2.0)), draw(st.floats(0.5, 4.0)))
-    snr = 10.0 ** (draw(st.floats(0.0, 30.0)) / 10.0)
-    inr = 10.0 ** (np.array(draw(st.lists(st.floats(-30.0, 40.0), min_size=2, max_size=2)))
-                   / 10.0)
-    noise_bits = draw(st.none() | st.integers(0, 2000))
-    return scenario, modulation, snr, inr, noise_bits, draw(st.integers(1, 3000))
 
 
 @settings(max_examples=150, deadline=None)

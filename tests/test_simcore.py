@@ -7,7 +7,7 @@ import pytest
 from coexlink.ctd import ctd_mixture
 from coexlink.dist import ExponentialIdle, HyperexponentialIdle, activity_factor
 from coexlink.presets import IDLE_MIXTURES, preset_scenario
-from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
+from coexlink.renewal import pmf
 from coexlink.simcore import (
     CHUNK,
     KS_BLOCK,
@@ -388,9 +388,8 @@ class TestRenewalCounting:
         pmf_mc = empirical_renewal_pmf(
             any_scenario, config, offset=374e-6, equilibrium=equilibrium
         )
-        kind = CountKind.EQUILIBRIUM if equilibrium else CountKind.ORDINARY
-        spec = RenewalPmfSpec(any_scenario.idle, any_scenario.packet_rate, 374e-6, kind)
-        pmf_exact = np.asarray([pmf(spec, n) for n in range(pmf_mc.size)])
+        pmf_exact = pmf(any_scenario.idle, any_scenario.packet_rate, 374e-6,
+                        pmf_mc.size)[0 if equilibrium else 1]
         assert np.max(np.abs(pmf_mc - pmf_exact)) < 0.006
 
     def test_offset_validation(self, scenario_exp_0p1575):

@@ -14,7 +14,7 @@ from scipy import special, stats
 import coexlink
 from coexlink.ctd import ctd_mixture
 from coexlink.presets import preset_scenario
-from coexlink.renewal import CountKind, RenewalPmfSpec, pmf
+from coexlink.renewal import pmf
 from coexlink.validation import (
     CHI2_PVALUE_MIN,
     MIN_EXPECTED,
@@ -25,31 +25,37 @@ from coexlink.validation import (
 from conftest import SUITE_SEED, scenario_named
 
 
+def geometric_pmf(first: float, ratio: float, size: int) -> np.ndarray:
+    """first * ratio**n for n = 0..size - 1, each power a Python float power."""
+    return np.array([first * ratio**n for n in range(size)])
+
+
 class TestChiSquareCounts:
     def test_matching_pmf_is_plausible(self, rng):
         # draw from an honest geometric and test it against itself
         p = 0.4
         draws = rng.geometric(p, 50_000) - 1  # support 0, 1, ...
         observed = np.bincount(draws)
-        cell = chi_square_counts(observed, lambda n: p * (1 - p) ** n, 50_000)
+        cell = chi_square_counts(observed, geometric_pmf(p, 1 - p, observed.size), 50_000)
         assert cell["pvalue"] > 1e-3
         assert cell["bins"] >= 3
 
     def test_wrong_pmf_is_rejected(self, rng):
         draws = rng.geometric(0.4, 50_000) - 1
         observed = np.bincount(draws)
-        cell = chi_square_counts(observed, lambda n: 0.5 * 0.5**n, 50_000)
+        cell = chi_square_counts(observed, geometric_pmf(0.5, 0.5, observed.size), 50_000)
         assert cell["pvalue"] < 1e-6
 
     def test_pvalue_is_the_chi2_survival_function(self, rng):
         draws = rng.geometric(0.4, 5_000) - 1
-        cell = chi_square_counts(np.bincount(draws), lambda n: 0.4 * 0.6**n, 5_000)
+        observed = np.bincount(draws)
+        cell = chi_square_counts(observed, geometric_pmf(0.4, 0.6, observed.size), 5_000)
         expected = float(stats.chi2.sf(cell["statistic"], cell["dof"]))
         assert abs(cell["pvalue"] - expected) <= 1e-13 * expected
 
     def test_sparse_bins_are_pooled(self):
         observed = np.array([900, 90, 9, 1, 0, 0])
-        cell = chi_square_counts(observed, lambda n: 0.9 * 0.1**n, 1000)
+        cell = chi_square_counts(observed, geometric_pmf(0.9, 0.1, observed.size), 1000)
         # expected counts fall below 5 from n = 3 on; those plus the
         # off-histogram tail must be merged
         assert cell["bins"] <= 4.0
@@ -62,7 +68,7 @@ class TestChiSquareCounts:
         ratio, trials = 0.999, 10_000
         probs = (1.0 - ratio) * ratio ** np.arange(3000)
         observed = np.random.default_rng(7).multinomial(trials, np.append(probs, 0.0) / probs.sum())
-        cell = chi_square_counts(observed[:-1], lambda n: (1.0 - ratio) * ratio**n, trials)
+        cell = chi_square_counts(observed[:-1], geometric_pmf(1.0 - ratio, ratio, 3000), trials)
         assert cell["bins"] <= trials / MIN_EXPECTED
         assert cell["dof"] == cell["bins"] - 1.0
 
@@ -71,7 +77,8 @@ class TestChiSquareCounts:
         # the cell is bit for bit the one recorded before the pooling held
         # every bin to the floor
         draws = np.random.default_rng(7).geometric(0.6, 50_000) - 1
-        cell = chi_square_counts(np.bincount(draws), lambda n: 0.6 * 0.4**n, 50_000)
+        observed = np.bincount(draws)
+        cell = chi_square_counts(observed, geometric_pmf(0.6, 0.4, observed.size), 50_000)
         assert cell == {"statistic": 11.326583854169925, "dof": 10.0,
                         "pvalue": 0.33264653808130273, "bins": 11.0}
 
@@ -179,13 +186,37 @@ class TestValidateScenario:
         import coexlink.renewal
 
         exact = coexlink.renewal.pmf
-        monkeypatch.setattr(coexlink.renewal, "pmf",
-                            lambda spec, n: 0.97 * exact(spec, n) if n == 0 else exact(spec, n))
+
+        def shifted(*args):
+            pmfs = exact(*args)
+            for probs in pmfs:
+                probs[0] *= 0.97
+            return pmfs
+
+        monkeypatch.setattr(coexlink.renewal, "pmf", shifted)
         report = validate_scenario(scenario_exp_0p1575, trials=100_000, seed=SUITE_SEED)
         assert [f.split(" p=")[0] for f in report.failures] == [
             "equilibrium count chi-square", "ordinary count chi-square"]
         assert report.failures[0] == (f"equilibrium count chi-square p="
                                       f"{report.chi2['equilibrium']['pvalue']:.2e} below 1e-03")
+
+    def test_one_pmf_evaluation_per_run(self, scenario_exp_0p1575, monkeypatch):
+        # both conventions' PMFs come from one call at the longer histogram's
+        # length, not one call per histogram bin
+        import coexlink.renewal
+
+        expected = validate_scenario(scenario_exp_0p1575, trials=100_000, seed=SUITE_SEED)
+        exact = coexlink.renewal.pmf
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(coexlink.renewal, "pmf", counted)
+        report = validate_scenario(scenario_exp_0p1575, trials=100_000, seed=SUITE_SEED)
+        assert len(calls) == 1
+        assert report.to_json() == expected.to_json()
 
     def test_nan_joint_reference_is_a_numerical_failure(self, scenario_exp_0p1575,
                                                          monkeypatch):
@@ -291,10 +322,8 @@ def test_renewal_chi2_catches_wrong_convention(scenario_exp_0p1575, rng):
 
     scenario = preset_scenario("alpha_ge_0.5")
     _, observed = empirical_renewal_counts(scenario, McConfig(trials=200_000, seed=SUITE_SEED))
-    wrong = RenewalPmfSpec(
-        scenario.idle, scenario.packet_rate, 0.0, CountKind.EQUILIBRIUM
-    )
-    cell = chi_square_counts(observed, lambda n: pmf(wrong, n), 200_000)
+    wrong, _ = pmf(scenario.idle, scenario.packet_rate, 0.0, observed.size)
+    cell = chi_square_counts(observed, wrong, 200_000)
     assert cell["pvalue"] < 1e-6
 
 
