@@ -6,9 +6,7 @@ parameter and mean: ``coexlink.ctd`` sums their geometric mixtures of
 n-fold convolutions in closed form, so no per-n CDF is exposed.  The idle
 models expose Laplace transforms, which is all the analytic machinery
 downstream needs.  Every model also knows how to sample itself and its
-stationary residual so the Monte Carlo engine stays in lockstep with the math,
-and an idle model draws both first gaps of a renewal count at once
-(`first_gaps`).
+stationary residual so the Monte Carlo engine stays in lockstep with the math.
 
 All durations are in seconds.
 """
@@ -29,6 +27,18 @@ DEFAULT_BIT_TIME = 4e-6
 def _require_positive(value: float, name: str) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def require_nonnegative(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
+def require_count(value: int, name: str, low: int) -> None:
+    """Counts (bits, slots, trials, seeds) are Python or NumPy integers; a
+    float would split a slot, and a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,13 +122,6 @@ class ExponentialIdle:
     # memoryless: the residual is the law itself
     residual_sample = sample
 
-    def first_gaps(self, rng: np.random.Generator, size: int):
-        """(residual, full): ``size`` first gaps of each kind, drawn as
-        `residual_sample` or `sample` would draw them.  The law is
-        memoryless, so one draw is both and the two are one array."""
-        gaps = rng.exponential(self.mean, size)
-        return gaps, gaps
-
 
 @dataclass(frozen=True)
 class HyperexponentialIdle:
@@ -188,16 +191,10 @@ class HyperexponentialIdle:
         return _phase_table(self.means, probs / probs.sum())
 
     def sample(self, rng: np.random.Generator, size: int):
-        return _phase_sample(rng, size, self._phases)[0]
+        return _phase_sample(rng, size, self._phases)
 
     def residual_sample(self, rng: np.random.Generator, size: int):
-        return _phase_sample(rng, size, self._residual_phases)[0]
-
-    def first_gaps(self, rng: np.random.Generator, size: int):
-        """(residual, full): ``size`` first gaps of each kind, drawn as
-        `residual_sample` or `sample` would draw them: one pair of draws
-        mapped through both phase tables (`_phase_sample`)."""
-        return tuple(_phase_sample(rng, size, self._residual_phases, self._phases))
+        return _phase_sample(rng, size, self._residual_phases)
 
 
 def _phase_table(means, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -206,26 +203,22 @@ def _phase_table(means, probs) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(means, dtype=float), cdf / cdf[-1]
 
 
-def _phase_sample(rng: np.random.Generator, size: int, *tables) -> list[np.ndarray]:
-    """Exponential draws whose mean is a phase picked with a CDF, one array
-    per (means, CDF) table.
+def _phase_sample(rng: np.random.Generator, size: int,
+                  table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Exponential draws whose mean is a phase picked with a (means, CDF)
+    table.
 
-    One uniform per draw is compared with each table's CDF, then one
-    standard exponential per draw is scaled by each table's phase mean, so
-    every table's draws come out as it alone would have drawn them.  One
-    table consumes the generator as
-    ``rng.exponential(means[rng.choice(len(means), size, p=probs)])``, which
-    picks the phase by the same count of CDF entries at or below the
-    uniform, and every draw comes out the same float.
+    One uniform per draw is compared with the CDF, then one standard
+    exponential per draw is scaled by its phase mean.  That consumes the
+    generator as ``rng.exponential(means[rng.choice(len(means), size,
+    p=probs)])``, which picks the phase by the same count of CDF entries at
+    or below the uniform, and every draw comes out the same float.
     """
-    u = rng.random(size)
-    phases = [_phase_of(u, cdf) for _, cdf in tables]
-    del u
+    means, cdf = table
+    phase = _phase_of(rng.random(size), cdf)
     draws = rng.standard_exponential(size)
-    gaps = [draws * means.take(phase) for (means, _), phase in zip(tables[:-1], phases)]
-    draws *= tables[-1][0].take(phases[-1])
-    gaps.append(draws)
-    return gaps
+    draws *= means.take(phase)
+    return draws
 
 
 def _phase_of(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:

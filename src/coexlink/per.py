@@ -105,7 +105,7 @@ from enum import Enum
 import numpy as np
 
 from .ctd import SlotTail, slot_tail
-from .dist import CoexistenceScenario
+from .dist import CoexistenceScenario, require_count, require_nonnegative
 from .specfun import (DEBYE_MIN_ORDER, erf_inv, gaussian_q, log_bessel_k, log_gamma,
                       scaled_bessel_k_half_orders)
 
@@ -184,17 +184,6 @@ def ber_awgn(modulation: Modulation, snr: float):
     if np.any(np.asarray(snr) < 0.0):
         raise ValueError("snr must be nonnegative")
     return modulation.coeff * gaussian_q(np.sqrt(modulation.gain * np.asarray(snr, dtype=float)))
-
-
-def _validate_snr(snr: float) -> None:
-    if not (math.isfinite(snr) and snr >= 0.0):
-        raise ValueError("snr must be finite and nonnegative")
-
-
-def _validate_count(name: str, value: int, low: int) -> None:
-    """Bit and slot counts are Python or NumPy integers; a float would split a slot."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # Row r holds the 7r+1 coefficients of the fit polynomial's r-th power, which
@@ -386,10 +375,10 @@ def success_prob(modulation: Modulation, snr: float, mean_inr: float, bits: int,
     ``method`` is a `PerMethod` or its value.
     """
     method = PerMethod(method)
-    _validate_snr(snr)
+    require_nonnegative(snr, "snr")
     if not (math.isfinite(mean_inr) and mean_inr > 0.0):
         raise ValueError("mean_inr must be finite and positive")
-    _validate_count("bits", bits, 0)
+    require_count(bits, "bits", 0)
     if bits == 0:
         return 1.0
     if method is PerMethod.QUADRATURE:
@@ -717,12 +706,12 @@ def per_curve(scenario: CoexistenceScenario, modulation: Modulation, snr: float,
         raise ValueError("mean_inr_values must be a nonempty 1-d array")
     if not np.all(np.isfinite(grid) & (grid > 0.0)):
         raise ValueError("mean_inr_values must all be finite and positive")
-    _validate_snr(snr)
+    require_nonnegative(snr, "snr")
     if ell_max is not None:
-        _validate_count("ell_max", ell_max, 1)
+        require_count(ell_max, "ell_max", 1)
     _validate_tail_cut(tail_cut)
     if noise_bits is not None:
-        _validate_count("noise_bits", noise_bits, 0)
+        require_count(noise_bits, "noise_bits", 0)
     slots = resolve_ell_max(scenario, tail_cut) if ell_max is None else int(ell_max)
     tail = slot_tail(scenario, slots + 1)
     tail_mass = float(tail.at(slots))

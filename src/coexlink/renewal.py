@@ -24,8 +24,7 @@ import math
 
 import numpy as np
 
-from .dist import IdleTimeModel
-from .per import _validate_count
+from .dist import IdleTimeModel, require_count, require_nonnegative
 
 # PMF mass below this is indistinguishable from 0 at double precision and
 # only adds subnormal noise to tail sums.
@@ -43,9 +42,8 @@ def pmf(idle: IdleTimeModel, packet_rate: float, offset: float,
     """
     if not (math.isfinite(packet_rate) and packet_rate > 0.0):
         raise ValueError("packet_rate must be finite and positive")
-    if not (math.isfinite(offset) and offset >= 0.0):
-        raise ValueError("offset must be finite and nonnegative")
-    _validate_count("size", size, 1)
+    require_nonnegative(offset, "offset")
+    require_count(size, "size", 1)
     g = idle.laplace(packet_rate)
     g_comp = idle.one_minus_laplace(packet_rate)
     g_res = idle.residual_laplace(packet_rate)

@@ -27,22 +27,20 @@ once with the busy ones first, so a seed gives the same generator stream and
 the same floats whichever way the live trials are stored.
 
 The renewal-count walk carries its live trials the same way, and one walk
-gives both counting conventions: they share each chunk's packet windows and
-first-gap draws (`first_gaps`) and differ only in which first gap they add,
-so each convention's later draws start from the generator state after the
-first gaps, and an exponential idle law, whose two first gaps coincide,
-walks once for both.
+gives both counting conventions: each trial draws its window, its residual
+first gap, then full gaps.  The ordinary convention counts the full gaps
+that fit the window, and the equilibrium one the residual and the full gaps
+after it, so both read the same full gaps.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import CoexistenceScenario, activity_factor
+from .dist import CoexistenceScenario, activity_factor, require_count, require_nonnegative
 
 CHUNK = 1 << 17
 # Uniques per KS block: 64 KiB per float array.
@@ -55,12 +53,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Python and NumPy integers pass; bool and float do not.
-        for name, low in (("trials", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        require_count(self.trials, "trials", 1)
+        require_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -234,47 +228,33 @@ def split_by_start(batch: TrialBatch) -> tuple[EmpiricalCdf, EmpiricalCdf]:
             EmpiricalCdf.sorted_in_place(batch.collision_time[batch.initial_on]))
 
 
-def _walk_start(window: np.ndarray, first: np.ndarray):
-    """A count walk's first step: the histogram so far (the trials whose
-    first gap outlasts their window), then the window and elapsed time of
-    each trial the first gap fits."""
-    live = np.flatnonzero(first <= window)
-    return [window.size - live.size], window.take(live), first.take(live)
-
-
 def _count_chunk(scenario, rng, n: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
     """(equilibrium, ordinary) histograms of the completed idle gaps of one
-    chunk's trials.
+    chunk's trials, from one walk.
 
-    The conventions differ only in the first gap, so the chunk's windows and
-    first gaps are drawn once (`first_gaps`), and each walk starts from the
-    generator state after them: the equilibrium walk, then the ordinary
-    walk from that state again, each drawing what a walk of its own would.
-    An idle law whose two first gaps are one array walks once for both.
+    ``left`` is each trial's window less its full gaps so far: its ordinary
+    window is open while ``left`` >= 0 and its equilibrium window while
+    ``left`` >= its residual first gap.  A trial leaves the walk when its
+    ordinary window closes, and its equilibrium window has closed by then.
     """
-    window = rng.exponential(scenario.packet_mean, n)
-    window -= offset
-    np.maximum(window, 0.0, out=window)
+    left = rng.exponential(scenario.packet_mean, n)
+    left -= offset
+    np.maximum(left, 0.0, out=left)
     idle = scenario.idle
-    residual, full = idle.first_gaps(rng, n)
-    shared = residual is full
-    starts = [_walk_start(window, residual)]
-    del residual
-    if not shared:
-        starts.append(_walk_start(window, full))
-    del window, full
-    resume = rng.bit_generator.state
-    histograms = []
-    while starts:
-        rng.bit_generator.state = resume
-        histogram, window, elapsed = starts.pop(0)
-        while window.size:
-            elapsed += idle.sample(rng, window.size)
-            live = np.flatnonzero(elapsed <= window)
-            histogram.append(window.size - live.size)
-            window, elapsed = window.take(live), elapsed.take(live)
-        histograms.append(np.array(histogram, dtype=np.int64))
-    return histograms[0], histograms[-1]
+    first = idle.residual_sample(rng, n)
+    # Live trials whose equilibrium window has closed: bin 0 holds those
+    # whose residual gap does not fit.
+    closed = int(np.count_nonzero(left < first))
+    equilibrium, ordinary = [closed], []
+    while left.size:
+        left -= idle.sample(rng, left.size)
+        now = int(np.count_nonzero(left < first))
+        equilibrium.append(now - closed)
+        live = np.flatnonzero(left >= 0.0)
+        ordinary.append(left.size - live.size)
+        closed = now - ordinary[-1]
+        left, first = left.take(live), first.take(live)
+    return np.trim_zeros(np.array(equilibrium, np.int64), "b"), np.array(ordinary, np.int64)
 
 
 def empirical_renewal_counts(scenario: CoexistenceScenario, config: McConfig,
@@ -285,13 +265,12 @@ def empirical_renewal_counts(scenario: CoexistenceScenario, config: McConfig,
     Pure renewal counting: busy periods are not part of this window, matching
     the counting convention the analytic PMFs use.  The equilibrium
     convention's first gap is a stationary residual and the ordinary one's a
-    full gap.  Both see the same windows and first-gap draws, so they are
-    correlated, and each histogram is the one a walk of its convention alone
-    would give on the same stream.  For an exponential idle law the two
-    first gaps coincide and so do the histograms.
+    full gap.  Both see the same windows, and the ordinary window's gaps are
+    the full gaps that follow the equilibrium window's residual, so the two
+    histograms are correlated; each is still an exact sample of its own
+    convention's law, on an exponential idle law too.
     """
-    if not (math.isfinite(offset) and offset >= 0.0):
-        raise ValueError("offset must be finite and nonnegative")
+    require_nonnegative(offset, "offset")
     parts = [_count_chunk(scenario, rng, size, offset) for rng, size in _chunks(config)]
     totals = []
     for convention in (0, 1):

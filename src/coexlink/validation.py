@@ -158,16 +158,16 @@ def validate_scenario(scenario: CoexistenceScenario, trials: int, seed: int) -> 
     200k trials, 6.4-6.8 MiB on the seven benchmarked laws, and the KS passes
     set it from 1M trials on, 18-22 bytes per trial.  All of it is released
     before the renewal-count walk (`simcore.empirical_renewal_counts`), which
-    gives both conventions' histograms at once and holds one chunk's windows
-    and first gaps, then each convention's live trials: 2.5-3.5 MiB traced
-    per 131,072-trial chunk for an exponential idle law, which walks once,
-    and 5.3 MiB for a hyperexponential one.
+    gives both conventions' histograms at once and holds one chunk's live
+    trials' time left and residual gaps: 3.0-3.5 MiB traced per 131,072-trial
+    chunk for an exponential idle law and 5.1 MiB for a hyperexponential one.
 
     Both renewal-count conventions walk ``seed + 1`` and share its packet
-    windows and first-gap draws, so their chi-squares are correlated, not
-    two independent tests, and a run at ``seed + 1`` walks its collisions on
-    this run's count stream; one `SeedSequence` child per test would make
-    them independent and walk each convention on its own.  The count walk
+    windows and full gaps, so their chi-squares are correlated, not two
+    independent tests (their p-values correlate at 0.07-0.27 over 150 seeds
+    on the benchmarked laws), and a run at ``seed + 1`` walks its collisions
+    on this run's count stream; one `SeedSequence` child per test would make
+    them independent at the cost of a walk per convention.  The count walk
     takes a step per completed idle gap, so it slows like 1/(1 - g) as the
     idle gaps become far shorter than the packet.  One `renewal.pmf` call
     forms both conventions' PMFs to the longer histogram's length, and each

@@ -489,22 +489,27 @@ def walk_chunk_gather(scenario, rng: np.random.Generator, n: int) -> TrialBatch:
     return TrialBatch(start_on, np.minimum(collision, packet))
 
 
-def count_chunk_gather(scenario, rng, n: int, offset: float, equilibrium: bool) -> np.ndarray:
-    """Per-trial completed idle gaps of one chunk, by the gather/scatter loop
-    `simcore._count_chunk` replaced (it returns the histogram of these)."""
-    window = rng.exponential(scenario.packet_mean, n) - offset
-    np.maximum(window, 0.0, out=window)
+def count_chunk_gather(scenario, rng, n: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """(equilibrium, ordinary) per-trial completed idle gaps of one chunk,
+    gathering every live trial from and scattering it into full-size arrays
+    at each step; `simcore._count_chunk` returns the histograms of these.
+
+    One walk per trial: its window, its residual first gap, then full gaps
+    while its ordinary window is open, with the walk's float steps.
+    """
+    left = rng.exponential(scenario.packet_mean, n) - offset
+    np.maximum(left, 0.0, out=left)
     idle = scenario.idle
-    elapsed = np.asarray(
-        idle.residual_sample(rng, n) if equilibrium else idle.sample(rng, n)
-    )
-    counts = np.zeros(n, dtype=np.int64)
-    active = np.flatnonzero(elapsed <= window)
+    first = np.asarray(idle.residual_sample(rng, n))
+    equilibrium = (left >= first).astype(np.int64)
+    ordinary = np.zeros(n, dtype=np.int64)
+    active = np.arange(n)
     while active.size:
-        counts[active] += 1
-        elapsed[active] += np.asarray(idle.sample(rng, active.size))
-        active = active[elapsed[active] <= window[active]]
-    return counts
+        left[active] -= np.asarray(idle.sample(rng, active.size))
+        equilibrium[active[left[active] >= first[active]]] += 1
+        active = active[left[active] >= 0.0]
+        ordinary[active] += 1
+    return equilibrium, ordinary
 
 
 @dataclasses.dataclass(frozen=True)

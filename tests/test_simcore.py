@@ -199,17 +199,19 @@ class TestEngine:
     # empirical_renewal_counts each had their own chunk loop: the shared one
     # must keep every SeedSequence stream and chunk size, the last chunk of a
     # count that is not a multiple of CHUNK included.  The walk digest covers
-    # the two arrays the walk returns, initial_on and collision_time.
+    # the two arrays the walk returns, initial_on and collision_time.  The
+    # count digests were re-recorded when both conventions came to read one
+    # walk's full gaps.
     @pytest.mark.parametrize("trials,seed,walk,counts", [
         (1000, 7,
          "2daee141c58bb0512dc8dd614f7a3d7b60bef7b4c72d96663d5e80f57902231b",
-         "eb79812b0531d35e7fc8c0a680b89aea50b4ecb930ee54f2b824f59ffe477edc"),
+         "1d2e6f707081d5a8fd222172815d4c4a8c60c62466f9a55c36429c913364b89c"),
         (CHUNK, 3,
          "853a0fc31b04d8ea5e2aafba3cf8843dc80d2fbc1033babc62f050064989aea8",
-         "88fc2ac76e669abb8f48630cd56c0166abc6b871e73fb8d6260c7b3fb9ed99e9"),
+         "d2e79191dd217e321d4d67c08c1d618c68328ffe9c72f682976a6a95b6de849e"),
         (2 * CHUNK + 777, SUITE_SEED,
          "aabfd84ce2299dfdc8cd00e9bc91000c107cb8d680a6c310d880abdbbf1cc7e7",
-         "92b455b48c446cc567ca9b780fcf7c9fc9f4631024a893455e4243467d1ecf64"),
+         "c88e5e4a56a5568c6d3d90cd4d2a61ea58af4b0115218bbe4b1938e94a4e363f"),
     ], ids=["below_chunk", "one_chunk", "two_chunks_plus_777"])
     def test_streams_frozen(self, trials, seed, walk, counts):
         scenario = preset_scenario("alpha_ge_0.5")
@@ -221,38 +223,39 @@ class TestEngine:
     # sha256 of the walk and of all four count conventions (equilibrium and
     # ordinary, offsets 0 and 374 us) on a hyperexponential, an exponential
     # and an exponential-busy scenario, recorded while the walk still
-    # gathered from full-size arrays and drew phases with `rng.choice`.  The
-    # walk digests cover initial_on and collision_time; the ids name the
-    # scenario and the trial count as `test_streams_frozen` does, so a
-    # re-recorded digest renames no case.
+    # gathered from full-size arrays and drew phases with `rng.choice`; the
+    # count digests were re-recorded when both conventions came to read one
+    # walk's full gaps.  The walk digests cover initial_on and collision_time;
+    # the ids name the scenario and the trial count as `test_streams_frozen`
+    # does, so a re-recorded digest renames no case.
     @pytest.mark.parametrize("name,trials,seed,walk,counts", [
         ("alpha_ge_0.5", 1000, 7,
          "2daee141c58bb0512dc8dd614f7a3d7b60bef7b4c72d96663d5e80f57902231b",
-         "5fa4e414fd4ad65eb9a7f1e06de9744f0a485304aca1217f7d4429f897cb7fb9"),
+         "0f5ec4379773bdcbdb3cc4914fab520d20e28e736e502ee83d0df80e59b638ba"),
         ("alpha_ge_0.5", CHUNK, 3,
          "853a0fc31b04d8ea5e2aafba3cf8843dc80d2fbc1033babc62f050064989aea8",
-         "62ae9abd21cc67e75131e630f3699fcf361c5f7cba1f5fcd381df26d589d2f14"),
+         "2992a690cf1dc4c1103de6f0f72a7961d6d80b5a24128e2a7a327962acabf3bf"),
         ("alpha_ge_0.5", 2 * CHUNK + 777, SUITE_SEED,
          "aabfd84ce2299dfdc8cd00e9bc91000c107cb8d680a6c310d880abdbbf1cc7e7",
-         "1061d76cdb31cfbfefdec295a1c10063698126ed265b4540bd998fbcd05d60cd"),
+         "89f5ea581793330c92bae67cd37c4d262548bc9ef11c82e68884e4e5423b301a"),
         ("exp_alpha_0.1575", 1000, 7,
          "ca6ec8475ab1ad69807b6a9a1f1a3c099553c5551ac67313033f0c5911d3e35e",
-         "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f"),
+         "7055bc3d8f2246e3b943d84b91a57acf214bcc053bbaf9978cd2a323588b6d93"),
         ("exp_alpha_0.1575", CHUNK, 3,
          "4ea2919534e152910c8a61a85a7d4baace3c8405580a2a437e3382fcfb5b327a",
-         "17152e564a69fbfb7b7b9eb2bb858289c662f531c05d5a1e7f266dbb740d17d7"),
+         "758d7356b67f6629f506a6c5e9946179e610a0797cde99c842e2f3aee7da9caa"),
         ("exp_alpha_0.1575", 2 * CHUNK + 777, SUITE_SEED,
          "4f3148e5161c1b1f9d040ee6f4f19c497b0ec821dfb61ecf3d550abafab4df45",
-         "94b84a6ab78d003d794fc33a873f57ff31aafcbdb6a726009eff5a5416a02f8a"),
+         "efecf4a138356228a368835a9de824f4917f9f9cc71a7b4b2cbe4a60477e0ff0"),
         ("exp_busy", 1000, 7,
          "16bd4bc04562e5c3c8e88543765405316c0389b13dbbd9f2c0a8521d07e0e4fc",
-         "5c45c1e23a2a80c4d3495fab9e70e20578618add86be78d26e3da5552031e57f"),
+         "7055bc3d8f2246e3b943d84b91a57acf214bcc053bbaf9978cd2a323588b6d93"),
         ("exp_busy", CHUNK, 3,
          "ca662f1e6c3db210612b7924808ace58b50727563f3c7c41b2b75b9f7b15c5db",
-         "ab858fde0843742c54d9c57b61b0b65fd1090ecb086e456b3fc34063f6e2b5a2"),
+         "250bf5372dd4548ca9ede2c63d01efe65b7ff8631e0c4f1d868bc442f36f2e20"),
         ("exp_busy", 2 * CHUNK + 777, SUITE_SEED,
          "c9c98f2a3560e613ce9940a934d8afd3ccc46e863a02384ff8ba3f8c00fd2ce8",
-         "6ca158aa27c0ba0e69e8b0b82c3db7dce02078dee5b7d82c17aad97c151fe35b"),
+         "e7c15260c6554368148e1ec0b90d41fe1b58849e04e3a80be2757257c718e832"),
     ], ids=[f"{name}-{size}" for name in ("alpha_ge_0.5", "exp_alpha_0.1575", "exp_busy")
             for size in ("below_chunk", "one_chunk", "two_chunks_plus_777")])
     def test_streams_frozen_every_count_convention(self, name, trials, seed, walk, counts):
@@ -306,36 +309,17 @@ class TestAgainstGatherOracle:
     @pytest.mark.parametrize("name", ORACLE_SCENARIOS)
     def test_count_chunk(self, name):
         # one walk gives both conventions, each the histogram of the gather
-        # loop run for that convention alone on a twin stream
+        # loop's per-trial counts on a twin stream
         scenario = scenario_named(name)
         for n in ORACLE_SIZES:
             for offset in (0.0, 374e-6):
-                rng, rng_equilibrium = _twin_streams(SUITE_SEED + n)
-                rng_ordinary = np.random.default_rng(SUITE_SEED + n)
+                rng, rng_oracle = _twin_streams(SUITE_SEED + n)
                 histograms = _count_chunk(scenario, rng, n, offset)
-                for histogram, equilibrium, rng_oracle in zip(
-                        histograms, (True, False), (rng_equilibrium, rng_ordinary)):
-                    counts = count_chunk_gather(with_choice_sampler(scenario), rng_oracle, n,
-                                                offset, equilibrium)
+                oracle = count_chunk_gather(with_choice_sampler(scenario), rng_oracle, n, offset)
+                for histogram, counts in zip(histograms, oracle):
                     assert np.array_equal(histogram, np.bincount(counts)), (n, offset)
                     assert histogram.dtype == np.int64 and histogram[-1] > 0
-                assert rng.bit_generator.state == rng_ordinary.bit_generator.state
-
-    @pytest.mark.parametrize("name", ALL_PRESET_NAMES + sorted(EXTRA_SCENARIOS))
-    def test_first_gaps(self, name):
-        # both first gaps of a count walk from one stream, each the floats its
-        # own sampler draws there; the generator ends where either leaves it
-        law = scenario_named(name).idle
-        for size in (0, 1, 7, CHUNK):
-            rng, rng_residual = _twin_streams(SUITE_SEED + size)
-            rng_full = np.random.default_rng(SUITE_SEED + size)
-            residual, full = law.first_gaps(rng, size)
-            assert np.array_equal(residual, law.residual_sample(rng_residual, size))
-            assert np.array_equal(full, law.sample(rng_full, size))
-            assert residual.shape == full.shape == (size,)
-            assert (residual is full) == isinstance(law, ExponentialIdle)
-            for rng_sampler in (rng_residual, rng_full):
-                assert rng.bit_generator.state == rng_sampler.bit_generator.state
+                assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     @pytest.mark.parametrize("law", [
         *(preset_scenario(name).idle for name in sorted(IDLE_MIXTURES)),
@@ -391,6 +375,18 @@ class TestRenewalCounting:
         pmf_exact = pmf(any_scenario.idle, any_scenario.packet_rate, 374e-6,
                         pmf_mc.size)[0 if equilibrium else 1]
         assert np.max(np.abs(pmf_mc - pmf_exact)) < 0.006
+
+    @pytest.mark.parametrize("name", ["alpha_ge_0.5", "exp_alpha_0.1575"])
+    @pytest.mark.parametrize("offset", [0.0, 374e-6])
+    def test_conventions_read_the_same_full_gaps(self, monkeypatch, name, offset):
+        # With a residual first gap of 0 the equilibrium window completes it
+        # at once and then the ordinary window's full gaps, so its histogram
+        # is the ordinary one behind an empty bin 0.
+        for law in (ExponentialIdle, HyperexponentialIdle):
+            monkeypatch.setattr(law, "residual_sample", lambda self, rng, size: np.zeros(size))
+        equilibrium, ordinary = empirical_renewal_counts(
+            scenario_named(name), McConfig(trials=150_000, seed=SUITE_SEED), offset)
+        assert np.array_equal(equilibrium, np.concatenate(([0], ordinary)))
 
     def test_offset_validation(self, scenario_exp_0p1575):
         with pytest.raises(ValueError):

@@ -134,6 +134,11 @@ def _digest_at_chdtrc(report) -> str:
     return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
+def _frozen_reports(rows) -> list:
+    """Cases of (name, seed, digest) rows, each with the id name-seed."""
+    return [pytest.param(name, seed, digest, id=f"{name}-{seed}") for name, seed, digest in rows]
+
+
 def _traced_peak(scenario, trials: int) -> int:
     """Peak bytes that tracemalloc traced over one validation run at seed 1."""
     tracemalloc.start()
@@ -260,34 +265,36 @@ class TestValidateScenario:
     # recorded while each chunk still returned its own batch and the KS
     # passes sorted copies of the sample.  The alpha_ge_0.5 rows and
     # alpha_0.3_0.5 were re-recorded when the chi-square pooling began to
-    # hold every bin to MIN_EXPECTED; their reports moved inside ``chi2``
-    # alone.
-    @pytest.mark.parametrize("name,seed,expected", [
-        ("alpha_ge_0.5", 11, "ece4da83c04826cd592e183f7b940157624eec3f1c80c89bdc16c594635eba22"),
-        ("alpha_ge_0.5", 12, "8b8622bd5f6cc081fc0a9c2c3d380c748a00f76d89ee63046e3b023f91c364d2"),
+    # hold every bin to MIN_EXPECTED, and every row when both renewal-count
+    # conventions came to read one walk's full gaps; each time the reports
+    # moved inside ``chi2`` alone.  The ids name the scenario and the seed,
+    # so a re-recorded digest renames no case.
+    @pytest.mark.parametrize("name,seed,expected", _frozen_reports([
+        ("alpha_ge_0.5", 11, "9c0d5f7e0788260a25a7f439862be14267efe9e804c292627f4c9d5d90c9d24c"),
+        ("alpha_ge_0.5", 12, "54b97b30d94caf6e9157c7edfe24f1dad6a8b1d339ba138e565889427611d9cc"),
         ("exp_alpha_0.1575", 11,
-         "35ab7cb81e76d8dbc53245daaffdf24634a414cfa630db3c0972349950d08a60"),
+         "82e672e859eb21527e2cf086f7e4f58d2b4851072132351a555b07b163aca803"),
         ("exp_alpha_0.1575", 12,
-         "26eac2284e25e2140c7ec8216d8ba7416f8bbf8e1bae6c5f8df8a325ff1146a1"),
-        ("alpha_lt_0.1", 11, "aae603f2f9fe9de922164c11c6d0526a64106156d9674a37d2569cd72b386051"),
-        ("alpha_0.1_0.3", 11, "b7227be1c5aa7bb9b74f668d967c84884c38555989307c8c4eed8cd4e8ea7d2e"),
-        ("alpha_0.3_0.5", 11, "9a4d747c1a7cce697177d0e2080439835e16da2bb6abae6baff2a88d41f59185"),
+         "5618a14075e254f1df44590fdcc2488f9b1840da02cb3a08062dbfe502505a92"),
+        ("alpha_lt_0.1", 11, "bc3e12ee85ec5dd1816788b5e5a2076984f122db6a78d5c881920cec430daf32"),
+        ("alpha_0.1_0.3", 11, "8d8c7bcf5ab1e4f295cec0cada9968d6f7623367b72a032a553cb4e67694b5c9"),
+        ("alpha_0.3_0.5", 11, "d6f477feae948dbb513aea8c43e3722d9218cd391cdd77626e30c4bd8e2f80d4"),
         ("exp_alpha_0.0361", 11,
-         "2342219821476d6109927c299ca99c0361f0a12eb6b16dc5a12101f558aed25f"),
-        ("exp_busy", 11, "ba92adac406a6db4b2b129bba117e11f9f07bd2f6fa8d6bda66713f0631a1a12"),
-    ])
+         "bd2c48998bef71defa67893e7af321431963ca4c637c8f96565c53df1d679a80"),
+        ("exp_busy", 11, "e6f4c1e67adf1b0498de3af0604f5de0ac66403cf125046973179aebcbde1795"),
+    ]))
     def test_report_frozen(self, name, seed, expected):
         report = validate_scenario(scenario_named(name), trials=20_000, seed=seed)
         assert _digest_at_chdtrc(report) == expected
 
     # The same at 200k trials, recorded before the KS passes walked their
     # uniques in blocks: the joint pass of alpha_ge_0.5 then spans 11 blocks
-    # of `simcore.KS_BLOCK`, where 20k trials span one or two.  alpha_ge_0.5
-    # was re-recorded with the 20k rows above.
-    @pytest.mark.parametrize("name,seed,expected", [
-        ("alpha_ge_0.5", 11, "d0eaac362a59cab74aadde48313ef57ddd6efac89c901461d33a7402c256a8bd"),
-        ("exp_busy", 11, "4b9497520913e75aac723371ca933553bde3200dd6457f02a56d1792288c6aca"),
-    ])
+    # of `simcore.KS_BLOCK`, where 20k trials span one or two.  Both rows
+    # were re-recorded with the 20k rows above, when the count walk changed.
+    @pytest.mark.parametrize("name,seed,expected", _frozen_reports([
+        ("alpha_ge_0.5", 11, "f95ac638f05699920203edad18f1d054cc09087b9cae1257d97f0cf54808dc44"),
+        ("exp_busy", 11, "d1ae5de79c2d00863bfadf84645ddd871d7f57de3be2aa0138153c04ed444374"),
+    ]))
     def test_report_frozen_at_200k_trials(self, name, seed, expected):
         report = validate_scenario(scenario_named(name), trials=200_000, seed=seed)
         assert _digest_at_chdtrc(report) == expected
@@ -297,7 +304,7 @@ class TestValidateScenario:
         # At 200k trials the walk's 131,072-trial chunk sets the peak: its
         # live trials' arrays, written into the batch's own slices, beside
         # the 1.7 MiB batch, 6.6-7.4 MiB in all.  The KS passes probe one
-        # block at a time, and the count walks start after the batch is freed.
+        # block at a time, and the count walk starts after the batch is freed.
         peak = _traced_peak(scenario_named(name), 200_000)
         assert peak <= 8 * 2**20, f"{peak / 2**20:.2f} MiB"
 
